@@ -116,8 +116,9 @@ let verify_fixture =
      in
      (fab, inc, table, entry))
 
-(* policy-as-program on the same k=16 fabric: recompiling the declarative
-   baseline, and the static differential proving compiled = handwritten *)
+(* policy-as-program on the same k=16 fabric: recompiling the agents'
+   clauses, and the static differential comparing them with the live
+   tables *)
 let policy_fixture =
   lazy
     (let fab, _, _, _ = Lazy.force verify_fixture in

@@ -742,10 +742,10 @@ let verify_every_update_arg =
 
 let check_policy_arg =
   let doc =
-    "Re-run the policy-as-program differential at every quiescent check: recompile the \
-     declarative baseline policy against the fabric's current control-plane state and \
-     prove the compiled tables equivalent to the live handwritten ones. Any \
-     counterexample fails the campaign."
+    "Re-run the policy-as-program differential at every quiescent check: compile the \
+     switch agents' forwarding clauses for the fabric's current control-plane state and \
+     compare the compiled tables with the live ones, catching compiler bugs and stale \
+     tables. Any counterexample fails the campaign."
   in
   Arg.(value & flag & info [ "check-policy" ] ~doc)
 
@@ -768,9 +768,10 @@ let chaos_cmd =
 
 let policy_check_arg =
   let doc =
-    "Run the static differential check: prove the compiled tables equivalent to the live \
-     handwritten switch programming, per-switch canonical digests plus class-by-class \
-     symbolic comparison. Implied by --corrupt and --json."
+    "Run the static differential check: compare the compiled tables with the live ones, \
+     per-switch canonical digests plus class-by-class symbolic comparison. Proves the \
+     compiler lowers the agents' clauses as the agents do and that no live table is \
+     stale. Implied by --corrupt and --json."
   in
   Arg.(value & flag & info [ "check" ] ~doc)
 
@@ -790,11 +791,11 @@ let policy_json_arg =
 
 let policy_cmd =
   let doc =
-    "compile the declarative NetCore-style baseline forwarding policy for the fabric's \
-     current control-plane state and, with --check, statically prove the compiled flow \
-     tables equivalent to the handwritten switch-agent programming; divergences come with \
-     typed counterexamples (switch, PMAC class, entry, policy source span) and a \
-     ddmin-shrunk reproducer. Exits 0 iff the check passes (or was not requested)."
+    "compile the NetCore-style baseline forwarding policy (every switch agent's own \
+     clauses) for the fabric's current control-plane state and, with --check, compare \
+     the compiled flow tables with the live ones; divergences come with typed \
+     counterexamples (switch, PMAC class, entry, policy source span) and a ddmin-shrunk \
+     reproducer. Exits 0 iff the check passes (or was not requested)."
   in
   let term =
     Term.(

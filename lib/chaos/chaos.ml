@@ -512,10 +512,10 @@ let run_campaign ?(probes_per_check = 4) ?(label = "custom") ?(verify_every_upda
       @ List.map (Printf.sprintf "shard integrity: %s")
           (Portland.Fabric_manager.shard_integrity (F.fabric_manager fab))
     in
-    (* --check-policy: the policy-as-program differential — recompile the
-       declarative baseline against the current control-plane state and
-       prove it equivalent (digests + class-by-class) to the live
-       handwritten tables, at every quiescent point *)
+    (* --check-policy: the policy-as-program differential — compile the
+       agents' clauses for the current control-plane state and compare
+       them (digests + class-by-class) with the live tables, at every
+       quiescent point *)
     let violations =
       if not check_policy then violations
       else begin

@@ -113,9 +113,9 @@ type report = {
           [check_policy], else 0) *)
   rep_policy_divergences : int;
       (** checks where the compiled baseline policy disagreed with the
-          handwritten tables — always 0 unless the compiler or the
-          handwritten programming is broken; each counterexample also
-          appears as a check violation *)
+          live tables — always 0 unless the compiler is broken or a live
+          table went stale against its agent's derivation; each
+          counterexample also appears as a check violation *)
 }
 
 val run_campaign :
@@ -142,9 +142,9 @@ val run_campaign :
     in [rep_incremental_divergences].
 
     [check_policy] (default false) re-runs the policy-as-program
-    differential ({!Portland_policy.Policy.Check.run} — recompile the
-    declarative baseline, prove it equivalent to the live handwritten
-    tables) at every quiescent check; counterexamples are recorded as
+    differential ({!Portland_policy.Policy.Check.run} — compile the
+    agents' clauses afresh and compare them with the live tables) at
+    every quiescent check; counterexamples are recorded as
     ["policy divergence: ..."] check violations and counted in
     [rep_policy_divergences]. *)
 

@@ -1,6 +1,7 @@
 open Eventsim
 open Netcore
 module FT = Switchfab.Flow_table
+module Lang = Switchfab.Policy_lang
 module Spec = Topology.Multirooted
 
 type host_entry = { h_amac : Mac_addr.t; h_port : int; h_pmac : Pmac.t }
@@ -101,15 +102,6 @@ let arp_cache_entries t =
 
 let arp_gen_seen t = t.arp_gen_seen
 
-(* live migration traps, sorted by stale PMAC for deterministic iteration *)
-let trap_entries t =
-  Hashtbl.fold (fun stale tr acc -> (stale, tr.t_ip, tr.t_new_pmac) :: acc) t.traps []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare (a : int) b)
-
-(* multicast programming (group -> out ports), sorted by group *)
-let mcast_programming t =
-  Hashtbl.fold (fun g ports acc -> (g, ports) :: acc) t.mcast []
-  |> List.sort (fun (a, _) (b, _) -> Ipv4_addr.compare a b)
 let table t = t.table
 let table_size t = FT.size t.table
 let is_operational t = t.operational
@@ -158,6 +150,11 @@ let edge_up_ports t =
       | _ -> None)
     (Ldp.switch_ports (get_ldp t))
 
+(* Is core [(s, m)] still linked to both [pod] and [dst_pod]? *)
+let core_bridges t ~pod ~dst_pod (s, m) =
+  (not (Fault.Set.agg_core_down t.faults ~pod ~stripe:s ~member:m))
+  && not (Fault.Set.agg_core_down t.faults ~pod:dst_pod ~stripe:s ~member:m)
+
 (* Can traffic leaving this edge through [up] still reach some core that
    also reaches [dst_pod]? Everything is decided from the fault matrix and
    the wiring spec alone: an agg labelled [stripe] fronts exactly the
@@ -166,14 +163,8 @@ let up_reaches_pod t ~pod ~position ~dst_pod up =
   match up with
   | Via_agg stripe ->
     (not (Fault.Set.edge_agg_down t.faults ~pod ~edge_pos:position ~stripe))
-    && List.exists
-         (fun (s, m) ->
-           (not (Fault.Set.agg_core_down t.faults ~pod ~stripe:s ~member:m))
-           && not (Fault.Set.agg_core_down t.faults ~pod:dst_pod ~stripe:s ~member:m))
-         (Spec.stripe_cores t.spec ~stripe)
-  | Via_core (s, m) ->
-    (not (Fault.Set.agg_core_down t.faults ~pod ~stripe:s ~member:m))
-    && not (Fault.Set.agg_core_down t.faults ~pod:dst_pod ~stripe:s ~member:m)
+    && List.exists (core_bridges t ~pod ~dst_pod) (Spec.stripe_cores t.spec ~stripe)
+  | Via_core (s, m) -> core_bridges t ~pod ~dst_pod (s, m)
 
 (* Stronger per-edge test for override entries: the landing agg in the
    destination pod must still reach the destination edge. The landing
@@ -183,8 +174,7 @@ let up_reaches_pod t ~pod ~position ~dst_pod up =
    knowledge needed. *)
 let up_reaches_edge t ~pod ~position ~dst_pod ~dst_edge up =
   let core_ok (s, m) =
-    (not (Fault.Set.agg_core_down t.faults ~pod ~stripe:s ~member:m))
-    && (not (Fault.Set.agg_core_down t.faults ~pod:dst_pod ~stripe:s ~member:m))
+    core_bridges t ~pod ~dst_pod (s, m)
     && not
          (List.exists
             (fun stripe ->
@@ -197,133 +187,129 @@ let up_reaches_edge t ~pod ~position ~dst_pod ~dst_edge up =
     && List.exists core_ok (Spec.stripe_cores t.spec ~stripe)
   | Via_core (s, m) -> core_ok (s, m)
 
-let install_host_entry t (h : host_entry) =
-  FT.install t.table
-    { FT.name = Printf.sprintf "host:%d" (Mac_addr.to_int (Pmac.to_mac h.h_pmac));
-      priority = 90;
-      mtch = FT.match_dst_prefix ~value:(Mac_addr.to_int (Pmac.to_mac h.h_pmac))
-               ~mask:0xFFFFFFFFFFFF;
-      actions = [ FT.Set_dst_mac h.h_amac; FT.Output h.h_port ] }
+(* ---------------- the forwarding program ----------------
 
-let install_trap_entry t stale_pmac_int =
-  FT.install t.table
-    { FT.name = Printf.sprintf "trap:%d" stale_pmac_int;
-      priority = 90;
-      mtch = FT.match_dst_prefix ~value:stale_pmac_int ~mask:0xFFFFFFFFFFFF;
-      actions = [ FT.Punt ] }
+   One constructor per entry kind. The recompute path installs these
+   clauses one at a time with [Lang.install_clause] and never formats a
+   span: [Portland_policy.Policy.baseline] attaches spans when it audits. *)
 
-let install_mcast_entry t group ports =
+let clause name prio pred acts = { Lang.span = ""; name; prio; pred; acts }
+let exact v = Lang.Dst_mac { FT.value = v; mask = 0xFFFFFFFFFFFF }
+
+(* broadcast frames go to the agent (which drops non-ARP broadcast) *)
+let bcast_clause = clause "bcast" 150 (exact (Mac_addr.to_int Mac_addr.broadcast)) [ Lang.Punt_fm ]
+
+let samepod_clause ~pod e' members =
+  clause (Printf.sprintf "samepod:%d" e') 80
+    (Lang.Dst_mac (Pmac.position_prefix ~pod ~position:e'))
+    [ Lang.Via_group { gid = gid_same e'; members } ]
+
+let pod_clause p' members =
+  clause (Printf.sprintf "pod:%d" p') 70
+    (Lang.Dst_mac (Pmac.pod_prefix ~pod:p'))
+    [ Lang.Via_group { gid = gid_pod p'; members } ]
+
+let ovr_clause p' e' members =
+  clause (Printf.sprintf "ovr:%d:%d" p' e') 75
+    (Lang.Dst_mac (Pmac.position_prefix ~pod:p' ~position:e'))
+    [ Lang.Via_group { gid = gid_ovr p' e'; members } ]
+
+(* delivery to a local host: rewrite PMAC -> AMAC, then out its port *)
+let host_clause (h : host_entry) =
+  let pmac_int = Mac_addr.to_int (Pmac.to_mac h.h_pmac) in
+  clause (Printf.sprintf "host:%d" pmac_int) 90 (exact pmac_int)
+    [ Lang.Rewrite_dst h.h_amac; Lang.Forward h.h_port ]
+
+let trap_clause stale_pmac_int =
+  clause (Printf.sprintf "trap:%d" stale_pmac_int) 90 (exact stale_pmac_int) [ Lang.Punt_fm ]
+
+let mcast_clause group ports =
   (* the limited-broadcast "group" matches the Ethernet broadcast address
      and must shadow the default punt-and-drop entry *)
-  let mac, priority =
+  let mac, prio =
     if Ipv4_addr.is_broadcast group then (Mac_addr.broadcast, 160)
     else (Mac_addr.multicast_of_group (Ipv4_addr.multicast_group group), 85)
   in
-  FT.install t.table
-    { FT.name = Printf.sprintf "mcast:%d" (Ipv4_addr.to_int group);
-      priority;
-      mtch = FT.match_dst_prefix ~value:(Mac_addr.to_int mac) ~mask:0xFFFFFFFFFFFF;
-      actions = [ FT.Multi ports ] }
+  clause (Printf.sprintf "mcast:%d" (Ipv4_addr.to_int group)) prio
+    (exact (Mac_addr.to_int mac))
+    [ Lang.Multiport ports ]
 
-let recompute_edge_tables t ~pod ~position =
+let down_clause ~pod e' port =
+  clause (Printf.sprintf "down:%d" e') 80
+    (Lang.Dst_mac (Pmac.position_prefix ~pod ~position:e'))
+    [ Lang.Forward port ]
+
+let core_pod_clause p port =
+  clause (Printf.sprintf "pod:%d" p) 70 (Lang.Dst_mac (Pmac.pod_prefix ~pod:p)) [ Lang.Forward port ]
+
+(* [f] over [h]'s bindings, in Hashtbl.iter order. Install order fixes
+   same-priority tie order and the table journal stream. *)
+let in_iter_order f h = List.rev (Hashtbl.fold (fun k v acc -> f k v :: acc) h [])
+
+(* the ports of [ups] (pairs of neighbor label and port) whose label
+   passes [ok], in port-map order *)
+let ports_where ok ups = List.filter_map (fun (up, port) -> if ok up then Some port else None) ups
+
+(* an entry whose group has no live members could only drop: leave it out
+   so the table honestly says "no route" *)
+let ecmp mk members = if members = [] then None else Some (mk members)
+
+(* remote pods: one ECMP entry per destination pod, over the up ports
+   [reaches ~dst_pod] keeps *)
+let pod_clauses t ~pod ups reaches =
+  List.filter_map
+    (fun p' -> if p' = pod then None else ecmp (pod_clause p') (ports_where (reaches ~dst_pod:p') ups))
+    (List.init t.spec.Spec.num_pods Fun.id)
+
+let edge_program t ~pod ~position =
   let ups = edge_up_ports t in
-  (* broadcast frames go to the agent (which drops non-ARP broadcast) *)
-  FT.install t.table
-    { FT.name = "bcast";
-      priority = 150;
-      mtch = FT.match_dst_prefix ~value:(Mac_addr.to_int Mac_addr.broadcast) ~mask:0xFFFFFFFFFFFF;
-      actions = [ FT.Punt ] };
   (* same-pod destinations, one entry per remote edge position *)
-  for e' = 0 to t.spec.Spec.edges_per_pod - 1 do
-    if e' <> position then begin
-      let members =
-        List.filter_map
-          (fun (up, port) ->
-            match up with
-            | Via_agg stripe
-              when (not (Fault.Set.edge_agg_down t.faults ~pod ~edge_pos:position ~stripe))
-                   && not (Fault.Set.edge_agg_down t.faults ~pod ~edge_pos:e' ~stripe) ->
-              Some port
-            | Via_agg _ | Via_core _ -> None)
-          ups
-      in
-      (* an entry whose group has no live members could only drop: leave it
-         uninstalled so the table honestly says "no route" *)
-      if members <> [] then begin
-        FT.set_group t.table (gid_same e') (Array.of_list members);
-        FT.install t.table
-          { FT.name = Printf.sprintf "samepod:%d" e';
-            priority = 80;
-            mtch =
-              { FT.match_any with FT.dst_mac = Some (Pmac.position_prefix ~pod ~position:e') };
-            actions = [ FT.Group (gid_same e') ] }
-      end
-    end
-  done;
-  (* remote pods: default per-pod ECMP groups *)
-  for p' = 0 to t.spec.Spec.num_pods - 1 do
-    if p' <> pod then begin
-      let members =
-        List.filter_map
-          (fun (up, port) ->
-            if up_reaches_pod t ~pod ~position ~dst_pod:p' up then Some port else None)
-          ups
-      in
-      if members <> [] then begin
-        FT.set_group t.table (gid_pod p') (Array.of_list members);
-        FT.install t.table
-          { FT.name = Printf.sprintf "pod:%d" p';
-            priority = 70;
-            mtch = { FT.match_any with FT.dst_mac = Some (Pmac.pod_prefix ~pod:p') };
-            actions = [ FT.Group (gid_pod p') ] }
-      end
-    end
-  done;
+  let samepod =
+    List.filter_map
+      (fun e' ->
+        if e' = position then None
+        else
+          ecmp (samepod_clause ~pod e')
+            (ports_where
+               (function
+                 | Via_agg stripe ->
+                   (not (Fault.Set.edge_agg_down t.faults ~pod ~edge_pos:position ~stripe))
+                   && not (Fault.Set.edge_agg_down t.faults ~pod ~edge_pos:e' ~stripe)
+                 | Via_core _ -> false)
+               ups))
+      (List.init t.spec.Spec.edges_per_pod Fun.id)
+  in
+  let pods = pod_clauses t ~pod ups (up_reaches_pod t ~pod ~position) in
   (* overrides for remote edge switches that lost an uplink: avoid the
      stripe whose last hop to that edge is dead *)
-  List.iter
-    (fun fault ->
-      match fault with
-      | Fault.Edge_agg { pod = p'; edge_pos = e'; stripe = _ } when p' <> pod ->
-        let members =
-          List.filter_map
-            (fun (up, port) ->
-              if up_reaches_edge t ~pod ~position ~dst_pod:p' ~dst_edge:e' up then Some port
-              else None)
-            ups
-        in
-        if members <> [] then begin
-          FT.set_group t.table (gid_ovr p' e') (Array.of_list members);
-          FT.install t.table
-            { FT.name = Printf.sprintf "ovr:%d:%d" p' e';
-              priority = 75;
-              mtch =
-                { FT.match_any with
-                  FT.dst_mac = Some (Pmac.position_prefix ~pod:p' ~position:e') };
-              actions = [ FT.Group (gid_ovr p' e') ] }
-        end
-      | Fault.Edge_agg _ | Fault.Agg_core _ | Fault.Host_edge _ -> ())
-    (Fault.Set.elements t.faults);
+  let overrides =
+    List.filter_map
+      (fun fault ->
+        match fault with
+        | Fault.Edge_agg { pod = p'; edge_pos = e'; stripe = _ } when p' <> pod ->
+          ecmp (ovr_clause p' e')
+            (ports_where (up_reaches_edge t ~pod ~position ~dst_pod:p' ~dst_edge:e') ups)
+        | Fault.Edge_agg _ | Fault.Agg_core _ | Fault.Host_edge _ -> None)
+      (Fault.Set.elements t.faults)
+  in
   (* local hosts and traps *)
-  Hashtbl.iter (fun _ h -> install_host_entry t h) t.pmac_to_host;
-  Hashtbl.iter (fun stale _ -> install_trap_entry t stale) t.traps
+  let hosts = in_iter_order (fun _ h -> host_clause h) t.pmac_to_host in
+  let traps = in_iter_order (fun stale _ -> trap_clause stale) t.traps in
+  (bcast_clause :: samepod) @ pods @ overrides @ hosts @ traps
 
-let recompute_agg_tables t ~pod ~stripe =
+let agg_program t ~pod ~stripe =
   let ports = Ldp.switch_ports (get_ldp t) in
   (* downward: one entry per live edge neighbor *)
-  List.iter
-    (fun (port, (n : Ldp.neighbor)) ->
-      match (n.Ldp.nbr_level, n.Ldp.nbr_position) with
-      | Some Ldp_msg.Edge, Some e' ->
-        if not (Fault.Set.edge_agg_down t.faults ~pod ~edge_pos:e' ~stripe) then
-          FT.install t.table
-            { FT.name = Printf.sprintf "down:%d" e';
-              priority = 80;
-              mtch =
-                { FT.match_any with FT.dst_mac = Some (Pmac.position_prefix ~pod ~position:e') };
-              actions = [ FT.Output port ] }
-      | _ -> ())
-    ports;
+  let downs =
+    List.filter_map
+      (fun (port, (n : Ldp.neighbor)) ->
+        match (n.Ldp.nbr_level, n.Ldp.nbr_position) with
+        | Some Ldp_msg.Edge, Some e'
+          when not (Fault.Set.edge_agg_down t.faults ~pod ~edge_pos:e' ~stripe) ->
+          Some (down_clause ~pod e' port)
+        | _ -> None)
+      ports
+  in
   (* upward: per-destination-pod ECMP over this agg's core bundle. Cores
      advertise their own (row, member) label — under AB wiring a column
      agg's cores span all rows, so the faults are keyed by the core's
@@ -336,59 +322,38 @@ let recompute_agg_tables t ~pod ~stripe =
         | _ -> None)
       ports
   in
-  for p' = 0 to t.spec.Spec.num_pods - 1 do
-    if p' <> pod then begin
-      let members =
-        List.filter_map
-          (fun ((s, m), port) ->
-            if
-              (not (Fault.Set.agg_core_down t.faults ~pod ~stripe:s ~member:m))
-              && not (Fault.Set.agg_core_down t.faults ~pod:p' ~stripe:s ~member:m)
-            then Some port
-            else None)
-          core_ports
-      in
-      if members <> [] then begin
-        FT.set_group t.table (gid_pod p') (Array.of_list members);
-        FT.install t.table
-          { FT.name = Printf.sprintf "pod:%d" p';
-            priority = 70;
-            mtch = { FT.match_any with FT.dst_mac = Some (Pmac.pod_prefix ~pod:p') };
-            actions = [ FT.Group (gid_pod p') ] }
-      end
-    end
-  done
+  downs @ pod_clauses t ~pod core_ports (core_bridges t ~pod)
 
-let recompute_core_tables t ~stripe ~member =
-  List.iter
+let core_program t ~stripe ~member =
+  List.filter_map
     (fun (port, (n : Ldp.neighbor)) ->
-      let down_to p =
-        if not (Fault.Set.agg_core_down t.faults ~pod:p ~stripe ~member) then
-          FT.install t.table
-            { FT.name = Printf.sprintf "pod:%d" p;
-              priority = 70;
-              mtch = { FT.match_any with FT.dst_mac = Some (Pmac.pod_prefix ~pod:p) };
-              actions = [ FT.Output port ] }
-      in
       match (n.Ldp.nbr_level, n.Ldp.nbr_pod) with
-      | Some Ldp_msg.Aggregation, Some p -> down_to p
       (* flat wiring: spines face leaves (edge switches) directly *)
-      | Some Ldp_msg.Edge, Some p -> down_to p
-      | _ -> ())
+      | (Some Ldp_msg.Aggregation | Some Ldp_msg.Edge), Some p
+        when not (Fault.Set.agg_core_down t.faults ~pod:p ~stripe ~member) ->
+        Some (core_pod_clause p port)
+      | _ -> None)
     (Ldp.switch_ports (get_ldp t))
 
-let recompute_tables t =
+let program t =
   match t.coords with
-  | None -> ()
+  | None -> []
   | Some c ->
+    let role =
+      match c with
+      | Coords.Edge { pod; position } -> edge_program t ~pod ~position
+      | Coords.Agg { pod; stripe } -> agg_program t ~pod ~stripe
+      | Coords.Core { stripe; member } -> core_program t ~stripe ~member
+    in
+    role @ in_iter_order mcast_clause t.mcast
+
+let recompute_tables t =
+  if t.coords <> None then begin
     t.c_table_recomputes <- t.c_table_recomputes + 1;
     FT.clear t.table;
-    (match c with
-     | Coords.Edge { pod; position } -> recompute_edge_tables t ~pod ~position
-     | Coords.Agg { pod; stripe } -> recompute_agg_tables t ~pod ~stripe
-     | Coords.Core { stripe; member } -> recompute_core_tables t ~stripe ~member);
-    Hashtbl.iter (fun group ports -> install_mcast_entry t group ports) t.mcast;
+    List.iter (Lang.install_clause t.table) (program t);
     t.operational <- true
+  end
 
 (* ---------------- reporting & position proposals ---------------- *)
 
@@ -464,7 +429,7 @@ let learn_host t ~port ~amac ~ip =
         Hashtbl.replace t.amac_to_host amac h;
         Hashtbl.replace t.pmac_to_host (Mac_addr.to_int (Pmac.to_mac pmac)) h;
         t.c_hosts_learned <- t.c_hosts_learned + 1;
-        install_host_entry t h;
+        Lang.install_clause t.table (host_clause h);
         h
     in
     (match ip with
@@ -618,7 +583,7 @@ let on_invalidate t ~ip ~old_pmac ~new_pmac =
    | Some p when Pmac.equal p old_pmac -> Hashtbl.remove t.ip_to_pmac ip
    | Some _ | None -> ());
   Hashtbl.replace t.traps old_int { t_ip = ip; t_new_pmac = new_pmac };
-  install_trap_entry t old_int;
+  Lang.install_clause t.table (trap_clause old_int);
   (* traps outlive the longest possible stale ARP cache entry, then die *)
   ignore
     (Engine.schedule t.engine ~delay:(2 * t.config.Config.arp_cache_timeout) (fun () ->
@@ -640,7 +605,7 @@ let restore_host_binding t (b : Msg.host_binding) =
      | Some v when v > vmid -> ()
      | Some _ | None -> Hashtbl.replace t.next_vmid port (vmid + 1));
     Ldp.on_host_frame (get_ldp t) ~port;
-    install_host_entry t h
+    Lang.install_clause t.table (host_clause h)
   end
 
 let on_ctrl_msg t (msg : Msg.to_switch) =
@@ -709,7 +674,7 @@ let on_ctrl_msg t (msg : Msg.to_switch) =
     end
     else begin
       Hashtbl.replace t.mcast group out_ports;
-      install_mcast_entry t group out_ports
+      Lang.install_clause t.table (mcast_clause group out_ports)
     end
   | Msg.Host_restore { bindings } -> List.iter (restore_host_binding t) bindings
   | Msg.Arp_gen { gen } ->

@@ -17,11 +17,14 @@
       downward and ECMP on per-destination-pod core groups upward.
     - {b Core switches} forward on pod prefixes.
 
-    Forwarding state is recomputed locally — from the switch's own
+    Forwarding state is derived locally — from the switch's own
     coordinates, its LDP neighbor view, and the fabric-manager-broadcast
-    fault matrix — on every relevant change; total state is O(k) plus one
+    fault matrix — as a list of policy clauses ({!program}), and
+    reinstalled on every relevant change; total state is O(k) plus one
     entry per local host, per trap, and per multicast group, as the paper
-    claims. *)
+    claims. The same clauses are what {!Portland_policy.Policy.baseline}
+    compiles, so the policy checker audits the production derivation
+    itself. *)
 
 type t
 
@@ -97,18 +100,18 @@ val arp_gen_seen : t -> int
 (** The newest fabric-wide ARP generation this switch has observed (from
     [Msg.Arp_answer] stamps and [Msg.Arp_gen] broadcasts). *)
 
-val trap_entries : t -> (int * Netcore.Ipv4_addr.t * Pmac.t) list
-(** The edge's live migration traps as (stale PMAC integer, trapped IP,
-    current PMAC), sorted by the stale PMAC — empty for non-edge
-    switches. One ["trap:<stale>"] punt entry per element is installed in
-    the flow table; {!Portland_policy.baseline} reads this to emit the
-    equivalent declarative clauses. *)
-
-val mcast_programming : t -> (Netcore.Ipv4_addr.t * int list) list
-(** The switch's multicast programming as (group, out ports) sorted by
-    group — the state behind its ["mcast:<group>"] entries (port order
-    preserved; it is what the FM programmed). Read by
-    {!Portland_policy.baseline}. *)
+val program : t -> Switchfab.Policy_lang.clause list
+(** The switch's forwarding program for its {e current} state, as
+    switch-local clauses in install order: for an edge, broadcast punt,
+    same-pod / per-pod / override ECMP, host delivery and migration
+    traps; for an aggregation switch, downward and per-pod ECMP entries;
+    for a core, per-pod entries; then multicast on every level. Empty
+    before coordinates arrive. Spans are left empty. This is the only
+    derivation of the switch's tables: every recompute clears the table
+    and installs these clauses with
+    {!Switchfab.Policy_lang.install_clause}, and the incremental edits
+    (host learning and restore, traps, multicast programming) install
+    single clauses built by the same constructors. *)
 
 val set_journal : t -> Journal.hook option -> unit
 (** Subscribe to this agent's control-plane updates: every flow-table

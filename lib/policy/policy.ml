@@ -1,283 +1,18 @@
 open Netcore
 module FT = Switchfab.Flow_table
 module SNet = Switchfab.Net
-module Spec = Topology.Multirooted
 module SA = Portland.Switch_agent
 module Fabric = Portland.Fabric
-module Fault = Portland.Fault
 module Coords = Portland.Coords
-module Ldp = Portland.Ldp
 module Pmac = Portland.Pmac
 module V = Portland_verify.Verify
 
-(* ---------------- language ---------------- *)
-
-type pred =
-  | True
-  | At_switch of int
-  | In_port of int
-  | Dst_mac of FT.mask_match
-  | Dst_ip of FT.mask_match
-  | Tenant of int
-  | And of pred * pred
-  | Or of pred * pred
-  | Not of pred
-
-type act =
-  | Forward of int
-  | Via_group of { gid : int; members : int list }
-  | Multiport of int list
-  | Rewrite_dst of Mac_addr.t
-  | Rewrite_src of Mac_addr.t
-  | Punt_fm
-  | Deny
-
-type clause = { span : string; name : string; prio : int; pred : pred; acts : act list }
-
-type t =
-  | Nothing
-  | Rule of clause
-  | Union of t * t
-  | Seq of t * t
-  | Restrict of t * pred
-
-let rule ~span ~name ~prio pred acts = Rule { span; name; prio; pred; acts }
-let union ps = List.fold_left (fun acc p -> if acc = Nothing then p else Union (acc, p)) Nothing ps
-let seq a b = Seq (a, b)
-let restrict p pred = Restrict (p, pred)
-
-(* ---------------- normalization ---------------- *)
-
-type error =
-  | Unlocated of { span : string }
-  | In_port_unsupported of { span : string }
-  | Negation_unsupported of { span : string }
-  | Seq_left_not_rewrite of { span : string }
-
-let pp_error fmt = function
-  | Unlocated { span } ->
-    Format.fprintf fmt "clause %s: predicate does not pin down an ingress switch" span
-  | In_port_unsupported { span } ->
-    Format.fprintf fmt
-      "clause %s: the flow-table dataplane has no ingress-port match (In_port)" span
-  | Negation_unsupported { span } ->
-    Format.fprintf fmt "clause %s: negation is not expressible as one TCAM row" span
-  | Seq_left_not_rewrite { span } ->
-    Format.fprintf fmt "clause %s: left side of a sequence may only rewrite" span
-
-let ( let* ) = Result.bind
-
-let is_rewrite = function Rewrite_dst _ | Rewrite_src _ -> true | _ -> false
-
-(* flatten the combinator tree to self-contained clauses *)
-let rec flatten = function
-  | Nothing -> Ok []
-  | Rule c -> Ok [ c ]
-  | Union (a, b) ->
-    let* ca = flatten a in
-    let* cb = flatten b in
-    Ok (ca @ cb)
-  | Restrict (p, pr) ->
-    let* cs = flatten p in
-    Ok (List.map (fun c -> { c with pred = And (c.pred, pr) }) cs)
-  | Seq (l, r) ->
-    let* ls = flatten l in
-    let* rs = flatten r in
-    (match List.find_opt (fun c -> not (List.for_all is_rewrite c.acts)) ls with
-     | Some c -> Error (Seq_left_not_rewrite { span = c.span })
-     | None ->
-       Ok
-         (List.concat_map
-            (fun lc ->
-              List.map
-                (fun rc ->
-                  { span = lc.span;
-                    name = lc.name;
-                    prio = max lc.prio rc.prio;
-                    pred = And (lc.pred, rc.pred);
-                    acts = lc.acts @ rc.acts })
-                rs)
-            ls))
-
-(* tenant-per-pod addressing convention: tag t = the 10.t.0.0/16 block *)
-let tenant_match tag = { FT.value = (10 lsl 24) lor (tag lsl 16); mask = 0xFFFF0000 }
-
-(* one conjunction of atomic matches *)
-type conj = { c_switch : int option; c_dst : FT.mask_match option; c_ip : FT.mask_match option }
-
-let conj_true = { c_switch = None; c_dst = None; c_ip = None }
-
-(* intersection of two mask matches; None = contradiction *)
-let inter (m1 : FT.mask_match) (m2 : FT.mask_match) =
-  let common = m1.FT.mask land m2.FT.mask in
-  if m1.FT.value land common <> m2.FT.value land common then None
-  else
-    Some
-      { FT.value = (m1.FT.value land m1.FT.mask) lor (m2.FT.value land m2.FT.mask);
-        mask = m1.FT.mask lor m2.FT.mask }
-
-(* conjoin an atom onto a conj; None = contradiction (drops the disjunct) *)
-let conj_add c atom =
-  match atom with
-  | `Sw s -> (
-    match c.c_switch with
-    | Some s' when s' <> s -> None
-    | _ -> Some { c with c_switch = Some s })
-  | `Dst mm -> (
-    match c.c_dst with
-    | None -> Some { c with c_dst = Some mm }
-    | Some m0 -> Option.map (fun m -> { c with c_dst = Some m }) (inter m0 mm))
-  | `Ip mm -> (
-    match c.c_ip with
-    | None -> Some { c with c_ip = Some mm }
-    | Some m0 -> Option.map (fun m -> { c with c_ip = Some m }) (inter m0 mm))
-
-(* predicate -> disjunctive normal form, each disjunct a conj *)
-let dnf ~span p =
-  let rec go = function
-    | True -> Ok [ conj_true ]
-    | At_switch s -> Ok [ { conj_true with c_switch = Some s } ]
-    | In_port _ -> Error (In_port_unsupported { span })
-    | Dst_mac mm -> Ok [ { conj_true with c_dst = Some mm } ]
-    | Dst_ip mm -> Ok [ { conj_true with c_ip = Some mm } ]
-    | Tenant tag -> Ok [ { conj_true with c_ip = Some (tenant_match tag) } ]
-    | Not (Not p) -> go p
-    | Not _ -> Error (Negation_unsupported { span })
-    | Or (a, b) ->
-      let* da = go a in
-      let* db = go b in
-      Ok (da @ db)
-    | And (a, b) ->
-      let* da = go a in
-      let* db = go b in
-      let merge ca cb =
-        let with_sw =
-          match cb.c_switch with None -> Some ca | Some s -> conj_add ca (`Sw s)
-        in
-        let with_dst =
-          match (with_sw, cb.c_dst) with
-          | None, _ -> None
-          | Some c, None -> Some c
-          | Some c, Some mm -> conj_add c (`Dst mm)
-        in
-        match (with_dst, cb.c_ip) with
-        | None, _ -> None
-        | Some c, None -> Some c
-        | Some c, Some mm -> conj_add c (`Ip mm)
-      in
-      Ok (List.concat_map (fun ca -> List.filter_map (merge ca) db) da)
-  in
-  go p
-
-(* a normalized, located, lowered clause *)
-type nclause = {
-  n_switch : int;
-  n_name : string;
-  n_prio : int;
-  n_mtch : FT.mtch;
-  n_actions : FT.action list;
-  n_groups : (int * int list) list;
-  n_span : string;
-}
-
-let lower_acts acts =
-  List.fold_left
-    (fun (fts, gs) a ->
-      match a with
-      | Forward p -> (FT.Output p :: fts, gs)
-      | Via_group { gid; members } -> (FT.Group gid :: fts, (gid, members) :: gs)
-      | Multiport ps -> (FT.Multi ps :: fts, gs)
-      | Rewrite_dst m -> (FT.Set_dst_mac m :: fts, gs)
-      | Rewrite_src m -> (FT.Set_src_mac m :: fts, gs)
-      | Punt_fm -> (FT.Punt :: fts, gs)
-      | Deny -> (FT.Drop :: fts, gs))
-    ([], []) acts
-  |> fun (fts, gs) -> (List.rev fts, List.rev gs)
-
-let normalize p =
-  let* clauses = flatten p in
-  let* lowered =
-    List.fold_left
-      (fun acc c ->
-        let* acc = acc in
-        let* disjuncts = dnf ~span:c.span c.pred in
-        let actions, groups = lower_acts c.acts in
-        let n = List.length disjuncts in
-        let* ncs =
-          List.fold_left
-            (fun (acc : (nclause list * int, error) result) conj ->
-              let* ncs, i = acc in
-              match conj.c_switch with
-              | None -> Error (Unlocated { span = c.span })
-              | Some sw ->
-                (* disjuncts of one clause landing on the same switch would
-                   collide by name; disambiguate all but the first *)
-                let name = if n = 1 || i = 0 then c.name else Printf.sprintf "%s#%d" c.name i in
-                let nc =
-                  { n_switch = sw;
-                    n_name = name;
-                    n_prio = c.prio;
-                    n_mtch = { FT.match_any with FT.dst_mac = conj.c_dst; FT.ip_dst = conj.c_ip };
-                    n_actions = actions;
-                    n_groups = groups;
-                    n_span = c.span }
-                in
-                Ok (nc :: ncs, i + 1))
-            (Ok ([], 0)) disjuncts
-        in
-        Ok (List.rev (fst ncs) :: acc))
-      (Ok []) clauses
-  in
-  Ok (List.concat (List.rev lowered))
-
-(* ---------------- compilation ---------------- *)
-
-type compiled = {
-  c_tables : (int, FT.t) Hashtbl.t;
-  c_spans : (int * string, string) Hashtbl.t;
-  c_switches : int list;
-}
-
-let compile p =
-  let* ncs = normalize p in
-  let tables = Hashtbl.create 64 in
-  let spans = Hashtbl.create 256 in
-  let table_for sw =
-    match Hashtbl.find_opt tables sw with
-    | Some t -> t
-    | None ->
-      let t = FT.create () in
-      Hashtbl.add tables sw t;
-      t
-  in
-  List.iter
-    (fun nc ->
-      let tbl = table_for nc.n_switch in
-      List.iter (fun (gid, members) -> FT.set_group tbl gid (Array.of_list members)) nc.n_groups;
-      FT.install tbl
-        { FT.name = nc.n_name; priority = nc.n_prio; mtch = nc.n_mtch; actions = nc.n_actions };
-      Hashtbl.replace spans (nc.n_switch, nc.n_name) nc.n_span)
-    ncs;
-  let switches = Hashtbl.fold (fun sw _ acc -> sw :: acc) tables [] |> List.sort compare in
-  Ok { c_tables = tables; c_spans = spans; c_switches = switches }
-
-let compile_exn p =
-  match compile p with
-  | Ok c -> c
-  | Error e -> failwith (Format.asprintf "Policy.compile: %a" pp_error e)
-
-let table c sw = Hashtbl.find_opt c.c_tables sw
-let switches c = c.c_switches
-
-let entry_count c = Hashtbl.fold (fun _ t acc -> acc + FT.size t) c.c_tables 0
-let group_count c = Hashtbl.fold (fun _ t acc -> acc + List.length (FT.groups t)) c.c_tables 0
-
-let span_of c ~switch ~entry = Hashtbl.find_opt c.c_spans (switch, entry)
+include Switchfab.Policy_lang
 
 let install fab c =
   List.iter
     (fun sw ->
-      let ct = Hashtbl.find c.c_tables sw in
+      let ct = Option.get (table c sw) in
       let live = SA.table (Fabric.agent fab sw) in
       FT.clear live;
       List.iter
@@ -286,282 +21,38 @@ let install fab c =
       (* FT.entries is lookup order (ties: later insertion first); reinstall
          oldest-first so the rebuilt table has the same tie order *)
       List.iter (FT.install live) (List.rev (FT.entries ct)))
-    c.c_switches
+    (switches c)
 
 (* ---------------- the baseline PortLand policy ---------------- *)
 
-(* group-id scheme, mirroring the handwritten switch_agent programming *)
-let gid_same e = 10_000 + e
-let gid_pod p = 20_000 + p
-let gid_ovr p e = 30_000 + (p * 256) + e
-
-type upref = Via_agg of int | Via_core of int * int
-
-let edge_up_ports a =
-  List.filter_map
-    (fun (port, (n : Ldp.neighbor)) ->
-      match (n.Ldp.nbr_level, n.Ldp.nbr_pod, n.Ldp.nbr_position) with
-      | Some Ldp_msg.Aggregation, _, Some stripe -> Some (Via_agg stripe, port)
-      | Some Ldp_msg.Core, Some s, Some m -> Some (Via_core (s, m), port)
-      | _ -> None)
-    (Ldp.switch_ports (SA.ldp a))
-
-let up_reaches_pod spec fset ~pod ~position ~dst_pod up =
-  match up with
-  | Via_agg stripe ->
-    (not (Fault.Set.edge_agg_down fset ~pod ~edge_pos:position ~stripe))
-    && List.exists
-         (fun (s, m) ->
-           (not (Fault.Set.agg_core_down fset ~pod ~stripe:s ~member:m))
-           && not (Fault.Set.agg_core_down fset ~pod:dst_pod ~stripe:s ~member:m))
-         (Spec.stripe_cores spec ~stripe)
-  | Via_core (s, m) ->
-    (not (Fault.Set.agg_core_down fset ~pod ~stripe:s ~member:m))
-    && not (Fault.Set.agg_core_down fset ~pod:dst_pod ~stripe:s ~member:m)
-
-let up_reaches_edge spec fset ~pod ~position ~dst_pod ~dst_edge up =
-  let core_ok (s, m) =
-    (not (Fault.Set.agg_core_down fset ~pod ~stripe:s ~member:m))
-    && (not (Fault.Set.agg_core_down fset ~pod:dst_pod ~stripe:s ~member:m))
-    && not
-         (List.exists
-            (fun stripe -> Fault.Set.edge_agg_down fset ~pod:dst_pod ~edge_pos:dst_edge ~stripe)
-            (Spec.stripes_covering spec ~row:s ~member:m))
-  in
-  match up with
-  | Via_agg stripe ->
-    (not (Fault.Set.edge_agg_down fset ~pod ~edge_pos:position ~stripe))
-    && List.exists core_ok (Spec.stripe_cores spec ~stripe)
-  | Via_core (s, m) -> core_ok (s, m)
-
-let bcast_int = Mac_addr.to_int Mac_addr.broadcast
-
-let edge_policy spec a fset ~sw ~pod ~position =
-  let ups = edge_up_ports a in
-  let span what = Printf.sprintf "sw%d/edge%d.%d/%s" sw pod position what in
-  let bcast =
-    rule ~span:(span "bcast") ~name:"bcast" ~prio:150
-      (Dst_mac { FT.value = bcast_int; mask = 0xFFFFFFFFFFFF })
-      [ Punt_fm ]
-  in
-  let samepod =
-    List.filter_map
-      (fun e' ->
-        if e' = position then None
-        else
-          let members =
-            List.filter_map
-              (fun (up, port) ->
-                match up with
-                | Via_agg stripe
-                  when (not (Fault.Set.edge_agg_down fset ~pod ~edge_pos:position ~stripe))
-                       && not (Fault.Set.edge_agg_down fset ~pod ~edge_pos:e' ~stripe) ->
-                  Some port
-                | Via_agg _ | Via_core _ -> None)
-              ups
-          in
-          if members = [] then None
-          else
-            Some
-              (rule
-                 ~span:(span (Printf.sprintf "samepod:%d" e'))
-                 ~name:(Printf.sprintf "samepod:%d" e')
-                 ~prio:80
-                 (Dst_mac (Pmac.position_prefix ~pod ~position:e'))
-                 [ Via_group { gid = gid_same e'; members } ]))
-      (List.init spec.Spec.edges_per_pod Fun.id)
-  in
-  let pods =
-    List.filter_map
-      (fun p' ->
-        if p' = pod then None
-        else
-          let members =
-            List.filter_map
-              (fun (up, port) ->
-                if up_reaches_pod spec fset ~pod ~position ~dst_pod:p' up then Some port else None)
-              ups
-          in
-          if members = [] then None
-          else
-            Some
-              (rule
-                 ~span:(span (Printf.sprintf "pod:%d" p'))
-                 ~name:(Printf.sprintf "pod:%d" p')
-                 ~prio:70
-                 (Dst_mac (Pmac.pod_prefix ~pod:p'))
-                 [ Via_group { gid = gid_pod p'; members } ]))
-      (List.init spec.Spec.num_pods Fun.id)
-  in
-  let overrides =
-    List.filter_map
-      (fun fault ->
-        match fault with
-        | Fault.Edge_agg { pod = p'; edge_pos = e'; stripe = _ } when p' <> pod ->
-          let members =
-            List.filter_map
-              (fun (up, port) ->
-                if up_reaches_edge spec fset ~pod ~position ~dst_pod:p' ~dst_edge:e' up then
-                  Some port
-                else None)
-              ups
-          in
-          if members = [] then None
-          else
-            Some
-              (rule
-                 ~span:(span (Printf.sprintf "ovr:%d:%d" p' e'))
-                 ~name:(Printf.sprintf "ovr:%d:%d" p' e')
-                 ~prio:75
-                 (Dst_mac (Pmac.position_prefix ~pod:p' ~position:e'))
-                 [ Via_group { gid = gid_ovr p' e'; members } ])
-        | Fault.Edge_agg _ | Fault.Agg_core _ | Fault.Host_edge _ -> None)
-      (Fault.Set.elements fset)
-  in
-  (* host delivery: a rewrite stage sequenced with a forward stage *)
-  let hosts =
-    List.map
-      (fun (b : Portland.Msg.host_binding) ->
-        let pmac_int = Mac_addr.to_int (Pmac.to_mac b.Portland.Msg.pmac) in
-        let name = Printf.sprintf "host:%d" pmac_int in
-        seq
-          (rule ~span:(span name) ~name ~prio:90
-             (Dst_mac { FT.value = pmac_int; mask = 0xFFFFFFFFFFFF })
-             [ Rewrite_dst b.Portland.Msg.amac ])
-          (rule ~span:(span (name ^ "/deliver")) ~name:(name ^ "/deliver") ~prio:0 True
-             [ Forward b.Portland.Msg.pmac.Pmac.port ]))
-      (SA.host_bindings a)
-  in
-  let traps =
-    List.map
-      (fun (stale, _ip, _new_pmac) ->
-        let name = Printf.sprintf "trap:%d" stale in
-        rule ~span:(span name) ~name ~prio:90
-          (Dst_mac { FT.value = stale; mask = 0xFFFFFFFFFFFF })
-          [ Punt_fm ])
-      (SA.trap_entries a)
-  in
-  (bcast :: samepod) @ pods @ overrides @ hosts @ traps
-
-let agg_policy spec a fset ~sw ~pod ~stripe =
-  let ports = Ldp.switch_ports (SA.ldp a) in
-  let span what = Printf.sprintf "sw%d/agg%d.%d/%s" sw pod stripe what in
-  let downs =
-    List.filter_map
-      (fun (port, (n : Ldp.neighbor)) ->
-        match (n.Ldp.nbr_level, n.Ldp.nbr_position) with
-        | Some Ldp_msg.Edge, Some e' ->
-          if Fault.Set.edge_agg_down fset ~pod ~edge_pos:e' ~stripe then None
-          else
-            Some
-              (rule
-                 ~span:(span (Printf.sprintf "down:%d" e'))
-                 ~name:(Printf.sprintf "down:%d" e')
-                 ~prio:80
-                 (Dst_mac (Pmac.position_prefix ~pod ~position:e'))
-                 [ Forward port ])
-        | _ -> None)
-      ports
-  in
-  let core_ports =
-    List.filter_map
-      (fun (port, (n : Ldp.neighbor)) ->
-        match (n.Ldp.nbr_level, n.Ldp.nbr_pod, n.Ldp.nbr_position) with
-        | Some Ldp_msg.Core, Some s, Some m -> Some ((s, m), port)
-        | _ -> None)
-      ports
-  in
-  let pods =
-    List.filter_map
-      (fun p' ->
-        if p' = pod then None
-        else
-          let members =
-            List.filter_map
-              (fun ((s, m), port) ->
-                if
-                  (not (Fault.Set.agg_core_down fset ~pod ~stripe:s ~member:m))
-                  && not (Fault.Set.agg_core_down fset ~pod:p' ~stripe:s ~member:m)
-                then Some port
-                else None)
-              core_ports
-          in
-          if members = [] then None
-          else
-            Some
-              (rule
-                 ~span:(span (Printf.sprintf "pod:%d" p'))
-                 ~name:(Printf.sprintf "pod:%d" p')
-                 ~prio:70
-                 (Dst_mac (Pmac.pod_prefix ~pod:p'))
-                 [ Via_group { gid = gid_pod p'; members } ]))
-      (List.init spec.Spec.num_pods Fun.id)
-  in
-  downs @ pods
-
-let core_policy a fset ~sw ~stripe ~member =
-  let span what = Printf.sprintf "sw%d/core%d.%d/%s" sw stripe member what in
-  List.filter_map
-    (fun (port, (n : Ldp.neighbor)) ->
-      let down_to p =
-        if Fault.Set.agg_core_down fset ~pod:p ~stripe ~member then None
-        else
-          Some
-            (rule
-               ~span:(span (Printf.sprintf "pod:%d" p))
-               ~name:(Printf.sprintf "pod:%d" p)
-               ~prio:70
-               (Dst_mac (Pmac.pod_prefix ~pod:p))
-               [ Forward port ])
-      in
-      match (n.Ldp.nbr_level, n.Ldp.nbr_pod) with
-      | Some Ldp_msg.Aggregation, Some p -> down_to p
-      | Some Ldp_msg.Edge, Some p -> down_to p
-      | _ -> None)
-    (Ldp.switch_ports (SA.ldp a))
-
-let mcast_policy a ~sw =
-  List.map
-    (fun (group, ports) ->
-      let mac, prio =
-        if Ipv4_addr.is_broadcast group then (Mac_addr.broadcast, 160)
-        else (Mac_addr.multicast_of_group (Ipv4_addr.multicast_group group), 85)
-      in
-      let name = Printf.sprintf "mcast:%d" (Ipv4_addr.to_int group) in
-      rule
-        ~span:(Printf.sprintf "sw%d/mcast/%s" sw name)
-        ~name ~prio
-        (Dst_mac { FT.value = Mac_addr.to_int mac; mask = 0xFFFFFFFFFFFF })
-        [ Multiport ports ])
-    (SA.mcast_programming a)
+(* operational, device-up, placed switches, by id: what baseline covers
+   and Check audits *)
+let audited_agents fab =
+  let net = Fabric.net fab in
+  Fabric.agents fab
+  |> List.filter (fun a ->
+         SA.is_operational a
+         && SNet.is_up (SNet.device net (SA.switch_id a))
+         && SA.coords a <> None)
+  |> List.sort (fun a b -> compare (SA.switch_id a) (SA.switch_id b))
 
 let baseline fab =
-  let spec = Fabric.spec fab in
-  let net = Fabric.net fab in
-  let audited a = SA.is_operational a && SNet.is_up (SNet.device net (SA.switch_id a)) in
-  let agents =
-    List.sort (fun a b -> compare (SA.switch_id a) (SA.switch_id b)) (Fabric.agents fab)
-  in
-  let progs =
-    List.filter_map
-      (fun a ->
-        if not (audited a) then None
-        else
-          match SA.coords a with
-          | None -> None
-          | Some c ->
-            let sw = SA.switch_id a in
-            let fset = Fault.Set.of_list (SA.faults a) in
-            let parts =
-              match c with
-              | Coords.Edge { pod; position } -> edge_policy spec a fset ~sw ~pod ~position
-              | Coords.Agg { pod; stripe } -> agg_policy spec a fset ~sw ~pod ~stripe
-              | Coords.Core { stripe; member } -> core_policy a fset ~sw ~stripe ~member
-            in
-            Some (restrict (union (parts @ mcast_policy a ~sw)) (At_switch sw)))
-      agents
-  in
-  union progs
+  union
+    (List.map
+       (fun a ->
+         let sw = SA.switch_id a in
+         let role =
+           match Option.get (SA.coords a) with
+           | Coords.Edge { pod; position } -> Printf.sprintf "edge%d.%d" pod position
+           | Coords.Agg { pod; stripe } -> Printf.sprintf "agg%d.%d" pod stripe
+           | Coords.Core { stripe; member } -> Printf.sprintf "core%d.%d" stripe member
+         in
+         let located (c : clause) =
+           let scope = if String.starts_with ~prefix:"mcast:" c.name then "mcast" else role in
+           Rule { c with span = Printf.sprintf "sw%d/%s/%s" sw scope c.name }
+         in
+         restrict (union (List.map located (SA.program a))) (At_switch sw))
+       (audited_agents fab))
 
 (* ---------------- seeded corruptions ---------------- *)
 
@@ -706,13 +197,7 @@ module Check = struct
       (Some e.FT.name, FT.render_entry e ^ String.concat "" groups)
 
   let differential fab compiled =
-    let net = Fabric.net fab in
-    let audited a = SA.is_operational a && SNet.is_up (SNet.device net (SA.switch_id a)) in
-    let agents =
-      Fabric.agents fab
-      |> List.filter (fun a -> audited a && SA.coords a <> None)
-      |> List.sort (fun a b -> compare (SA.switch_id a) (SA.switch_id b))
-    in
+    let agents = audited_agents fab in
     let cxs = ref [] in
     let n_entries = ref 0 and n_groups = ref 0 and n_mismatch = ref 0 in
     let cx c = cxs := c :: !cxs in
@@ -754,7 +239,7 @@ module Check = struct
                       cx_reason =
                         (match (ce, le) with
                          | Some _, None -> "compiled-only entry"
-                         | None, Some _ -> "handwritten-only entry"
+                         | None, Some _ -> "installed-only entry"
                          | _ -> "entry differs") })
               (sorted_unique (FT.entry_names ct @ FT.entry_names live));
             (* group diff *)
@@ -829,7 +314,7 @@ module Check = struct
     | Ok comp ->
       List.exists
         (fun sw ->
-          let ct = Hashtbl.find comp.c_tables sw in
+          let ct = Option.get (table comp sw) in
           let live = SA.table (Fabric.agent fab sw) in
           List.exists
             (fun (e : FT.entry) ->
@@ -840,7 +325,7 @@ module Check = struct
           || List.exists
                (fun (gid, ms) -> FT.group_members live gid <> Some ms)
                (FT.groups ct))
-        comp.c_switches
+        (switches comp)
 
   (* atomic shrink units: Rules and Seqs, with enclosing restrictions
      pushed in *)

@@ -1,127 +1,32 @@
-(** Policy-as-program: a NetCore-style declarative policy language over
-    located packets, compiled to the per-switch PATRICIA flow tables.
+(** Policy-as-program: PortLand's forwarding program as a NetCore-style
+    declarative policy, compiled to the per-switch PATRICIA flow tables
+    and checked against the live ones.
 
-    PortLand's forwarding behaviour is otherwise produced only by the
-    handwritten {!Portland.Switch_agent} programming. This module gives
-    it an independent specification: forwarding is expressed as a small
-    typed policy — predicates over the packet's location (ingress
-    switch) and headers (PMAC/AMAC prefix, destination IP, a vlan-like
-    tenant tag), actions (forward, ECMP group, rewrite, punt-to-FM,
-    drop), and the NetCore combinators union / sequence / restrict — and
-    a normalizing compiler lowers it to per-switch {!Switchfab.Flow_table}s.
-    Compiled tables are installed through the same
+    The language and its compiler live in {!Switchfab.Policy_lang} and
+    are re-exported here with equal types. Switch agents build their
+    tables from the same language: {!Portland.Switch_agent.program} is
+    each switch's clause list, installed one clause at a time. {!baseline}
+    gathers those clauses, located and given source spans, into one
+    fabric-wide policy. Compiled tables are installed through the same
     {!Switchfab.Flow_table.set_journal} provenance path the incremental
     verifier consumes, so {!Portland_verify.Verify.Incremental} sessions
     run unchanged off compiled-table journals.
 
-    {!Check} is the static safety net: a differential pass proving the
-    compiled tables equivalent to the live handwritten programming —
-    per-switch canonical table digests plus a symbolic class-by-class
-    comparison over the verifier's PMAC equivalence classes — with typed
-    counterexamples (switch, class, diverging entry, policy source span)
-    and ddmin-style policy shrinking on mismatch. *)
+    {!Check} is the static safety net. It compiles {!baseline} and
+    compares the result with the live tables — per-switch canonical
+    table digests plus a class-by-class comparison over the verifier's
+    PMAC equivalence classes — with typed counterexamples (switch,
+    class, diverging entry, policy source span) and ddmin-style policy
+    shrinking on mismatch. Because both sides come from the agents'
+    clauses, it proves two things: the general compiler (restrict, DNF,
+    naming) lowers a clause exactly as the agents' per-clause
+    installation does, and each live table equals a fresh derivation
+    from its agent's current state — a missed recompute or a stale
+    incremental edit shows up as a divergence. *)
 
-(** {1 Predicates}
-
-    Predicates classify {e located} packets: where the packet is
-    ([At_switch], [In_port]) and what its headers look like. *)
-
-type pred =
-  | True                                     (** every packet *)
-  | At_switch of int                         (** located at this switch *)
-  | In_port of int
-      (** entered through this port. Expressible in the language, but the
-          flow-table dataplane has no ingress-port match, so clauses
-          using it do not lower — {!compile} reports
-          {!error.In_port_unsupported}; such clauses must stay on the
-          controller. *)
-  | Dst_mac of Switchfab.Flow_table.mask_match
-      (** destination MAC mask match — PMAC prefixes
-          ({!Portland.Pmac.pod_prefix} / [position_prefix] / [exact]) and
-          AMAC exact matches *)
-  | Dst_ip of Switchfab.Flow_table.mask_match
-  | Tenant of int
-      (** vlan-like tenant tag, lowered via the fabric's tenant-per-pod
-          addressing convention to the [10.<tag>.0.0/16] IP prefix *)
-  | And of pred * pred
-  | Or of pred * pred                        (** normalized away (DNF) *)
-  | Not of pred
-      (** not expressible as a single TCAM row; {!compile} reports
-          {!error.Negation_unsupported} (double negation cancels) *)
-
-(** {1 Actions} *)
-
-type act =
-  | Forward of int                           (** output port *)
-  | Via_group of { gid : int; members : int list }
-      (** forward via an ECMP select group, defining its member ports *)
-  | Multiport of int list                    (** multicast-tree copy set *)
-  | Rewrite_dst of Netcore.Mac_addr.t
-  | Rewrite_src of Netcore.Mac_addr.t
-  | Punt_fm                                  (** hand to the control agent *)
-  | Deny
-
-(** {1 Policies} *)
-
-type clause = {
-  span : string;  (** source span, carried into counterexamples *)
-  name : string;  (** lowers to the flow-table entry name *)
-  prio : int;     (** lowers to the entry priority *)
-  pred : pred;
-  acts : act list;
-}
-
-type t =
-  | Nothing                 (** the empty policy (unit of {!union}) *)
-  | Rule of clause
-  | Union of t * t          (** both sub-policies' clauses apply *)
-  | Seq of t * t
-      (** sequential composition: left stage rewrites, right stage
-          forwards. The left side's clauses must consist of rewrite
-          actions only ({!error.Seq_left_not_rewrite} otherwise); each
-          left clause is merged with each right clause — conjoined
-          predicate, concatenated actions, the left clause's name/span,
-          the higher priority. *)
-  | Restrict of t * pred    (** conjoin [pred] onto every clause *)
-
-val rule : span:string -> name:string -> prio:int -> pred -> act list -> t
-val union : t list -> t
-val seq : t -> t -> t
-val restrict : t -> pred -> t
-
-(** {1 Compilation} *)
-
-type error =
-  | Unlocated of { span : string }
-      (** a clause's predicate does not pin down an ingress switch *)
-  | In_port_unsupported of { span : string }
-  | Negation_unsupported of { span : string }
-  | Seq_left_not_rewrite of { span : string }
-
-val pp_error : Format.formatter -> error -> unit
-
-type compiled
-
-val compile : t -> (compiled, error) result
-(** Normalize (flatten unions, merge sequences, push restrictions,
-    predicates to DNF — contradictory conjunctions compile to nothing)
-    and lower every clause to an entry in its switch's fresh flow table,
-    installing the ECMP groups the clause's actions define. Entry names
-    repeat the handwritten scheme, so compiled and handwritten tables
-    are comparable name-by-name. *)
-
-val compile_exn : t -> compiled
-(** [compile], raising [Failure] with the rendered error. *)
-
-val table : compiled -> int -> Switchfab.Flow_table.t option
-val switches : compiled -> int list
-(** Switches the policy programs, sorted. *)
-
-val entry_count : compiled -> int
-val group_count : compiled -> int
-
-val span_of : compiled -> switch:int -> entry:string -> string option
-(** Source span of the clause that produced the named entry. *)
+include module type of struct
+  include Switchfab.Policy_lang
+end
 
 val install : Portland.Fabric.t -> compiled -> unit
 (** Replace each programmed switch's {e live} table contents (entries
@@ -134,13 +39,12 @@ val install : Portland.Fabric.t -> compiled -> unit
 
 val baseline : Portland.Fabric.t -> t
 (** The full PortLand forwarding program for the fabric's {e current}
-    control-plane state, as a declarative policy: per operational switch
-    (any {!Topology.Topo.Family} member — plain/AB fat tree, two-layer
-    leaf-spine), broadcast punt, same-pod / per-pod / override ECMP
-    clauses recomputed from the switch's own LDP neighbor view and fault
-    matrix, host rewrite-and-deliver sequences, migration traps and
-    multicast trees. Compiling it must reproduce the handwritten tables
-    exactly — {!Check} proves it. *)
+    control-plane state: for every operational, device-up switch with
+    coordinates (any {!Topology.Topo.Family} member), the switch's own
+    {!Portland.Switch_agent.program} restricted to [At_switch sw], each
+    clause given the span [sw<id>/<role><a>.<b>/<name>] (role [edge],
+    [agg] or [core]) or [sw<id>/mcast/<name>]. It builds no clause of
+    its own. *)
 
 type corruption =
   | Wrong_prefix_len
@@ -168,7 +72,7 @@ module Check : sig
             counterexamples; [None] for table/entry-level ones *)
     cx_entry : string;            (** diverging entry (or [group:<id>]) *)
     cx_compiled : string option;  (** rendered compiled-side evidence *)
-    cx_installed : string option; (** rendered handwritten-side evidence *)
+    cx_installed : string option; (** rendered live-table evidence *)
     cx_span : string option;      (** policy source span, when known *)
     cx_reason : string;
   }
@@ -190,10 +94,12 @@ module Check : sig
       canonical-form fingerprint. *)
 
   val differential : Portland.Fabric.t -> compiled -> report
-  (** Prove [compiled] equivalent to the live handwritten tables, on
-      every audited (operational, device up) switch: (1) per-switch
-      canonical digests, with name-by-name entry and group diffs on
-      mismatch; (2) symbolic class-by-class comparison — for each of
+  (** Compare [compiled] with the live tables on every audited
+      (operational, device up, placed) switch: (1) per-switch canonical
+      digests, with name-by-name entry and group diffs on mismatch —
+      reasons ["compiled-only entry"], ["installed-only entry"],
+      ["entry differs"], ["group members differ"]; (2) class-by-class
+      comparison — for each of
       {!Portland_verify.Verify.class_universe}'s registered PMAC classes,
       the deciding trie lookup (entry, actions, resolved group members)
       must agree on every switch. *)

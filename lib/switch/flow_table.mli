@@ -154,8 +154,8 @@ val canonical_lines : t -> string list
     line per entry ({!render_entry}) followed by one sorted line per
     select group (member order preserved — it is ECMP-behavior-relevant).
     Two tables with the same entries and groups render identically
-    regardless of insertion order; {!Portland_policy} digests these lines
-    to prove compiled tables equivalent to the handwritten programming. *)
+    regardless of insertion order; {!Portland_policy.Policy.Check} digests
+    these lines to compare compiled tables with the live ones. *)
 
 (** {1 Update journal}
 

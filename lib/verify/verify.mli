@@ -131,7 +131,7 @@ val digest_of_report : report -> string
 val class_universe : Portland.Fabric.t -> Netcore.Ipv4_addr.t list
 (** The destination IPs that induce the verifier's PMAC equivalence
     classes (every host's primary IP plus its VM IPs). One registered
-    binding = one class; {!Portland_policy.Check} reuses exactly this
+    binding = one class; {!Portland_policy.Policy.Check} reuses exactly this
     universe for its symbolic class-by-class comparison. *)
 
 (** {1 Incremental verification}
