@@ -244,14 +244,16 @@ type scal_row = {
   converged : bool;
 }
 
+let us_per_event r = r.wall_s *. 1e6 /. float_of_int (max 1 r.events)
+
 (* meta-benchmark: how big a fabric this simulator itself handles — wall
    clock and engine events to full self-configuration, for every member
    of the topology family (plain/AB fat trees and the oversubscribed
    two-layer leaf–spine) *)
 let run_scalability ~quick =
   print_endline "=== Simulator scalability: time to self-configure a fabric ===";
-  Printf.printf "  %-10s %-4s %-7s %-9s %-14s %-13s %-12s\n" "family" "k" "hosts" "switches"
-    "sim time (ms)" "wall (s)" "events";
+  Printf.printf "  %-10s %-4s %-7s %-9s %-14s %-13s %-12s %-9s\n" "family" "k" "hosts"
+    "switches" "sim time (ms)" "wall (s)" "events" "us/event";
   let one family k =
     let fam =
       match Topology.Topo.Family.of_string ~k family with
@@ -279,8 +281,8 @@ let run_scalability ~quick =
         events = Eventsim.Engine.events_processed (Portland.Fabric.engine fab);
         converged = ok }
     in
-    Printf.printf "  %-10s %-4d %-7d %-9d %-14.1f %-13.2f %-12d%s\n" row.family row.k
-      row.hosts row.switches row.sim_ms row.wall_s row.events
+    Printf.printf "  %-10s %-4d %-7d %-9d %-14.1f %-13.2f %-12d %-9.2f%s\n" row.family row.k
+      row.hosts row.switches row.sim_ms row.wall_s row.events (us_per_event row)
       (if ok then "" else "  (DID NOT CONVERGE)");
     row
   in
@@ -471,6 +473,10 @@ let write_json ~out ~micro ~scal ~par ~fm_scale =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
   add "  \"generated_by\": \"dune exec bench/main.exe -- --json\",\n";
+  (* what the wall-clock rows ran on: without the core count the
+     parallel rows cannot be read *)
+  add "  \"host\": {\"recommended_domain_count\": %d, \"ocaml_version\": \"%s\"},\n"
+    (Domain.recommended_domain_count ()) (json_escape Sys.ocaml_version);
   add "  \"micro_ns_per_run\": {\n";
   let named = List.filter_map (fun (n, e) -> Option.map (fun v -> (n, v)) e) micro in
   List.iteri
@@ -517,8 +523,9 @@ let write_json ~out ~micro ~scal ~par ~fm_scale =
     (fun i r ->
       add
         "    {\"family\": \"%s\", \"k\": %d, \"hosts\": %d, \"switches\": %d, \"sim_ms\": \
-         %.1f, \"wall_s\": %.3f, \"events\": %d, \"converged\": %b}%s\n"
-        (json_escape r.family) r.k r.hosts r.switches r.sim_ms r.wall_s r.events r.converged
+         %.1f, \"wall_s\": %.3f, \"events\": %d, \"us_per_event\": %.2f, \"converged\": %b}%s\n"
+        (json_escape r.family) r.k r.hosts r.switches r.sim_ms r.wall_s r.events
+        (us_per_event r) r.converged
         (if i = List.length scal - 1 then "" else ","))
     scal;
   add "  ],\n";

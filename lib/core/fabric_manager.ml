@@ -49,6 +49,7 @@ type group_state = {
   receivers : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* edge switch id -> host port set *)
   mutable core_sw : int option;
   mutable programmed : (int * int list) list;
+  mutable built_gen : int; (* [tree_gen] when [programmed] was last computed *)
 }
 
 type counters = {
@@ -100,6 +101,11 @@ type t = {
   mutable arp_gen : int; (* bumped on every migration; stamps ARP answers *)
   faults : Fault.Set.t;
   groups : (Ipv4_addr.t, group_state) Hashtbl.t;
+  mutable tree_gen : int;
+      (* bumped whenever an input of [tree_targets] changes: coordinates,
+         the neighbours or host ports of a switch holding coordinates, or
+         the fault set. A broadcast tree built at the current generation
+         is still exact, so [recompute_broadcast] skips it. *)
   c : counters_mut;
   mutable journal : Journal.hook option;
   (* scratch for [resolve_batch]'s shard grouping, grown on demand so a
@@ -347,8 +353,11 @@ let union_labelled uf labels a b =
 
 let pod_of_component t root = Hashtbl.find_opt t.pod_ids root
 
+let bump_tree_gen t = t.tree_gen <- t.tree_gen + 1
+
 let assign_coords t sw coords =
   sw.coords <- Some coords;
+  bump_tree_gen t;
   tracef t Eventsim.Trace.Info "assigned %a to switch %d" Coords.pp coords sw.sw_id;
   Ctrl.send_to_switch t.ctrl sw.sw_id (Msg.Assign_coords coords)
 
@@ -548,6 +557,12 @@ let try_assign_all t =
 let on_report t ~switch_id ~level ~neighbors ~host_ports =
   t.c.m_reports <- t.c.m_reports + 1;
   let sw = get_sw t switch_id in
+  (* a switch without coordinates is not part of any tree yet; its view
+     becomes an input when [assign_coords] grants it a place *)
+  if
+    sw.coords <> None
+    && (sw.level <> level || sw.neighbors <> neighbors || sw.host_ports <> host_ports)
+  then bump_tree_gen t;
   sw.level <- level;
   sw.neighbors <- neighbors;
   sw.host_ports <- host_ports;
@@ -571,6 +586,7 @@ let on_reclaim t ~switch_id coords =
   let sw = get_sw t switch_id in
   sw.coords <- Some coords;
   sw.level <- Some (Coords.level coords);
+  bump_tree_gen t;
   let claim_pod pod =
     Hashtbl.replace t.pod_ids (Uf.find t.pod_uf switch_id) pod;
     t.next_pod <- max t.next_pod (pod + 1)
@@ -649,7 +665,7 @@ let group_state t group =
   match Hashtbl.find_opt t.groups group with
   | Some g -> g
   | None ->
-    let g = { receivers = Hashtbl.create 4; core_sw = None; programmed = [] } in
+    let g = { receivers = Hashtbl.create 4; core_sw = None; programmed = []; built_gen = -1 } in
     Hashtbl.replace t.groups group g;
     g
 
@@ -742,16 +758,18 @@ let broadcast_receivers t =
     (edges_of t)
   |> List.sort by_switch_id
 
-let recompute_group t group =
-  t.c.m_mcast_recomputes <- t.c.m_mcast_recomputes + 1;
-  let g = group_state t group in
+(* The tree a group should have now: the chosen core switch ([None]
+   without receivers or a viable core) and the per-switch out-port sets,
+   sorted by switch id. Pure — it reads only the inputs whose every
+   change bumps [tree_gen] (coordinates, the neighbours and host ports of
+   switches holding coordinates, the fault set), the spec and the group's
+   joins. *)
+let tree_targets t group =
   let receivers =
-    if Ipv4_addr.is_broadcast group then broadcast_receivers t else receiver_list g
+    if Ipv4_addr.is_broadcast group then broadcast_receivers t
+    else match Hashtbl.find_opt t.groups group with Some g -> receiver_list g | None -> []
   in
-  if receivers = [] then begin
-    g.core_sw <- None;
-    send_programs t group [] g
-  end
+  if receivers = [] then (None, [])
   else begin
     let receiver_coords =
       List.filter_map
@@ -782,16 +800,8 @@ let recompute_group t group =
       end
     in
     match chosen with
-    | None ->
-      g.core_sw <- None;
-      send_programs t group [] g
+    | None -> (None, [])
     | Some (_stripe, _member, core_sw) ->
-      (match g.core_sw with
-       | Some prev when prev <> core_sw.sw_id ->
-         tracef t Eventsim.Trace.Info "multicast group %a re-rooted: core %d -> %d" Ipv4_addr.pp
-           group prev core_sw.sw_id
-       | _ -> ());
-      g.core_sw <- Some core_sw.sw_id;
       let receiver_pods = List.sort_uniq int_compare (List.map fst receiver_coords) in
       let flat = t.spec.MR.wiring = MR.Flat in
       (* the agg carrying a pod's traffic through the chosen core — under
@@ -870,16 +880,41 @@ let recompute_group t group =
             add sw.sw_id (up @ local)
           | _ -> ())
         (edges_of t);
-      send_programs t group (List.sort by_switch_id !targets) g
+      (Some core_sw.sw_id, List.sort by_switch_id !targets)
   end
+
+let recompute_group t group =
+  t.c.m_mcast_recomputes <- t.c.m_mcast_recomputes + 1;
+  let g = group_state t group in
+  let core, targets = tree_targets t group in
+  (match (g.core_sw, core) with
+   | Some prev, Some c when prev <> c ->
+     tracef t Eventsim.Trace.Info "multicast group %a re-rooted: core %d -> %d" Ipv4_addr.pp group
+       prev c
+   | _ -> ());
+  g.core_sw <- core;
+  g.built_gen <- t.tree_gen;
+  send_programs t group targets g
 
 let recompute_all_groups t = Hashtbl.iter (fun group _ -> recompute_group t group) t.groups
 
 (* Broadcast is the special multicast group spanning every host (paper
    §3.4): its receiver set is derived from the reported host ports of all
    edge switches rather than from joins, and it rides the same tree
-   computation and installation machinery. *)
-let recompute_broadcast t = recompute_group t Ipv4_addr.broadcast
+   computation and installation machinery. Most reports and proposals
+   change none of the tree's inputs, so a tree built at the current
+   [tree_gen] is kept: recomputing it would send nothing, because
+   [send_programs] only sends the diff against what is programmed. *)
+let recompute_broadcast t =
+  match Hashtbl.find_opt t.groups Ipv4_addr.broadcast with
+  | Some g when g.built_gen = t.tree_gen -> ()
+  | Some _ | None -> recompute_group t Ipv4_addr.broadcast
+
+let broadcast_current t =
+  let core, targets = tree_targets t Ipv4_addr.broadcast in
+  match Hashtbl.find_opt t.groups Ipv4_addr.broadcast with
+  | Some g -> g.core_sw = core && g.programmed = targets
+  | None -> core = None && targets = []
 
 (* ---------------- faults ---------------- *)
 
@@ -921,6 +956,7 @@ let on_fault_notice t ~switch_id ~neighbor =
   match translate_fault t switch_id neighbor with
   | Some f when not (Fault.Set.mem t.faults f) ->
     Fault.Set.add t.faults f;
+    bump_tree_gen t;
     log_fault t f true;
     broadcast_faults t;
     recompute_all_groups t
@@ -937,6 +973,7 @@ let on_recovery_notice t ~switch_id ~neighbor =
        enough that the extra traffic is negligible. *)
     if Fault.Set.mem t.faults f then begin
       Fault.Set.remove t.faults f;
+      bump_tree_gen t;
       log_fault t f false
     end;
     broadcast_faults t;
@@ -1282,6 +1319,7 @@ let create ?(obs = Obs.null) ?(fm_shards = 1) engine config ctrl ~spec =
       arp_gen = 0;
       faults = Fault.Set.create ();
       groups = Hashtbl.create 16;
+      tree_gen = 0;
       journal = None;
       rb_idx = [||];
       rb_shard = Bytes.empty;

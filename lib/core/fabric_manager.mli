@@ -52,6 +52,12 @@ type counters = {
   fault_notices : int;
   fault_broadcasts : int;
   mcast_recomputes : int;
+      (** multicast and broadcast trees actually computed. Membership
+          changes and fault-matrix changes always compute; a neighbor
+          report or position proposal computes the broadcast tree only
+          when it changed one of the tree's inputs (coordinates, the
+          neighbours or host ports of a switch holding coordinates, the
+          fault set) since the tree was last built. *)
   reports : int;
   pending_dropped : int;
       (** pending ARP entries discarded because the asking switch died,
@@ -135,6 +141,13 @@ val insert_binding_for_test : t -> Msg.host_binding -> unit
 
 val group_core : t -> Netcore.Ipv4_addr.t -> int option
 (** Core switch currently serving a multicast group, if programmed. *)
+
+val broadcast_current : t -> bool
+(** The programmed broadcast tree (core and per-switch port sets) equals
+    a fresh computation from the FM's current state, i.e. recomputing it
+    would send nothing. Sends nothing, counts nothing and traces nothing.
+    Holds after every handled message; it is what makes skipping an
+    unchanged broadcast tree safe, and the mc invariant pack checks it. *)
 
 val set_journal : t -> Journal.hook option -> unit
 (** Subscribe to the fabric manager's state deltas: host-binding writes

@@ -253,6 +253,11 @@ let check_invariants_counted ?settle fab =
       vs;
     if n > 8 then add "verify: ... and %d more violation(s)" (n - 8)
   end;
+  (* 6. the programmed broadcast tree is what the FM's current state
+     yields: the FM skips rebuilding it while none of its inputs changed,
+     and this proves the skip lost no update *)
+  if not (FM.broadcast_current (F.fabric_manager fab)) then
+    add "broadcast tree stale: recomputing it would reprogram switches";
   (List.rev !violations, !cross_shard)
 
 let check_invariants ?settle fab = fst (check_invariants_counted ?settle fab)

@@ -133,7 +133,8 @@ val check_invariants : ?settle:Eventsim.Time.t -> Portland.Fabric.t -> string li
     plus every live generation-stamped edge ARP-cache entry against the
     shard owning its IP, and no edge ahead of the FM's ARP generation),
     fault-matrix symmetry, convergence idempotence over [settle] (default
-    3 LDM periods), and the full static dataplane verification. Also
+    3 LDM periods), the full static dataplane verification, and a current
+    broadcast tree ({!Portland.Fabric_manager.broadcast_current}). Also
     usable outside the explorer (tests, chaos checks). *)
 
 type counterexample = {

@@ -294,6 +294,82 @@ let test_arp_cache_wiped_on_reboot () =
   F.run_for fab (Time.ms 500);
   Testutil.assert_verified ~msg:"dataplane after reboot" fab
 
+(* ---------------- broadcast-tree gate ---------------- *)
+
+let family ~k name =
+  match Topology.Topo.Family.of_string ~k name with
+  | Ok f -> f
+  | Error e -> Alcotest.fail e
+
+(* Fire one event at a time until [until]; after every event that
+   delivered a neighbor report or a fault notice, the FM's programmed
+   broadcast tree must be the one a fresh computation yields. The FM
+   skips the rebuild when no tree input changed since it was last built,
+   so a missed bump (a changed input that did not advance the tree
+   generation) shows up here as a stale tree. *)
+let step_checking fab ~phase ~until =
+  let handled fm =
+    let c = FM.counters fm in
+    c.FM.reports + c.FM.fault_notices
+  in
+  let checked = ref 0 in
+  while F.now fab < until do
+    let fm = F.fabric_manager fab in
+    let before = handled fm in
+    Eventsim.Engine.run ~max_events:1 (F.engine fab);
+    if handled fm > before then begin
+      incr checked;
+      if not (FM.broadcast_current fm) then
+        Alcotest.failf "%s: broadcast tree stale at %s (%d reports handled)" phase
+          (Time.to_string (F.now fab)) (FM.counters fm).FM.reports
+    end
+  done;
+  if !checked = 0 then Alcotest.failf "%s: no report or fault notice reached the FM" phase
+
+let test_broadcast_gate_exact () =
+  List.iter
+    (fun name ->
+      let fab = F.create (F.Config.of_family ~obs:Obs.null ~seed:3 (family ~k:4 name)) in
+      let tree = F.tree fab in
+      let phase p ms = step_checking fab ~phase:(name ^ " " ^ p) ~until:(F.now fab + Time.ms ms) in
+      phase "boot" 300;
+      Alcotest.(check bool) (name ^ " converged") true (F.await_convergence fab);
+      (* an edge's first uplink: to an aggregation switch, or to a spine
+         under two-layer wiring *)
+      let edge = tree.Topology.Multirooted.edges.(0).(0) in
+      let up =
+        if Array.length tree.Topology.Multirooted.aggs.(0) > 0 then
+          tree.Topology.Multirooted.aggs.(0).(0)
+        else tree.Topology.Multirooted.cores.(0)
+      in
+      Alcotest.(check bool) (name ^ " link failed") true (F.fail_link_between fab ~a:edge ~b:up);
+      phase "link fail" 300;
+      Alcotest.(check bool) (name ^ " link recovered") true
+        (F.recover_link_between fab ~a:edge ~b:up);
+      phase "link recover" 300;
+      F.fail_switch fab up;
+      phase "switch down" 300;
+      F.recover_switch fab up;
+      phase "switch reboot" 500;
+      F.restart_fabric_manager fab;
+      phase "fm restart" 500;
+      Testutil.assert_verified ~msg:(name ^ " dataplane after the script") fab)
+    [ "plain"; "ab"; "two-layer" ]
+
+(* A count, not a timing: most boot-time reports change nothing the
+   broadcast tree reads, so far fewer trees are computed than reports
+   handled (an ungated FM computes one per report and proposal). *)
+let test_broadcast_gate_counts () =
+  List.iter
+    (fun name ->
+      let fab = F.create (F.Config.of_family ~obs:Obs.null ~seed:1 (family ~k:8 name)) in
+      Alcotest.(check bool) (name ^ " converged") true (F.await_convergence fab);
+      let c = FM.counters (F.fabric_manager fab) in
+      if c.FM.mcast_recomputes * 3 >= c.FM.reports then
+        Alcotest.failf "%s k=8: %d trees computed for %d reports (want < reports / 3)" name
+          c.FM.mcast_recomputes c.FM.reports)
+    [ "plain"; "ab" ]
+
 let () =
   Alcotest.run "fm"
     [ ( "pending-arp",
@@ -321,4 +397,8 @@ let () =
         [ Alcotest.test_case "migration bumps the generation and re-resolves" `Quick
             test_arp_cache_generation_migration;
           Alcotest.test_case "cold reboot wipes cache and generation floor" `Quick
-            test_arp_cache_wiped_on_reboot ] ) ]
+            test_arp_cache_wiped_on_reboot ] );
+      ( "broadcast-gate",
+        [ Alcotest.test_case "tree current after reports and faults" `Quick
+            test_broadcast_gate_exact;
+          Alcotest.test_case "k=8 boot computes few trees" `Quick test_broadcast_gate_counts ] ) ]
