@@ -295,60 +295,6 @@ let run_scalability ~quick =
   print_newline ();
   rows
 
-type par_row = {
-  p_k : int;
-  p_domains : int;
-  p_wall_1 : float;
-  p_wall_n : float;
-  p_digest : string;
-  p_digest_equal : bool;
-}
-
-(* the sharded-engine acceptance experiment: boot a fat tree and run
-   150 ms of converged steady state, once on 1 domain and once on N;
-   the control-state digests must be identical (hard failure if not),
-   and with >= N real cores the N-domain run should win wall-clock *)
-let run_parallel ~quick =
-  let n = 4 in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "=== Parallel engine: sharded boot + 150 ms, 1 domain vs %d ===\n" n;
-  if cores < n then
-    Printf.printf "  (host offers %d core(s): expect no speedup, only the determinism check)\n"
-      cores;
-  Printf.printf "  %-4s %-12s %-12s %-9s %-8s\n" "k" "wall@1 (s)"
-    (Printf.sprintf "wall@%d (s)" n)
-    "speedup" "digests";
-  let one k =
-    let run domains =
-      let cfg =
-        { (Portland.Fabric.Config.fattree ~k ()) with
-          Portland.Fabric.Config.domains;
-          obs = Some Obs.null }
-      in
-      let t0 = Unix.gettimeofday () in
-      let fab = Portland.Fabric.create cfg in
-      if not (Portland.Fabric.await_convergence ~timeout:(Eventsim.Time.sec 60) fab) then
-        failwith (Printf.sprintf "bench: parallel k=%d domains=%d did not converge" k domains);
-      Portland.Fabric.run_for fab (Eventsim.Time.ms 150);
-      (Unix.gettimeofday () -. t0, Portland.Fabric.control_digest fab)
-    in
-    let w1, d1 = run 1 in
-    let wn, dn = run n in
-    let row =
-      { p_k = k; p_domains = n; p_wall_1 = w1; p_wall_n = wn; p_digest = d1;
-        p_digest_equal = d1 = dn }
-    in
-    Printf.printf "  %-4d %-12.2f %-12.2f %-9.2f %-8s\n" k w1 wn (w1 /. wn)
-      (if row.p_digest_equal then "equal" else "DIVERGED");
-    if not row.p_digest_equal then
-      failwith (Printf.sprintf "bench: parallel digest divergence at k=%d" k);
-    row
-  in
-  let ks = if quick then [ 16 ] else [ 16; 24; 32 ] in
-  let rows = List.map one ks in
-  print_newline ();
-  rows
-
 type fm_scale_row = {
   m_name : string;        (* "fm/arp_resolve_1m" *)
   m_bindings : int;
@@ -468,13 +414,13 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let write_json ~out ~micro ~scal ~par ~fm_scale =
+let write_json ~out ~micro ~scal ~fm_scale =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
   add "  \"generated_by\": \"dune exec bench/main.exe -- --json\",\n";
-  (* what the wall-clock rows ran on: without the core count the
-     parallel rows cannot be read *)
+  (* what the wall-clock rows ran on: core count and compiler, so rows
+     from different hosts are not compared blind *)
   add "  \"host\": {\"recommended_domain_count\": %d, \"ocaml_version\": \"%s\"},\n"
     (Domain.recommended_domain_count ()) (json_escape Sys.ocaml_version);
   add "  \"micro_ns_per_run\": {\n";
@@ -539,18 +485,6 @@ let write_json ~out ~micro ~scal ~par ~fm_scale =
         (r.m_mono_ns /. r.m_shard_ns)
         (if i = List.length fm_scale - 1 then "" else ","))
     fm_scale;
-  add "  ],\n";
-  add "  \"parallel_speedup\": [\n";
-  List.iteri
-    (fun i r ->
-      add
-        "    {\"name\": \"engine/parallel_speedup_k%d\", \"k\": %d, \"domains\": %d, \
-         \"wall_1_s\": %.3f, \"wall_n_s\": %.3f, \"speedup\": %.2f, \"digest\": \"%s\", \
-         \"digests_equal\": %b}%s\n"
-        r.p_k r.p_k r.p_domains r.p_wall_1 r.p_wall_n (r.p_wall_1 /. r.p_wall_n)
-        (json_escape r.p_digest) r.p_digest_equal
-        (if i = List.length par - 1 then "" else ","))
-    par;
   add "  ]\n";
   add "}\n";
   let oc = open_out out in
@@ -578,8 +512,7 @@ let () =
     let micro = run_micro ~quick in
     let fm_scale = run_fm_scale ~quick in
     let scal = run_scalability ~quick in
-    let par = run_parallel ~quick in
-    if json then write_json ~out ~micro ~scal ~par ~fm_scale
+    if json then write_json ~out ~micro ~scal ~fm_scale
   end;
   if not micro_only then begin
     print_endline "=== Paper reproduction: every table and figure ===";

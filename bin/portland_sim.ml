@@ -10,7 +10,6 @@ type common = {
   topo : string;
   seed : int;
   verbose : bool;
-  domains : int;
   fm_shards : int;
 }
 
@@ -34,14 +33,6 @@ let verbose_arg =
   let doc = "Dump per-switch state and counters at the end." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-let domains_arg =
-  let doc =
-    "Run the fabric on the sharded parallel engine with $(docv) OS domains (one logical \
-     shard per pod plus a core/fabric-manager shard; the run is bit-identical for every \
-     positive $(docv)). 0 (the default) uses the classic sequential engine."
-  in
-  Arg.(value & opt int 0 & info [ "domains" ] ~docv:"N" ~doc)
-
 let fm_shards_arg =
   let doc =
     "Partition fabric-manager soft state (bindings, pending ARPs, fault rows, multicast \
@@ -53,21 +44,21 @@ let fm_shards_arg =
 
 (* the single definition AND validation site for the option bundle every
    subcommand shares — run/stats/verify/chaos/mc/policy all reuse this
-   term, so a bad --domains or --fm-shards is rejected identically
+   term, so a bad -k or --fm-shards is rejected identically
    everywhere instead of each scenario re-checking its own copy *)
 let common_term =
   Term.(
-    const (fun k topo seed verbose domains fm_shards ->
-        if domains < 0 then begin
-          prerr_endline "--domains must be >= 0";
+    const (fun k topo seed verbose fm_shards ->
+        if k < 2 || k mod 2 <> 0 then begin
+          prerr_endline "-k must be even and >= 2";
           Stdlib.exit 2
         end;
         if fm_shards < 1 then begin
           prerr_endline "--fm-shards must be >= 1";
           Stdlib.exit 2
         end;
-        { k; topo; seed; verbose; domains; fm_shards })
-    $ k_arg $ topology_arg $ seed_arg $ verbose_arg $ domains_arg $ fm_shards_arg)
+        { k; topo; seed; verbose; fm_shards })
+    $ k_arg $ topology_arg $ seed_arg $ verbose_arg $ fm_shards_arg)
 
 let family_of { k; topo; _ } =
   match Topology.Topo.Family.of_string ~k topo with
@@ -78,14 +69,8 @@ let family_of { k; topo; _ } =
 
 let create_fabric ?obs ?spare_slots c =
   Portland.Fabric.create
-    (Portland.Fabric.Config.of_family ?obs ?spare_slots ~seed:c.seed ~domains:c.domains
-       ~fm_shards:c.fm_shards (family_of c))
-
-let reject_domains c ~what =
-  if c.domains > 0 then begin
-    Printf.eprintf "%s requires the sequential engine; drop --domains\n" what;
-    exit 2
-  end
+    (Portland.Fabric.Config.of_family ?obs ?spare_slots ~seed:c.seed ~fm_shards:c.fm_shards
+       (family_of c))
 
 let describe_fabric c fab =
   let spec = Portland.Fabric.spec fab in
@@ -144,12 +129,6 @@ let write_metrics obs = function
 let run_scenario ({ k; verbose; _ } as c) ~duration_ms ~scenario ~pcap_file ~dot_file
     ~metrics_out =
   let open Eventsim in
-  (* the transport-driven scenarios pump a client loop on one engine, and
-     pcap taps record frames from every shard: both need the classic engine *)
-  (match scenario with
-   | "migrate" | "failure" -> reject_domains c ~what:("the " ^ scenario ^ " scenario")
-   | _ -> ());
-  if pcap_file <> None then reject_domains c ~what:"--pcap capture";
   let obs = Obs.create () in
   let fab = create_fabric ~obs c in
   (match dot_file with
@@ -494,8 +473,6 @@ let run_chaos ({ seed; verbose; _ } as c) ~duration_ms ~campaign ~verify_every_u
         campaign;
       exit 2
   in
-  if verify_every_update then
-    reject_domains c ~what:"--verify-every-update (the update journal)";
   let obs = Obs.create () in
   let fab = create_fabric ~obs c in
   if not (Portland.Fabric.await_convergence fab) then begin
@@ -553,11 +530,9 @@ let run_chaos ({ seed; verbose; _ } as c) ~duration_ms ~campaign ~verify_every_u
 
 (* ---------------- model checking ---------------- *)
 
-let run_mc ({ k; topo; seed; verbose; fm_shards; _ } as c) ~depth ~max_step ~delay_budget
+let run_mc { k; topo; seed; verbose; fm_shards; _ } ~depth ~max_step ~delay_budget
     ~quantum_us ~scenario ~corrupt ~no_prune ~replay ~json_out =
   let open Eventsim in
-  (* the interleaving explorer intercepts control deliveries sequentially *)
-  reject_domains c ~what:"mc";
   match replay with
   | Some token ->
     (* the token is self-contained: every behaviour-affecting parameter

@@ -1,21 +1,12 @@
 open Eventsim
 
-type route = {
-  rt_fm_engine : Engine.t;
-  rt_engine_of : int -> Engine.t;
-  rt_shard_of : int -> int;
-  rt_post : src:int -> dst:int -> time:Time.t -> (unit -> unit) -> unit;
-}
-
 type t = {
   engine : Engine.t;
   latency : Time.t;
-  mutable route : route option;
   mutable fm_handler : (from:int -> Msg.to_fm -> unit) option;
   mutable unregister_hook : (int -> unit) option;
   switch_handlers : (int, Msg.to_switch -> unit) Hashtbl.t;
-  (* counters are atomic: under sharded execution deliveries to switches
-     run on the switches' shards while FM deliveries run on shard 0 *)
+  (* counters are atomic, so another domain may read them safely *)
   to_fm : int Atomic.t;
   to_switch : int Atomic.t;
   to_fm_bytes : int Atomic.t;
@@ -24,13 +15,11 @@ type t = {
 }
 
 let create engine ~latency =
-  { engine; latency; route = None; fm_handler = None; unregister_hook = None;
+  { engine; latency; fm_handler = None; unregister_hook = None;
     switch_handlers = Hashtbl.create 64;
     to_fm = Atomic.make 0; to_switch = Atomic.make 0;
     to_fm_bytes = Atomic.make 0; to_switch_bytes = Atomic.make 0;
     dropped = Atomic.make 0 }
-
-let set_route t r = t.route <- r
 
 let register_fm t f = t.fm_handler <- Some f
 let set_unregister_hook t f = t.unregister_hook <- Some f
@@ -55,14 +44,6 @@ let deliver t ~tag thunk =
     ignore (Engine.schedule_tagged t.engine ~delay:t.latency ~tag:(tag ()) thunk)
   else ignore (Engine.schedule t.engine ~delay:t.latency thunk)
 
-(* Sharded delivery: the thunk must run on the destination's shard. The
-   control latency is at least the scheduler's lookahead, so cross-shard
-   sends always land beyond the current window. *)
-let deliver_routed r ~src_engine ~src_shard ~dst_engine ~dst_shard thunk ~latency =
-  let time = Engine.now src_engine + latency in
-  if src_shard = dst_shard then ignore (Engine.schedule_at dst_engine ~time thunk)
-  else r.rt_post ~src:src_shard ~dst:dst_shard ~time thunk
-
 let send_to_fm t ~from msg =
   let thunk () =
     match t.fm_handler with
@@ -72,15 +53,9 @@ let send_to_fm t ~from msg =
       f ~from msg
     | None -> bump t.dropped
   in
-  match t.route with
-  | Some r ->
-    deliver_routed r ~src_engine:(r.rt_engine_of from)
-      ~src_shard:(r.rt_shard_of from) ~dst_engine:r.rt_fm_engine ~dst_shard:0 thunk
-      ~latency:t.latency
-  | None ->
-    deliver t
-      ~tag:(fun () -> Printf.sprintf "ctrl:fm<-%d:%s" from (Msg.describe_to_fm msg))
-      thunk
+  deliver t
+    ~tag:(fun () -> Printf.sprintf "ctrl:fm<-%d:%s" from (Msg.describe_to_fm msg))
+    thunk
 
 let send_to_switch t id msg =
   let thunk () =
@@ -91,21 +66,15 @@ let send_to_switch t id msg =
       f msg
     | None -> bump t.dropped
   in
-  match t.route with
-  | Some r ->
-    deliver_routed r ~src_engine:r.rt_fm_engine ~src_shard:0
-      ~dst_engine:(r.rt_engine_of id) ~dst_shard:(r.rt_shard_of id) thunk
-      ~latency:t.latency
-  | None ->
-    deliver t
-      ~tag:(fun () -> Printf.sprintf "ctrl:sw%d<-fm:%s" id (Msg.describe_to_switch msg))
-      thunk
+  deliver t
+    ~tag:(fun () -> Printf.sprintf "ctrl:sw%d<-fm:%s" id (Msg.describe_to_switch msg))
+    thunk
 
 let broadcast_to_switches t msg =
   (* snapshot ids now; deliver individually so late registrations during
      the latency window are not surprised. Sorted so the send order (and
      hence per-destination scheduling order) is independent of hash-table
-     iteration, which matters for cross-shard post ordering. *)
+     iteration. *)
   let ids = Hashtbl.fold (fun id _ acc -> id :: acc) t.switch_handlers [] in
   let ids = List.sort compare ids in
   List.iter (fun id -> send_to_switch t id msg) ids

@@ -18,23 +18,6 @@ type t
 
 val create : Eventsim.Engine.t -> latency:Eventsim.Time.t -> t
 
-type route = {
-  rt_fm_engine : Eventsim.Engine.t;  (** shard 0: fabric manager + cores *)
-  rt_engine_of : int -> Eventsim.Engine.t;  (** switch id → owning engine *)
-  rt_shard_of : int -> int;                 (** switch id → shard index *)
-  rt_post :
-    src:int -> dst:int -> time:Eventsim.Time.t -> (unit -> unit) -> unit;
-}
-(** Shard routing for control messages under {!Eventsim.Sharded}
-    execution: a delivery thunk runs on the destination's shard (the FM
-    lives on shard 0). The control latency must be at least the
-    scheduler's lookahead. *)
-
-val set_route : t -> route option -> unit
-(** With [None] (the default) every delivery is scheduled on the engine
-    passed to {!create} — the classic mode that the model checker's
-    interceptor relies on; deliveries are only tagged in classic mode. *)
-
 val register_fm : t -> (from:int -> Msg.to_fm -> unit) -> unit
 (** Install the fabric manager's receive callback. *)
 

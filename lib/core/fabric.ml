@@ -16,24 +16,21 @@ module Config = struct
     spare_slots : (int * int * int) list;
     boot_jitter : Time.t;
     obs : Obs.t option;
-    domains : int;
     fm_shards : int;
   }
 
   let make ?(proto = Proto.default) ?(seed = 42) ?link_params ?(spare_slots = [])
-      ?(boot_jitter = 0) ?obs ?(domains = 0) ?(fm_shards = 1) spec =
-    { spec; proto; seed; link_params; spare_slots; boot_jitter; obs; domains; fm_shards }
+      ?(boot_jitter = 0) ?obs ?(fm_shards = 1) spec =
+    { spec; proto; seed; link_params; spare_slots; boot_jitter; obs; fm_shards }
 
   let default = make (Topology.Fattree.spec ~k:4)
 
-  let fattree ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ?domains ?fm_shards
-      ~k () =
-    make ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ?domains ?fm_shards
+  let fattree ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ?fm_shards ~k () =
+    make ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ?fm_shards
       (Topology.Fattree.spec ~k)
 
-  let of_family ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ?domains
-      ?fm_shards family =
-    make ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ?domains ?fm_shards
+  let of_family ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ?fm_shards family =
+    make ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ?fm_shards
       (MR.spec_of_family family)
 end
 
@@ -44,8 +41,7 @@ type host_slot = {
 
 type t = {
   config : Config.t;
-  engine : Engine.t; (* shard 0's engine; the only engine when domains = 0 *)
-  sched : Sharded.t option;
+  engine : Engine.t;
   obs : Obs.t;
   spec : MR.spec;
   mt : MR.t;
@@ -61,12 +57,6 @@ type t = {
 let jemit t u = match t.journal with None -> () | Some f -> f u
 
 let set_journal t hook =
-  (match (hook, t.sched) with
-   | Some _, Some _ ->
-     invalid_arg
-       "Fabric.set_journal: the update journal requires the single-domain engine \
-        (Config.domains = 0)"
-   | _ -> ());
   t.journal <- hook;
   Fabric_manager.set_journal t.fm hook;
   Hashtbl.iter (fun _ a -> Switch_agent.set_journal a hook) t.switch_agents
@@ -76,8 +66,6 @@ let host_ip ~pod ~edge ~slot = Ipv4_addr.of_octets 10 pod edge (slot + 2)
 let host_amac device = Mac_addr.of_int (0x020000000000 lor device)
 
 let engine t = t.engine
-let sharded t = t.sched
-let domains t = match t.sched with Some s -> Sharded.domains s | None -> 0
 let obs t = t.obs
 let trace t = Obs.trace t.obs
 let net t = t.net
@@ -88,8 +76,7 @@ let proto_config t = t.config.Config.proto
 let spec t = t.spec
 let tree t = t.mt
 
-let now t =
-  match t.sched with Some s -> Sharded.now s | None -> Engine.now t.engine
+let now t = Engine.now t.engine
 
 let agent t device =
   match Hashtbl.find_opt t.switch_agents device with
@@ -123,10 +110,7 @@ let host_by_ip t ip =
 let hosts t =
   Hashtbl.fold (fun _ s acc -> if s.plugged then s.agent :: acc else acc) t.host_slots []
 
-let run_until t time =
-  match t.sched with
-  | Some s -> Sharded.run_until s time
-  | None -> Engine.run ~until:time t.engine
+let run_until t time = Engine.run ~until:time t.engine
 
 let run_for t d = run_until t (now t + d)
 
@@ -340,12 +324,7 @@ let migrate t ~vm ~to_:(pod, edge, slot) ~downtime ?on_complete () =
     Host_agent.announce vm;
     match on_complete with Some f -> f () | None -> ()
   in
-  match t.sched with
-  | Some s ->
-    (* rewiring mutates cross-shard structure: run it as a coordinator
-       action, between windows, with every shard quiescent *)
-    Sharded.schedule_coordinator s ~time:(now t + downtime) replug
-  | None -> ignore (Engine.schedule t.engine ~delay:downtime replug)
+  ignore (Engine.schedule t.engine ~delay:downtime replug)
 
 (* ---------------- state metrics ---------------- *)
 
@@ -413,72 +392,19 @@ let create (cfg : Config.t) =
    | Error msg -> invalid_arg ("Fabric.create: " ^ msg));
   let proto = cfg.Config.proto in
   let mt = MR.build spec in
-  let device_count = Array.length (Topology.Topo.nodes mt.MR.topo) in
-  (* Logical shards are fixed by the topology alone: shard 0 owns the
-     core switches, the fabric manager and the control network; shard
-     p+1 owns pod p (its edges, aggs and hosts). The domain count only
-     maps logical shards onto OS domains, so the execution — event
-     orders, digests, reports — is identical for every domains >= 1 and
-     differs from the classic engine (domains = 0) only in that the
-     classic engine interleaves shards event-by-event. *)
-  let is_sharded = cfg.Config.domains > 0 in
-  let num_shards = if is_sharded then spec.MR.num_pods + 1 else 1 in
-  let shard_of_dev = Array.make device_count 0 in
-  if is_sharded then begin
-    Array.iteri
-      (fun p row -> Array.iter (fun d -> shard_of_dev.(d) <- p + 1) row)
-      mt.MR.edges;
-    Array.iteri
-      (fun p row -> Array.iter (fun d -> shard_of_dev.(d) <- p + 1) row)
-      mt.MR.aggs;
-    let per_pod = spec.MR.edges_per_pod * spec.MR.hosts_per_edge in
-    Array.iteri (fun idx d -> shard_of_dev.(d) <- (idx / per_pod) + 1) mt.MR.hosts
-  end;
-  let engines = Array.init num_shards (fun _ -> Engine.create ()) in
-  let engine = engines.(0) in
-  let shard_of d = shard_of_dev.(d) in
-  let engine_of d = engines.(shard_of_dev.(d)) in
-  let sched =
-    if not is_sharded then None
-    else begin
-      let link_delay =
-        match cfg.Config.link_params with
-        | Some p -> p.SNet.delay
-        | None -> SNet.default_link_params.SNet.delay
-      in
-      let lookahead = min proto.Proto.ctrl_latency link_delay in
-      if lookahead <= 0 then
-        invalid_arg
-          "Fabric.create: sharded execution (Config.domains > 0) requires positive \
-           ctrl_latency and link delay (they bound the lookahead)";
-      Some (Sharded.create ~domains:cfg.Config.domains ~lookahead engines)
-    end
-  in
+  let engine = Engine.create () in
   let obs = match cfg.Config.obs with Some o -> o | None -> Obs.create () in
   let boot_prng = Prng.create (cfg.Config.seed lxor 0x5eed) in
-  let boot ~device f =
+  let boot f =
     if cfg.Config.boot_jitter <= 0 then f ()
     else
-      ignore
-        (Engine.schedule (engine_of device)
-           ~delay:(Prng.int boot_prng cfg.Config.boot_jitter)
-           f)
+      ignore (Engine.schedule engine ~delay:(Prng.int boot_prng cfg.Config.boot_jitter) f)
   in
   let net = SNet.create ?params:cfg.Config.link_params engine mt.MR.topo in
   let ctrl = Ctrl.create engine ~latency:proto.Proto.ctrl_latency in
-  (match sched with
-   | Some s ->
-     let post ~src ~dst ~time thunk = Sharded.post s ~src ~dst ~time thunk in
-     SNet.set_sched net
-       (Some { SNet.sh_engine_of = engine_of; sh_shard_of = shard_of; sh_post = post });
-     Ctrl.set_route ctrl
-       (Some
-          { Ctrl.rt_fm_engine = engine; rt_engine_of = engine_of;
-            rt_shard_of = shard_of; rt_post = post })
-   | None -> ());
   let fm = Fabric_manager.create ~obs ~fm_shards:cfg.Config.fm_shards engine proto ctrl ~spec in
   let t =
-    { config = cfg; engine; sched; obs; spec; mt; net; ctrl; fm;
+    { config = cfg; engine; obs; spec; mt; net; ctrl; fm;
       switch_agents = Hashtbl.create 64;
       host_slots = Hashtbl.create 256;
       by_ip = Hashtbl.create 256;
@@ -491,11 +417,11 @@ let create (cfg : Config.t) =
       | Topology.Topo.Edge_switch | Topology.Topo.Agg_switch | Topology.Topo.Core_switch ->
         let device = n.Topology.Topo.id in
         let a =
-          Switch_agent.create (engine_of device) proto ctrl net ~spec ~device
+          Switch_agent.create engine proto ctrl net ~spec ~device
             ~seed:cfg.Config.seed ~obs ()
         in
         Hashtbl.replace t.switch_agents device a;
-        boot ~device (fun () -> Switch_agent.start a)
+        boot (fun () -> Switch_agent.start a)
       | Topology.Topo.Host -> ())
     (Topology.Topo.nodes mt.MR.topo);
   (* hosts *)
@@ -510,14 +436,14 @@ let create (cfg : Config.t) =
       let slot = rem mod spec.MR.hosts_per_edge in
       let ip = host_ip ~pod ~edge ~slot in
       let agent =
-        Host_agent.create (engine_of device) proto net ~device ~amac:(host_amac device)
+        Host_agent.create engine proto net ~device ~amac:(host_amac device)
           ~ip ~obs ()
       in
       let is_spare = Hashtbl.mem spare (pod, edge, slot) in
       Hashtbl.replace t.host_slots device { agent; plugged = not is_spare };
       if is_spare then SNet.unplug t.net ~node:device ~port:0
       else begin
-        boot ~device (fun () -> Host_agent.start agent);
+        boot (fun () -> Host_agent.start agent);
         Hashtbl.replace t.by_ip ip device
       end)
     mt.MR.hosts;

@@ -16,12 +16,12 @@ module Proto = Config
 
 (** Everything {!create} needs, in one record — topology spec, protocol
     timers, seed, link parameters, spare slots, boot jitter, the
-    observability capability and the execution mode — replacing the
+    observability capability and the FM shard count — replacing the
     optional-argument sprawl of the former [create]/[create_fattree]/
     [create_family] entry points. Build one with {!Config.make} (or the
     {!Config.fattree} / {!Config.of_family} shorthands) and override
     fields with record update syntax:
-    [{ Config.fattree ~k:16 () with Config.domains = 4; obs = Some Obs.null }]. *)
+    [{ Config.fattree ~k:16 () with Config.fm_shards = 4; obs = Some Obs.null }]. *)
 module Config : sig
   type t = {
     spec : Topology.Multirooted.spec;  (** the topology to build *)
@@ -45,15 +45,6 @@ module Config : sig
             {!Obs.create}[ ()]; pass [Some Obs.null] to disable
             instrumentation entirely, or share one registry between
             fabrics to aggregate. *)
-    domains : int;
-        (** execution mode. [0] (the default): the classic single
-            {!Eventsim.Engine} — required by the model checker's
-            interceptor and by the update journal. [n >= 1]: sharded
-            execution on an {!Eventsim.Sharded} scheduler with one
-            logical shard per pod plus a core/FM shard, run on [n] OS
-            domains ([1] = the same sharded semantics, inline on the
-            calling domain). All sharded runs produce identical results
-            regardless of [n]. *)
     fm_shards : int;
         (** pod-shard count for the fabric manager's soft state (see
             {!Fabric_manager}): pod [p]'s bindings, fault-matrix rows
@@ -67,9 +58,9 @@ module Config : sig
   val make :
     ?proto:Proto.t -> ?seed:int -> ?link_params:Switchfab.Net.link_params ->
     ?spare_slots:(int * int * int) list -> ?boot_jitter:Eventsim.Time.t ->
-    ?obs:Obs.t -> ?domains:int -> ?fm_shards:int -> Topology.Multirooted.spec -> t
+    ?obs:Obs.t -> ?fm_shards:int -> Topology.Multirooted.spec -> t
   (** Defaults: [Proto.default], seed 42, default link params, no spares,
-      no jitter, fresh observability, [domains = 0], [fm_shards = 1]. *)
+      no jitter, fresh observability, [fm_shards = 1]. *)
 
   val default : t
   (** [make (Topology.Fattree.spec ~k:4)]. *)
@@ -77,38 +68,24 @@ module Config : sig
   val fattree :
     ?proto:Proto.t -> ?seed:int -> ?link_params:Switchfab.Net.link_params ->
     ?spare_slots:(int * int * int) list -> ?boot_jitter:Eventsim.Time.t ->
-    ?obs:Obs.t -> ?domains:int -> ?fm_shards:int -> k:int -> unit -> t
+    ?obs:Obs.t -> ?fm_shards:int -> k:int -> unit -> t
 
   val of_family :
     ?proto:Proto.t -> ?seed:int -> ?link_params:Switchfab.Net.link_params ->
     ?spare_slots:(int * int * int) list -> ?boot_jitter:Eventsim.Time.t ->
-    ?obs:Obs.t -> ?domains:int -> ?fm_shards:int -> Topology.Topo.Family.t -> t
+    ?obs:Obs.t -> ?fm_shards:int -> Topology.Topo.Family.t -> t
   (** One entry point for every member of the topology family (plain fat
       tree, AB fat tree, two-layer leaf–spine). *)
 end
 
 val create : Config.t -> t
-(** Build a complete deployment. With [Config.domains > 0] the fabric
-    runs on a {!Eventsim.Sharded} scheduler (shard 0 = core switches +
-    fabric manager + control network, shard p+1 = pod p); the protocol's
-    control latency and the link propagation delay must both be positive
-    (their minimum is the scheduler's lookahead) and the update journal
-    is unavailable. Raises [Invalid_argument] on an invalid spec or an
-    unsatisfiable sharding. *)
+(** Build a complete deployment on one {!Eventsim.Engine}. Raises
+    [Invalid_argument] on an invalid spec. *)
 
 (** {1 Accessors} *)
 
 val engine : t -> Eventsim.Engine.t
-(** Shard 0's engine — the only engine when [Config.domains = 0]. Under
-    sharded execution, schedule onto it directly only for work logically
-    owned by the core/FM shard; drive time through {!run_until}, never
-    through [Engine.run] on this engine. *)
-
-val sharded : t -> Eventsim.Sharded.t option
-(** The sharded scheduler, when [Config.domains > 0]. *)
-
-val domains : t -> int
-(** Domains the fabric executes on; 0 = classic single-engine mode. *)
+(** The engine every device, agent and the control network run on. *)
 
 val obs : t -> Obs.t
 (** The deployment's observability registry; snapshot/export with
@@ -236,9 +213,8 @@ val control_digest : t -> string
     current instant: switch coordinates, edge-local host bindings, the
     fabric manager's fault matrix and per-switch flow-table sizes, in a
     canonical (sorted) rendering. Two quiescent fabrics in the same
-    logical state produce equal digests — the cross-domain determinism
-    tests compare this (and the {!Portland_verify.Verify} report digest)
-    across [Config.domains] values. *)
+    logical state produce equal digests — the golden-digest tests pin
+    this (and the {!Portland_verify.Verify} report digest) per family. *)
 
 (** {1 Update journal} *)
 

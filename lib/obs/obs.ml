@@ -255,7 +255,7 @@ let value_of_inst = function
 let sample_key s = key_of ~subsystem:s.subsystem ~name:s.name s.labels
 
 let snapshot t =
-  (* Fold the registry under the lock so a shard registering a labelled
+  (* Fold the registry under the lock so another domain registering a labelled
      metric mid-run cannot race the traversal; probe closures read agent
      state and are run outside the lock (snapshots are taken at
      quiescent points). *)

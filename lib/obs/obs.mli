@@ -17,11 +17,10 @@
 
     Domain-safe: counter increments are atomic, histogram observations
     are serialized, and the registry (registration, probes, {!snapshot})
-    is mutex-protected, so agents sharded across OCaml domains by
-    {!Eventsim.Sharded} can share one [Obs.t] without losing updates.
-    Gauge writes are plain stores — keep each gauge owned by one shard.
-    Snapshots are meant for quiescent points (between windows or after a
-    run). *)
+    is mutex-protected, so code running on several OCaml domains can
+    share one [Obs.t] without losing updates. Gauge writes are plain
+    stores — keep each gauge owned by one domain. Snapshots are meant for
+    quiescent points (after a run). *)
 
 type t
 

@@ -119,24 +119,3 @@ let run ?until ?max_events t =
   done
 
 let events_processed t = t.fired
-
-let rec next_time t =
-  if Heap.is_empty t.queue then None
-  else begin
-    let ev = Heap.peek_exn t.queue in
-    if ev.state = Cancelled then begin
-      ignore (Heap.pop_exn t.queue);
-      next_time t
-    end else Some ev.time
-  end
-
-let advance_clock t ~time =
-  if time > t.clock then begin
-    (match next_time t with
-     | Some pending when pending < time ->
-       invalid_arg
-         (Printf.sprintf
-            "Engine.advance_clock: pending event at %d before target %d" pending time)
-     | _ -> ());
-    t.clock <- time
-  end

@@ -83,13 +83,3 @@ val step : t -> bool
 
 val events_processed : t -> int
 (** Total events fired since creation (cancelled events excluded). *)
-
-val next_time : t -> Time.t option
-(** Time of the earliest pending event, or [None] when idle. Cancelled
-    events at the head of the queue are discarded on the way. *)
-
-val advance_clock : t -> time:Time.t -> unit
-(** Move the clock forward to [time] without firing anything. Used by the
-    sharded scheduler ({!Sharded}) to normalize per-shard clocks at window
-    boundaries. No-op when [time <= now]; raises [Invalid_argument] if an
-    event is pending strictly before [time]. *)

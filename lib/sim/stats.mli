@@ -1,8 +1,8 @@
 (** Measurement primitives used by devices, protocols and experiments. *)
 
 (** Monotonically increasing event counter. Domain-safe: increments are
-    atomic, so shards of a parallel run ({!Sharded}) can bump the same
-    counter without losing updates. *)
+    atomic, so several OCaml domains can bump the same counter without
+    losing updates. *)
 module Counter : sig
   type t
 
@@ -18,8 +18,8 @@ end
     Stores every sample (growable array); suitable for the per-experiment
     sample counts in this repository (up to a few million). [add] is
     serialized under an internal mutex (no lost samples across domains);
-    readers are meant for quiescent points — between {!Sharded} windows or
-    after a run — not concurrently with writers. *)
+    readers are meant for quiescent points — after a run — not
+    concurrently with writers. *)
 module Distribution : sig
   type t
 

@@ -4,8 +4,8 @@
     default and cheap when disabled; experiments enable it to debug
     protocol interactions, and a few tests assert on recorded entries.
     The buffer is domain-safe: {!record}, {!entries} and {!clear} take an
-    internal mutex, so shards of a parallel run ({!Sharded}) can share one
-    trace (entry order across shards is scheduling-dependent). *)
+    internal mutex, so several OCaml domains can share one trace (entry
+    order across domains is scheduling-dependent). *)
 
 type level = Debug | Info | Warn | Error
 

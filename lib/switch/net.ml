@@ -58,8 +58,7 @@ and port = {
   mutable busy_until : Time.t;
   loss_prng : Prng.t;
       (* per-directed-port loss stream: draws depend only on this port's
-         own transmit sequence, never on global transmit interleaving, so
-         loss outcomes are identical under sharded execution *)
+         own transmit sequence, never on global transmit interleaving *)
 }
 
 and link = {
@@ -70,18 +69,11 @@ and link = {
   end_b : int * int;
 }
 
-type sched = {
-  sh_engine_of : int -> Engine.t;
-  sh_shard_of : int -> int;
-  sh_post : src:int -> dst:int -> time:Time.t -> (unit -> unit) -> unit;
-}
-
 type t = {
   engine : Engine.t;
   topo : Topology.Topo.t;
   devices : device array;
   topo_links : link option array;
-  mutable sched : sched option;
   mutable tagger : (src:int -> dst:int -> Netcore.Eth.t -> string option) option;
 }
 
@@ -121,14 +113,9 @@ let create ?(params = default_link_params) ?(loss_seed = 7) engine topo =
         Some link)
       (Topology.Topo.links topo)
   in
-  { engine; topo; devices; topo_links; sched = None; tagger = None }
+  { engine; topo; devices; topo_links; tagger = None }
 
 let set_delivery_tagger t f = t.tagger <- f
-let set_sched t s = t.sched <- s
-
-let engine_of t node =
-  match t.sched with Some s -> s.sh_engine_of node | None -> t.engine
-
 let engine t = t.engine
 let topo t = t.topo
 let now t = Engine.now t.engine
@@ -248,7 +235,7 @@ let transmit t ~node ~port frame =
       d.counters.c_down_drops <- d.counters.c_down_drops + 1
     | Some link ->
       let bytes = Netcore.Eth.wire_len frame in
-      let now_t = Engine.now (engine_of t node) in
+      let now_t = Engine.now t.engine in
       let backlog_ns = max 0 (p.busy_until - now_t) in
       let backlog_bytes = backlog_ns * link.params.bandwidth_bps / 8_000_000_000 in
       if backlog_bytes + bytes > link.params.queue_cap_bytes then
@@ -275,28 +262,17 @@ let transmit t ~node ~port frame =
             dd.handler dst_port frame
           end
         in
-        (match t.sched with
-         | Some s ->
-           (* sharded execution: same-shard deliveries stay on the local
-              engine; cross-shard ones go through the outbox and land at
-              the next barrier (arrival >= window end by lookahead) *)
-           let src_sh = s.sh_shard_of node and dst_sh = s.sh_shard_of dst_dev in
-           if src_sh = dst_sh then
-             ignore (Engine.schedule_at (s.sh_engine_of node) ~time:arrival deliver)
-           else s.sh_post ~src:src_sh ~dst:dst_sh ~time:arrival deliver
-         | None ->
-           (* frame deliveries become reorderable actions when a tagger is
-              installed (the model checker tags LDP frames, see lib/mc) *)
-           let tag =
-             match t.tagger with
-             | Some f when Engine.intercepting t.engine -> f ~src:node ~dst:dst_dev frame
-             | _ -> None
-           in
-           (match tag with
-            | Some tag ->
-              ignore
-                (Engine.schedule_tagged t.engine ~delay:(arrival - now_t) ~tag deliver)
-            | None -> ignore (Engine.schedule_at t.engine ~time:arrival deliver)))
+        (* frame deliveries become reorderable actions when a tagger is
+           installed (the model checker tags LDP frames, see lib/mc) *)
+        let tag =
+          match t.tagger with
+          | Some f when Engine.intercepting t.engine -> f ~src:node ~dst:dst_dev frame
+          | _ -> None
+        in
+        match tag with
+        | Some tag ->
+          ignore (Engine.schedule_tagged t.engine ~delay:(arrival - now_t) ~tag deliver)
+        | None -> ignore (Engine.schedule_at t.engine ~time:arrival deliver)
       end
   end
 

@@ -30,35 +30,11 @@ val create :
     seeds the deterministic per-directed-port streams that decide
     per-frame losses when any link has a non-zero [loss_rate]; each
     outbound port draws from its own stream, so loss outcomes do not
-    depend on the global interleaving of transmissions (and hence are
-    identical under sharded execution). *)
+    depend on the global interleaving of transmissions. *)
 
 val engine : t -> Eventsim.Engine.t
 val topo : t -> Topology.Topo.t
 val now : t -> Eventsim.Time.t
-
-(** {1 Sharded execution} *)
-
-type sched = {
-  sh_engine_of : int -> Eventsim.Engine.t;  (** device id → owning engine *)
-  sh_shard_of : int -> int;                 (** device id → shard index *)
-  sh_post :
-    src:int -> dst:int -> time:Eventsim.Time.t -> (unit -> unit) -> unit;
-      (** cross-shard delivery, routed through {!Eventsim.Sharded.post} *)
-}
-(** How frame deliveries find the owning shard when the fabric runs on a
-    {!Eventsim.Sharded} scheduler: deliveries between devices of the same
-    shard are scheduled directly on that shard's engine; deliveries that
-    cross shards are posted and land at the next synchronization barrier.
-    The link propagation delay must be at least the scheduler's lookahead
-    for every cross-shard link. *)
-
-val set_sched : t -> sched option -> unit
-(** Install (or remove, with [None]) shard routing. With [None] (the
-    default) everything is scheduled on the engine passed to {!create} —
-    the classic single-engine mode, which the delivery tagger and the
-    model checker rely on. The tagger is consulted only in classic
-    mode. *)
 
 (** {1 Devices} *)
 

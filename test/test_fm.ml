@@ -186,12 +186,10 @@ let test_resync_reads_only_owning_shard () =
 (* the satellite-4 race: a host's first ARP query is on the wire when the
    FM cold-restarts. The fresh FM has no bindings, so the query misses
    and parks; resync re-announces the target, the pending entry is
-   answered, and the host's retry/backoff never gives up. Must hold on
-   the classic and the sharded engine, monolithic and sharded FM. *)
-let fm_restart_race ~domains ~fm_shards () =
-  let fab =
-    F.create (F.Config.fattree ~obs:Obs.null ~seed:7 ~domains ~fm_shards ~k:4 ())
-  in
+   answered, and the host's retry/backoff never gives up. Must hold for
+   the monolithic and the sharded FM. *)
+let fm_restart_race ~fm_shards () =
+  let fab = F.create (F.Config.fattree ~obs:Obs.null ~seed:7 ~fm_shards ~k:4 ()) in
   Alcotest.(check bool) "converged" true (F.await_convergence fab);
   let src = F.host fab ~pod:0 ~edge:0 ~slot:0 in
   let dst = F.host fab ~pod:3 ~edge:0 ~slot:0 in
@@ -212,10 +210,8 @@ let fm_restart_race ~domains ~fm_shards () =
        (HA.arp_lookup src (HA.ip dst) = Some (Portland.Pmac.to_mac b.Portland.Msg.pmac)));
   Testutil.assert_verified ~msg:"dataplane after the race" fab
 
-let test_fm_restart_races_arp_miss () = fm_restart_race ~domains:0 ~fm_shards:1 ()
-let test_fm_restart_races_arp_miss_sharded_fm () = fm_restart_race ~domains:0 ~fm_shards:4 ()
-let test_fm_restart_races_arp_miss_sharded_engine () =
-  fm_restart_race ~domains:2 ~fm_shards:4 ()
+let test_fm_restart_races_arp_miss () = fm_restart_race ~fm_shards:1 ()
+let test_fm_restart_races_arp_miss_sharded_fm () = fm_restart_race ~fm_shards:4 ()
 
 (* ---------------- generation-stamped edge ARP caches ---------------- *)
 
@@ -390,9 +386,7 @@ let () =
         [ Alcotest.test_case "ARP miss in flight, classic engine" `Quick
             test_fm_restart_races_arp_miss;
           Alcotest.test_case "ARP miss in flight, sharded FM" `Quick
-            test_fm_restart_races_arp_miss_sharded_fm;
-          Alcotest.test_case "ARP miss in flight, sharded engine" `Quick
-            test_fm_restart_races_arp_miss_sharded_engine ] );
+            test_fm_restart_races_arp_miss_sharded_fm ] );
       ( "edge-arp-cache",
         [ Alcotest.test_case "migration bumps the generation and re-resolves" `Quick
             test_arp_cache_generation_migration;

@@ -836,6 +836,65 @@ let test_spare_slot_rejected () =
   (* and the fabric still converged with 15 plugged hosts *)
   Testutil.check_int "bindings" 15 (Fabric_manager.binding_count (Fabric.fabric_manager fab))
 
+(* ---------------- golden digests ---------------- *)
+
+(* Control-state and verifier digests at three quiescent points: after
+   convergence, after an edge–agg (two-layer: leaf–spine) link failure is
+   detected and broadcast, and after recovery. The expected values pin
+   boot, fault and heal behaviour byte for byte; any change to event
+   interleaving or table derivation shows up here. *)
+let fingerprint family =
+  let fab = Testutil.converged_family family in
+  let digests () =
+    [ Fabric.control_digest fab;
+      Portland_verify.Verify.digest_of_report (Portland_verify.Verify.run fab) ]
+  in
+  let booted = digests () in
+  let mt = Fabric.tree fab in
+  let e = mt.MR.edges.(0).(0) in
+  (* first upstream switch: the pod's first agg, or (two-layer, no agg
+     tier) the first spine *)
+  let a =
+    if Array.length mt.MR.aggs.(0) > 0 then mt.MR.aggs.(0).(0) else mt.MR.cores.(0)
+  in
+  Testutil.check_bool "link failed" true (Fabric.fail_link_between fab ~a:e ~b:a);
+  Fabric.run_for fab (Time.ms 300);
+  let failed = digests () in
+  Testutil.check_bool "link recovered" true (Fabric.recover_link_between fab ~a:e ~b:a);
+  Fabric.run_for fab (Time.ms 300);
+  booted @ failed @ digests ()
+
+(* family, k, then (control, verify) digests after boot, failure, recovery *)
+let golden =
+  [ ("plain", 4,
+     [ "0215a4314d760d34"; "1e3cb055f3cab6b1"; "1719d6ee416a1b68"; "2a9beaac9107edc1";
+       "0215a4314d760d34"; "1e3cb055f3cab6b1" ]);
+    ("plain", 8,
+     [ "1c578cb18f98ddbc"; "1ff19533776be8db"; "2f4fa92a4e2805f0"; "2c99366ea129af89";
+       "1c578cb18f98ddbc"; "1ff19533776be8db" ]);
+    ("ab", 4,
+     [ "0e5a548c9e016558"; "1e3cb055f3cab6b1"; "1564c2cbd08fb434"; "394ae461ef1720ba";
+       "0e5a548c9e016558"; "1e3cb055f3cab6b1" ]);
+    ("ab", 8,
+     [ "3a0ce5ebe94496dc"; "1ff19533776be8db"; "30f7177005184410"; "1eeae505ab4b673d";
+       "3a0ce5ebe94496dc"; "1ff19533776be8db" ]);
+    ("two-layer", 4,
+     [ "1494e74e9d424f5d"; "39f39c8f0fdfb9b5"; "12abc54e822af1b4"; "39f0368f0fdcd68c";
+       "1494e74e9d424f5d"; "39f39c8f0fdfb9b5" ]);
+    ("two-layer", 8,
+     [ "08453fe4770164ee"; "20a80a62e2d6d1e7"; "0837ccbeb42bb8cf"; "20a4a462e2d3eebe";
+       "08453fe4770164ee"; "20a80a62e2d6d1e7" ]) ]
+
+let golden_cases =
+  List.map
+    (fun (name, k, expected) ->
+      let family = Topology.Topo.Family.of_string ~k name |> Result.get_ok in
+      Alcotest.test_case
+        (Printf.sprintf "%s k=%d" name k)
+        (if k > 4 then `Slow else `Quick)
+        (fun () -> Alcotest.(check (list string)) "digests" expected (fingerprint family)))
+    golden
+
 let () =
   Alcotest.run "portland-system"
     [ ( "discovery",
@@ -893,4 +952,5 @@ let () =
           Alcotest.test_case "two-layer k=8" `Quick (test_family_matrix "two-layer" 8);
           Alcotest.test_case "ab survives agg-core cut" `Quick test_ab_failure_reconverges;
           Alcotest.test_case "two-layer survives spine loss" `Quick
-            test_two_layer_spine_loss ] ) ]
+            test_two_layer_spine_loss ] );
+      ("determinism matrix", golden_cases) ]
