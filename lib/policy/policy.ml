@@ -118,11 +118,12 @@ let corrupt which p =
   go p
 
 let spans p =
-  let rec clauses = function
-    | Nothing -> []
-    | Rule c -> [ c ]
-    | Union (a, b) | Seq (a, b) -> clauses a @ clauses b
-    | Restrict (a, _) -> clauses a
+  (* reversed onto one accumulator: linear in the union spine's length *)
+  let rec clauses acc = function
+    | Nothing -> acc
+    | Rule c -> c :: acc
+    | Union (a, b) | Seq (a, b) -> clauses (clauses acc a) b
+    | Restrict (a, _) -> clauses acc a
   in
   let seen = Hashtbl.create 16 in
   List.filter_map
@@ -132,7 +133,7 @@ let spans p =
         Hashtbl.add seen c.span ();
         Some c.span
       end)
-    (clauses p)
+    (List.rev (clauses [] p))
 
 (* ---------------- the static differential checker ---------------- *)
 
@@ -196,6 +197,23 @@ module Check = struct
       in
       (Some e.FT.name, FT.render_entry e ^ String.concat "" groups)
 
+  (* structural table equality: the same entries by name and the same
+     groups by id. Equal tables render equal canonical lines, so the
+     digests are only computed when this fails *)
+  let same_table ct lt =
+    let by_name t =
+      List.sort (fun (a : FT.entry) b -> String.compare a.FT.name b.FT.name) (FT.entries t)
+    and by_id t = List.sort (fun (a, _) (b, _) -> Int.compare a b) (FT.groups t) in
+    FT.size ct = FT.size lt && by_name ct = by_name lt && by_id ct = by_id lt
+
+  (* equal entries whose groups resolve to equal members render the same
+     [decision]; [false] only sends the pair on to the rendered test *)
+  let same_fate ct lt (ce : FT.entry) le =
+    ce = le
+    && List.for_all
+         (function FT.Group g -> FT.group_members ct g = FT.group_members lt g | _ -> true)
+         ce.FT.actions
+
   let differential fab compiled =
     let agents = audited_agents fab in
     let cxs = ref [] in
@@ -221,7 +239,7 @@ module Check = struct
         | Some ct ->
           n_entries := !n_entries + FT.size ct;
           n_groups := !n_groups + List.length (FT.groups ct);
-          if table_digest ct <> table_digest live then begin
+          if (not (same_table ct live)) && table_digest ct <> table_digest live then begin
             incr n_mismatch;
             (* name-by-name entry diff *)
             List.iter
@@ -259,7 +277,8 @@ module Check = struct
                  (List.map fst (FT.groups ct) @ List.map fst (FT.groups live)))
           end)
       agents;
-    (* symbolic class-by-class comparison over the verifier's universe *)
+    (* symbolic class-by-class comparison over the verifier's universe,
+       switch-major so both of a switch's tables stay in cache *)
     let fm = Fabric.fabric_manager fab in
     let bindings =
       V.class_universe fab
@@ -267,40 +286,69 @@ module Check = struct
       |> List.sort_uniq (fun (a : Portland.Msg.host_binding) b ->
              Ipv4_addr.compare a.Portland.Msg.ip b.Portland.Msg.ip)
     in
-    List.iter
-      (fun (b : Portland.Msg.host_binding) ->
-        let pmac = b.Portland.Msg.pmac in
-        let d = Mac_addr.to_int (Pmac.to_mac pmac) in
-        List.iter
-          (fun a ->
-            let sw = SA.switch_id a in
-            match table compiled sw with
-            | None -> ()
-            | Some ct ->
-              let cname, cdec = decision ct d in
-              let lname, ldec = decision (SA.table a) d in
-              if cdec <> ldec then
-                let entry =
-                  match (cname, lname) with
-                  | Some n, _ | None, Some n -> n
-                  | None, None -> "<none>"
-                in
-                cx
-                  { cx_switch = sw;
-                    cx_class = Some pmac;
-                    cx_entry = entry;
-                    cx_compiled = Some cdec;
-                    cx_installed = Some ldec;
-                    cx_span = span_of compiled ~switch:sw ~entry;
-                    cx_reason = "class decision diverges" })
-          agents)
-      bindings;
+    let classes =
+      Array.of_list
+        (List.map
+           (fun (b : Portland.Msg.host_binding) ->
+             let pmac = b.Portland.Msg.pmac in
+             (pmac, Mac_addr.to_int (Pmac.to_mac pmac)))
+           bindings)
+    in
+    let class_cxs = ref [] in
+    List.iteri
+      (fun si a ->
+        let sw = SA.switch_id a in
+        match table compiled sw with
+        | None -> ()
+        | Some ct ->
+          let lt = SA.table a in
+          (* entry name -> same_fate verdict, for this switch's pairs *)
+          let verdicts = Hashtbl.create 64 in
+          Array.iteri
+            (fun ci (pmac, d) ->
+              let same =
+                match (FT.lookup_dst ct d, FT.lookup_dst lt d) with
+                | None, None -> true
+                | Some ce, Some le when String.equal ce.FT.name le.FT.name -> (
+                  match Hashtbl.find_opt verdicts ce.FT.name with
+                  | Some v -> v
+                  | None ->
+                    let v = same_fate ct lt ce le in
+                    Hashtbl.add verdicts ce.FT.name v;
+                    v)
+                | _ -> false
+              in
+              if not same then
+                let cname, cdec = decision ct d in
+                let lname, ldec = decision lt d in
+                if cdec <> ldec then
+                  let entry =
+                    match (cname, lname) with
+                    | Some n, _ | None, Some n -> n
+                    | None, None -> "<none>"
+                  in
+                  class_cxs :=
+                    ( (ci, si),
+                      { cx_switch = sw;
+                        cx_class = Some pmac;
+                        cx_entry = entry;
+                        cx_compiled = Some cdec;
+                        cx_installed = Some ldec;
+                        cx_span = span_of compiled ~switch:sw ~entry;
+                        cx_reason = "class decision diverges" } )
+                    :: !class_cxs)
+            classes)
+      agents;
+    (* the report lists class-level counterexamples in (class, switch) order *)
+    let class_cxs =
+      List.sort (fun (a, _) (b, _) -> compare (a : int * int) b) !class_cxs |> List.map snd
+    in
     { ck_switches = List.length agents;
       ck_classes = List.length bindings;
       ck_entries = !n_entries;
       ck_groups = !n_groups;
       ck_digest_mismatches = !n_mismatch;
-      ck_counterexamples = List.rev !cxs }
+      ck_counterexamples = List.rev_append !cxs class_cxs }
 
   let run fab = differential fab (compile_exn (baseline fab))
 

@@ -102,7 +102,20 @@ module Check : sig
       comparison — for each of
       {!Portland_verify.Verify.class_universe}'s registered PMAC classes,
       the deciding trie lookup (entry, actions, resolved group members)
-      must agree on every switch. *)
+      must agree on every switch.
+
+      Cost: every registered class is looked up on both sides of every
+      audited switch, with nothing sampled or skipped, so the class pass
+      is one trie lookup per table per (class, switch) pair. Switches
+      are the outer loop. Two looked-up entries are compared as values
+      (record equality plus the members of each [Group] they forward
+      through), memoised per entry name within a switch. Only pairs
+      that differ there are rendered, and the rendered texts decide, so
+      the counterexamples are exactly what rendering every pair would
+      give. A table pair is first compared structurally (entries by
+      name, groups by id); only when that fails are both rendered and
+      digested. Class-level counterexamples are reported in (class,
+      switch) order. *)
 
   val run : Portland.Fabric.t -> report
   (** [differential fab (compile_exn (baseline fab))] — the check the

@@ -60,35 +60,44 @@ let ( let* ) = Result.bind
 
 let is_rewrite = function Rewrite_dst _ | Rewrite_src _ -> true | _ -> false
 
-(* flatten the combinator tree to self-contained clauses *)
-let rec flatten = function
-  | Nothing -> Ok []
-  | Rule c -> Ok [ c ]
-  | Union (a, b) ->
-    let* ca = flatten a in
-    let* cb = flatten b in
-    Ok (ca @ cb)
-  | Restrict (p, pr) ->
-    let* cs = flatten p in
-    Ok (List.map (fun c -> { c with pred = And (c.pred, pr) }) cs)
-  | Seq (l, r) ->
-    let* ls = flatten l in
-    let* rs = flatten r in
-    (match List.find_opt (fun c -> not (List.for_all is_rewrite c.acts)) ls with
-     | Some c -> Error (Seq_left_not_rewrite { span = c.span })
-     | None ->
-       Ok
-         (List.concat_map
-            (fun lc ->
-              List.map
-                (fun rc ->
-                  { span = lc.span;
-                    name = lc.name;
-                    prio = max lc.prio rc.prio;
-                    pred = And (lc.pred, rc.pred);
-                    acts = lc.acts @ rc.acts })
-                rs)
-            ls))
+(* flatten the combinator tree to self-contained clauses, in order. The
+   clauses are gathered reversed onto one accumulator, so the long
+   left-nested spine [union] builds costs one pass, not one append per
+   level *)
+let flatten p =
+  let rec go acc = function
+    | Nothing -> Ok acc
+    | Rule c -> Ok (c :: acc)
+    | Union (a, b) ->
+      let* acc = go acc a in
+      go acc b
+    | Restrict (p, pr) ->
+      let* rev_cs = go [] p in
+      let restricted = List.rev_map (fun c -> { c with pred = And (c.pred, pr) }) rev_cs in
+      Ok (List.rev_append restricted acc)
+    | Seq (l, r) ->
+      let* rev_ls = go [] l in
+      let* rev_rs = go [] r in
+      let ls = List.rev rev_ls and rs = List.rev rev_rs in
+      (match List.find_opt (fun c -> not (List.for_all is_rewrite c.acts)) ls with
+       | Some c -> Error (Seq_left_not_rewrite { span = c.span })
+       | None ->
+         let merged =
+           List.concat_map
+             (fun lc ->
+               List.map
+                 (fun rc ->
+                   { span = lc.span;
+                     name = lc.name;
+                     prio = max lc.prio rc.prio;
+                     pred = And (lc.pred, rc.pred);
+                     acts = lc.acts @ rc.acts })
+                 rs)
+             ls
+         in
+         Ok (List.rev_append merged acc))
+  in
+  Result.map List.rev (go [] p)
 
 (* tenant-per-pod addressing convention: tag t = the 10.t.0.0/16 block *)
 let tenant_match tag = { FT.value = (10 lsl 24) lor (tag lsl 16); mask = 0xFFFF0000 }

@@ -5,7 +5,9 @@
    agents' per-clause installation does, the compiler rejects
    non-lowerable predicates with typed errors, seeded policy bugs are
    detected with switch/class/source-span provenance and shrink to the
-   single faulty clause, and compiled-table installs drive a clean
+   single faulty clause, report digests match pinned values, the
+   differential agrees with a render-every-pair reference on edited
+   tables, and compiled-table installs drive a clean
    incremental-verifier session. *)
 
 open Portland
@@ -332,6 +334,245 @@ let test_install_drives_incremental () =
     Alcotest.failf "check after install:@.%a" P.Check.pp_report ck;
   Testutil.assert_all_pairs_deliver ~msg:"delivery on compiled tables" fab
 
+(* ---------------- golden report pins ---------------- *)
+
+(* report digest and counterexample count of the default-seed fabric,
+   clean and with each seeded bug, built as [portland_sim policy
+   [--corrupt]] builds them *)
+let golden ~k topo corruption (digest, count) () =
+  let fab = Testutil.converged_family (family ~k topo) in
+  let pol = P.baseline fab in
+  let pol = match corruption with None -> pol | Some cz -> P.corrupt cz pol in
+  let r = P.Check.differential fab (P.compile_exn pol) in
+  Testutil.check_string "report digest" digest (P.Check.digest_of_report r);
+  Testutil.check_int "counterexamples" count (List.length r.P.Check.ck_counterexamples)
+
+let golden_pins =
+  let plain_ab k4 k8 = [ ("plain", k4, k8); ("ab", k4, k8) ] in
+  List.concat
+    [ plain_ab
+        [ ("1732ff26e7b827d5", 0); ("35d46c38c781d6ec", 5); ("1703247d76d1c2bb", 3) ]
+        [ ("3ebec28169fea99f", 0); ("39173d11f8ed6608", 17); ("2882e210305d33d0", 5) ];
+      [ ( "two-layer",
+          [ ("04083ec9c4789d1a", 0); ("33859b7e45d16c32", 5); ("16b91507fdd7e009", 5) ],
+          [ ("2149e6f7483f565b", 0); ("2181e3825527ce65", 9); ("0beb210eaa5940de", 9) ] ) ] ]
+  |> List.concat_map (fun (topo, k4, k8) ->
+         List.concat_map
+           (fun (k, speed, pins) ->
+             List.map2
+               (fun (label, cz) pin ->
+                 Alcotest.test_case (Printf.sprintf "%s k=%d %s" topo k label) speed
+                   (golden ~k topo cz pin))
+               [ ("clean", None);
+                 ("wrong-prefix", Some P.Wrong_prefix_len);
+                 ("drop-ecmp", Some P.Drop_ecmp_branch) ]
+               pins)
+           [ (4, `Quick, k4); (8, `Slow, k8) ])
+
+(* ---------------- the rendering oracle ---------------- *)
+
+(* The reference differential: every (class, switch) pair renders both
+   decisions, classes in the outer loop, and every table pair is compared
+   by digest. Check.differential, which renders only pairs whose values
+   differ, must report exactly what this reports. *)
+module Oracle = struct
+  module C = P.Check
+  module SA = Switch_agent
+
+  let render_members ms =
+    Printf.sprintf "[%s]" (String.concat ";" (List.map string_of_int (Array.to_list ms)))
+
+  let decision t d =
+    match FT.lookup_dst t d with
+    | None -> (None, "miss")
+    | Some e ->
+      let groups =
+        List.filter_map
+          (function
+            | FT.Group g ->
+              Some
+                (Printf.sprintf " g%d=%s" g
+                   (match FT.group_members t g with
+                    | Some ms -> render_members ms
+                    | None -> "<undefined>"))
+            | _ -> None)
+          e.FT.actions
+      in
+      (Some e.FT.name, FT.render_entry e ^ String.concat "" groups)
+
+  let differential fab compiled =
+    let net = Fabric.net fab in
+    let agents =
+      Fabric.agents fab
+      |> List.filter (fun a ->
+             SA.is_operational a
+             && Switchfab.Net.is_up (Switchfab.Net.device net (SA.switch_id a))
+             && SA.coords a <> None)
+      |> List.sort (fun a b -> compare (SA.switch_id a) (SA.switch_id b))
+    in
+    let cxs = ref [] and n_entries = ref 0 and n_groups = ref 0 and n_mismatch = ref 0 in
+    let cx c = cxs := c :: !cxs in
+    let sorted_unique l = List.sort_uniq compare l in
+    List.iter
+      (fun a ->
+        let sw = SA.switch_id a and live = SA.table a in
+        match P.table compiled sw with
+        | None ->
+          if FT.size live > 0 then begin
+            incr n_mismatch;
+            cx
+              { C.cx_switch = sw; cx_class = None; cx_entry = "<table>"; cx_compiled = None;
+                cx_installed = Some (C.table_digest live); cx_span = None;
+                cx_reason = "policy compiled no table for this switch" }
+          end
+        | Some ct ->
+          n_entries := !n_entries + FT.size ct;
+          n_groups := !n_groups + List.length (FT.groups ct);
+          if C.table_digest ct <> C.table_digest live then begin
+            incr n_mismatch;
+            List.iter
+              (fun name ->
+                let ce = FT.find_entry ct name and le = FT.find_entry live name in
+                let r = Option.map FT.render_entry in
+                if r ce <> r le then
+                  cx
+                    { C.cx_switch = sw; cx_class = None; cx_entry = name; cx_compiled = r ce;
+                      cx_installed = r le; cx_span = P.span_of compiled ~switch:sw ~entry:name;
+                      cx_reason =
+                        (match (ce, le) with
+                         | Some _, None -> "compiled-only entry"
+                         | None, Some _ -> "installed-only entry"
+                         | _ -> "entry differs") })
+              (sorted_unique (FT.entry_names ct @ FT.entry_names live));
+            List.iter
+              (fun gid ->
+                let cm = FT.group_members ct gid and lm = FT.group_members live gid in
+                if cm <> lm then
+                  cx
+                    { C.cx_switch = sw; cx_class = None; cx_entry = Printf.sprintf "group:%d" gid;
+                      cx_compiled = Option.map render_members cm;
+                      cx_installed = Option.map render_members lm; cx_span = None;
+                      cx_reason = "group members differ" })
+              (sorted_unique (List.map fst (FT.groups ct) @ List.map fst (FT.groups live)))
+          end)
+      agents;
+    let fm = Fabric.fabric_manager fab in
+    let bindings =
+      Verify.class_universe fab
+      |> List.filter_map (Fabric_manager.lookup_binding fm)
+      |> List.sort_uniq (fun (a : Msg.host_binding) b -> Netcore.Ipv4_addr.compare a.Msg.ip b.Msg.ip)
+    in
+    List.iter
+      (fun (b : Msg.host_binding) ->
+        let d = Netcore.Mac_addr.to_int (Pmac.to_mac b.Msg.pmac) in
+        List.iter
+          (fun a ->
+            let sw = SA.switch_id a in
+            match P.table compiled sw with
+            | None -> ()
+            | Some ct ->
+              let cname, cdec = decision ct d and lname, ldec = decision (SA.table a) d in
+              if cdec <> ldec then
+                let entry =
+                  match (cname, lname) with Some n, _ | None, Some n -> n | None, None -> "<none>"
+                in
+                cx
+                  { C.cx_switch = sw; cx_class = Some b.Msg.pmac; cx_entry = entry;
+                    cx_compiled = Some cdec; cx_installed = Some ldec;
+                    cx_span = P.span_of compiled ~switch:sw ~entry;
+                    cx_reason = "class decision diverges" })
+          agents)
+      bindings;
+    { C.ck_switches = List.length agents; ck_classes = List.length bindings;
+      ck_entries = !n_entries; ck_groups = !n_groups; ck_digest_mismatches = !n_mismatch;
+      ck_counterexamples = List.rev !cxs }
+end
+
+let cx_lines r =
+  List.map (Format.asprintf "@[<h>%a@]" P.Check.pp_counterexample) r.P.Check.ck_counterexamples
+
+(* the switch of each role the edits below land on *)
+let agent_at fab pred =
+  List.find (fun a -> Option.fold ~none:false ~some:pred (Switch_agent.coords a)) (Fabric.agents fab)
+
+let edge0 = function Coords.Edge { pod = 0; position = 0 } -> true | _ -> false
+let agg1 = function Coords.Agg { pod = 1; stripe = 0 } -> true | _ -> false
+let core0 = function Coords.Core _ -> true | _ -> false
+
+(* rebuild a table without one of its groups, entries in the same tie
+   order: the entries that forward through it now resolve <undefined> *)
+let delete_group t gid =
+  let entries = FT.entries t and groups = FT.groups t in
+  FT.clear t;
+  List.iter (fun (g, ms) -> if g <> gid then FT.set_group t g ms) groups;
+  List.iter (FT.install t) (List.rev entries)
+
+let first_group t = List.fold_left (fun m (g, _) -> min m g) max_int (FT.groups t)
+
+let pod_entry t pod =
+  Option.get (FT.find_entry t (Printf.sprintf "pod:%d" pod))
+
+(* one edit of a live table (some also edit the compiled one): what the
+   fall-through paths of the structural comparison must get right *)
+let oracle_edits : (string * (Fabric.t -> P.compiled -> unit)) list =
+  let live fab at = Switch_agent.table (agent_at fab at) in
+  let change_action fab _ =
+    let t = live fab edge0 in
+    let e = List.find (fun e -> String.starts_with ~prefix:"host:" e.FT.name) (FT.entries t) in
+    FT.install t
+      { e with
+        FT.actions = List.map (function FT.Output p -> FT.Output (p + 1) | a -> a) e.FT.actions }
+  in
+  let drop_member fab _ =
+    let t = live fab agg1 in
+    let g = first_group t in
+    let ms = Option.get (FT.group_members t g) in
+    FT.set_group t g (Array.sub ms 0 (Array.length ms - 1))
+  in
+  let delete_used_group fab _ =
+    let t = live fab edge0 in
+    delete_group t (first_group t)
+  in
+  let remove_entry fab _ = FT.remove (live fab core0) "pod:2" in
+  let live_only fab _ =
+    let t = live fab edge0 in
+    let e = pod_entry t 3 in
+    FT.install t { e with FT.name = "rogue"; priority = e.FT.priority + 1; actions = [ FT.Drop ] }
+  in
+  (* the same two overlapping same-priority entries on both sides, live
+     in the opposite order: equal tables, different tie winners *)
+  let tie_flip fab compiled =
+    let a = agent_at fab agg1 in
+    let ct = Option.get (P.table compiled (Switch_agent.switch_id a)) in
+    let e = pod_entry ct 2 in
+    let x = { e with FT.name = "tie:x"; priority = e.FT.priority + 1; actions = [ FT.Output 0 ] }
+    and y = { e with FT.name = "tie:y"; priority = e.FT.priority + 1; actions = [ FT.Output 1 ] } in
+    FT.install ct x;
+    FT.install ct y;
+    FT.install (Switch_agent.table a) y;
+    FT.install (Switch_agent.table a) x
+  in
+  let edits =
+    [ ("entry action changed", change_action);
+      ("group member dropped", drop_member);
+      ("used group deleted", delete_used_group);
+      ("entry removed", remove_entry);
+      ("live-only entry", live_only);
+      ("same-priority tie flipped", tie_flip) ]
+  in
+  (* all of them at once: counterexamples on several switches and
+     classes, so the class-major re-sort is exercised *)
+  edits @ [ ("all edits together", fun fab c -> List.iter (fun (_, f) -> f fab c) edits) ]
+
+let oracle_agrees edit () =
+  let fab = Testutil.converged_fabric () in
+  let compiled = P.compile_exn (P.baseline fab) in
+  edit fab compiled;
+  let r = P.Check.differential fab compiled and o = Oracle.differential fab compiled in
+  Testutil.check_bool "the edit diverges" false (P.Check.ok o);
+  Alcotest.(check (list string)) "counterexample lines" (cx_lines o) (cx_lines r);
+  Testutil.check_string "report digest" (P.Check.digest_of_report o) (P.Check.digest_of_report r)
+
 (* ---------------- report plumbing ---------------- *)
 
 let test_report_json_deterministic () =
@@ -368,6 +609,11 @@ let () =
           Alcotest.test_case "ab campaign" `Slow (policy_campaign ~seed:42 "ab");
           Alcotest.test_case "two-layer campaign" `Slow
             (policy_campaign ~seed:42 "two-layer") ] );
+      ("golden", golden_pins);
+      ( "oracle",
+        List.map
+          (fun (name, edit) -> Alcotest.test_case name `Quick (oracle_agrees edit))
+          oracle_edits );
       ( "install",
         [ Alcotest.test_case "compiled tables drive the incremental verifier" `Quick
             test_install_drives_incremental;
