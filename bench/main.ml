@@ -298,34 +298,29 @@ let run_scalability ~quick =
 type fm_scale_row = {
   m_name : string;        (* "fm/arp_resolve_1m" *)
   m_bindings : int;
-  m_shards : int;
-  m_mono_ns : float;      (* ns per resolution, monolithic (fm_shards = 1) *)
-  m_shard_ns : float;     (* ns per resolution, pod-sharded *)
+  m_hashtbl_ns : float;   (* ns per [lookup_binding]: the binding Hashtbl *)
+  m_index_ns : float;     (* ns per [resolve]: the flat serving index *)
 }
 
-(* E7 at scale: the fabric-manager ARP service against 1M / 10M bindings,
-   monolithic vs pod-sharded. Hand-rolled timing rather than bechamel —
-   a 10M-entry table takes seconds to populate, so the fixture must be
-   built exactly once per configuration and queried in place. Queries go
-   through [resolve_batch] in 4096-IP batches, the access pattern of a
-   batched ARP front end; the sharded path groups each batch by owning
-   shard and drains shard-at-a-time. *)
+(* E7 at scale: the fabric manager's two binding reads against 1M / 10M
+   bindings — the record Hashtbl behind [lookup_binding] and the flat
+   serving index behind [resolve], which proxy ARP uses. Hand-rolled
+   timing rather than bechamel: a 10M-entry fixture takes seconds to
+   populate, so it is built once per size and queried in place. Both
+   paths replay the same shuffled stream of single lookups. *)
 let run_fm_scale ~quick =
-  print_endline "=== Fabric-manager ARP service at scale (ns/resolution, batched) ===";
-  Printf.printf "  %-22s %-10s %-8s %-16s %-16s %-8s\n" "row" "bindings" "shards"
-    "monolithic (ns)" "sharded (ns)" "speedup";
-  let shards = 4 in
-  let build ~fm_shards n =
+  print_endline "=== Fabric-manager ARP service at scale (ns/lookup) ===";
+  Printf.printf "  %-22s %-10s %-14s %-14s %-8s\n" "row" "bindings" "hashtbl (ns)" "index (ns)"
+    "speedup";
+  let module FM = Portland.Fabric_manager in
+  let build n =
     let engine = Eventsim.Engine.create () in
     let ctrl = Portland.Ctrl.create engine ~latency:(Eventsim.Time.us 50) in
-    let spec = Topology.Fattree.spec ~k:48 in
     let fm =
-      Portland.Fabric_manager.create ~fm_shards engine Portland.Config.default ctrl ~spec
+      FM.create engine Portland.Config.default ctrl ~spec:(Topology.Fattree.spec ~k:48)
     in
     for i = 0 to n - 1 do
-      (* 10.x.y.z: the pod byte (bits 16-23) walks 0..n/65536, spreading
-         bindings across every pod shard *)
-      Portland.Fabric_manager.insert_binding_for_test fm
+      FM.insert_binding_for_test fm
         { Portland.Msg.ip = Netcore.Ipv4_addr.of_int (0x0A000000 lor i);
           amac = Netcore.Mac_addr.of_int (0x020000000000 lor i);
           pmac =
@@ -335,57 +330,40 @@ let run_fm_scale ~quick =
     done;
     fm
   in
-  (* one deterministic shuffled query stream per size, pre-batched so the
-     measured region is lookups only; both configurations replay the
-     exact same stream *)
-  let batches n =
+  (* one deterministic shuffled query stream per size, built up front so
+     the measured region is lookups only *)
+  let queries n =
     let prng = Eventsim.Prng.create 9 in
-    let total = min n 1_000_000 and batch = 4096 in
-    ( total,
-      Array.init
-        ((total + batch - 1) / batch)
-        (fun bi ->
-          Array.init
-            (min batch (total - (bi * batch)))
-            (fun _ -> Netcore.Ipv4_addr.of_int (0x0A000000 lor Eventsim.Prng.int prng n))) )
+    Array.init (min n 1_000_000) (fun _ ->
+        Netcore.Ipv4_addr.of_int (0x0A000000 lor Eventsim.Prng.int prng n))
   in
-  let time_pass fm (total, qs) =
+  let time_pass lookup qs =
     let missed = ref 0 in
     let t0 = Unix.gettimeofday () in
-    Array.iter
-      (fun q ->
-        Array.iter
-          (function None -> incr missed | Some _ -> ())
-          (Portland.Fabric_manager.resolve_batch fm q))
-      qs;
+    Array.iter (fun ip -> if not (lookup ip) then incr missed) qs;
     let t1 = Unix.gettimeofday () in
     if !missed > 0 then failwith (Printf.sprintf "bench: %d fm-scale misses" !missed);
-    (t1 -. t0) *. 1e9 /. float_of_int total
+    (t1 -. t0) *. 1e9 /. float_of_int (Array.length qs)
   in
   let one (name, n) =
-    let qs = batches n in
-    (* both fixtures stay live and the timed passes interleave, so VM-level
-       noise (frequency drift, host contention on this 1-core box) hits the
-       two configurations equally; report the best of 3 passes each *)
-    let mono_fm = build ~fm_shards:1 n in
-    let shard_fm = build ~fm_shards:shards n in
+    let qs = queries n in
+    let fm = build n in
+    let hashtbl ip = Option.is_some (FM.lookup_binding fm ip) in
+    let index ip = Option.is_some (FM.resolve fm ip) in
     Gc.compact ();
-    ignore (time_pass mono_fm qs);  (* warm-up *)
-    ignore (time_pass shard_fm qs);
-    let mono = ref infinity and shard = ref infinity in
+    (* the timed passes interleave, so VM-level noise (frequency drift,
+       host contention) hits both paths equally; best of 3 passes each
+       after a warm-up *)
+    ignore (time_pass hashtbl qs);
+    ignore (time_pass index qs);
+    let h = ref infinity and x = ref infinity in
     for _ = 1 to 3 do
-      mono := Float.min !mono (time_pass mono_fm qs);
-      shard := Float.min !shard (time_pass shard_fm qs)
+      h := Float.min !h (time_pass hashtbl qs);
+      x := Float.min !x (time_pass index qs)
     done;
-    let mono = !mono and shard = !shard in
     Gc.compact ();
-    let row =
-      { m_name = name; m_bindings = n; m_shards = shards; m_mono_ns = mono;
-        m_shard_ns = shard }
-    in
-    Printf.printf "  %-22s %-10d %-8d %-16.1f %-16.1f %.2fx\n" name n shards mono shard
-      (mono /. shard);
-    row
+    Printf.printf "  %-22s %-10d %-14.1f %-14.1f %.2fx\n" name n !h !x (!h /. !x);
+    { m_name = name; m_bindings = n; m_hashtbl_ns = !h; m_index_ns = !x }
   in
   let sizes =
     if quick then [ ("fm/arp_resolve_1m", 1_000_000) ]
@@ -479,10 +457,10 @@ let write_json ~out ~micro ~scal ~fm_scale =
   List.iteri
     (fun i r ->
       add
-        "    {\"name\": \"%s\", \"bindings\": %d, \"shards\": %d, \"monolithic_ns\": %.1f, \
-         \"sharded_ns\": %.1f, \"sharded_speedup\": %.2f}%s\n"
-        (json_escape r.m_name) r.m_bindings r.m_shards r.m_mono_ns r.m_shard_ns
-        (r.m_mono_ns /. r.m_shard_ns)
+        "    {\"name\": \"%s\", \"bindings\": %d, \"hashtbl_ns\": %.1f, \"index_ns\": %.1f, \
+         \"index_speedup\": %.2f}%s\n"
+        (json_escape r.m_name) r.m_bindings r.m_hashtbl_ns r.m_index_ns
+        (r.m_hashtbl_ns /. r.m_index_ns)
         (if i = List.length fm_scale - 1 then "" else ","))
     fm_scale;
   add "  ]\n";

@@ -10,7 +10,6 @@ type common = {
   topo : string;
   seed : int;
   verbose : bool;
-  fm_shards : int;
 }
 
 let k_arg =
@@ -33,32 +32,19 @@ let verbose_arg =
   let doc = "Dump per-switch state and counters at the end." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-let fm_shards_arg =
-  let doc =
-    "Partition fabric-manager soft state (bindings, pending ARPs, fault rows, multicast \
-     membership) across $(docv) pod shards plus one core shard, each with its own \
-     replayable replication log. Purely a state-layout choice: every run is bit-identical \
-     for every $(docv) >= 1. Default 1 (monolithic)."
-  in
-  Arg.(value & opt int 1 & info [ "fm-shards" ] ~docv:"N" ~doc)
-
 (* the single definition AND validation site for the option bundle every
    subcommand shares — run/stats/verify/chaos/mc/policy all reuse this
-   term, so a bad -k or --fm-shards is rejected identically
-   everywhere instead of each scenario re-checking its own copy *)
+   term, so a bad -k is rejected identically everywhere instead of each
+   scenario re-checking its own copy *)
 let common_term =
   Term.(
-    const (fun k topo seed verbose fm_shards ->
+    const (fun k topo seed verbose ->
         if k < 2 || k mod 2 <> 0 then begin
           prerr_endline "-k must be even and >= 2";
           Stdlib.exit 2
         end;
-        if fm_shards < 1 then begin
-          prerr_endline "--fm-shards must be >= 1";
-          Stdlib.exit 2
-        end;
-        { k; topo; seed; verbose; fm_shards })
-    $ k_arg $ topology_arg $ seed_arg $ verbose_arg $ fm_shards_arg)
+        { k; topo; seed; verbose })
+    $ k_arg $ topology_arg $ seed_arg $ verbose_arg)
 
 let family_of { k; topo; _ } =
   match Topology.Topo.Family.of_string ~k topo with
@@ -69,8 +55,7 @@ let family_of { k; topo; _ } =
 
 let create_fabric ?obs ?spare_slots c =
   Portland.Fabric.create
-    (Portland.Fabric.Config.of_family ?obs ?spare_slots ~seed:c.seed ~fm_shards:c.fm_shards
-       (family_of c))
+    (Portland.Fabric.Config.of_family ?obs ?spare_slots ~seed:c.seed (family_of c))
 
 let describe_fabric c fab =
   let spec = Portland.Fabric.spec fab in
@@ -530,22 +515,19 @@ let run_chaos ({ seed; verbose; _ } as c) ~duration_ms ~campaign ~verify_every_u
 
 (* ---------------- model checking ---------------- *)
 
-let run_mc { k; topo; seed; verbose; fm_shards; _ } ~depth ~max_step ~delay_budget
+let run_mc { k; topo; seed; verbose; _ } ~depth ~max_step ~delay_budget
     ~quantum_us ~scenario ~corrupt ~no_prune ~replay ~json_out =
   let open Eventsim in
   match replay with
   | Some token ->
     (* the token is self-contained: every behaviour-affecting parameter
        comes from it, so the reproduction is byte-exact no matter what
-       else is on the command line. --fm-shards still applies — it is a
-       state-layout choice the token deliberately omits, and the replay
-       must come out identical under any value *)
+       else is on the command line *)
     (match Mc.Token.of_string token with
      | Error e ->
        Printf.eprintf "bad --replay token: %s\n" e;
        exit 2
      | Ok (p, sched) ->
-       let p = { p with Mc.fm_shards } in
        let r = Mc.run_schedule p sched in
        Format.printf "%a@." Mc.pp_run r;
        exit 0)
@@ -577,17 +559,15 @@ let run_mc { k; topo; seed; verbose; fm_shards; _ } ~depth ~max_step ~delay_budg
         delay_budget;
         quantum = Time.us quantum_us;
         prune = not no_prune;
-        corrupt;
-        fm_shards }
+        corrupt }
     in
     Printf.printf
       "mc: k=%d topo=%s seed=%d scenario=%s depth=%d max_step=%d budget=%d quantum=%dus \
-       prune=%b corrupt=%s fm_shards=%d\n%!"
+       prune=%b corrupt=%s\n%!"
       p.Mc.k p.Mc.topo p.Mc.seed
       (Mc.scenario_to_string p.Mc.scenario)
       p.Mc.depth p.Mc.max_step p.Mc.delay_budget (p.Mc.quantum / 1000) p.Mc.prune
-      (Mc.corruption_to_string p.Mc.corrupt)
-      p.Mc.fm_shards;
+      (Mc.corruption_to_string p.Mc.corrupt);
     let rep = Mc.explore p in
     Printf.printf "schedules run: %d\n" rep.Mc.rep_schedules_run;
     Printf.printf "distinct interleavings: %d (first %d deliveries)\n" rep.Mc.rep_interleavings

@@ -319,11 +319,11 @@ let generate ?(profile = Mixed) ~seed ~duration (mt : MR.t) =
       emit (t1 + Time.ms 300) (Set_link_loss { a = l.la; b = l.lb; rate = 0.0 })
   in
   let ep_shard_failover t0 =
-    (* FM-shard failover: wipe one pod's shard and rebuild it from the
-       replication log mid-campaign. The shadow fault set is untouched —
-       a correct rebuild is invisible to routability; the executor's
-       quiescent check (full verifier + shard-integrity pack) is what
-       judges it. Paired with a link flap in the same pod so the rebuilt
+    (* FM failover: wipe the FM's bindings and rebuild them from the
+       replication log mid-campaign, dropping one pod's pending ARPs. The
+       shadow fault set is untouched — a correct rebuild is invisible to
+       routability; the executor's quiescent check (full verifier + FM
+       integrity pack) is what judges it. Paired with a link flap in the same pod so the rebuilt
        fault rows are load-bearing, not vacuously empty. *)
     let pod = Prng.int prng spec.MR.num_pods in
     match
@@ -431,7 +431,7 @@ let apply fab = function
     true
   | Failover_fm_shard { pod } ->
     (* [applied] doubles as the failover's own integrity verdict: false
-       means the digest-checked rebuild or the shard-integrity pack
+       means the digest-checked rebuild or the FM integrity pack
        failed, which the quiescent check will also surface *)
     F.failover_fm_shard fab ~pod
   | Set_link_loss { a; b; rate } ->
@@ -504,13 +504,13 @@ let run_campaign ?(probes_per_check = 4) ?(label = "custom") ?(verify_every_upda
           @ [ Printf.sprintf "incremental/full divergence: incremental %s vs full %s" di df ]
         end
     in
-    (* the FM's cross-shard integrity pack runs at every quiescent point:
-       placement, sharded-lookup agreement, log-replay equivalence (both
-       directions) and fault-row mirroring, whatever the shard count *)
+    (* the FM's integrity pack runs at every quiescent point: log-replay
+       equivalence (both directions), fault-row and multicast mirroring,
+       and serving-index agreement with the binding table *)
     let violations =
       violations
-      @ List.map (Printf.sprintf "shard integrity: %s")
-          (Portland.Fabric_manager.shard_integrity (F.fabric_manager fab))
+      @ List.map (Printf.sprintf "fm integrity: %s")
+          (Portland.Fabric_manager.integrity (F.fabric_manager fab))
     in
     (* --check-policy: the policy-as-program differential — compile the
        agents' clauses for the current control-plane state and compare

@@ -41,8 +41,9 @@ type action =
   | Restart_switch of int     (** {!Portland.Fabric.recover_switch} — cold reboot *)
   | Restart_fm                (** {!Portland.Fabric.restart_fabric_manager} *)
   | Failover_fm_shard of { pod : int }
-      (** {!Portland.Fabric.failover_fm_shard}: wipe the FM shard owning
-          [pod] and rebuild it from its replication log. [ev_applied]
+      (** {!Portland.Fabric.failover_fm_shard}: wipe the FM's bindings,
+          drop [pod]'s pending ARPs and rebuild the bindings from the
+          replication log. [ev_applied]
           carries the failover's digest/integrity verdict. *)
   | Set_link_loss of { a : int; b : int; rate : float }
 
@@ -127,8 +128,8 @@ val run_campaign :
     after the final event — the executor settles 150 ms (past the LDM
     detection window plus fault broadcast and table recomputation), then
     checks: convergence, the full static verifier, the fabric manager's
-    {!Portland.Fabric_manager.shard_integrity} pack (reported as
-    ["shard integrity: ..."] violations), and [probes_per_check]
+    {!Portland.Fabric_manager.integrity} pack (reported as
+    ["fm integrity: ..."] violations), and [probes_per_check]
     (default 4) seed-deterministic host-pair {!Portland.Fabric.trace_route}
     probes. [seed] drives only probe-pair sampling; [label] (default
     ["custom"]) is recorded as [rep_profile].

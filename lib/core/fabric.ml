@@ -16,21 +16,20 @@ module Config = struct
     spare_slots : (int * int * int) list;
     boot_jitter : Time.t;
     obs : Obs.t option;
-    fm_shards : int;
   }
 
   let make ?(proto = Proto.default) ?(seed = 42) ?link_params ?(spare_slots = [])
-      ?(boot_jitter = 0) ?obs ?(fm_shards = 1) spec =
-    { spec; proto; seed; link_params; spare_slots; boot_jitter; obs; fm_shards }
+      ?(boot_jitter = 0) ?obs spec =
+    { spec; proto; seed; link_params; spare_slots; boot_jitter; obs }
 
   let default = make (Topology.Fattree.spec ~k:4)
 
-  let fattree ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ?fm_shards ~k () =
-    make ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ?fm_shards
+  let fattree ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ~k () =
+    make ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs
       (Topology.Fattree.spec ~k)
 
-  let of_family ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ?fm_shards family =
-    make ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs ?fm_shards
+  let of_family ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs family =
+    make ?proto ?seed ?link_params ?spare_slots ?boot_jitter ?obs
       (MR.spec_of_family family)
 end
 
@@ -175,8 +174,7 @@ let restart_fabric_manager t =
   Obs.event t.obs ~time:(now t) ~level:Eventsim.Trace.Warn ~subsystem:"fabric"
     "fabric manager restarted; resync requested";
   t.fm <-
-    Fabric_manager.create ~obs:t.obs ~fm_shards:t.config.Config.fm_shards t.engine
-      t.config.Config.proto t.ctrl ~spec:t.spec;
+    Fabric_manager.create ~obs:t.obs t.engine t.config.Config.proto t.ctrl ~spec:t.spec;
   (* the fresh instance must inherit the journal subscription, and the
      subscriber must know every piece of soft state it cached is stale *)
   Fabric_manager.set_journal t.fm t.journal;
@@ -186,9 +184,9 @@ let failover_fm_shard t ~pod =
   if pod < 0 || pod >= t.spec.MR.num_pods then
     invalid_arg "Fabric.failover_fm_shard: pod out of range";
   Obs.eventf t.obs ~time:(now t) ~level:Eventsim.Trace.Warn ~subsystem:"fabric"
-    "fm shard for pod %d failed over (wipe + replay)" pod;
+    "fm bindings failed over for pod %d (wipe + replay)" pod;
   (* the FM emits the [Journal.Fm_shard_failover] record itself *)
-  Fabric_manager.failover_shard t.fm ~pod
+  Fabric_manager.failover t.fm ~pod
 
 let fail_switch t device =
   Obs.eventf t.obs ~time:(now t) ~level:Eventsim.Trace.Warn ~subsystem:"fabric"
@@ -402,7 +400,7 @@ let create (cfg : Config.t) =
   in
   let net = SNet.create ?params:cfg.Config.link_params engine mt.MR.topo in
   let ctrl = Ctrl.create engine ~latency:proto.Proto.ctrl_latency in
-  let fm = Fabric_manager.create ~obs ~fm_shards:cfg.Config.fm_shards engine proto ctrl ~spec in
+  let fm = Fabric_manager.create ~obs engine proto ctrl ~spec in
   let t =
     { config = cfg; engine; obs; spec; mt; net; ctrl; fm;
       switch_agents = Hashtbl.create 64;

@@ -15,13 +15,12 @@ module Proto = Config
     {!module-Config} below is the fabric {e creation} configuration. *)
 
 (** Everything {!create} needs, in one record — topology spec, protocol
-    timers, seed, link parameters, spare slots, boot jitter, the
-    observability capability and the FM shard count — replacing the
-    optional-argument sprawl of the former [create]/[create_fattree]/
-    [create_family] entry points. Build one with {!Config.make} (or the
+    timers, seed, link parameters, spare slots, boot jitter and the
+    observability capability — replacing the optional-argument sprawl of
+    the former [create]/[create_fattree]/[create_family] entry points. Build one with {!Config.make} (or the
     {!Config.fattree} / {!Config.of_family} shorthands) and override
     fields with record update syntax:
-    [{ Config.fattree ~k:16 () with Config.fm_shards = 4; obs = Some Obs.null }]. *)
+    [{ Config.fattree ~k:16 () with Config.seed = 7; obs = Some Obs.null }]. *)
 module Config : sig
   type t = {
     spec : Topology.Multirooted.spec;  (** the topology to build *)
@@ -45,22 +44,14 @@ module Config : sig
             {!Obs.create}[ ()]; pass [Some Obs.null] to disable
             instrumentation entirely, or share one registry between
             fabrics to aggregate. *)
-    fm_shards : int;
-        (** pod-shard count for the fabric manager's soft state (see
-            {!Fabric_manager}): pod [p]'s bindings, fault-matrix rows
-            and pending ARPs live on shard [p mod fm_shards], multicast
-            membership on a core shard. Purely an internal layout of FM
-            state — every observable behaviour (ARP answers, chaos
-            campaign digests, model-checker verdicts) is identical for
-            every [fm_shards >= 1]. Default 1 (monolithic). *)
   }
 
   val make :
     ?proto:Proto.t -> ?seed:int -> ?link_params:Switchfab.Net.link_params ->
     ?spare_slots:(int * int * int) list -> ?boot_jitter:Eventsim.Time.t ->
-    ?obs:Obs.t -> ?fm_shards:int -> Topology.Multirooted.spec -> t
+    ?obs:Obs.t -> Topology.Multirooted.spec -> t
   (** Defaults: [Proto.default], seed 42, default link params, no spares,
-      no jitter, fresh observability, [fm_shards = 1]. *)
+      no jitter, fresh observability. *)
 
   val default : t
   (** [make (Topology.Fattree.spec ~k:4)]. *)
@@ -68,12 +59,12 @@ module Config : sig
   val fattree :
     ?proto:Proto.t -> ?seed:int -> ?link_params:Switchfab.Net.link_params ->
     ?spare_slots:(int * int * int) list -> ?boot_jitter:Eventsim.Time.t ->
-    ?obs:Obs.t -> ?fm_shards:int -> k:int -> unit -> t
+    ?obs:Obs.t -> k:int -> unit -> t
 
   val of_family :
     ?proto:Proto.t -> ?seed:int -> ?link_params:Switchfab.Net.link_params ->
     ?spare_slots:(int * int * int) list -> ?boot_jitter:Eventsim.Time.t ->
-    ?obs:Obs.t -> ?fm_shards:int -> Topology.Topo.Family.t -> t
+    ?obs:Obs.t -> Topology.Topo.Family.t -> t
   (** One entry point for every member of the topology family (plain fat
       tree, AB fat tree, two-layer leaf–spine). *)
 end
@@ -173,13 +164,14 @@ val restart_fabric_manager : t -> unit
     the new instance afterwards. *)
 
 val failover_fm_shard : t -> pod:int -> bool
-(** Simulate the failure and recovery of the FM shard owning [pod]: its
-    binding table is wiped, its pod-scoped pending ARPs are dropped
-    (counted in [Fabric_manager.counters.pending_dropped]; host retry
-    recovers them), and the bindings are rebuilt from the shard's
-    replication log. Returns [true] iff the rebuilt state is
-    digest-identical to the pre-failure state and the full
-    {!Fabric_manager.shard_integrity} pack passes. Emits
+(** Simulate the failure and recovery of the FM's binding store
+    ({!Fabric_manager.failover}): the binding table is wiped, the pending
+    ARPs for [pod]'s IPs are dropped (counted in
+    [Fabric_manager.counters.pending_dropped]; host retry recovers them),
+    and the bindings and serving index are rebuilt from the replication
+    log. Returns [true] iff the rebuilt state is digest-identical to the
+    pre-failure state and the full {!Fabric_manager.integrity} pack
+    passes. Emits
     {!Journal.update.Fm_shard_failover}. Raises [Invalid_argument] for an
     out-of-range pod. *)
 

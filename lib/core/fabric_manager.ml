@@ -7,43 +7,20 @@ type sw_info = {
   mutable neighbors : (int * int * Ldp_msg.level option) list;
   mutable host_ports : int list;
   mutable coords : Coords.t option;
-  mutable owning_shard : int option;
-      (* the shard holding this edge switch's host bindings, learned from
-         its announces. The FM's coordinate pod labels are assigned in
-         discovery order and need not equal the IP-addressing pods, so
-         the owning shard cannot be derived from [coords] — it must be
-         remembered from the announced IPs. *)
 }
 
 type pending_arp = { from_sw : int; requester_ip : Ipv4_addr.t; requester_port : int }
 
-(* One entry of the per-shard replication log: every durable soft-state
-   write, in arrival order. Replaying a shard's log from scratch must
-   rebuild exactly the shard's current state — that property is what
-   [failover_shard] checks, and what would drive a standby replica in a
-   real deployment. Pending ARPs are deliberately not logged: they are
-   ephemeral (the host retry path re-creates them), so failover drops
-   them instead. *)
+(* One entry of the replication log: every durable soft-state write, in
+   arrival order. Replaying the log from scratch must rebuild exactly the
+   current state — that property is what [failover] and [integrity]
+   check, and what would drive a standby replica in a real deployment.
+   Pending ARPs are deliberately not logged: they are ephemeral (the host
+   retry path re-creates them), so failover drops them instead. *)
 type repl_entry =
   | R_bind of Msg.host_binding
   | R_fault of { fault : Fault.t; active : bool }
   | R_mcast of { group : Ipv4_addr.t; switch : int; port : int; join : bool }
-
-(* One pod-keyed shard of the fabric manager's soft state. Shard [p]
-   owns the bindings and pending ARPs of every IP whose pod ≡ p (mod
-   fm_shards) and the fault-matrix rows of those pods; the extra core
-   shard owns multicast group membership. *)
-type shard = {
-  sh_bindings : (Ipv4_addr.t, Msg.host_binding) Hashtbl.t;
-  sh_pending : (Ipv4_addr.t, pending_arp list) Hashtbl.t;
-  mutable sh_log : repl_entry list; (* newest first *)
-  mutable sh_replays : int; (* times this shard's log was replayed *)
-  mutable sh_serve : int array;
-      (* read-optimized mirror of [sh_bindings] for batched resolution: a
-         flat linear-probe table interleaving (ip+1, packed PMAC) slot
-         pairs so a hit costs one cache line. [||] = stale; any binding
-         write invalidates and the next batch rebuilds lazily. *)
-}
 
 type group_state = {
   receivers : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* edge switch id -> host port set *)
@@ -96,8 +73,14 @@ type t = {
   mutable next_stripe : int;
   positions : (int, (int, int) Hashtbl.t) Hashtbl.t; (* pod -> position -> edge switch id *)
   members : (int, (int, int) Hashtbl.t) Hashtbl.t; (* stripe -> member -> core switch id *)
-  fm_shards : int;
-  shards : shard array; (* fm_shards pod shards, then one core shard *)
+  bindings : (Ipv4_addr.t, Msg.host_binding) Hashtbl.t;
+      (* the binding records: migration detection, edge restores, integrity *)
+  pending : (Ipv4_addr.t, pending_arp list) Hashtbl.t;
+  mutable log : repl_entry list; (* newest first *)
+  mutable index : int array;
+      (* serving index: [resolve]'s only path, updated in place on every
+         binding write (see [index_set]) *)
+  mutable index_count : int; (* occupied slots of [index] *)
   mutable arp_gen : int; (* bumped on every migration; stamps ARP answers *)
   faults : Fault.Set.t;
   groups : (Ipv4_addr.t, group_state) Hashtbl.t;
@@ -108,30 +91,19 @@ type t = {
          is still exact, so [recompute_broadcast] skips it. *)
   c : counters_mut;
   mutable journal : Journal.hook option;
-  (* scratch for [resolve_batch]'s shard grouping, grown on demand so a
-     batched ARP front end doing back-to-back calls never re-allocates *)
-  mutable rb_idx : int array;
-  mutable rb_shard : Bytes.t;
-  mutable rb_counts : int array;
 }
 
-(* Host IPs are 10.pod.edge.slot (see Fabric), so the owning pod is a
-   pure function of the address — which is what lets a pending ARP for a
-   still-unbound IP be parked on the right shard. *)
+(* Host IPs are 10.pod.edge.slot (see Fabric), so the pod is a pure
+   function of the address — which is what lets a failover drop the
+   pending ARPs of one pod. *)
 let pod_of_ip ip = (Ipv4_addr.to_int ip lsr 16) land 0xff
-let shard_index t ip = pod_of_ip ip mod t.fm_shards
-let shard_of t ip = t.shards.(shard_index t ip)
-let core_shard t = t.shards.(t.fm_shards)
 
-let log_entry sh e = sh.sh_log <- e :: sh.sh_log
+let log_entry t e = t.log <- e :: t.log
 
-let replay_bindings sh tbl =
-  sh.sh_replays <- sh.sh_replays + 1;
+let replay_bindings t tbl =
   List.iter
     (function R_bind b -> Hashtbl.replace tbl b.Msg.ip b | R_fault _ | R_mcast _ -> ())
-    (List.rev sh.sh_log)
-
-let shard_log_replays t = Array.map (fun sh -> sh.sh_replays) t.shards
+    (List.rev t.log)
 
 let jemit t u = match t.journal with None -> () | Some f -> f u
 
@@ -167,35 +139,20 @@ let switch_coords t id =
 
 let known_switches t = Hashtbl.fold (fun id _ acc -> id :: acc) t.switches []
 let fault_set t = Fault.Set.elements t.faults
-let fm_shards t = t.fm_shards
 let arp_generation t = t.arp_gen
+let binding_count t = Hashtbl.length t.bindings
+let pending_count t = Hashtbl.length t.pending
 
-let binding_count t =
-  let n = ref 0 in
-  for s = 0 to t.fm_shards - 1 do
-    n := !n + Hashtbl.length t.shards.(s).sh_bindings
-  done;
-  !n
+(* ---------------- serving index ---------------- *)
 
-let pending_count t =
-  let n = ref 0 in
-  for s = 0 to t.fm_shards - 1 do
-    n := !n + Hashtbl.length t.shards.(s).sh_pending
-  done;
-  !n
-
-let resolve t ip =
-  match Hashtbl.find_opt (shard_of t ip).sh_bindings ip with
-  | Some b -> Some b.Msg.pmac
-  | None -> None
-
-(* Serving index for batched resolution. A PMAC is 40 bits of payload
-   (pod < 256, position/port 8 bits, vmid 16), so a slot pair is the
-   key (ip+1, never 0 = empty) next to the packed PMAC in one flat int
-   array — a hit is one cache line instead of a bucket-chain walk, which
-   is what lets the sharded rows beat the monolithic Hashtbl at 10M
-   bindings. Fibonacci hashing scatters the pod-congruent IPs a shard
-   owns; capacity keeps load <= 3/4 so linear probes stay short. *)
+(* A flat open-addressed mirror of [bindings]. A PMAC is 40 bits of
+   payload (pod < 256, position/port 8 bits, vmid 16), so a slot pair is
+   the key (ip+1, never 0 = empty) next to the packed PMAC in one int
+   array — a hit is one cache line instead of a bucket-chain walk.
+   Fibonacci hashing scatters the IPs; capacity doubles whenever load
+   would pass 3/4, so linear probes stay short. Bindings are only ever
+   inserted or overwritten in place (a failover wipes the whole table and
+   rebuilds the index with it), so probes need no tombstones. *)
 let pmac_pack (p : Pmac.t) =
   (p.Pmac.pod lsl 32) lor (p.Pmac.position lsl 24) lor (p.Pmac.port lsl 16) lor p.Pmac.vmid
 
@@ -203,100 +160,67 @@ let pmac_unpack v =
   { Pmac.pod = v lsr 32; position = (v lsr 24) land 0xff; port = (v lsr 16) land 0xff;
     vmid = v land 0xffff }
 
-let serve_hash key mask = ((key * 0x2545F4914F6CDD1D) lsr 25) land mask
+let index_key ip = Ipv4_addr.to_int ip + 1
 
-let serve_rebuild sh =
-  let n = Hashtbl.length sh.sh_bindings in
+(* the slot holding [key], or the empty slot where it would go. The mask
+   keeps every probe in bounds, hence the unchecked reads. *)
+let index_slot slots key =
+  let mask = (Array.length slots lsr 1) - 1 in
+  let j = ref (((key * 0x2545F4914F6CDD1D) lsr 25) land mask) in
+  let slot = ref (Array.unsafe_get slots (2 * !j)) in
+  while !slot <> key && !slot <> 0 do
+    j := (!j + 1) land mask;
+    slot := Array.unsafe_get slots (2 * !j)
+  done;
+  !j
+
+let index_create n =
   let cap = ref 16 in
   while !cap * 3 < n * 4 do
     cap := !cap * 2
   done;
-  let mask = !cap - 1 in
-  let slots = Array.make (2 * !cap) 0 in
-  Hashtbl.iter
-    (fun ip b ->
-      let key = Ipv4_addr.to_int ip + 1 in
-      let j = ref (serve_hash key mask) in
-      while slots.(2 * !j) <> 0 do
-        j := (!j + 1) land mask
-      done;
-      slots.(2 * !j) <- key;
-      slots.((2 * !j) + 1) <- pmac_pack b.Msg.pmac)
-    sh.sh_bindings;
-  sh.sh_serve <- slots;
-  slots
+  Array.make (2 * !cap) 0
 
-(* Batched lookup: group the queries by owning shard first, then drain
-   shard by shard. One pass per shard keeps each shard's serving index
-   hot in cache across its whole slice of the batch — this is the access
-   pattern a real sharded FM would ship to its per-pod serving
-   processes, and what the 1M/10M-binding bench rows measure. *)
-let resolve_batch t ips =
-  let n = Array.length ips in
-  let out = Array.make n None in
-  if t.fm_shards = 1 then
-    for i = 0 to n - 1 do
-      out.(i) <- resolve t ips.(i)
-    done
+let rec index_set t key v =
+  let j = index_slot t.index key in
+  if t.index.(2 * j) <> 0 then t.index.((2 * j) + 1) <- v
+  else if (t.index_count + 1) * 4 > (Array.length t.index lsr 1) * 3 then begin
+    let old = t.index in
+    t.index <- Array.make (2 * Array.length old) 0;
+    t.index_count <- 0;
+    for i = 0 to (Array.length old lsr 1) - 1 do
+      if old.(2 * i) <> 0 then index_set t old.(2 * i) old.((2 * i) + 1)
+    done;
+    index_set t key v
+  end
   else begin
-    (* counting-sort the batch by owning shard, then drain shard-at-a-time
-       so consecutive lookups share one shard's table. The owning shard is
-       a byte (pods are 8-bit), computed once per query and parked in
-       [rb_shard]; [rb_idx]/[rb_counts] hold the grouped order. *)
-    if Array.length t.rb_idx < n then begin
-      t.rb_idx <- Array.make n 0;
-      t.rb_shard <- Bytes.create n
-    end;
-    if Array.length t.rb_counts < t.fm_shards + 1 then
-      t.rb_counts <- Array.make (t.fm_shards + 1) 0;
-    let idx = t.rb_idx and sh = t.rb_shard and counts = t.rb_counts in
-    Array.fill counts 0 (t.fm_shards + 1) 0;
-    for i = 0 to n - 1 do
-      let s = shard_index t (Array.unsafe_get ips i) in
-      Bytes.unsafe_set sh i (Char.unsafe_chr s);
-      counts.(s + 1) <- counts.(s + 1) + 1
-    done;
-    for s = 1 to t.fm_shards do
-      counts.(s) <- counts.(s) + counts.(s - 1)
-    done;
-    (* after this fill pass [counts.(s)] has advanced from the start to the
-       end of shard [s]'s slice of [idx] *)
-    for i = 0 to n - 1 do
-      let s = Char.code (Bytes.unsafe_get sh i) in
-      Array.unsafe_set idx counts.(s) i;
-      counts.(s) <- counts.(s) + 1
-    done;
-    let start = ref 0 in
-    for s = 0 to t.fm_shards - 1 do
-      let shd = t.shards.(s) in
-      let slots = if Array.length shd.sh_serve = 0 then serve_rebuild shd else shd.sh_serve in
-      let mask = (Array.length slots lsr 1) - 1 in
-      let stop = counts.(s) in
-      for jj = !start to stop - 1 do
-        let i = Array.unsafe_get idx jj in
-        let key = Ipv4_addr.to_int (Array.unsafe_get ips i) + 1 in
-        let j = ref (serve_hash key mask) in
-        let slot = ref (Array.unsafe_get slots (2 * !j)) in
-        while !slot <> key && !slot <> 0 do
-          j := (!j + 1) land mask;
-          slot := Array.unsafe_get slots (2 * !j)
-        done;
-        if !slot = key then
-          Array.unsafe_set out i (Some (pmac_unpack (Array.unsafe_get slots ((2 * !j) + 1))))
-      done;
-      start := stop
-    done
-  end;
-  out
+    t.index.(2 * j) <- key;
+    t.index.((2 * j) + 1) <- v;
+    t.index_count <- t.index_count + 1
+  end
 
-let lookup_binding t ip = Hashtbl.find_opt (shard_of t ip).sh_bindings ip
+let index_rebuild t =
+  t.index <- index_create (Hashtbl.length t.bindings);
+  t.index_count <- 0;
+  Hashtbl.iter (fun ip b -> index_set t (index_key ip) (pmac_pack b.Msg.pmac)) t.bindings
 
-let insert_binding_for_test t (b : Msg.host_binding) =
-  let sh = shard_of t b.Msg.ip in
-  Hashtbl.replace sh.sh_bindings b.Msg.ip b;
-  sh.sh_serve <- [||];
-  log_entry sh (R_bind b);
+let resolve t ip =
+  let key = index_key ip in
+  let j = index_slot t.index key in
+  if Array.unsafe_get t.index (2 * j) = key then
+    Some (pmac_unpack (Array.unsafe_get t.index ((2 * j) + 1)))
+  else None
+
+let lookup_binding t ip = Hashtbl.find_opt t.bindings ip
+
+(* every binding write: record, serving index, replication log, journal *)
+let write_binding t (b : Msg.host_binding) =
+  Hashtbl.replace t.bindings b.Msg.ip b;
+  index_set t (index_key b.Msg.ip) (pmac_pack b.Msg.pmac);
+  log_entry t (R_bind b);
   jemit t (Journal.Binding { ip = b.Msg.ip })
+
+let insert_binding_for_test = write_binding
 
 let group_core t group =
   match Hashtbl.find_opt t.groups group with
@@ -309,10 +233,7 @@ let get_sw t id =
   match Hashtbl.find_opt t.switches id with
   | Some sw -> sw
   | None ->
-    let sw =
-      { sw_id = id; level = None; neighbors = []; host_ports = []; coords = None;
-        owning_shard = None }
-    in
+    let sw = { sw_id = id; level = None; neighbors = []; host_ports = []; coords = None } in
     Hashtbl.replace t.switches id sw;
     sw
 
@@ -945,11 +866,7 @@ let broadcast_faults t =
     (Fault.Set.cardinal t.faults);
   Ctrl.broadcast_to_switches t.ctrl (Msg.Fault_update { faults = Fault.Set.elements t.faults })
 
-(* The fault matrix row of pod p is owned by shard [p mod fm_shards]:
-   every delta is logged there, so a failed-over shard can rebuild its
-   rows (the canonical [Fault.Set] stays whole for dissemination). *)
-let log_fault t fault active =
-  log_entry t.shards.(Fault.pod_of fault mod t.fm_shards) (R_fault { fault; active })
+let log_fault t fault active = log_entry t (R_fault { fault; active })
 
 let on_fault_notice t ~switch_id ~neighbor =
   t.c.m_fault_notices <- t.c.m_fault_notices + 1;
@@ -988,7 +905,7 @@ let on_recovery_notice t ~switch_id ~neighbor =
    ordinary discovery path places it from scratch. *)
 let on_coords_request t ~switch_id =
   match Hashtbl.find_opt t.switches switch_id with
-  | Some ({ coords = Some c; _ } as swi) ->
+  | Some { coords = Some c; _ } ->
     tracef t Eventsim.Trace.Info "switch %d rebooted; replaying state for %a" switch_id Coords.pp
       c;
     Ctrl.send_to_switch t.ctrl switch_id (Msg.Assign_coords c);
@@ -996,22 +913,15 @@ let on_coords_request t ~switch_id =
       (Msg.Fault_update { faults = Fault.Set.elements t.faults });
     (match c with
      | Coords.Edge _ ->
-       (* shard-scoped resync: all of a rebooted edge's bindings live on
-          the one shard its announced IPs hashed to, so replay only that
-          shard's replication log — foreign shards are never read. A
-          switch that never announced a host has nothing to restore. *)
+       (* the live bindings at this edge, in IP order; a host that
+          migrated away is bound elsewhere now and is not restored here *)
        let bindings =
-         match swi.owning_shard with
-         | None -> []
-         | Some s ->
-           let tbl = Hashtbl.create 32 in
-           replay_bindings t.shards.(s) tbl;
-           Hashtbl.fold
-             (fun _ (b : Msg.host_binding) acc ->
-               if b.Msg.edge_switch = switch_id then b :: acc else acc)
-             tbl []
-           |> List.sort (fun (a : Msg.host_binding) b ->
-                  int_compare (Ipv4_addr.to_int a.Msg.ip) (Ipv4_addr.to_int b.Msg.ip))
+         Hashtbl.fold
+           (fun _ (b : Msg.host_binding) acc ->
+             if b.Msg.edge_switch = switch_id then b :: acc else acc)
+           t.bindings []
+         |> List.sort (fun (a : Msg.host_binding) b ->
+                int_compare (Ipv4_addr.to_int a.Msg.ip) (Ipv4_addr.to_int b.Msg.ip))
        in
        if bindings <> [] then
          Ctrl.send_to_switch t.ctrl switch_id (Msg.Host_restore { bindings })
@@ -1042,13 +952,12 @@ let on_arp_query t ~from_sw ~requester_ip ~requester_pmac ~requester_port ~targe
     | None ->
       t.c.m_arp_misses <- t.c.m_arp_misses + 1;
       let entry = { from_sw; requester_ip; requester_port } in
-      let sh = shard_of t target_ip in
-      let waiting = try Hashtbl.find sh.sh_pending target_ip with Not_found -> [] in
+      let waiting = try Hashtbl.find t.pending target_ip with Not_found -> [] in
       (* a host retrying the same unresolved target re-misses here: keep
          one pending entry per (switch, requester, port) or the eventual
          announce would multiply the replies *)
       if not (List.mem entry waiting) then
-        Hashtbl.replace sh.sh_pending target_ip (entry :: waiting);
+        Hashtbl.replace t.pending target_ip (entry :: waiting);
       (* broadcast fallback: every edge switch re-emits the query on its
          host ports *)
       List.iter
@@ -1066,28 +975,23 @@ let on_arp_query t ~from_sw ~requester_ip ~requester_pmac ~requester_port ~targe
    requesting host's retry/backoff path re-resolves once the fabric
    heals. Fired from the control network when a switch unregisters. *)
 let on_switch_unregistered t switch_id =
-  for s = 0 to t.fm_shards - 1 do
-    let sh = t.shards.(s) in
-    let stale =
-      Hashtbl.fold
-        (fun ip waiting acc ->
-          if List.exists (fun w -> w.from_sw = switch_id) waiting then (ip, waiting) :: acc
-          else acc)
-        sh.sh_pending []
-    in
-    List.iter
-      (fun (ip, waiting) ->
-        let keep, drop = List.partition (fun w -> w.from_sw <> switch_id) waiting in
-        t.c.m_pending_dropped <- t.c.m_pending_dropped + List.length drop;
-        if keep = [] then Hashtbl.remove sh.sh_pending ip
-        else Hashtbl.replace sh.sh_pending ip keep)
-      stale
-  done
+  let stale =
+    Hashtbl.fold
+      (fun ip waiting acc ->
+        if List.exists (fun w -> w.from_sw = switch_id) waiting then (ip, waiting) :: acc
+        else acc)
+      t.pending []
+  in
+  List.iter
+    (fun (ip, waiting) ->
+      let keep, drop = List.partition (fun w -> w.from_sw <> switch_id) waiting in
+      t.c.m_pending_dropped <- t.c.m_pending_dropped + List.length drop;
+      if keep = [] then Hashtbl.remove t.pending ip else Hashtbl.replace t.pending ip keep)
+    stale
 
 let on_host_announce t (b : Msg.host_binding) =
   t.c.m_host_announces <- t.c.m_host_announces + 1;
-  let sh = shard_of t b.Msg.ip in
-  (match Hashtbl.find_opt sh.sh_bindings b.Msg.ip with
+  (match Hashtbl.find_opt t.bindings b.Msg.ip with
    | Some old when not (Pmac.equal old.Msg.pmac b.Msg.pmac) ->
      (* the IP moved: a VM migration (or host re-plug). Invalidate at the
         previous edge switch so stale senders are corrected, and advance
@@ -1101,21 +1005,13 @@ let on_host_announce t (b : Msg.host_binding) =
      t.arp_gen <- t.arp_gen + 1;
      Ctrl.broadcast_to_switches t.ctrl (Msg.Arp_gen { gen = t.arp_gen })
    | Some _ | None -> ());
-  Hashtbl.replace sh.sh_bindings b.Msg.ip b;
-  sh.sh_serve <- [||];
-  log_entry sh (R_bind b);
-  (* remember which shard holds this edge's bindings, for shard-scoped
-     resync on reboot (host IPs of one edge all share its pod) *)
-  (match Hashtbl.find_opt t.switches b.Msg.edge_switch with
-   | Some swi -> swi.owning_shard <- Some (shard_index t b.Msg.ip)
-   | None -> ());
-  jemit t (Journal.Binding { ip = b.Msg.ip });
+  write_binding t b;
   (* answer anyone who was waiting on this mapping — except switches that
      died while the resolution was in flight *)
-  match Hashtbl.find_opt sh.sh_pending b.Msg.ip with
+  match Hashtbl.find_opt t.pending b.Msg.ip with
   | None -> ()
   | Some waiting ->
-    Hashtbl.remove sh.sh_pending b.Msg.ip;
+    Hashtbl.remove t.pending b.Msg.ip;
     List.iter
       (fun w ->
         if Ctrl.has_switch t.ctrl w.from_sw then
@@ -1152,7 +1048,7 @@ let handle t ~from:_ (msg : Msg.to_fm) =
         ports
     in
     Hashtbl.replace ports port ();
-    log_entry (core_shard t) (R_mcast { group; switch = switch_id; port; join = true });
+    log_entry t (R_mcast { group; switch = switch_id; port; join = true });
     recompute_group t group
   | Msg.Reclaim_coords { switch_id; coords } -> on_reclaim t ~switch_id coords
   | Msg.Coords_request { switch_id } -> on_coords_request t ~switch_id
@@ -1163,10 +1059,10 @@ let handle t ~from:_ (msg : Msg.to_fm) =
        Hashtbl.remove ports port;
        if Hashtbl.length ports = 0 then Hashtbl.remove g.receivers switch_id
      | None -> ());
-    log_entry (core_shard t) (R_mcast { group; switch = switch_id; port; join = false });
+    log_entry t (R_mcast { group; switch = switch_id; port; join = false });
     recompute_group t group
 
-(* ---------------- shard failover & integrity ---------------- *)
+(* ---------------- failover & integrity ---------------- *)
 
 let fnv1a_str h s =
   String.fold_left
@@ -1178,23 +1074,23 @@ let render_binding (b : Msg.host_binding) =
     (Mac_addr.to_int (Pmac.to_mac b.Msg.pmac))
     b.Msg.edge_switch
 
-let shard_binding_digest sh =
-  let rows = Hashtbl.fold (fun _ b acc -> render_binding b :: acc) sh.sh_bindings [] in
+let binding_digest t =
+  let rows = Hashtbl.fold (fun _ b acc -> render_binding b :: acc) t.bindings [] in
   Printf.sprintf "%016x"
     (* FNV offset basis truncated to 62 bits, as elsewhere in the repo *)
     (List.fold_left fnv1a_str 0x3bf29ce484222325 (List.sort compare rows))
 
-let replay_faults sh =
+let replay_faults t =
   let tbl = Hashtbl.create 16 in
   List.iter
     (function
       | R_fault { fault; active } ->
         if active then Hashtbl.replace tbl fault () else Hashtbl.remove tbl fault
       | R_bind _ | R_mcast _ -> ())
-    (List.rev sh.sh_log);
+    (List.rev t.log);
   Hashtbl.fold (fun f () acc -> f :: acc) tbl [] |> List.sort compare
 
-let replay_mcast sh =
+let replay_mcast t =
   let tbl = Hashtbl.create 16 in
   List.iter
     (function
@@ -1202,7 +1098,7 @@ let replay_mcast sh =
         let key = (Ipv4_addr.to_int group, switch, port) in
         if join then Hashtbl.replace tbl key () else Hashtbl.remove tbl key
       | R_bind _ | R_fault _ -> ())
-    (List.rev sh.sh_log);
+    (List.rev t.log);
   Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
 
 let live_mcast t =
@@ -1215,86 +1111,71 @@ let live_mcast t =
     t.groups []
   |> List.sort compare
 
-(* Cross-shard consistency, checked both directions: every live binding
-   sits on (and only on) its owning shard and is reproduced by that
-   shard's log; every logged final state is live. Also run by the mc
-   invariant pack and the chaos quiescent checks. *)
-let shard_integrity t =
+(* Every check runs both directions: the log replays to exactly the live
+   bindings, fault matrix and multicast membership, and the serving index
+   holds exactly the live bindings' PMACs. Also run by the mc invariant
+   pack and the chaos quiescent checks. *)
+let integrity t =
   let violations = ref [] in
   let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  for s = 0 to t.fm_shards - 1 do
-    let sh = t.shards.(s) in
-    Hashtbl.iter
-      (fun ip (b : Msg.host_binding) ->
-        if shard_index t ip <> s then
-          bad "fm-shard %d holds binding %s owned by shard %d" s
-            (Ipv4_addr.to_string ip) (shard_index t ip);
-        match lookup_binding t ip with
-        | Some b' when b' = b -> ()
-        | Some _ -> bad "sharded lookup disagrees with shard %d for %s" s (Ipv4_addr.to_string ip)
-        | None -> bad "sharded lookup misses %s held by shard %d" (Ipv4_addr.to_string ip) s)
-      sh.sh_bindings;
-    (* the replication log must reproduce the live table, both ways *)
-    let rebuilt = Hashtbl.create (Hashtbl.length sh.sh_bindings) in
-    replay_bindings sh rebuilt;
-    Hashtbl.iter
-      (fun ip b ->
-        match Hashtbl.find_opt sh.sh_bindings ip with
-        | Some b' when b' = b -> ()
-        | Some _ -> bad "shard %d: log and live binding differ for %s" s (Ipv4_addr.to_string ip)
-        | None -> bad "shard %d: log has binding %s absent live" s (Ipv4_addr.to_string ip))
-      rebuilt;
-    Hashtbl.iter
-      (fun ip _ ->
-        if not (Hashtbl.mem rebuilt ip) then
-          bad "shard %d: live binding %s absent from log" s (Ipv4_addr.to_string ip))
-      sh.sh_bindings;
-    (* fault rows owned by this shard match the canonical matrix *)
-    let expected = replay_faults sh in
-    let actual =
-      List.filter (fun f -> Fault.pod_of f mod t.fm_shards = s) (Fault.Set.elements t.faults)
-      |> List.sort compare
-    in
-    if expected <> actual then
-      bad "shard %d: fault rows diverge (log %d, live %d)" s (List.length expected)
-        (List.length actual)
+  let ip_s = Ipv4_addr.to_string in
+  let rebuilt = Hashtbl.create (Hashtbl.length t.bindings) in
+  replay_bindings t rebuilt;
+  Hashtbl.iter
+    (fun ip b ->
+      match Hashtbl.find_opt t.bindings ip with
+      | Some b' when b' = b -> ()
+      | Some _ -> bad "log and live binding differ for %s" (ip_s ip)
+      | None -> bad "log has binding %s absent live" (ip_s ip))
+    rebuilt;
+  Hashtbl.iter
+    (fun ip (b : Msg.host_binding) ->
+      if not (Hashtbl.mem rebuilt ip) then bad "live binding %s absent from log" (ip_s ip);
+      match resolve t ip with
+      | Some p when Pmac.equal p b.Msg.pmac -> ()
+      | Some _ -> bad "serving index disagrees with the binding for %s" (ip_s ip)
+      | None -> bad "serving index misses binding %s" (ip_s ip))
+    t.bindings;
+  for j = 0 to (Array.length t.index lsr 1) - 1 do
+    let key = t.index.(2 * j) in
+    if key <> 0 then begin
+      let ip = Ipv4_addr.of_int (key - 1) in
+      if not (Hashtbl.mem t.bindings ip) then
+        bad "serving index holds %s absent from the bindings" (ip_s ip)
+    end
   done;
-  (* multicast membership is owned by the core shard *)
-  if replay_mcast (core_shard t) <> live_mcast t then
-    bad "core shard: multicast membership log diverges from live groups";
+  let expected = replay_faults t and actual = List.sort compare (Fault.Set.elements t.faults) in
+  if expected <> actual then
+    bad "fault rows diverge (log %d, live %d)" (List.length expected) (List.length actual);
+  if replay_mcast t <> live_mcast t then bad "multicast membership log diverges from live groups";
   List.rev !violations
 
-(* First-class shard failover: the shard loses its RAM. Pending ARPs
-   referencing the failed pod are dropped (the host retry path recovers
-   them); bindings are wiped and rebuilt from the replication log; the
-   rebuilt state is checkpointed against the pre-failure digest and the
-   cross-shard integrity pack. Returns true iff the rebuild verified.
-   Keyed by pod — not shard index — so chaos plans mean the same thing
-   for every fm_shards count. *)
-let failover_shard t ~pod =
+(* Failover: the binding store loses its RAM. Pending ARPs for the
+   failed pod's IPs are dropped (the host retry path recovers them); the
+   bindings are wiped and rebuilt from the replication log, the serving
+   index with them; the rebuilt state is checkpointed against the
+   pre-failure digest and the integrity pack. Returns true iff the
+   rebuild verified. *)
+let failover t ~pod =
   t.c.m_shard_failovers <- t.c.m_shard_failovers + 1;
-  let s = pod mod t.fm_shards in
-  let sh = t.shards.(s) in
-  tracef t Eventsim.Trace.Warn "fm shard %d (pod %d) failing over: rebuilding from log" s pod;
+  tracef t Eventsim.Trace.Warn "fm failover (pod %d): rebuilding bindings from log" pod;
   let stale =
-    Hashtbl.fold
-      (fun ip w acc -> if pod_of_ip ip = pod then (ip, w) :: acc else acc)
-      sh.sh_pending []
+    Hashtbl.fold (fun ip w acc -> if pod_of_ip ip = pod then (ip, w) :: acc else acc) t.pending []
   in
   List.iter
     (fun (ip, w) ->
       t.c.m_pending_dropped <- t.c.m_pending_dropped + List.length w;
-      Hashtbl.remove sh.sh_pending ip)
+      Hashtbl.remove t.pending ip)
     stale;
-  let before = shard_binding_digest sh in
-  Hashtbl.reset sh.sh_bindings;
-  replay_bindings sh sh.sh_bindings;
-  sh.sh_serve <- [||];
-  let after = shard_binding_digest sh in
+  let before = binding_digest t in
+  Hashtbl.reset t.bindings;
+  replay_bindings t t.bindings;
+  index_rebuild t;
+  let after = binding_digest t in
   jemit t (Journal.Fm_shard_failover { pod });
-  before = after && shard_integrity t = []
+  before = after && integrity t = []
 
-let create ?(obs = Obs.null) ?(fm_shards = 1) engine config ctrl ~spec =
+let create ?(obs = Obs.null) engine config ctrl ~spec =
   let t =
     { engine; config; ctrl; obs;
       m_ctrl_msgs = Obs.counter obs ~subsystem:"fm" ~name:"ctrl_msgs" ();
@@ -1308,28 +1189,21 @@ let create ?(obs = Obs.null) ?(fm_shards = 1) engine config ctrl ~spec =
       next_stripe = 0;
       positions = Hashtbl.create 16;
       members = Hashtbl.create 16;
-      fm_shards;
-      shards =
-        Array.init (fm_shards + 1) (fun _ ->
-            { sh_bindings = Hashtbl.create 1024;
-              sh_pending = Hashtbl.create 16;
-              sh_log = [];
-              sh_replays = 0;
-              sh_serve = [||] });
+      bindings = Hashtbl.create 1024;
+      pending = Hashtbl.create 16;
+      log = [];
+      index = index_create 0;
+      index_count = 0;
       arp_gen = 0;
       faults = Fault.Set.create ();
       groups = Hashtbl.create 16;
       tree_gen = 0;
       journal = None;
-      rb_idx = [||];
-      rb_shard = Bytes.empty;
-      rb_counts = [||];
       c =
         { m_arp_queries = 0; m_arp_hits = 0; m_arp_misses = 0; m_host_announces = 0;
           m_migrations = 0; m_fault_notices = 0; m_fault_broadcasts = 0; m_mcast_recomputes = 0;
           m_reports = 0; m_pending_dropped = 0; m_shard_failovers = 0 } }
   in
-  if fm_shards < 1 then invalid_arg "Fabric_manager.create: fm_shards must be >= 1";
   Obs.add_probe obs ~name:"fm" (fun () ->
       let c name v = Obs.sample ~subsystem:"fm" ~name (Obs.Count v) in
       let g name v = Obs.sample ~subsystem:"fm" ~name (Obs.Value (float_of_int v)) in
@@ -1348,7 +1222,6 @@ let create ?(obs = Obs.null) ?(fm_shards = 1) engine config ctrl ~spec =
         g "known_switches" (Hashtbl.length t.switches);
         g "faults" (Fault.Set.cardinal t.faults);
         g "pending_arps" (pending_count t);
-        g "fm_shards" t.fm_shards;
         g "arp_gen" t.arp_gen ]);
   Ctrl.register_fm ctrl (fun ~from msg -> handle t ~from msg);
   Ctrl.set_unregister_hook ctrl (fun switch_id -> on_switch_unregistered t switch_id);

@@ -24,16 +24,13 @@
       programs per-switch port sets, recomputing on membership or fault
       changes.
 
-    {b Sharding.} Soft state is partitioned across [fm_shards] pod
-    shards plus one core shard: shard [p mod fm_shards] owns the
-    bindings and pending ARPs of pod [p]'s hosts and pod [p]'s
-    fault-matrix rows; the core shard owns multicast membership. Every
-    durable write is appended to the owning shard's replication log, so
-    {!failover_shard} can wipe a shard and rebuild it deterministically
-    — checked against a pre-failure digest and the {!shard_integrity}
-    pack. Sharding is a pure partition of the same state machine:
-    observable behavior (and chaos/mc output) is byte-identical for
-    every shard count.
+    {b State layout.} One binding table (the records behind
+    {!lookup_binding}), one pending-ARP table, one replication log and
+    one flat serving index that {!resolve} reads. Every binding write
+    updates the index in place. Every durable write (bindings, fault
+    deltas, multicast membership) is appended to the replication log, so
+    {!failover} can wipe the bindings and rebuild them deterministically
+    — checked against a pre-failure digest and the {!integrity} pack.
 
     {b ARP generations.} Every VM migration advances a fabric-wide ARP
     generation, broadcast to all switches and stamped on every ARP
@@ -60,13 +57,13 @@ type counters = {
           fault set) since the tree was last built. *)
   reports : int;
   pending_dropped : int;
-      (** pending ARP entries discarded because the asking switch died,
-          cold-rebooted, or its pod's shard failed over *)
-  shard_failovers : int;
+      (** pending ARP entries discarded because the asking switch died or
+          cold-rebooted, or a {!failover} dropped the target pod's waiters *)
+  shard_failovers : int;  (** {!failover} calls *)
 }
 
 val create :
-  ?obs:Obs.t -> ?fm_shards:int -> Eventsim.Engine.t -> Config.t -> Ctrl.t ->
+  ?obs:Obs.t -> Eventsim.Engine.t -> Config.t -> Ctrl.t ->
   spec:Topology.Multirooted.spec -> t
 (** Registers itself as the control network's fabric manager. Significant
     events (coordinate grants, fault-matrix changes, migrations,
@@ -87,57 +84,42 @@ val fault_set : t -> Fault.t list
 val binding_count : t -> int
 
 val pending_count : t -> int
-(** Distinct target IPs with queued ARP waiters, across all shards. *)
-
-val fm_shards : t -> int
-(** Number of pod shards the soft state is partitioned into (>= 1). *)
+(** Distinct target IPs with queued ARP waiters. *)
 
 val arp_generation : t -> int
 (** Current ARP generation; advances on every migration. *)
 
-val failover_shard : t -> pod:int -> bool
-(** Fail over the shard owning [pod]: drop the pod's pending ARPs
-    (counted in [pending_dropped]), wipe the shard's bindings and
-    rebuild them from its replication log, then verify the rebuild —
-    digest equality with the pre-failure state plus the full
-    {!shard_integrity} pack. [true] iff the rebuilt state verified.
-    Keyed by pod so a chaos plan means the same thing under every
-    [fm_shards] count. *)
+val failover : t -> pod:int -> bool
+(** Fail over the binding store: drop the pending ARPs for [pod]'s IPs
+    (counted in [pending_dropped]), wipe the bindings and rebuild them
+    and the serving index from the replication log, then verify the
+    rebuild — digest equality with the pre-failure state plus the full
+    {!integrity} pack. [true] iff the rebuilt state verified. *)
 
-val shard_log_replays : t -> int array
-(** How many times each shard's replication log has been replayed
-    (pod shards first, core shard last) — by {!failover_shard}, by
-    {!shard_integrity}, and by the shard-scoped resync that restores a
-    rebooted edge switch's host bindings. The resync test asserts the
-    last touches {e only} the rebooted switch's owning shard. *)
-
-val shard_integrity : t -> string list
-(** Cross-shard binding agreement, both directions: every binding lives
-    on exactly its owning shard and the sharded lookup finds it; every
-    shard's replication log replays to exactly its live table; fault
-    rows and multicast membership match their owners' logs. Empty iff
-    consistent. Run by the mc invariant pack and chaos quiescent
-    checks. *)
+val integrity : t -> string list
+(** Replication-log and serving-index agreement, both directions: the
+    log replays to exactly the live bindings, fault matrix and multicast
+    membership; the serving index holds exactly the live bindings'
+    PMACs. Empty iff consistent. Run by the mc invariant pack and chaos
+    quiescent checks. *)
 
 (** {1 Direct access, used by benchmarks and tests}
 
     These bypass the control network and engine. *)
 
 val resolve : t -> Netcore.Ipv4_addr.t -> Pmac.t option
-(** The lookup at the heart of proxy ARP — benchmarked to reproduce the
-    paper's fabric-manager CPU-requirements figure. *)
-
-val resolve_batch : t -> Netcore.Ipv4_addr.t array -> Pmac.t option array
-(** Batched {!resolve}: queries are grouped by owning shard and served
-    shard-at-a-time from a flat read-optimized serving index (rebuilt
-    lazily after binding writes), the access pattern of a sharded ARP
-    service. The 1M/10M-binding bench rows measure this path, sharded
-    vs monolithic. Agrees with {!resolve} on every input. *)
+(** The lookup at the heart of proxy ARP, served from the flat serving
+    index: a linear-probe table of (IP, packed PMAC) slot pairs, so a hit
+    reads one cache line — benchmarked to reproduce the paper's
+    fabric-manager CPU-requirements figure. Agrees with the PMAC of
+    {!lookup_binding} on every input. *)
 
 val lookup_binding : t -> Netcore.Ipv4_addr.t -> Msg.host_binding option
+(** The full binding record, from the binding table. *)
 
 val insert_binding_for_test : t -> Msg.host_binding -> unit
-(** Pre-populate the IP table without a network (benchmark setup). *)
+(** Pre-populate the binding table (and so the serving index) without a
+    network (benchmark setup). *)
 
 val group_core : t -> Netcore.Ipv4_addr.t -> int option
 (** Core switch currently serving a multicast group, if programmed. *)

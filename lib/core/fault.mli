@@ -23,9 +23,7 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val pod_of : t -> int
-(** The pod a fault is keyed under — every fault variant carries one.
-    This is the FM's sharding key for fault-matrix rows (see
-    {!Fabric_manager}). *)
+(** The pod a fault is keyed under — every fault variant carries one. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -35,9 +35,10 @@ type update =
       (** The fabric manager was replaced wholesale; all soft state —
           bindings, fault matrix, coordinate grants — is rebuilding. *)
   | Fm_shard_failover of { pod : int }
-      (** The FM shard owning [pod] was wiped and rebuilt from its
-          replication log. The rebuild is digest-checked to be
-          state-identical, so no dataplane re-verification is needed —
+      (** The FM's bindings were wiped and rebuilt from its replication
+          log, dropping [pod]'s pending ARPs. The rebuild is
+          digest-checked to be state-identical, so no dataplane
+          re-verification is needed —
           the record exists for observability and campaign reports. *)
 
 type hook = update -> unit

@@ -94,7 +94,7 @@ val arp_cache_entries : t -> (Netcore.Ipv4_addr.t * Pmac.t * int) list
     has seen, or past their expiry, are excluded: the next request for
     them re-resolves through the fabric manager. Post-convergence every
     servable entry must agree with the fabric manager's binding table
-    (asserted by the model checker's cross-shard invariant pack). *)
+    (asserted by the model checker's binding-agreement invariants). *)
 
 val arp_gen_seen : t -> int
 (** The newest fabric-wide ARP generation this switch has observed (from

@@ -41,10 +41,6 @@ type params = {
   quantum : Time.t;
   prune : bool;
   corrupt : corruption option;
-  fm_shards : int;
-      (* FM shard count used at fabric construction; excluded from replay
-         tokens because every observable behaviour is identical across
-         shard counts (the cross-shard pack below asserts exactly that) *)
 }
 
 let default_params =
@@ -57,8 +53,7 @@ let default_params =
     delay_budget = 10;
     quantum = Time.us 2;
     prune = true;
-    corrupt = None;
-    fm_shards = 1 }
+    corrupt = None }
 
 let family_of p =
   match Topology.Topo.Family.of_string ~k:p.k p.topo with
@@ -83,11 +78,11 @@ type cache = {
   c_tbl : (string, string list) Hashtbl.t;
   mutable c_hits : int;
   mutable c_equiv_checks : int;
-  mutable c_cross_shard : int;
+  mutable c_binding_checks : int;
 }
 
 let create_cache () =
-  { c_tbl = Hashtbl.create 256; c_hits = 0; c_equiv_checks = 0; c_cross_shard = 0 }
+  { c_tbl = Hashtbl.create 256; c_hits = 0; c_equiv_checks = 0; c_binding_checks = 0 }
 
 (* How many realized deliveries identify an interleaving. Deliveries past
    the cap cannot distinguish two runs — the cap is reported, never
@@ -198,32 +193,32 @@ let check_invariants_counted ?settle fab =
            add "FM binds %a at edge %d, but that switch has no local entry"
              Netcore.Ipv4_addr.pp ip fb.Portland.Msg.edge_switch))
     (F.hosts fab);
-  (* 2b. cross-shard agreement, both directions: the FM's pod-sharded
-     binding store must be internally consistent (replaying each shard's
-     replication log reproduces its live state), and every live
-     generation-stamped edge ARP-cache entry must agree with the shard
-     that owns its IP — while no edge may have seen an ARP generation the
-     FM never issued. Runs (and holds) for every [fm_shards] count. *)
-  let cross_shard = ref 1 in
-  List.iter (fun s -> add "shard integrity: %s" s) (FM.shard_integrity fm);
+  (* 2b. binding agreement, both directions: the FM's binding store must
+     be internally consistent (its replication log replays to its live
+     state, its serving index mirrors its bindings), and every live
+     generation-stamped edge ARP-cache entry must agree with the FM's
+     binding for its IP — while no edge may have seen an ARP generation
+     the FM never issued. *)
+  let binding_checks = ref 1 in
+  List.iter (fun s -> add "fm integrity: %s" s) (FM.integrity fm);
   let fm_gen = FM.arp_generation fm in
   List.iter
     (fun a ->
-      incr cross_shard;
+      incr binding_checks;
       if SA.arp_gen_seen a > fm_gen then
         add "edge %d saw ARP generation %d but the FM only issued up to %d"
           (SA.switch_id a) (SA.arp_gen_seen a) fm_gen;
       List.iter
         (fun (ip, pmac, gen) ->
-          incr cross_shard;
+          incr binding_checks;
           match FM.lookup_binding fm ip with
           | Some b when Portland.Pmac.equal b.Portland.Msg.pmac pmac -> ()
           | Some b ->
-            add "edge %d ARP-caches %a -> %a (gen %d) but the owning shard binds %a"
+            add "edge %d ARP-caches %a -> %a (gen %d) but the FM binds %a"
               (SA.switch_id a) Netcore.Ipv4_addr.pp ip Portland.Pmac.pp pmac gen
               Portland.Pmac.pp b.Portland.Msg.pmac
           | None ->
-            add "edge %d ARP-caches %a -> %a (gen %d) but no shard binds that IP"
+            add "edge %d ARP-caches %a -> %a (gen %d) but the FM binds nothing there"
               (SA.switch_id a) Netcore.Ipv4_addr.pp ip Portland.Pmac.pp pmac gen)
         (SA.arp_cache_entries a))
     agents;
@@ -258,7 +253,7 @@ let check_invariants_counted ?settle fab =
      and this proves the skip lost no update *)
   if not (FM.broadcast_current (F.fabric_manager fab)) then
     add "broadcast tree stale: recomputing it would reprogram switches";
-  (List.rev !violations, !cross_shard)
+  (List.rev !violations, !binding_checks)
 
 let check_invariants ?settle fab = fst (check_invariants_counted ?settle fab)
 
@@ -305,7 +300,7 @@ let run_schedule ?cache p sched =
        instead of synchronously inside create *)
     F.create
       (F.Config.of_family ~seed:p.seed ~boot_jitter:(Time.ns 1) ~obs:Obs.null
-         ~fm_shards:p.fm_shards (family_of p))
+         (family_of p))
   in
   let eng = F.engine fab in
   Switchfab.Net.set_delivery_tagger (F.net fab)
@@ -404,8 +399,8 @@ let run_schedule ?cache p sched =
            c.c_hits <- c.c_hits + 1;
            vs
          | None ->
-           let vs, n_cross = check_invariants_counted fab in
-           c.c_cross_shard <- c.c_cross_shard + n_cross;
+           let vs, n_binding = check_invariants_counted fab in
+           c.c_binding_checks <- c.c_binding_checks + n_binding;
            (* on every cache miss, prove the differential guarantee at
               this quiescent point before trusting the digest as a key *)
            c.c_equiv_checks <- c.c_equiv_checks + 1;
@@ -516,7 +511,7 @@ module Token = struct
     else
       Ok
         ( { k; topo; seed; scenario; depth; max_step; delay_budget; quantum;
-            prune = true; corrupt; fm_shards = 1 },
+            prune = true; corrupt },
           sched )
   in
   match String.split_on_char ':' s with
@@ -614,7 +609,7 @@ type report = {
   rep_violating : int;
   rep_digest_hits : int;
   rep_equiv_checks : int;
-  rep_cross_shard_checks : int;
+  rep_binding_checks : int;
   rep_counterexample : counterexample option;
 }
 
@@ -692,7 +687,7 @@ let explore p =
     rep_violating = !violating;
     rep_digest_hits = cache.c_hits;
     rep_equiv_checks = cache.c_equiv_checks;
-    rep_cross_shard_checks = cache.c_cross_shard;
+    rep_binding_checks = cache.c_binding_checks;
     rep_counterexample = cx }
 
 let report_ok r = r.rep_schedules_run > 0 && r.rep_violating = 0
@@ -713,7 +708,6 @@ let report_to_json r =
             ("quantum_ns", Int p.quantum);
             ("prune", Bool p.prune);
             ("corrupt", Str (corruption_to_string p.corrupt));
-            ("fm_shards", Int p.fm_shards);
             ("schedules_run", Int r.rep_schedules_run);
             ("distinct_interleavings", Int r.rep_interleavings);
             ("pruned_delays", Int r.rep_pruned);
@@ -722,7 +716,7 @@ let report_to_json r =
             ("violating_schedules", Int r.rep_violating);
             ("digest_hits", Int r.rep_digest_hits);
             ("equiv_checks", Int r.rep_equiv_checks);
-            ("cross_shard_checks", Int r.rep_cross_shard_checks);
+            ("binding_checks", Int r.rep_binding_checks);
             ( "counterexample",
               match r.rep_counterexample with
               | None -> Null

@@ -78,16 +78,11 @@ type params = {
   quantum : Eventsim.Time.t;  (** ns per delay step *)
   prune : bool;        (** sleep-set-style pruning (off = plain product) *)
   corrupt : corruption option;
-  fm_shards : int;
-      (** fabric-manager shard count at construction. A pure state-layout
-          choice: every observable behaviour is identical across counts,
-          which the cross-shard invariant pack asserts on every schedule.
-          Excluded from replay tokens for the same reason. *)
 }
 
 val default_params : params
 (** k=2, seed=42, Boot, depth=6, max_step=3, budget=10, quantum=2 us,
-    pruning on, no corruption, [fm_shards = 1]. The quantum is deliberately of the same
+    pruning on, no corruption. The quantum is deliberately of the same
     order as the boot burst's inter-delivery spacing (~1.6 us at k=2), so
     successive delay steps realize genuinely different orders instead of
     all hopping past the whole burst. *)
@@ -128,10 +123,10 @@ val run_schedule : ?cache:cache -> params -> schedule -> run_result
 
 val check_invariants : ?settle:Eventsim.Time.t -> Portland.Fabric.t -> string list
 (** The invariant pack alone, against an already-quiescent fabric:
-    coordinate uniqueness, FM↔edge binding agreement, cross-shard
-    agreement in both directions ({!Portland.Fabric_manager.shard_integrity}
+    coordinate uniqueness, FM↔edge binding agreement, binding-store
+    agreement in both directions ({!Portland.Fabric_manager.integrity}
     plus every live generation-stamped edge ARP-cache entry against the
-    shard owning its IP, and no edge ahead of the FM's ARP generation),
+    FM's binding for its IP, and no edge ahead of the FM's ARP generation),
     fault-matrix symmetry, convergence idempotence over [settle] (default
     3 LDM periods), the full static dataplane verification, and a current
     broadcast tree ({!Portland.Fabric_manager.broadcast_current}). Also
@@ -155,10 +150,11 @@ type report = {
   rep_equiv_checks : int;
       (** incremental-vs-full differential checks run (one per cache
           miss); a disagreement is itself reported as a violation *)
-  rep_cross_shard_checks : int;
-      (** cross-shard agreement assertions evaluated across all pack
-          executions (shard-integrity packs plus per-agent / per-cache-entry
-          FM↔edge comparisons); cache hits do not re-count *)
+  rep_binding_checks : int;
+      (** binding-agreement assertions evaluated across all pack
+          executions (one per FM integrity pack plus one per agent and
+          per edge ARP-cache entry compared against the FM); cache hits
+          do not re-count. Reported as ["binding_checks"]. *)
   rep_counterexample : counterexample option;  (** first violation, shrunk *)
 }
 
@@ -198,8 +194,8 @@ module Token : sig
       [mc2:k=4:topo=ab:seed=7:scn=fault:depth=4:step=2:budget=6:q=2000:corrupt=none:d=-]. *)
 
   val of_string : string -> (params * schedule, string) result
-  (** Inverse of {!to_string} (with [prune] forced to [true] and
-      [fm_shards] to [1] — neither affects observable behaviour); rejects
+  (** Inverse of {!to_string} (with [prune] forced to [true], which does
+      not affect observable behaviour); rejects
       unknown versions, malformed fields, invalid arity/topology/
       scenario/corruption names, negative bounds and schedules longer
       than [depth]. [Error] carries a human-readable reason.

@@ -665,7 +665,7 @@ module Incremental = struct
          every audit leans on; an FM restart invalidates all soft state *)
       t.full_dirty <- true
     | Journal.Fm_shard_failover _ ->
-      (* the shard rebuild is digest-checked to be state-identical, so
+      (* the binding rebuild is digest-checked to be state-identical, so
          no class can have changed verdict *)
       ()
     | Journal.Fault_delta { fault; active = _ } ->

@@ -1,6 +1,7 @@
-(* Fabric-manager soft-state suite: pod sharding, the replication-log
-   failover path, the pending-ARP lifecycle (dedupe, drops on switch
-   death and FM restart) and the generation-stamped edge ARP caches. *)
+(* Fabric-manager soft-state suite: the binding store (serving index,
+   replication-log failover, edge restores), the pending-ARP lifecycle
+   (dedupe, drops on switch death and FM restart) and the
+   generation-stamped edge ARP caches. *)
 
 module F = Portland.Fabric
 module FM = Portland.Fabric_manager
@@ -20,11 +21,11 @@ let mk_binding i =
 
 (* a bare FM on a bare control network, with scripted "switches": the
    unit-level harness for the pending-ARP lifecycle *)
-let mk_fm ?(fm_shards = 1) () =
+let mk_fm () =
   let engine = Eventsim.Engine.create () in
   let ctrl = Portland.Ctrl.create engine ~latency:(Time.us 50) in
   let spec = Topology.Fattree.spec ~k:4 in
-  let fm = FM.create ~fm_shards engine Portland.Config.default ctrl ~spec in
+  let fm = FM.create engine Portland.Config.default ctrl ~spec in
   (engine, ctrl, fm)
 
 let query ctrl ~from_sw ~port target_ip =
@@ -44,29 +45,26 @@ let count_answers ctrl sw counter =
 (* ---------------- pending-ARP lifecycle ---------------- *)
 
 let test_pending_dedupe () =
-  List.iter
-    (fun fm_shards ->
-      let engine, ctrl, fm = mk_fm ~fm_shards () in
-      let answers = ref 0 in
-      count_answers ctrl 1 answers;
-      let target = Netcore.Ipv4_addr.of_octets 10 2 0 5 in
-      (* a host retrying an unresolved target re-misses with identical
-         (switch, requester IP, port): one pending entry, one reply *)
-      for _ = 1 to 3 do query ctrl ~from_sw:1 ~port:0 target done;
-      (* a second requester port on the same switch is a distinct waiter *)
-      query ctrl ~from_sw:1 ~port:1 target;
-      Eventsim.Engine.run engine;
-      Testutil.check_int "one pending target IP" 1 (FM.pending_count fm);
-      Portland.Ctrl.send_to_fm ctrl ~from:9
-        (Portland.Msg.Host_announce { (mk_binding 5) with Portland.Msg.ip = target });
-      Eventsim.Engine.run engine;
-      Testutil.check_int "one answer per distinct waiter" 2 !answers;
-      Testutil.check_int "pending cleared" 0 (FM.pending_count fm);
-      Testutil.check_int "nothing dropped" 0 (FM.counters fm).FM.pending_dropped)
-    [ 1; 4 ]
+  let engine, ctrl, fm = mk_fm () in
+  let answers = ref 0 in
+  count_answers ctrl 1 answers;
+  let target = Netcore.Ipv4_addr.of_octets 10 2 0 5 in
+  (* a host retrying an unresolved target re-misses with identical
+     (switch, requester IP, port): one pending entry, one reply *)
+  for _ = 1 to 3 do query ctrl ~from_sw:1 ~port:0 target done;
+  (* a second requester port on the same switch is a distinct waiter *)
+  query ctrl ~from_sw:1 ~port:1 target;
+  Eventsim.Engine.run engine;
+  Testutil.check_int "one pending target IP" 1 (FM.pending_count fm);
+  Portland.Ctrl.send_to_fm ctrl ~from:9
+    (Portland.Msg.Host_announce { (mk_binding 5) with Portland.Msg.ip = target });
+  Eventsim.Engine.run engine;
+  Testutil.check_int "one answer per distinct waiter" 2 !answers;
+  Testutil.check_int "pending cleared" 0 (FM.pending_count fm);
+  Testutil.check_int "nothing dropped" 0 (FM.counters fm).FM.pending_dropped
 
 let test_pending_dropped_on_switch_death () =
-  let engine, ctrl, fm = mk_fm ~fm_shards:2 () in
+  let engine, ctrl, fm = mk_fm () in
   let alive = ref 0 and dead = ref 0 in
   count_answers ctrl 1 alive;
   count_answers ctrl 2 dead;
@@ -86,47 +84,65 @@ let test_pending_dropped_on_switch_death () =
   Testutil.check_int "live switch answered" 1 !alive;
   Testutil.check_int "dead switch never answered" 0 !dead
 
-(* ---------------- resolve / resolve_batch agreement ---------------- *)
+(* ---------------- binding store ---------------- *)
 
-let test_resolve_batch_matches_resolve () =
+(* [resolve] reads the flat serving index, [lookup_binding] the binding
+   table; the two must agree on present, absent and repeated IPs while
+   the index grows from its initial 16 slots past 100k entries, after
+   in-place migration updates, and after a failover rebuilds both from
+   the replication log. PMACs are distinct per IP, so an index that
+   served a neighbouring slot would be caught. *)
+let test_resolve_matches_lookup () =
+  let _, _, fm = mk_fm () in
+  let n = 120_000 in
+  let ip i = Netcore.Ipv4_addr.of_int (0x0A000000 lor i) in
+  let binding ?(vmid = 1) i =
+    { (mk_binding i) with
+      Portland.Msg.ip = ip i;
+      pmac =
+        Portland.Pmac.make ~pod:((i lsr 16) land 0xff) ~position:((i lsr 8) land 0xff)
+          ~port:(i land 0xff) ~vmid }
+  in
+  let sweep phase =
+    let agree i =
+      let want = Option.map (fun b -> b.Portland.Msg.pmac) (FM.lookup_binding fm (ip i)) in
+      if FM.resolve fm (ip i) <> want then
+        Alcotest.failf "%s: resolve disagrees with lookup_binding for 10.x index %d" phase i
+    in
+    (* [0, n) bound, [n, n + 5000) never bound, then a repeated run *)
+    for i = 0 to n + 4_999 do agree i done;
+    for i = 0 to 2_999 do agree (i * 7 mod 1_000) done
+  in
+  for i = 0 to n - 1 do FM.insert_binding_for_test fm (binding i) done;
+  Testutil.check_int "every insert bound" n (FM.binding_count fm);
+  sweep "after growth";
+  (* migrations overwrite in place: same IPs, new PMACs, no new entries *)
+  for i = 0 to (n / 3) - 1 do FM.insert_binding_for_test fm (binding ~vmid:2 (3 * i)) done;
+  Testutil.check_int "updates added no binding" n (FM.binding_count fm);
+  Alcotest.(check bool) "update visible through resolve" true
+    (FM.resolve fm (ip 3) = Some (binding ~vmid:2 3).Portland.Msg.pmac);
+  sweep "after updates";
+  Alcotest.(check bool) "failover verified" true (FM.failover fm ~pod:0);
+  sweep "after failover";
+  Alcotest.(check (list string)) "integrity" [] (FM.integrity fm)
+
+let family ~k name =
+  match Topology.Topo.Family.of_string ~k name with
+  | Ok f -> f
+  | Error e -> Alcotest.fail e
+
+let test_integrity_converged () =
   List.iter
-    (fun fm_shards ->
-      let _, _, fm = mk_fm ~fm_shards () in
-      for i = 0 to 511 do
-        FM.insert_binding_for_test fm (mk_binding i)
-      done;
-      (* present, absent and repeated IPs, spread across every shard *)
-      let ips =
-        Array.init 600 (fun i ->
-            Netcore.Ipv4_addr.of_int (0x0A000000 lor (i * 7 mod 700)))
-      in
-      let batched = FM.resolve_batch fm ips in
-      Array.iteri
-        (fun i ip ->
-          if batched.(i) <> FM.resolve fm ip then
-            Alcotest.failf "resolve_batch disagrees with resolve at %d (fm_shards=%d)" i
-              fm_shards)
-        ips)
-    [ 1; 4 ]
+    (fun name ->
+      let fab = F.create (F.Config.of_family ~obs:Obs.null ~seed:42 (family ~k:4 name)) in
+      Alcotest.(check bool) (name ^ " converged") true (F.await_convergence fab);
+      match FM.integrity (F.fabric_manager fab) with
+      | [] -> ()
+      | v :: _ -> Alcotest.failf "integrity (%s): %s" name v)
+    [ "plain"; "ab"; "two-layer" ]
 
-(* ---------------- shard integrity & failover ---------------- *)
-
-let test_shard_integrity_converged () =
-  (* fm_shards = 5 > num_pods leaves one pod shard empty, which must
-     also be consistent *)
-  List.iter
-    (fun fm_shards ->
-      let fab =
-        F.create (F.Config.fattree ~obs:Obs.null ~seed:42 ~fm_shards ~k:4 ())
-      in
-      Alcotest.(check bool) "converged" true (F.await_convergence fab);
-      (match FM.shard_integrity (F.fabric_manager fab) with
-       | [] -> ()
-       | v :: _ -> Alcotest.failf "shard integrity (fm_shards=%d): %s" fm_shards v))
-    [ 1; 2; 5 ]
-
-let test_failover_shard () =
-  let fab = F.create (F.Config.fattree ~obs:Obs.null ~seed:11 ~fm_shards:3 ~k:4 ()) in
+let test_failover () =
+  let fab = F.create (F.Config.fattree ~obs:Obs.null ~seed:11 ~k:4 ()) in
   Alcotest.(check bool) "converged" true (F.await_convergence fab);
   let fm = F.fabric_manager fab in
   for pod = 0 to 3 do
@@ -136,60 +152,62 @@ let test_failover_shard () =
       (F.failover_fm_shard fab ~pod)
   done;
   Testutil.check_int "four failovers counted" 4 (FM.counters fm).FM.shard_failovers;
-  Alcotest.(check (list string)) "integrity after failovers" [] (FM.shard_integrity fm);
+  Alcotest.(check (list string)) "integrity after failovers" [] (FM.integrity fm);
   Alcotest.check_raises "pod out of range"
     (Invalid_argument "Fabric.failover_fm_shard: pod out of range") (fun () ->
       ignore (F.failover_fm_shard fab ~pod:7));
   F.run_for fab (Time.ms 100);
-  Testutil.assert_verified ~msg:"dataplane after shard failovers" fab;
-  Testutil.assert_all_pairs_deliver ~msg:"delivery after shard failovers" fab
+  Testutil.assert_verified ~msg:"dataplane after failovers" fab;
+  Testutil.assert_all_pairs_deliver ~msg:"delivery after failovers" fab
 
-(* A rebooted edge switch gets its host bindings back by replaying the
-   replication log of the shard that owns its hosts' IPs — and only that
-   one. Foreign pod shards and the core shard must never be read: their
-   replay counters stay put. The owning shard is keyed by the hosts'
-   {e IP} pods, not the FM's discovery-order pod labels, so the expected
-   index is computed from a bound IP. *)
-let test_resync_reads_only_owning_shard () =
-  let fm_shards = 4 in
-  let fab = F.create (F.Config.fattree ~obs:Obs.null ~seed:21 ~fm_shards ~k:4 ()) in
+(* A rebooted edge switch gets its host bindings back from the FM's live
+   binding table. One of its hosts migrated away first, so the replication
+   log still names this edge for that IP; the restore must hold exactly
+   the bindings live at the edge now, not every binding it ever had. A
+   cold-rebooted edge starts empty and its idle hosts send nothing, so
+   its table after reconvergence is the restore. *)
+let test_edge_reboot_restores_live_bindings () =
+  let fab =
+    F.create (F.Config.fattree ~obs:Obs.null ~seed:21 ~spare_slots:[ (1, 0, 0) ] ~k:4 ())
+  in
   Alcotest.(check bool) "converged" true (F.await_convergence fab);
   let fm = F.fabric_manager fab in
-  let h = F.host fab ~pod:2 ~edge:0 ~slot:0 in
-  let b =
+  let edge_of h =
     match FM.lookup_binding fm (HA.ip h) with
-    | Some b -> b
+    | Some b -> b.Portland.Msg.edge_switch
     | None -> Alcotest.fail "host unbound"
   in
-  let owning =
-    ((Netcore.Ipv4_addr.to_int b.Portland.Msg.ip lsr 16) land 0xff) mod fm_shards
+  let v = F.host fab ~pod:2 ~edge:0 ~slot:0 in
+  let edge = edge_of v in
+  F.migrate fab ~vm:v ~to_:(1, 0, 0) ~downtime:(Time.ms 50) ();
+  F.run_for fab (Time.ms 500);
+  Alcotest.(check bool) "migrated away" true (edge_of v <> edge);
+  let live () =
+    List.filter_map
+      (fun h ->
+        match FM.lookup_binding fm (HA.ip h) with
+        | Some b when b.Portland.Msg.edge_switch = edge -> Some b
+        | Some _ | None -> None)
+      (F.hosts fab)
+    |> List.sort compare
   in
-  let before = FM.shard_log_replays fm in
-  F.fail_switch fab b.Portland.Msg.edge_switch;
+  Alcotest.(check bool) "the edge keeps a live host" true (live () <> []);
+  F.fail_switch fab edge;
   F.run_for fab (Time.ms 300);
-  F.recover_switch fab b.Portland.Msg.edge_switch;
+  F.recover_switch fab edge;
   Alcotest.(check bool) "reconverged after reboot" true (F.await_convergence fab);
-  let after = FM.shard_log_replays fm in
-  Testutil.check_int "replay counters cover pod shards + core shard"
-    (fm_shards + 1) (Array.length after);
-  Alcotest.(check bool) "owning shard's log replayed" true (after.(owning) > before.(owning));
-  Array.iteri
-    (fun i n ->
-      if i <> owning then
-        Testutil.check_int (Printf.sprintf "shard %d log untouched" i) before.(i) n)
-    after;
-  (* the replayed bindings are live: the rebooted edge serves its hosts *)
-  Testutil.assert_verified ~msg:"dataplane after shard-scoped resync" fab
+  Alcotest.(check bool) "restore = live bindings at the edge" true
+    (List.sort compare (SA.host_bindings (F.agent fab edge)) = live ());
+  Testutil.assert_verified ~msg:"dataplane after the restore" fab
 
 (* ---------------- FM restart racing an in-flight ARP miss ---------------- *)
 
-(* the satellite-4 race: a host's first ARP query is on the wire when the
-   FM cold-restarts. The fresh FM has no bindings, so the query misses
-   and parks; resync re-announces the target, the pending entry is
-   answered, and the host's retry/backoff never gives up. Must hold for
-   the monolithic and the sharded FM. *)
-let fm_restart_race ~fm_shards () =
-  let fab = F.create (F.Config.fattree ~obs:Obs.null ~seed:7 ~fm_shards ~k:4 ()) in
+(* A host's first ARP query is on the wire when the FM cold-restarts.
+   The fresh FM has no bindings, so the query misses and parks; resync
+   re-announces the target, the pending entry is answered, and the
+   host's retry/backoff never gives up. *)
+let test_fm_restart_races_arp_miss () =
+  let fab = F.create (F.Config.fattree ~obs:Obs.null ~seed:7 ~k:4 ()) in
   Alcotest.(check bool) "converged" true (F.await_convergence fab);
   let src = F.host fab ~pod:0 ~edge:0 ~slot:0 in
   let dst = F.host fab ~pod:3 ~edge:0 ~slot:0 in
@@ -210,16 +228,12 @@ let fm_restart_race ~fm_shards () =
        (HA.arp_lookup src (HA.ip dst) = Some (Portland.Pmac.to_mac b.Portland.Msg.pmac)));
   Testutil.assert_verified ~msg:"dataplane after the race" fab
 
-let test_fm_restart_races_arp_miss () = fm_restart_race ~fm_shards:1 ()
-let test_fm_restart_races_arp_miss_sharded_fm () = fm_restart_race ~fm_shards:4 ()
-
 (* ---------------- generation-stamped edge ARP caches ---------------- *)
 
 let test_arp_cache_generation_migration () =
   let fab =
     F.create
-      (F.Config.fattree ~obs:Obs.null ~seed:5 ~spare_slots:[ (1, 0, 0) ] ~fm_shards:2
-         ~k:4 ())
+      (F.Config.fattree ~obs:Obs.null ~seed:5 ~spare_slots:[ (1, 0, 0) ] ~k:4 ())
   in
   Alcotest.(check bool) "converged" true (F.await_convergence fab);
   let fm = F.fabric_manager fab in
@@ -291,11 +305,6 @@ let test_arp_cache_wiped_on_reboot () =
   Testutil.assert_verified ~msg:"dataplane after reboot" fab
 
 (* ---------------- broadcast-tree gate ---------------- *)
-
-let family ~k name =
-  match Topology.Topo.Family.of_string ~k name with
-  | Ok f -> f
-  | Error e -> Alcotest.fail e
 
 (* Fire one event at a time until [until]; after every event that
    delivered a neighbor report or a fault notice, the FM's programmed
@@ -373,20 +382,15 @@ let () =
             test_pending_dedupe;
           Alcotest.test_case "dropped when the asking switch dies" `Quick
             test_pending_dropped_on_switch_death ] );
-      ( "sharding",
-        [ Alcotest.test_case "resolve_batch = resolve, all shard counts" `Quick
-            test_resolve_batch_matches_resolve;
-          Alcotest.test_case "shard integrity on a converged fabric" `Quick
-            test_shard_integrity_converged;
-          Alcotest.test_case "failover rebuilds every shard from its log" `Quick
-            test_failover_shard;
-          Alcotest.test_case "edge resync reads only the owning shard's log" `Quick
-            test_resync_reads_only_owning_shard ] );
+      ( "binding store",
+        [ Alcotest.test_case "resolve = lookup_binding PMAC" `Quick test_resolve_matches_lookup;
+          Alcotest.test_case "integrity on every family" `Quick test_integrity_converged;
+          Alcotest.test_case "failover rebuilds from the log" `Quick test_failover;
+          Alcotest.test_case "edge reboot restores live bindings" `Quick
+            test_edge_reboot_restores_live_bindings ] );
       ( "fm-restart-race",
         [ Alcotest.test_case "ARP miss in flight, classic engine" `Quick
-            test_fm_restart_races_arp_miss;
-          Alcotest.test_case "ARP miss in flight, sharded FM" `Quick
-            test_fm_restart_races_arp_miss_sharded_fm ] );
+            test_fm_restart_races_arp_miss ] );
       ( "edge-arp-cache",
         [ Alcotest.test_case "migration bumps the generation and re-resolves" `Quick
             test_arp_cache_generation_migration;
