@@ -10,9 +10,10 @@
 
    `dune exec bench/main.exe` runs both; `-- --quick` trims the
    experiments; `-- --micro-only` / `-- --experiments-only` select one
-   part; `-- --json` additionally writes the micro rows and the
-   scalability sweep to BENCH_hotpath.json (or `--out FILE`), with
-   speedups against the seed constants recorded in EXPERIMENTS.md. *)
+   part; `-- --json` additionally writes the micro rows, the verifier's
+   k-scaling and the scalability sweep to BENCH_hotpath.json (or
+   `--out FILE`), with speedups against the seed constants recorded in
+   EXPERIMENTS.md. *)
 
 open Bechamel
 open Toolkit
@@ -295,6 +296,60 @@ let run_scalability ~quick =
   print_newline ();
   rows
 
+type verify_scale_row = {
+  v_k : int;
+  v_classes : int;
+  v_switches : int;
+  v_runs : int;
+  v_ms : float;      (* median wall ms of one [Verify.run] *)
+  v_min_ms : float;
+  v_max_ms : float;
+}
+
+let us_per_class_switch r =
+  r.v_ms *. 1e3 /. float_of_int (max 1 (r.v_classes * r.v_switches))
+
+(* how a full verification grows with the fabric: wall time of one
+   [Verify.run] on a converged plain fat tree per k, next to the classes
+   and switches it covers. A class's walk visits every switch once, so
+   us per (class x switch) is the cost of one walk state, which grows
+   only with the ECMP fan-out (k/2 ports) the state traverses. *)
+let run_verify_scale ~quick =
+  print_endline "=== Verifier scaling: one full Verify.run per fabric size ===";
+  Printf.printf "  %-4s %-8s %-9s %-5s %-12s %-19s %s\n" "k" "classes" "switches" "runs"
+    "median (ms)" "min-max (ms)" "us/(class x switch)";
+  let one k =
+    let fab = Portland.Fabric.create @@ Portland.Fabric.Config.fattree ~obs:Obs.null ~k () in
+    if not (Portland.Fabric.await_convergence ~timeout:(Eventsim.Time.sec 10) fab) then
+      failwith (Printf.sprintf "bench: k=%d fabric failed to converge" k);
+    let r = Portland_verify.Verify.run fab in
+    let runs = if quick then 1 else 5 in
+    let ms =
+      List.sort compare
+        (List.init runs (fun _ ->
+             let t0 = Unix.gettimeofday () in
+             ignore (Portland_verify.Verify.run fab);
+             (Unix.gettimeofday () -. t0) *. 1e3))
+    in
+    let row =
+      { v_k = k;
+        v_classes = r.Portland_verify.Verify.classes_checked;
+        v_switches = r.Portland_verify.Verify.switches_checked;
+        v_runs = runs;
+        v_ms = List.nth ms (runs / 2);
+        v_min_ms = List.hd ms;
+        v_max_ms = List.nth ms (runs - 1) }
+    in
+    Printf.printf "  %-4d %-8d %-9d %-5d %-12.1f %-19s %.3f\n" k row.v_classes row.v_switches
+      runs row.v_ms
+      (Printf.sprintf "%.1f-%.1f" row.v_min_ms row.v_max_ms)
+      (us_per_class_switch row);
+    row
+  in
+  let rows = List.map one (if quick then [ 8 ] else [ 8; 12; 16 ]) in
+  print_newline ();
+  rows
+
 type fm_scale_row = {
   m_name : string;        (* "fm/arp_resolve_1m" *)
   m_bindings : int;
@@ -392,7 +447,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let write_json ~out ~micro ~scal ~fm_scale =
+let write_json ~out ~micro ~scal ~fm_scale ~verify_scale =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
@@ -442,6 +497,17 @@ let write_json ~out ~micro ~scal ~fm_scale =
      add "    \"speedup\": %.1f\n" (full /. inc)
    | _ -> ());
   add "  },\n";
+  add "  \"verify_scale\": [\n";
+  List.iteri
+    (fun i r ->
+      add
+        "    {\"k\": %d, \"classes\": %d, \"switches\": %d, \"runs\": %d, \"ms\": %.1f, \
+         \"min_ms\": %.1f, \"max_ms\": %.1f, \"us_per_class_switch\": %.3f}%s\n"
+        r.v_k r.v_classes r.v_switches r.v_runs r.v_ms r.v_min_ms r.v_max_ms
+        (us_per_class_switch r)
+        (if i = List.length verify_scale - 1 then "" else ","))
+    verify_scale;
+  add "  ],\n";
   add "  \"scalability\": [\n";
   List.iteri
     (fun i r ->
@@ -489,8 +555,9 @@ let () =
   if not experiments_only then begin
     let micro = run_micro ~quick in
     let fm_scale = run_fm_scale ~quick in
+    let verify_scale = run_verify_scale ~quick in
     let scal = run_scalability ~quick in
-    if json then write_json ~out ~micro ~scal ~fm_scale
+    if json then write_json ~out ~micro ~scal ~fm_scale ~verify_scale
   end;
   if not micro_only then begin
     print_endline "=== Paper reproduction: every table and figure ===";

@@ -155,18 +155,19 @@ let peer_endpoint link (dev, port) =
   else invalid_arg "Net: endpoint not on link"
 
 let link_between t a b =
-  let da = device t a in
-  Array.fold_left
-    (fun acc port ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        (match port.attached with
-         | Some l ->
-           let oa, _ = l.end_a and ob, _ = l.end_b in
-           if (oa = a && ob = b) || (oa = b && ob = a) then Some l else None
-         | None -> None))
-    None da.ports
+  let ports = (device t a).ports in
+  let joins l =
+    let oa, _ = l.end_a and ob, _ = l.end_b in
+    (oa = a && ob = b) || (oa = b && ob = a)
+  in
+  let rec scan i =
+    if i >= Array.length ports then None
+    else
+      match ports.(i).attached with
+      | Some l when joins l -> Some l
+      | Some _ | None -> scan (i + 1)
+  in
+  scan 0
 
 let link_is_up l = l.link_up
 let fail_link _t l = l.link_up <- false
@@ -216,6 +217,14 @@ let peer_of t ~node ~port =
     match d.ports.(port).attached with
     | None -> None
     | Some l -> Some (peer_endpoint l (node, port))
+
+let peer_link t ~node ~port =
+  let d = device t node in
+  if port < 0 || port >= nports d then None
+  else
+    match d.ports.(port).attached with
+    | None -> None
+    | Some l -> Some (fst (peer_endpoint l (node, port)), l)
 
 let tx_time params bytes =
   (* ns = bytes * 8 * 1e9 / bandwidth; computed carefully to avoid overflow

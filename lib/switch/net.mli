@@ -73,7 +73,8 @@ val link_of_topo : t -> int -> link
     that wiring was removed by {!unplug}. *)
 
 val link_between : t -> int -> int -> link option
-(** Any current link directly connecting two device ids. *)
+(** The first current link, in the port order of the first device,
+    directly connecting two device ids. *)
 
 val link_is_up : link -> bool
 val fail_link : t -> link -> unit
@@ -103,6 +104,11 @@ val plug : ?params:link_params -> t -> a:int * int -> b:int * int -> link
 
 val peer_of : t -> node:int -> port:int -> (int * int) option
 (** Current peer (device, port) wired at the given port, if any. *)
+
+val peer_link : t -> node:int -> port:int -> (int * link) option
+(** Current peer device wired at the given port, with the link that
+    wires it, if any — O(1), unlike {!link_between}, which scans the
+    device's ports. *)
 
 (** {1 Transmission} *)
 

@@ -38,7 +38,24 @@ type report = {
 (* Everything the checks need, captured once: the static topology, the
    runtime wiring/liveness view, per-switch agents and coordinate reverse
    maps. Tables are read through the agents (the snapshot is of the same
-   instant — nothing advances the engine while we walk). *)
+   instant — nothing advances the engine while we walk), so everything
+   derived from them — the device-indexed arrays and the per-entry output
+   plans of the class walk — is valid exactly as long as the snapshot. *)
+
+(* where one output of a forwarding entry leads *)
+type via = Unwired | Down_link | Host | Switch (* any non-host device *)
+
+type out = {
+  port : int;
+  set_dst : int; (* destination MAC the frame leaves with; [keep_dst] = unchanged *)
+  next : int; (* peer device; meaningless when [Unwired] *)
+  via : via;
+}
+
+(* an entry's class-independent verdicts: the blackhole reasons its
+   actions raise on their own, in action order, then its outputs in order *)
+type plan = { reasons : string list; outs : out array }
+
 type snap = {
   net : SNet.t;
   topo : Topo.t;
@@ -47,10 +64,33 @@ type snap = {
   edge_at : (int * int, int) Hashtbl.t; (* (pod, position) -> device *)
   agg_at : (int * int, int) Hashtbl.t;  (* (pod, stripe) -> device *)
   core_at : (int * int, int) Hashtbl.t; (* (stripe, member) -> device *)
+  agent_of : Switch_agent.t option array; (* by device id *)
+  plans : (string, plan) Hashtbl.t option array; (* by device id, then entry name *)
+  colour : int array;
+      (* DFS colour of (device, class PMAC) states: [2 * epoch] active,
+         [2 * epoch + 1] finished, anything older unvisited *)
+  mutable epoch : int; (* bumped once per class walk *)
 }
 
-let snapshot fab =
+let keep_dst = -1
+
+(* [reuse] hands over the previous snapshot of the same fabric, whose
+   device-indexed arrays this one recycles after dropping its agents and
+   plans: an incremental refresh walks a handful of classes, and fresh
+   device-sized arrays on every refresh would churn the major heap more
+   than the walks themselves. Its colours need no clearing — the epoch
+   carries on, so every old stamp reads as unvisited. *)
+let snapshot ?reuse fab =
   let net = Fabric.net fab in
+  let n = SNet.device_count net in
+  let agent_of, plans, colour, epoch =
+    match reuse with
+    | Some r ->
+      Array.fill r.agent_of 0 n None;
+      Array.fill r.plans 0 n None;
+      (r.agent_of, r.plans, r.colour, r.epoch)
+    | None -> (Array.make n None, Array.make n None, Array.make n 0, 0)
+  in
   let s =
     { net;
       topo = SNet.topo net;
@@ -58,12 +98,17 @@ let snapshot fab =
       agents = Hashtbl.create 64;
       edge_at = Hashtbl.create 32;
       agg_at = Hashtbl.create 32;
-      core_at = Hashtbl.create 32 }
+      core_at = Hashtbl.create 32;
+      agent_of;
+      plans;
+      colour;
+      epoch }
   in
   List.iter
     (fun a ->
       let id = Switch_agent.switch_id a in
       Hashtbl.replace s.agents id a;
+      s.agent_of.(id) <- Some a;
       match Switch_agent.coords a with
       | Some (Coords.Edge { pod; position }) -> Hashtbl.replace s.edge_at (pod, position) id
       | Some (Coords.Agg { pod; stripe }) -> Hashtbl.replace s.agg_at (pod, stripe) id
@@ -74,9 +119,6 @@ let snapshot fab =
 
 let device_up s id = SNet.is_up (SNet.device s.net id)
 let is_host s id = (Topo.node s.topo id).Topo.kind = Topo.Host
-
-let link_up s a b =
-  match SNet.link_between s.net a b with Some l -> SNet.link_is_up l | None -> false
 
 (* a switch's tables take part in the audit when the agent claims to be
    forwarding and the chassis is actually powered *)
@@ -176,10 +218,10 @@ let audit_switch s fault_set id agent ~sink =
                        (Dead_group_member
                           { switch = id; entry = e.FT.name; group = g; port; why })
                    in
-                   match SNet.peer_of s.net ~node:id ~port with
+                   match SNet.peer_link s.net ~node:id ~port with
                    | None -> dead "port is unwired"
-                   | Some (peer, _) ->
-                     if not (link_up s id peer) then dead "link is down"
+                   | Some (peer, link) ->
+                     if not (SNet.link_is_up link) then dead "link is down"
                      else if not (SNet.is_up (SNet.device s.net peer)) then
                        dead (Printf.sprintf "peer device %d is down" peer)
                      else begin
@@ -268,11 +310,59 @@ let check_faults s faults ~sink =
 
 (* ---------------- invariants 1-3: the symbolic class walk ---------------- *)
 
+(* [e]'s plan on switch [dev], resolved on first use and then shared by
+   every class that reaches [dev] through [e] within this snapshot *)
+let plan_of s dev table (e : FT.entry) =
+  let memo =
+    match s.plans.(dev) with
+    | Some m -> m
+    | None ->
+      let m = Hashtbl.create 8 in
+      s.plans.(dev) <- Some m;
+      m
+  in
+  match Hashtbl.find_opt memo e.FT.name with
+  | Some p -> p
+  | None ->
+    let reasons = ref [] in
+    let outs = ref [] in
+    let set_dst = ref keep_dst in
+    let out port =
+      let next, via =
+        match SNet.peer_link s.net ~node:dev ~port with
+        | None -> (-1, Unwired)
+        | Some (next, link) when not (SNet.link_is_up link) -> (next, Down_link)
+        | Some (next, _) -> (next, if is_host s next then Host else Switch)
+      in
+      outs := { port; set_dst = !set_dst; next; via } :: !outs
+    in
+    let reason r = reasons := r :: !reasons in
+    List.iter
+      (function
+        | FT.Output p -> out p
+        | FT.Group g ->
+          (match FT.group_members table g with
+           | None | Some [||] ->
+             reason (Printf.sprintf "ECMP group %d selects nothing; matches drop" g)
+           | Some members -> Array.iter out members)
+        | FT.Set_dst_mac m -> set_dst := Mac_addr.to_int m
+        | FT.Set_src_mac _ -> ()
+        | FT.Punt -> reason "in-fabric unicast punted to the control agent"
+        | FT.Drop -> reason "explicit drop"
+        | FT.Flood | FT.Multi _ -> reason "non-unicast action on a unicast class")
+      e.FT.actions;
+    if e.FT.actions = [] then reason "entry has no actions";
+    let p = { reasons = List.rev !reasons; outs = Array.of_list (List.rev !outs) } in
+    Hashtbl.replace memo e.FT.name p;
+    p
+
 (* One destination class per registered binding, walked from every
    operational edge switch. States are (device, current destination MAC);
    rewrites move the state into the AMAC space, which must only happen on
    the final hop. DFS colors detect cycles; a state is processed once per
-   class no matter how many ingresses reach it.
+   class no matter how many ingresses reach it. States at the class's own
+   PMAC are coloured in the snapshot's epoch-stamped array; rewritten
+   states (only corrupted tables make them) in a per-class table.
 
    [sink] receives the class's violations in discovery order, [note]
    its notes, and [dep] every device id the verdict was computed from —
@@ -326,7 +416,17 @@ let walk_class s (b : Msg.host_binding) ~sink ~note ~dep =
          (Blackhole
             { pmac; switch = owner_edge; entry = None;
               reason = "binding names a device that is not a switch" }));
-    let colors : (int * int, [ `Active | `Done ]) Hashtbl.t = Hashtbl.create 64 in
+    s.epoch <- s.epoch + 1;
+    let active = 2 * s.epoch in
+    let finished = active + 1 in
+    let rewritten = Hashtbl.create 1 in
+    let colour dev dst =
+      if dst = dst0 then s.colour.(dev)
+      else Option.value (Hashtbl.find_opt rewritten (dev, dst)) ~default:0
+    in
+    let paint dev dst c =
+      if dst = dst0 then s.colour.(dev) <- c else Hashtbl.replace rewritten (dev, dst) c
+    in
     let seen_cycles = Hashtbl.create 4 in
     let record_cycle path_rev entered =
       (* path_rev: current device first; the cycle is entered..current *)
@@ -348,18 +448,16 @@ let walk_class s (b : Msg.host_binding) ~sink ~note ~dep =
       end
     in
     let rec visit dev dst path_rev =
-      let state = (dev, dst) in
-      match Hashtbl.find_opt colors state with
-      | Some `Done -> ()
-      | Some `Active -> record_cycle path_rev dev
-      | None ->
-        Hashtbl.replace colors state `Active;
+      let c = colour dev dst in
+      if c = active then record_cycle path_rev dev
+      else if c <> finished then begin
+        paint dev dst active;
         dep dev;
         let path_rev = dev :: path_rev in
         let blackhole ?entry reason = sink (Blackhole { pmac; switch = dev; entry; reason }) in
         (if not (device_up s dev) then blackhole "switch is down but still on a forwarding path"
          else
-           match Hashtbl.find_opt s.agents dev with
+           match s.agent_of.(dev) with
            | None -> blackhole "forwarding path reaches a non-switch device"
            | Some agent ->
              let table = Switch_agent.table agent in
@@ -367,74 +465,54 @@ let walk_class s (b : Msg.host_binding) ~sink ~note ~dep =
               | None -> blackhole "table miss"
               | Some e ->
                 let entry = e.FT.name in
-                let cur_dst = ref dst in
-                let outs = ref [] in
-                List.iter
-                  (function
-                    | FT.Output p -> outs := (p, !cur_dst) :: !outs
-                    | FT.Group g ->
-                      (match FT.group_members table g with
-                       | None | Some [||] ->
-                         blackhole ~entry
-                           (Printf.sprintf "ECMP group %d selects nothing; matches drop" g)
-                       | Some members ->
-                         Array.iter (fun p -> outs := (p, !cur_dst) :: !outs) members)
-                    | FT.Set_dst_mac m -> cur_dst := Mac_addr.to_int m
-                    | FT.Set_src_mac _ -> ()
-                    | FT.Punt ->
-                      blackhole ~entry "in-fabric unicast punted to the control agent"
-                    | FT.Drop -> blackhole ~entry "explicit drop"
-                    | FT.Flood | FT.Multi _ ->
-                      blackhole ~entry "non-unicast action on a unicast class")
-                  e.FT.actions;
-                if e.FT.actions = [] then blackhole ~entry "entry has no actions";
-                List.iter
-                  (fun (port, out_dst) ->
-                    match SNet.peer_of s.net ~node:dev ~port with
-                    | None ->
-                      blackhole ~entry (Printf.sprintf "output port %d is unwired" port)
-                    | Some (next, _) ->
-                      if not (link_up s dev next) then
-                        blackhole ~entry
-                          (Printf.sprintf "output port %d crosses a down link" port)
-                      else if is_host s next then begin
-                        match expected_host with
-                        | Some h when h = next ->
-                          if out_dst <> amac_int then
-                            sink
-                              (Bad_rewrite
-                                 { pmac; switch = dev; entry;
-                                   reason =
-                                     Printf.sprintf
-                                       "delivered with destination %012x, expected the \
-                                        host's AMAC %012x"
-                                       out_dst amac_int })
-                        | Some h ->
-                          sink
-                            (Wrong_delivery
-                               { pmac; switch = dev; entry; port; delivered_to = next;
-                                 expected = h })
-                        | None ->
-                          (* already reported: the binding itself is broken *)
-                          ()
-                      end
-                      else begin
-                        if out_dst <> dst0 then
-                          sink
-                            (Bad_rewrite
-                               { pmac; switch = dev; entry;
-                                 reason =
-                                   Printf.sprintf
-                                     "destination rewritten to %012x before the egress edge"
-                                     out_dst });
-                        visit next out_dst path_rev
-                      end)
-                  (List.rev !outs)));
-        Hashtbl.replace colors state `Done
+                let plan = plan_of s dev table e in
+                List.iter (blackhole ~entry) plan.reasons;
+                Array.iter
+                  (fun o ->
+                    let out_dst = if o.set_dst = keep_dst then dst else o.set_dst in
+                    match o.via with
+                    | Unwired ->
+                      blackhole ~entry (Printf.sprintf "output port %d is unwired" o.port)
+                    | Down_link ->
+                      blackhole ~entry
+                        (Printf.sprintf "output port %d crosses a down link" o.port)
+                    | Host ->
+                      (match expected_host with
+                       | Some h when h = o.next ->
+                         if out_dst <> amac_int then
+                           sink
+                             (Bad_rewrite
+                                { pmac; switch = dev; entry;
+                                  reason =
+                                    Printf.sprintf
+                                      "delivered with destination %012x, expected the host's \
+                                       AMAC %012x"
+                                      out_dst amac_int })
+                       | Some h ->
+                         sink
+                           (Wrong_delivery
+                              { pmac; switch = dev; entry; port = o.port;
+                                delivered_to = o.next; expected = h })
+                       | None ->
+                         (* already reported: the binding itself is broken *)
+                         ())
+                    | Switch ->
+                      if out_dst <> dst0 then
+                        sink
+                          (Bad_rewrite
+                             { pmac; switch = dev; entry;
+                               reason =
+                                 Printf.sprintf
+                                   "destination rewritten to %012x before the egress edge"
+                                   out_dst });
+                      visit o.next out_dst path_rev)
+                  plan.outs));
+        paint dev dst finished
+      end
     in
     Hashtbl.iter
       (fun (_pod, _pos) dev ->
-        match Hashtbl.find_opt s.agents dev with
+        match s.agent_of.(dev) with
         | Some a when audited s dev a -> visit dev dst0 []
         | Some _ | None -> ())
       s.edge_at
@@ -623,6 +701,7 @@ module Incremental = struct
 
   type t = {
     fab : Fabric.t;
+    mutable snap : snap option; (* the last refresh's, recycled by the next *)
     classes : (Ipv4_addr.t, cls) Hashtbl.t;
     shadows : (int, shadow) Hashtbl.t;
     audits : (int, audit) Hashtbl.t;
@@ -785,7 +864,8 @@ module Incremental = struct
   let refresh t =
     let t0 = Sys.time () in
     let fab = t.fab in
-    let s = snapshot fab in
+    let s = snapshot ?reuse:t.snap fab in
+    t.snap <- Some s;
     while not (Queue.is_empty t.pending) do
       apply_update t s (Queue.pop t.pending)
     done;
@@ -891,6 +971,7 @@ module Incremental = struct
     let o = match obs with Some o -> o | None -> Fabric.obs fab in
     let t =
       { fab;
+        snap = None;
         classes = Hashtbl.create 256;
         shadows = Hashtbl.create 64;
         audits = Hashtbl.create 64;

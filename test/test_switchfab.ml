@@ -253,6 +253,26 @@ let test_net_unplug_plug () =
    with Invalid_argument _ -> ());
   ignore engine
 
+(* [peer_link] names the peer and the very link [link_between] finds,
+   from either end, and nothing at an unwired or out-of-range port *)
+let test_net_peer_link () =
+  let _engine, net = three_node_net () in
+  let l01 = Option.get (Net.link_between net 0 1) in
+  let l12 = Option.get (Net.link_between net 1 2) in
+  let is_link want = function Some (_, l) -> l == want | None -> false in
+  Testutil.check_bool "h0 port 0" true (is_link l01 (Net.peer_link net ~node:0 ~port:0));
+  Testutil.check_bool "sw port 0" true (is_link l01 (Net.peer_link net ~node:1 ~port:0));
+  Testutil.check_bool "sw port 1" true (is_link l12 (Net.peer_link net ~node:1 ~port:1));
+  Testutil.check_bool "link_between is symmetric" true
+    (Option.get (Net.link_between net 1 0) == l01);
+  Testutil.check_bool "peer device" true
+    (Option.map fst (Net.peer_link net ~node:1 ~port:1) = Some 2);
+  Testutil.check_bool "out of range" true (Net.peer_link net ~node:1 ~port:2 = None);
+  Testutil.check_bool "no link between the hosts" true (Net.link_between net 0 2 = None);
+  Net.unplug net ~node:1 ~port:1;
+  Testutil.check_bool "unwired" true (Net.peer_link net ~node:1 ~port:1 = None);
+  Testutil.check_bool "unplugged link gone" true (Net.link_between net 1 2 = None)
+
 let test_net_flood () =
   let engine, net = three_node_net () in
   let got0 = ref 0 and got2 = ref 0 in
@@ -435,6 +455,7 @@ let () =
           Alcotest.test_case "in-flight loss" `Quick test_net_inflight_loss_on_failure;
           Alcotest.test_case "device failure" `Quick test_net_device_failure;
           Alcotest.test_case "unplug & plug" `Quick test_net_unplug_plug;
+          Alcotest.test_case "peer link" `Quick test_net_peer_link;
           Alcotest.test_case "flood" `Quick test_net_flood;
           Alcotest.test_case "random loss" `Quick test_net_random_loss ] );
       ( "dataplane",

@@ -290,6 +290,28 @@ let test_family_counts () =
     (List.length (Topo.nodes_of_kind tl.Multirooted.topo Topo.Core_switch));
   Testutil.check_bool "two-layer connected" true (Topo.is_connected tl.Multirooted.topo)
 
+(* No family wires two links between the same device pair. The verifier
+   relies on it: it tests "crosses a down link" on the link at the out-port
+   in hand, which is then the only link [Net.link_between] could find. *)
+let test_family_single_links () =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun family ->
+          let topo = (Multirooted.build_family family).Multirooted.topo in
+          let seen = Hashtbl.create 1024 in
+          Array.iter
+            (fun (l : Topo.link) ->
+              let a = l.Topo.a.Topo.node and b = l.Topo.b.Topo.node in
+              let pair = (min a b, max a b) in
+              if Hashtbl.mem seen pair then
+                Alcotest.failf "%s k=%d: devices %d and %d share two links"
+                  (Topo.Family.to_string family) k (fst pair) (snd pair);
+              Hashtbl.replace seen pair ())
+            (Topo.links topo))
+        (Topo.Family.all ~k))
+    [ 4; 8; 16 ]
+
 (* generator for (family descriptor, arity): every member at k in {2,4,6,8} *)
 let family_gen =
   QCheck2.Gen.map
@@ -484,6 +506,8 @@ let () =
       ( "family",
         [ Alcotest.test_case "descriptor parsing" `Quick test_family_of_string;
           Alcotest.test_case "member counts" `Quick test_family_counts;
+          Alcotest.test_case "one link per device pair, k in {4,8,16}" `Quick
+            test_family_single_links;
           prop_family_no_dangling;
           prop_family_stripe_symmetry;
           Alcotest.test_case "ldp matches ground truth" `Quick test_family_ldp_ground_truth ] );

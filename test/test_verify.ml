@@ -1,7 +1,8 @@
 (* Tests of the static dataplane verifier: a healthy fabric (before and
-   after a failure/recovery cycle, at k=4 and k=6) verifies clean, and
-   each seeded corruption — wrong-port blackhole, forwarding loop, stale
-   fault-matrix entry — is detected with switch/entry provenance. *)
+   after a failure/recovery cycle, at k=4 and k=6) verifies clean, each
+   seeded corruption — wrong-port blackhole, forwarding loop, stale
+   fault-matrix entry — is detected with switch/entry provenance, and the
+   report bytes of seeded states are pinned on every topology family. *)
 
 open Portland
 open Eventsim
@@ -403,6 +404,175 @@ let prop_incremental_differential =
       differential_script ~topo ~k ~seed:(seed + 1) ~ops:4 ();
       true)
 
+(* ---------------- golden report order ---------------- *)
+
+(* Report bytes are part of the verifier's contract: chaos, mc and the
+   CLI compare them, and [violations] is in discovery order, not sorted.
+   Each state below is seeded on a fresh converged fabric of every family
+   at k=4 and k=8, and both the full report and the incremental session's
+   report after [attach] are pinned by the MD5 of their JSON. The
+   degraded state fails links and powers an edge off without letting the
+   fabric re-converge, so dozens of violations pin the walk's discovery
+   order and not just the sorted digest. *)
+
+let golden_states =
+  [ "wrong-port"; "loop"; "stale-fault"; "unwired-port"; "empty-group"; "degraded" ]
+
+(* seed [state] on [fab]; returns the fault matrix to verify against *)
+let seed_state fab state =
+  let mt = Fabric.tree fab in
+  let spec = Fabric.spec fab in
+  let hpe = spec.MR.hosts_per_edge in
+  let pods = Array.length mt.MR.edges in
+  let flat = spec.MR.wiring = MR.Flat in
+  (* the first uplink peer of edge (p, 0): an agg, or a spine under flat *)
+  let first_up p = if flat then mt.MR.cores.(0) else mt.MR.aggs.(p).(0) in
+  let install sw e = FT.install (Switch_agent.table (Fabric.agent fab sw)) e in
+  let live_faults () = Fabric_manager.fault_set (Fabric.fabric_manager fab) in
+  match state with
+  | "wrong-port" ->
+    let b = binding_of fab ~pod:0 ~edge:0 ~slot:0 in
+    install b.Msg.edge_switch
+      { FT.name = Printf.sprintf "host:%d" (Netcore.Mac_addr.to_int (Pmac.to_mac b.Msg.pmac));
+        priority = 90; mtch = exact_match_of b;
+        actions = [ FT.Set_dst_mac b.Msg.amac; FT.Output ((b.Msg.pmac.Pmac.port + 1) mod hpe) ] };
+    live_faults ()
+  | "loop" ->
+    let b = binding_of fab ~pod:(pods - 1) ~edge:0 ~slot:0 in
+    install mt.MR.edges.(0).(0)
+      { FT.name = "evil-up"; priority = 200; mtch = exact_match_of b; actions = [ FT.Output hpe ] };
+    install (first_up 0)
+      { FT.name = "evil-down"; priority = 200; mtch = exact_match_of b; actions = [ FT.Output 0 ] };
+    live_faults ()
+  | "stale-fault" ->
+    let coords sw = Switch_agent.coords (Fabric.agent fab sw) in
+    let stale =
+      match (coords mt.MR.edges.(0).(0), coords (first_up 0)) with
+      | Some (Coords.Edge { pod; position }), Some (Coords.Agg { stripe; _ }) ->
+        Fault.Edge_agg { pod; edge_pos = position; stripe }
+      | Some (Coords.Edge { pod; _ }), Some (Coords.Core { stripe; member }) ->
+        Fault.Agg_core { pod; stripe; member }
+      | _ -> Alcotest.fail "switches have no coordinates"
+    in
+    stale :: live_faults ()
+  | "unwired-port" ->
+    (* unplug a bound host: its class's egress entry now exits nowhere *)
+    let b = binding_of fab ~pod:(pods - 1) ~edge:0 ~slot:0 in
+    Switchfab.Net.unplug (Fabric.net fab) ~node:b.Msg.edge_switch ~port:b.Msg.pmac.Pmac.port;
+    live_faults ()
+  | "empty-group" ->
+    let b = binding_of fab ~pod:0 ~edge:0 ~slot:0 in
+    let edge = mt.MR.edges.(pods - 1).(0) in
+    FT.set_group (Switch_agent.table (Fabric.agent fab edge)) 999 [||];
+    install edge
+      { FT.name = "corrupt-group"; priority = 200; mtch = exact_match_of b;
+        actions = [ FT.Group 999 ] };
+    live_faults ()
+  | "degraded" ->
+    for p = 0 to min 2 (pods - 1) do
+      ignore (Fabric.fail_link_between fab ~a:mt.MR.edges.(p).(0) ~b:(first_up p))
+    done;
+    if not flat then ignore (Fabric.fail_link_between fab ~a:mt.MR.aggs.(1).(0) ~b:mt.MR.cores.(0));
+    Fabric.fail_switch fab mt.MR.edges.(pods - 1).(0);
+    live_faults ()
+  | s -> Alcotest.failf "unknown golden state %s" s
+
+let report_md5 r = Digest.to_hex (Digest.string (Obs.Json.to_string (Verify.report_to_json r)))
+
+(* (family, k, state) -> (full-run MD5, incremental-report MD5), recorded
+   before the compiled-snapshot walk replaced per-state resolution *)
+let goldens =
+  [ (("plain", 4, "wrong-port"),
+      ("2996f6dbc48338f725fa29e4732495e9", "2996f6dbc48338f725fa29e4732495e9"));
+    (("plain", 4, "loop"),
+      ("bf087a8441524ffb4c4bd486c253cba8", "bf087a8441524ffb4c4bd486c253cba8"));
+    (("plain", 4, "stale-fault"),
+      ("873c9552ba9c48fe49caf8f4fe199829", "a3c49c6167ddc59a72150d11bc47aded"));
+    (("plain", 4, "unwired-port"),
+      ("347ea2bcb38a7df549f5ae7b5d78bffc", "62e240480957be2e98976c942649487e"));
+    (("plain", 4, "empty-group"),
+      ("d79d97ad29f366eef7aee97ac4581340", "d79d97ad29f366eef7aee97ac4581340"));
+    (("plain", 4, "degraded"),
+      ("dbf922fae59b11421f5f33533056a4fb", "888adc2dbbd7152ebc2222f826d337d5"));
+    (("plain", 8, "wrong-port"),
+      ("608dfd4ed1da174ef7585950271f3225", "608dfd4ed1da174ef7585950271f3225"));
+    (("plain", 8, "loop"),
+      ("96c2ec8f4e64dc91add9949dbbedf948", "96c2ec8f4e64dc91add9949dbbedf948"));
+    (("plain", 8, "stale-fault"),
+      ("c3bbc0493294641d15a8e7f707d4bfa0", "f97d705338b78816ff632a0be9964b59"));
+    (("plain", 8, "unwired-port"),
+      ("4e2e7cb9bfedf86f1a9b092df2b6a5bd", "54168de0a8a0c7dff5dd32c9a0f9f672"));
+    (("plain", 8, "empty-group"),
+      ("fabfe8057bc0be659340e37b2a18b1a0", "fabfe8057bc0be659340e37b2a18b1a0"));
+    (("plain", 8, "degraded"),
+      ("662d1e63fbcf4d52a4436491702a77bf", "4803ee8dd809f62c7deb3e36e94b87f1"));
+    (("ab", 4, "wrong-port"),
+      ("2996f6dbc48338f725fa29e4732495e9", "2996f6dbc48338f725fa29e4732495e9"));
+    (("ab", 4, "loop"),
+      ("bf087a8441524ffb4c4bd486c253cba8", "bf087a8441524ffb4c4bd486c253cba8"));
+    (("ab", 4, "stale-fault"),
+      ("873c9552ba9c48fe49caf8f4fe199829", "a3c49c6167ddc59a72150d11bc47aded"));
+    (("ab", 4, "unwired-port"),
+      ("347ea2bcb38a7df549f5ae7b5d78bffc", "62e240480957be2e98976c942649487e"));
+    (("ab", 4, "empty-group"),
+      ("d79d97ad29f366eef7aee97ac4581340", "d79d97ad29f366eef7aee97ac4581340"));
+    (("ab", 4, "degraded"),
+      ("dbf922fae59b11421f5f33533056a4fb", "888adc2dbbd7152ebc2222f826d337d5"));
+    (("ab", 8, "wrong-port"),
+      ("608dfd4ed1da174ef7585950271f3225", "608dfd4ed1da174ef7585950271f3225"));
+    (("ab", 8, "loop"),
+      ("96c2ec8f4e64dc91add9949dbbedf948", "96c2ec8f4e64dc91add9949dbbedf948"));
+    (("ab", 8, "stale-fault"),
+      ("c3bbc0493294641d15a8e7f707d4bfa0", "f97d705338b78816ff632a0be9964b59"));
+    (("ab", 8, "unwired-port"),
+      ("4e2e7cb9bfedf86f1a9b092df2b6a5bd", "54168de0a8a0c7dff5dd32c9a0f9f672"));
+    (("ab", 8, "empty-group"),
+      ("fabfe8057bc0be659340e37b2a18b1a0", "fabfe8057bc0be659340e37b2a18b1a0"));
+    (("ab", 8, "degraded"),
+      ("662d1e63fbcf4d52a4436491702a77bf", "4803ee8dd809f62c7deb3e36e94b87f1"));
+    (("two-layer", 4, "wrong-port"),
+      ("251daf6701d02771b6ba1e0e419f1517", "251daf6701d02771b6ba1e0e419f1517"));
+    (("two-layer", 4, "loop"),
+      ("fc61f35a57e031c753a53381653bcbc5", "fc61f35a57e031c753a53381653bcbc5"));
+    (("two-layer", 4, "stale-fault"),
+      ("5e6b784de98d393e5d1b9edaa97e0b0b", "3d88f15e40e99540642f68c1c9f0d848"));
+    (("two-layer", 4, "unwired-port"),
+      ("e47a859537bc0cafbe867635218e4a30", "bcc51056e6b9563895f0b6a293a62f2a"));
+    (("two-layer", 4, "empty-group"),
+      ("77882045503b790bbe28aee66db2a100", "77882045503b790bbe28aee66db2a100"));
+    (("two-layer", 4, "degraded"),
+      ("bd2031f0256cf59af3600dcadc0bc133", "ca795e8ba1d4b2b6944cd40eabc2bfb8"));
+    (("two-layer", 8, "wrong-port"),
+      ("bbdaae3999bd61d35fe95d106fcb8706", "bbdaae3999bd61d35fe95d106fcb8706"));
+    (("two-layer", 8, "loop"),
+      ("69444c9f8f91bb9577dbba7aed35fcdf", "69444c9f8f91bb9577dbba7aed35fcdf"));
+    (("two-layer", 8, "stale-fault"),
+      ("b32244cf5693dec4ddcce51177eea46e", "69d983e88a5a864a875052abe2f871ce"));
+    (("two-layer", 8, "unwired-port"),
+      ("2dd75d33f365161a178e18ce963cc256", "3910136ad93617370a60700fca318bbd"));
+    (("two-layer", 8, "empty-group"),
+      ("e17d37dd1497980daa9a8efaf3ca3296", "e17d37dd1497980daa9a8efaf3ca3296"));
+    (("two-layer", 8, "degraded"),
+      ("c6840eaabc0eee2999e93ec3b0bd830a", "e071ec472d7d6155bc5c1dcd13836e66")) ]
+
+let golden_order topo k () =
+  let family = Topology.Topo.Family.of_string ~k topo |> Result.get_ok in
+  let mismatches =
+    List.filter_map
+      (fun state ->
+        let fab = Testutil.converged_family family in
+        let faults = seed_state fab state in
+        let full = report_md5 (Verify.run ~faults fab) in
+        let inc = VI.attach fab in
+        let incr = report_md5 (VI.report inc) in
+        VI.detach inc;
+        if List.assoc_opt (topo, k, state) goldens = Some (full, incr) then None
+        else Some (Printf.sprintf "((%S, %d, %S), (%S, %S))" topo k state full incr))
+      golden_states
+  in
+  if mismatches <> [] then
+    Alcotest.failf "report bytes moved; now:@.%s" (String.concat ";\n" mismatches)
+
 let test_report_renders () =
   let fab = Testutil.converged_fabric () in
   let clean = Format.asprintf "%a" Verify.pp_report (Verify.run fab) in
@@ -451,4 +621,12 @@ let () =
             (differential_script ~topo:"two-layer" ~k:4 ~seed:13 ~ops:6);
           prop_incremental_differential ] );
       ( "report",
-        [ Alcotest.test_case "pretty-printing" `Quick test_report_renders ] ) ]
+        [ Alcotest.test_case "pretty-printing" `Quick test_report_renders ] );
+      ( "golden order",
+        List.concat_map
+          (fun topo ->
+            List.map
+              (fun k ->
+                Alcotest.test_case (Printf.sprintf "%s k=%d" topo k) `Quick (golden_order topo k))
+              [ 4; 8 ])
+          [ "plain"; "ab"; "two-layer" ] ) ]
