@@ -165,8 +165,10 @@ let tests =
            | Ok _ -> ()
            | Error e -> failwith e));
     (* incremental dataplane verification: one flow-table update (remove +
-       reinstall of one host entry) re-verified through the delta engine,
-       against a from-scratch full verification of the same fabric *)
+       reinstall of one host entry, journalled as two deltas on the
+       entry's prefix, so one class is re-walked) re-verified through the
+       delta engine, against a from-scratch full verification of the same
+       fabric *)
     Test.make ~name:"verify/incremental_update_k16"
       (Staged.stage (fun () ->
            let _, inc, table, entry = Lazy.force verify_fixture in

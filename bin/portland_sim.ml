@@ -315,8 +315,14 @@ let run_verify ({ k; verbose; _ } as c) ~inject ~corrupt ~json_out =
     match corrupt with
     | None -> None
     | Some "wrong-port" ->
-      (* re-point a host's exact-match entry at the neighbouring host port *)
+      (* re-point a host's exact-match entry at the neighbouring host
+         port, or at the first uplink when the edge has only one host
+         port (the neighbour would be the same port) *)
       let b = binding_of ~pod:0 in
+      let wrong_port =
+        if spec.MR.hosts_per_edge = 1 then spec.MR.hosts_per_edge
+        else (b.Portland.Msg.pmac.Portland.Pmac.port + 1) mod spec.MR.hosts_per_edge
+      in
       let table =
         Portland.Switch_agent.table (Portland.Fabric.agent fab b.Portland.Msg.edge_switch)
       in
@@ -326,9 +332,7 @@ let run_verify ({ k; verbose; _ } as c) ~inject ~corrupt ~json_out =
           priority = 90;
           mtch = exact_match b;
           actions =
-            [ FT.Set_dst_mac b.Portland.Msg.amac;
-              FT.Output
-                ((b.Portland.Msg.pmac.Portland.Pmac.port + 1) mod spec.MR.hosts_per_edge) ] };
+            [ FT.Set_dst_mac b.Portland.Msg.amac; FT.Output wrong_port ] };
       Printf.printf "corrupted: host entry on switch %d points at the wrong port\n%!"
         b.Portland.Msg.edge_switch;
       None

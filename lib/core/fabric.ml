@@ -370,16 +370,7 @@ let control_state_lines t =
   @ faults
   @ List.sort String.compare tables
 
-let control_digest t =
-  (* FNV-1a (offset truncated to 62 bits, as elsewhere in the repo) *)
-  let h = ref 0x3bf29ce484222325 in
-  let feed_byte b = h := (!h lxor b) * 0x100000001b3 land max_int in
-  let feed_string s =
-    String.iter (fun ch -> feed_byte (Char.code ch)) s;
-    feed_byte 0
-  in
-  List.iter feed_string (control_state_lines t);
-  Printf.sprintf "%016x" !h
+let control_digest t = Line_digest.of_lines (control_state_lines t)
 
 (* ---------------- construction ---------------- *)
 

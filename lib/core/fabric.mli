@@ -200,13 +200,18 @@ val migrate :
 val switch_table_sizes : t -> (Netcore.Ldp_msg.level * int) list
 (** [(level, flow-table entries)] for every operational switch. *)
 
+val control_state_lines : t -> string list
+(** All distributed control state at the current instant, one line per
+    fact, in a canonical (sorted) order: switch coordinates, edge-local
+    host bindings, the fabric manager's fault matrix and per-switch
+    flow-table sizes. The rendering is exact: two fabrics render equal
+    lines iff they hold the same such state. *)
+
 val control_digest : t -> string
-(** 16-hex-digit FNV-1a digest of all distributed control state at the
-    current instant: switch coordinates, edge-local host bindings, the
-    fabric manager's fault matrix and per-switch flow-table sizes, in a
-    canonical (sorted) rendering. Two quiescent fabrics in the same
-    logical state produce equal digests — the golden-digest tests pin
-    this (and the {!Portland_verify.Verify} report digest) per family. *)
+(** {!Line_digest.of_lines} of {!control_state_lines}. Two quiescent
+    fabrics in the same logical state produce equal digests — the
+    golden-digest tests pin this (and the {!Portland_verify.Verify}
+    report digest) per family. *)
 
 (** {1 Update journal} *)
 

@@ -1064,21 +1064,14 @@ let handle t ~from:_ (msg : Msg.to_fm) =
 
 (* ---------------- failover & integrity ---------------- *)
 
-let fnv1a_str h s =
-  String.fold_left
-    (fun h c -> (h lxor Char.code c) * 0x100000001b3 land max_int)
-    h s
-
 let render_binding (b : Msg.host_binding) =
   Printf.sprintf "%d:%d:%d:%d" (Ipv4_addr.to_int b.Msg.ip) (Mac_addr.to_int b.Msg.amac)
     (Mac_addr.to_int (Pmac.to_mac b.Msg.pmac))
     b.Msg.edge_switch
 
 let binding_digest t =
-  let rows = Hashtbl.fold (fun _ b acc -> render_binding b :: acc) t.bindings [] in
-  Printf.sprintf "%016x"
-    (* FNV offset basis truncated to 62 bits, as elsewhere in the repo *)
-    (List.fold_left fnv1a_str 0x3bf29ce484222325 (List.sort compare rows))
+  Hashtbl.fold (fun _ b acc -> render_binding b :: acc) t.bindings []
+  |> List.sort compare |> Line_digest.of_lines
 
 let replay_faults t =
   let tbl = Hashtbl.create 16 in

@@ -14,7 +14,12 @@
 type update =
   | Flow of { switch : int; change : Switchfab.Flow_table.update }
       (** A switch's flow table changed; [change] carries the trie-prefix
-          provenance of the affected entry. *)
+          provenance of the affected entry. A table recompute
+          ({!Switchfab.Flow_table.rebuild}) journals only the entries
+          and groups that differ from the old contents, so these updates
+          are the whole flow-table delta: no subscriber needs a copy of
+          the table to find what changed. [Cleared] comes only from a
+          switch's cold reboot. *)
   | Fault_delta of { fault : Fault.t; active : bool }
       (** The fabric manager's fault matrix gained ([active]) or lost a
           coordinate fault. *)

@@ -190,7 +190,7 @@ let up_reaches_edge t ~pod ~position ~dst_pod ~dst_edge up =
 (* ---------------- the forwarding program ----------------
 
    One constructor per entry kind. The recompute path installs these
-   clauses one at a time with [Lang.install_clause] and never formats a
+   clauses in one [Lang.install_program] rebuild and never formats a
    span: [Portland_policy.Policy.baseline] attaches spans when it audits. *)
 
 let clause name prio pred acts = { Lang.span = ""; name; prio; pred; acts }
@@ -350,8 +350,7 @@ let program t =
 let recompute_tables t =
   if t.coords <> None then begin
     t.c_table_recomputes <- t.c_table_recomputes + 1;
-    FT.clear t.table;
-    List.iter (Lang.install_clause t.table) (program t);
+    Lang.install_program t.table (program t);
     t.operational <- true
   end
 

@@ -107,9 +107,9 @@ val program : t -> Switchfab.Policy_lang.clause list
     traps; for an aggregation switch, downward and per-pod ECMP entries;
     for a core, per-pod entries; then multicast on every level. Empty
     before coordinates arrive. Spans are left empty. This is the only
-    derivation of the switch's tables: every recompute clears the table
-    and installs these clauses with
-    {!Switchfab.Policy_lang.install_clause}, and the incremental edits
+    derivation of the switch's tables: every recompute rebuilds the
+    table from these clauses with
+    {!Switchfab.Policy_lang.install_program}, and the incremental edits
     (host learning and restore, traps, multicast programming) install
     single clauses built by the same constructors. *)
 

@@ -96,37 +96,6 @@ let pp_binding fmt (b : Portland.Msg.host_binding) =
     Netcore.Mac_addr.pp b.Portland.Msg.amac Portland.Pmac.pp b.Portland.Msg.pmac
     b.Portland.Msg.edge_switch
 
-(* One comparable digest of all distributed control state: agent
-   coordinates, edge-local host bindings, the FM fault matrix and flow
-   table sizes. Two quiescent fabrics in the same logical state produce
-   equal digests. *)
-let control_state_digest fab =
-  let coords =
-    F.agents fab
-    |> List.filter_map (fun a ->
-        match SA.coords a with
-        | None -> None
-        | Some c -> Some (Format.asprintf "sw%d@%a" (SA.switch_id a) Portland.Coords.pp c))
-    |> List.sort compare
-  in
-  let bindings =
-    F.agents fab
-    |> List.concat_map (fun a ->
-        List.map (Format.asprintf "%a" pp_binding) (SA.host_bindings a))
-    |> List.sort compare
-  in
-  let faults =
-    FM.fault_set (F.fabric_manager fab)
-    |> List.sort Portland.Fault.compare
-    |> List.map (Format.asprintf "%a" Portland.Fault.pp)
-  in
-  let tables =
-    F.agents fab
-    |> List.map (fun a -> (SA.switch_id a, SA.table_size a))
-    |> List.sort compare
-  in
-  (coords, bindings, faults, tables)
-
 let check_invariants_counted ?settle fab =
   let cfg = F.proto_config fab in
   let settle =
@@ -233,9 +202,9 @@ let check_invariants_counted ?settle fab =
           (SA.switch_id a) (List.length local) (List.length fm_faults))
     agents;
   (* 4. convergence idempotence: extra settle time changes nothing *)
-  let before = control_state_digest fab in
+  let before = F.control_state_lines fab in
   F.run_for fab settle;
-  if control_state_digest fab <> before then
+  if F.control_state_lines fab <> before then
     add "not idempotent: control state changed during %s of extra settle"
       (Time.to_string settle);
   (* 5. full static dataplane verification *)
@@ -380,13 +349,7 @@ let run_schedule ?cache p sched =
      seeded damage journals like any other update, so the digest of a
      corrupted state differs from the clean one's) *)
   let inc_digest = Verify.digest_of_report (Verify.Incremental.refresh inc) in
-  let state_key () =
-    let coords, bindings, faults, tables = control_state_digest fab in
-    String.concat "|"
-      (coords @ bindings @ faults
-       @ List.map (fun (i, n) -> Printf.sprintf "%d:%d" i n) tables)
-    ^ "#" ^ inc_digest
-  in
+  let state_key () = String.concat "|" (F.control_state_lines fab) ^ "#" ^ inc_digest in
   let violations =
     if not converged then [ "fabric did not converge under this schedule" ]
     else begin

@@ -14,13 +14,14 @@ let install fab c =
     (fun sw ->
       let ct = Option.get (table c sw) in
       let live = SA.table (Fabric.agent fab sw) in
-      FT.clear live;
-      List.iter
-        (fun (gid, members) -> FT.set_group live gid members)
-        (List.sort (fun (a, _) (b, _) -> compare (a : int) b) (FT.groups ct));
-      (* FT.entries is lookup order (ties: later insertion first); reinstall
-         oldest-first so the rebuilt table has the same tie order *)
-      List.iter (FT.install live) (List.rev (FT.entries ct)))
+      FT.rebuild live (fun () ->
+          List.iter
+            (fun (gid, members) -> FT.set_group live gid members)
+            (List.sort (fun (a, _) (b, _) -> compare (a : int) b) (FT.groups ct));
+          (* FT.entries is lookup order (ties: later insertion first);
+             reinstall oldest-first so the rebuilt table has the same tie
+             order *)
+          List.iter (FT.install live) (List.rev (FT.entries ct))))
     (switches c)
 
 (* ---------------- the baseline PortLand policy ---------------- *)
@@ -159,18 +160,7 @@ module Check = struct
 
   let ok r = r.ck_counterexamples = []
 
-  (* FNV-1a (offset truncated to 62 bits, as elsewhere in the repo) *)
-  let fnv lines =
-    let h = ref 0x3bf29ce484222325 in
-    let feed_byte b = h := (!h lxor b) * 0x100000001b3 land max_int in
-    List.iter
-      (fun s ->
-        String.iter (fun ch -> feed_byte (Char.code ch)) s;
-        feed_byte 0)
-      lines;
-    Printf.sprintf "%016x" !h
-
-  let table_digest t = fnv (FT.canonical_lines t)
+  let table_digest t = Portland.Line_digest.of_lines (FT.canonical_lines t)
 
   let render_members ms =
     Printf.sprintf "[%s]" (String.concat ";" (List.map string_of_int (Array.to_list ms)))
@@ -441,7 +431,7 @@ module Check = struct
   let cx_line c = Format.asprintf "@[<h>%a@]" pp_counterexample c
 
   let digest_of_report r =
-    fnv
+    Portland.Line_digest.of_lines
       (List.map cx_line r.ck_counterexamples
       @ List.map string_of_int
           [ r.ck_switches; r.ck_classes; r.ck_entries; r.ck_groups; r.ck_digest_mismatches ])

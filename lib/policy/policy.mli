@@ -7,10 +7,10 @@
     tables from the same language: {!Portland.Switch_agent.program} is
     each switch's clause list, installed one clause at a time. {!baseline}
     gathers those clauses, located and given source spans, into one
-    fabric-wide policy. Compiled tables are installed through the same
-    {!Switchfab.Flow_table.set_journal} provenance path the incremental
-    verifier consumes, so {!Portland_verify.Verify.Incremental} sessions
-    run unchanged off compiled-table journals.
+    fabric-wide policy. Compiled tables are installed by the same
+    {!Switchfab.Flow_table.rebuild} a switch recompute uses, so
+    {!Portland_verify.Verify.Incremental} sessions run unchanged off the
+    journalled difference between the compiled and the live tables.
 
     {!Check} is the static safety net. It compiles {!baseline} and
     compares the result with the live tables — per-switch canonical
@@ -30,10 +30,12 @@ end
 
 val install : Portland.Fabric.t -> compiled -> unit
 (** Replace each programmed switch's {e live} table contents (entries
-    and groups) with the compiled ones. Mutations flow through the
-    table's journal, so an attached {!Portland_verify.Verify.Incremental}
-    session sees compiled-table provenance; its shadow-table diffing
-    absorbs the clear+reinstall churn. *)
+    and groups) with the compiled ones, in one
+    {!Switchfab.Flow_table.rebuild} per switch. The table journals only
+    the entries and groups that differ, with prefix provenance, so an
+    attached {!Portland_verify.Verify.Incremental} session re-walks only
+    the classes a difference can affect — none when the compiled tables
+    equal the live ones. *)
 
 (** {1 The baseline policy} *)
 

@@ -245,6 +245,45 @@ let clear t =
   t.residual <- [];
   emit t Cleared
 
+let rebuild t f =
+  match t.journal with
+  | None ->
+    clear t;
+    f ()
+  | Some j ->
+    let old_entries = t.entries and old_groups = Hashtbl.copy t.groups in
+    t.journal <- None;
+    clear t;
+    f ();
+    t.journal <- Some j;
+    (* journal the difference: new or changed entries in lookup order,
+       then vanished ones, then groups whose members differ, by id *)
+    let old_by_name = Hashtbl.create 32 in
+    List.iter (fun e -> Hashtbl.replace old_by_name e.name e) old_entries;
+    List.iter
+      (fun e ->
+        let prefix = indexable_prefix e.mtch in
+        match Hashtbl.find_opt old_by_name e.name with
+        | Some o when o = e -> ()
+        | Some o when indexable_prefix o.mtch <> prefix ->
+          j (Removed { name = e.name; prefix = indexable_prefix o.mtch });
+          j (Installed { name = e.name; prefix })
+        | Some _ | None -> j (Installed { name = e.name; prefix }))
+      t.entries;
+    List.iter
+      (fun o ->
+        if not (Hashtbl.mem t.by_name o.name) then
+          j (Removed { name = o.name; prefix = indexable_prefix o.mtch }))
+      old_entries;
+    let changed =
+      Hashtbl.fold
+        (fun g m acc -> if Hashtbl.find_opt old_groups g = Some m then acc else g :: acc)
+        t.groups []
+    in
+    Hashtbl.fold (fun g _ acc -> if Hashtbl.mem t.groups g then acc else g :: acc) old_groups changed
+    |> List.sort compare
+    |> List.iter (fun group -> j (Group_changed { group }))
+
 let size t = List.length t.entries
 let entry_names t = List.map (fun e -> e.name) t.entries
 

@@ -69,6 +69,17 @@ val remove : t -> string -> unit
 
 val clear : t -> unit
 
+val rebuild : t -> (unit -> unit) -> unit
+(** [rebuild t f] clears [t] and runs [f] to fill it again — how a
+    switch recomputes its tables. The resulting state (entries, tie
+    order, groups, hit counters) is exactly that of {!clear} followed by
+    [f ()]. A journal subscriber hears only the difference from the old
+    contents: [Installed] for entries that appeared or changed (preceded
+    by [Removed] when the change moved the entry's prefix), [Removed]
+    for entries that vanished, and [Group_changed] for groups whose
+    members differ, by ascending id — never [Cleared] or the unchanged
+    reinstalls. A rebuild to identical contents journals nothing. *)
+
 val size : t -> int
 (** Number of installed entries — the "switch state" metric in the state
     experiment. *)

@@ -210,6 +210,9 @@ let install_clause tbl c =
   | None -> ()
   | Some conj -> install_entry tbl ~name:c.name c (mtch_of conj)
 
+let install_program tbl clauses =
+  FT.rebuild tbl (fun () -> List.iter (install_clause tbl) clauses)
+
 (* a normalized, located clause and the entry name it lowers to *)
 type nclause = { n_switch : int; n_name : string; n_mtch : FT.mtch; n_clause : clause }
 

@@ -639,20 +639,12 @@ let canonical_lines r =
     (List.map (Format.asprintf "%a" pp_violation) r.violations
      @ List.map (Format.asprintf "note: %a" pp_note) r.notes)
 
+(* over the canonical lines and the coverage counts *)
 let digest_of_report r =
-  (* FNV-1a (offset truncated to 62 bits, as elsewhere in the repo) over
-     the canonical lines and the coverage counts *)
-  let h = ref 0x3bf29ce484222325 in
-  let feed_byte b = h := (!h lxor b) * 0x100000001b3 land max_int in
-  let feed_string s =
-    String.iter (fun ch -> feed_byte (Char.code ch)) s;
-    feed_byte 0
-  in
-  List.iter feed_string (canonical_lines r);
-  List.iter
-    (fun i -> feed_string (string_of_int i))
-    [ r.classes_checked; r.switches_checked; r.groups_checked; r.faults_checked ];
-  Printf.sprintf "%016x" !h
+  Line_digest.of_lines
+    (canonical_lines r
+    @ List.map string_of_int
+        [ r.classes_checked; r.switches_checked; r.groups_checked; r.faults_checked ])
 
 let report_to_json r =
   let open Obs.Json in
@@ -673,11 +665,11 @@ module Incremental = struct
      verdict record per destination class plus per-switch group audits and
      the fault audit, each tagged with the set of devices it was computed
      from. The fabric's update journal marks records dirty; [refresh]
-     re-walks only the dirty ones. Flow-table churn is absorbed through
-     per-switch shadow copies: PortLand recomputes tables with a wholesale
-     clear + reinstall, so the journal only marks the switch touched and
-     the refresh diffs current entries against the shadow to recover the
-     real (usually empty or tiny) delta with prefix provenance. *)
+     re-walks only the dirty ones. Flow-table churn arrives as journalled
+     deltas with prefix provenance: a table recompute is one
+     [Flow_table.rebuild], which journals only the entries and groups that
+     differ, so each switch's pending delta is usually empty or tiny and
+     dirties only the classes whose PMAC a changed prefix covers. *)
 
   type cls = {
     c_binding : Msg.host_binding;
@@ -686,31 +678,25 @@ module Incremental = struct
     c_deps : (int, unit) Hashtbl.t; (* devices the verdict depends on *)
   }
 
-  type shadow = {
-    sh_entries : (string, FT.entry) Hashtbl.t;
-    sh_groups : (int, int array) Hashtbl.t;
-  }
-
   type audit = { a_viols : violation list; a_groups : int }
 
   type delta = {
-    d_prefixes : (int * int) list; (* (value, len) of changed entries *)
-    d_residual : bool;             (* a non-prefix entry changed *)
-    d_groups : bool;               (* a select group changed *)
+    mutable d_prefixes : (int * int) list; (* (value, len) of changed entries *)
+    mutable d_residual : bool;             (* a non-prefix entry changed, or a wipe *)
+    mutable d_groups : bool;               (* a select group changed *)
   }
 
   type t = {
     fab : Fabric.t;
     mutable snap : snap option; (* the last refresh's, recycled by the next *)
     classes : (Ipv4_addr.t, cls) Hashtbl.t;
-    shadows : (int, shadow) Hashtbl.t;
     audits : (int, audit) Hashtbl.t;
     mutable fault_viols : violation list;
     mutable faults_checked : int;
     pending : Journal.update Queue.t;
     mutable full_dirty : bool;
     dirty_classes : (Ipv4_addr.t, unit) Hashtbl.t;
-    touched : (int, unit) Hashtbl.t;      (* switches with flow-table traffic *)
+    deltas : (int, delta) Hashtbl.t;      (* per switch: flow-table changes since last refresh *)
     dirty_audits : (int, unit) Hashtbl.t;
     mutable all_audits_dirty : bool;
     mutable faults_dirty : bool;
@@ -734,9 +720,25 @@ module Incremental = struct
       (fun ip c -> if Hashtbl.mem c.c_deps dev then Hashtbl.replace t.dirty_classes ip ())
       t.classes
 
+  let note_flow t sw (change : FT.update) =
+    let d =
+      match Hashtbl.find_opt t.deltas sw with
+      | Some d -> d
+      | None ->
+        let d = { d_prefixes = []; d_residual = false; d_groups = false } in
+        Hashtbl.replace t.deltas sw d;
+        d
+    in
+    match change with
+    | FT.Installed { prefix = Some p; _ } | FT.Removed { prefix = Some p; _ } ->
+      d.d_prefixes <- p :: d.d_prefixes
+    | FT.Installed { prefix = None; _ } | FT.Removed { prefix = None; _ } | FT.Cleared ->
+      d.d_residual <- true
+    | FT.Group_changed _ -> d.d_groups <- true
+
   let apply_update t s (u : Journal.update) =
     match u with
-    | Journal.Flow { switch; change = _ } -> Hashtbl.replace t.touched switch ()
+    | Journal.Flow { switch; change } -> note_flow t switch change
     | Journal.Binding { ip } -> Hashtbl.replace t.dirty_classes ip ()
     | Journal.Coords_assigned _ | Journal.Fm_restarted ->
       (* a coordinate grant can create a brand-new edge ingress (which
@@ -775,64 +777,6 @@ module Incremental = struct
       t.faults_dirty <- true;
       Hashtbl.replace t.dirty_audits device ();
       dirty_deps t device
-
-  let shadow_of_table table =
-    let sh = { sh_entries = Hashtbl.create 32; sh_groups = Hashtbl.create 8 } in
-    List.iter (fun (e : FT.entry) -> Hashtbl.replace sh.sh_entries e.FT.name e)
-      (FT.entries table);
-    List.iter (fun (g, m) -> Hashtbl.replace sh.sh_groups g m) (FT.groups table);
-    sh
-
-  let empty_shadow () = { sh_entries = Hashtbl.create 1; sh_groups = Hashtbl.create 1 }
-
-  (* diff a touched switch's live table against its shadow, replace the
-     shadow, and return the real delta *)
-  let sync_switch t s sw =
-    let old =
-      match Hashtbl.find_opt t.shadows sw with Some sh -> sh | None -> empty_shadow ()
-    in
-    let cur_entries, cur_groups =
-      match Hashtbl.find_opt s.agents sw with
-      | Some a ->
-        let tbl = Switch_agent.table a in
-        (FT.entries tbl, FT.groups tbl)
-      | None -> ([], [])
-    in
-    let prefixes = ref [] in
-    let residual = ref false in
-    let groups_ch = ref false in
-    let mark (e : FT.entry) =
-      match FT.indexable_prefix e.FT.mtch with
-      | Some p -> prefixes := p :: !prefixes
-      | None -> residual := true
-    in
-    let seen = Hashtbl.create 32 in
-    List.iter
-      (fun (e : FT.entry) ->
-        Hashtbl.replace seen e.FT.name ();
-        match Hashtbl.find_opt old.sh_entries e.FT.name with
-        | Some o when o = e -> ()
-        | Some o ->
-          mark o;
-          mark e
-        | None -> mark e)
-      cur_entries;
-    Hashtbl.iter (fun name o -> if not (Hashtbl.mem seen name) then mark o) old.sh_entries;
-    let gseen = Hashtbl.create 8 in
-    List.iter
-      (fun (g, m) ->
-        Hashtbl.replace gseen g ();
-        match Hashtbl.find_opt old.sh_groups g with
-        | Some om when om = m -> ()
-        | Some _ | None -> groups_ch := true)
-      cur_groups;
-    Hashtbl.iter (fun g _ -> if not (Hashtbl.mem gseen g) then groups_ch := true)
-      old.sh_groups;
-    let sh = { sh_entries = Hashtbl.create 32; sh_groups = Hashtbl.create 8 } in
-    List.iter (fun (e : FT.entry) -> Hashtbl.replace sh.sh_entries e.FT.name e) cur_entries;
-    List.iter (fun (g, m) -> Hashtbl.replace sh.sh_groups g m) cur_groups;
-    Hashtbl.replace t.shadows sw sh;
-    { d_prefixes = !prefixes; d_residual = !residual; d_groups = !groups_ch }
 
   let walk_one s b =
     let viols = ref [] in
@@ -875,31 +819,23 @@ module Incremental = struct
     if t.full_dirty then begin
       Hashtbl.reset t.classes;
       Hashtbl.reset t.dirty_classes;
-      Hashtbl.reset t.shadows;
-      Hashtbl.reset t.touched;
+      Hashtbl.reset t.deltas;
       Hashtbl.reset t.audits;
       Hashtbl.reset t.dirty_audits;
       t.all_audits_dirty <- true;
-      t.faults_dirty <- true;
-      (* seed the shadows so subsequent refreshes can diff *)
-      Hashtbl.iter
-        (fun id a -> Hashtbl.replace t.shadows id (shadow_of_table (Switch_agent.table a)))
-        s.agents
+      t.faults_dirty <- true
     end
     else begin
       Hashtbl.iter
-        (fun sw () ->
-          let d = sync_switch t s sw in
-          if d.d_prefixes <> [] || d.d_residual || d.d_groups then begin
-            Hashtbl.replace t.dirty_audits sw ();
-            Hashtbl.iter
-              (fun ip c ->
-                if Hashtbl.mem c.c_deps sw && class_affected d c then
-                  Hashtbl.replace t.dirty_classes ip ())
-              t.classes
-          end)
-        t.touched;
-      Hashtbl.reset t.touched
+        (fun sw d ->
+          Hashtbl.replace t.dirty_audits sw ();
+          Hashtbl.iter
+            (fun ip c ->
+              if Hashtbl.mem c.c_deps sw && class_affected d c then
+                Hashtbl.replace t.dirty_classes ip ())
+            t.classes)
+        t.deltas;
+      Hashtbl.reset t.deltas
     end;
     (* destination classes *)
     let universe = class_universe fab in
@@ -973,14 +909,13 @@ module Incremental = struct
       { fab;
         snap = None;
         classes = Hashtbl.create 256;
-        shadows = Hashtbl.create 64;
         audits = Hashtbl.create 64;
         fault_viols = [];
         faults_checked = 0;
         pending = Queue.create ();
         full_dirty = true;
         dirty_classes = Hashtbl.create 64;
-        touched = Hashtbl.create 64;
+        deltas = Hashtbl.create 64;
         dirty_audits = Hashtbl.create 64;
         all_audits_dirty = true;
         faults_dirty = true;

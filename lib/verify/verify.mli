@@ -141,8 +141,11 @@ val class_universe : Portland.Fabric.t -> Netcore.Ipv4_addr.t list
     to the fabric's update journal ({!Portland.Fabric.set_journal}) and
     maintains per-class verdicts plus their device dependency sets. A
     {!Incremental.refresh} maps the queued updates to the delta —
-    flow-table changes to the classes whose PMAC falls under a changed
-    trie prefix (on switches the class's last walk visited), link/device/
+    flow-table changes, as the tables journal them with their trie
+    prefixes (a {!Switchfab.Flow_table.rebuild} journals only what
+    differs; the session keeps no table copies), to the classes whose
+    PMAC falls under a changed prefix (on switches the class's last walk
+    visited), link/device/
     fault/wiring changes to the classes whose dependency set contains an
     incident device — and re-walks only those, typically a handful out of
     hundreds. The refreshed report is {e equivalent} to a fresh {!run}:

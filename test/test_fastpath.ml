@@ -277,6 +277,91 @@ let test_journal_hooks () =
   FT.set_journal table None;
   FT.install table (prefix_entry ~len:48 v)
 
+(* a small switch program: two ECMP groups, prefix entries at several
+   lengths (two tied in priority, so tie order is observable) and a
+   residual entry *)
+let program ?(members = [| 1; 2 |]) ?(host_out = 0) () =
+  let v = 0x001F07030001 in
+  let groups = [ (3, members); (4, [| 2; 3 |]) ] in
+  let entries =
+    [ { FT.name = "bcast"; priority = 150; mtch = FT.match_dst_prefix ~value:mac_mask ~mask:mac_mask;
+        actions = [ FT.Punt ] };
+      prefix_entry ~name:"pod-a" ~priority:70 ~len:16 ~out:1 v;
+      prefix_entry ~name:"pod-b" ~priority:70 ~len:16 ~out:2 (v lxor 0x000100000000);
+      { FT.name = "up"; priority = 10; mtch = FT.match_any; actions = [ FT.Group 3 ] };
+      prefix_entry ~name:"host" ~len:48 ~out:host_out v;
+      { FT.name = "resid"; priority = 50;
+        mtch = { (FT.match_dst_prefix ~value:v ~mask:(prefix_mask 24)) with FT.ethertype = Some 0x0800 };
+        actions = [ FT.Group 4 ] } ]
+  in
+  (groups, entries)
+
+let fill table (groups, entries) () =
+  List.iter (fun (g, m) -> FT.set_group table g m) groups;
+  List.iter (FT.install table) entries
+
+(* a rebuild journals only what differs from the old contents, and leaves
+   exactly the table a clear + reinstall leaves, subscribed or not *)
+let test_journal_rebuild () =
+  let v = 0x001F07030001 in
+  let expect what got want =
+    if got <> want then
+      Alcotest.failf "%s: journalled [%s], expected [%s]" what (show_updates got)
+        (show_updates want)
+  in
+  let table = FT.create () in
+  fill table (program ()) ();
+  expect "identical contents journal nothing"
+    (with_journal table (fun () -> FT.rebuild table (fill table (program ()))))
+    [];
+  expect "one changed entry journals only its prefix"
+    (with_journal table (fun () -> FT.rebuild table (fill table (program ~host_out:1 ()))))
+    [ FT.Installed { name = "host"; prefix = Some (v, 48) } ];
+  expect "changed group members journal the group"
+    (with_journal table (fun () ->
+         FT.rebuild table (fill table (program ~members:[| 2 |] ~host_out:1 ()))))
+    [ FT.Group_changed { group = 3 } ];
+  let groups, entries = program () in
+  let moved = prefix_entry ~name:"host" ~len:32 v in
+  let entries' =
+    List.filter_map
+      (fun (e : FT.entry) ->
+        match e.FT.name with "host" -> Some moved | "resid" -> None | _ -> Some e)
+      entries
+  in
+  expect "moved, vanished, and new and deleted groups"
+    (with_journal table (fun () ->
+         FT.rebuild table (fill table ((5, [| 1 |]) :: List.tl groups, entries'))))
+    [ FT.Removed { name = "host"; prefix = Some (v, 48) };
+      FT.Installed { name = "host"; prefix = Some (v land prefix_mask 32, 32) };
+      FT.Removed { name = "resid"; prefix = None };
+      FT.Group_changed { group = 3 };
+      FT.Group_changed { group = 5 } ];
+  (* state equality against clear + reinstall, from the same history *)
+  let render t = (FT.entries t, FT.canonical_lines t, Format.asprintf "%a" FT.pp t) in
+  let frame = frame_for (Prng.create 1) v in
+  let history t =
+    fill t (program ()) ();
+    ignore (FT.lookup t frame)
+  in
+  let reference = FT.create () in
+  history reference;
+  FT.clear reference;
+  fill reference (program ~host_out:1 ()) ();
+  ignore (FT.lookup reference frame);
+  List.iter
+    (fun subscribed ->
+      let t = FT.create () in
+      history t;
+      if subscribed then FT.set_journal t (Some ignore);
+      FT.rebuild t (fill t (program ~host_out:1 ()));
+      FT.set_journal t None;
+      ignore (FT.lookup t frame);
+      if render t <> render reference then
+        Alcotest.failf "rebuild (subscribed=%b) differs from clear + reinstall:@.%a@.vs@.%a"
+          subscribed FT.pp t FT.pp reference)
+    [ false; true ]
+
 (* ---------------- codec differential fuzz ---------------- *)
 
 open Netcore
@@ -532,7 +617,9 @@ let () =
           prop_differential ] );
       ( "update journal",
         [ Alcotest.test_case "mutations journal with prefix provenance" `Quick
-            test_journal_hooks ] );
+            test_journal_hooks;
+          Alcotest.test_case "rebuild journals only the difference" `Quick
+            test_journal_rebuild ] );
       ( "codec differential",
         [ prop_fast_encode_identical;
           prop_fast_roundtrip;

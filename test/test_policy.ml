@@ -323,6 +323,10 @@ let test_install_drives_incremental () =
   let r = VI.refresh inc in
   if not (Verify.ok r) then
     Alcotest.failf "incremental after compiled install:@.%a" Verify.pp_report r;
+  (* the compiled tables equal the live ones, so the rebuild journals
+     nothing and no class is re-walked *)
+  Testutil.check_int "classes re-walked after installing identical tables" 0
+    (VI.delta_classes inc);
   Testutil.check_string "incremental digest = full digest"
     (Verify.digest_of_report (Verify.run fab))
     (Verify.digest_of_report r);
