@@ -103,6 +103,26 @@ let ping_all fab =
     hosts;
   (!sent, received)
 
+(* run, stats, verify, policy and chaos start from a converged fabric;
+   [code] is the exit status when it does not converge (1 for run/stats,
+   2 for verify/policy/chaos) *)
+let converge_or_exit ~code fab =
+  if not (Portland.Fabric.await_convergence fab) then begin
+    prerr_endline "fabric failed to converge";
+    exit code
+  end
+
+(* the shared --json writer: one JSON object and a newline, then say where *)
+let write_json_report json_out ~what to_json report =
+  match json_out with
+  | None -> ()
+  | Some path ->
+    let oc = open_out path in
+    output_string oc (Obs.Json.to_string (to_json report));
+    output_char oc '\n';
+    close_out oc;
+    Printf.printf "wrote %s to %s\n" what path
+
 let write_metrics obs = function
   | None -> ()
   | Some path ->
@@ -139,10 +159,7 @@ let run_scenario ({ k; verbose; _ } as c) ~duration_ms ~scenario ~pcap_file ~dot
         (Portland.Fabric.hosts fab);
       Some cap
   in
-  if not (Portland.Fabric.await_convergence fab) then begin
-    prerr_endline "fabric failed to converge";
-    exit 1
-  end;
+  converge_or_exit ~code:1 fab;
   Printf.printf "converged at %s (LDP + fabric manager assignments complete)\n%!"
     (Time.to_string (Portland.Fabric.now fab));
   (match scenario with
@@ -243,10 +260,7 @@ let run_stats ({ verbose; _ } as c) ~duration_ms ~metrics_out ~csv_out =
   let open Eventsim in
   let obs = Obs.create () in
   let fab = create_fabric ~obs c in
-  if not (Portland.Fabric.await_convergence fab) then begin
-    prerr_endline "fabric failed to converge";
-    exit 1
-  end;
+  converge_or_exit ~code:1 fab;
   let sent, received = ping_all fab in
   Portland.Fabric.run_for fab (Time.ms duration_ms);
   Printf.printf "%s, converged at %s; ping-all warm-up: %d sent, %d received\n%!"
@@ -272,10 +286,7 @@ let run_verify ({ k; verbose; _ } as c) ~inject ~corrupt ~json_out =
   let module FT = Switchfab.Flow_table in
   let module Verify = Portland_verify.Verify in
   let fab = create_fabric c in
-  if not (Portland.Fabric.await_convergence fab) then begin
-    prerr_endline "fabric failed to converge";
-    exit 2
-  end;
+  converge_or_exit ~code:2 fab;
   Printf.printf "%s converged at %s\n%!" (describe_fabric c fab)
     (Time.to_string (Portland.Fabric.now fab));
   let mt = Portland.Fabric.tree fab in
@@ -379,14 +390,7 @@ let run_verify ({ k; verbose; _ } as c) ~inject ~corrupt ~json_out =
   if verbose then dump_switch_state fab;
   let report = Verify.run ?faults fab in
   Format.printf "%a@." Verify.pp_report report;
-  (match json_out with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     output_string oc (Obs.Json.to_string (Verify.report_to_json report));
-     output_char oc '\n';
-     close_out oc;
-     Printf.printf "wrote verification report to %s\n" path);
+  write_json_report json_out ~what:"verification report" Verify.report_to_json report;
   exit (if Verify.ok report then 0 else 1)
 
 (* ---------------- policy compilation & differential check ---------------- *)
@@ -395,10 +399,7 @@ let run_policy ({ verbose; _ } as c) ~check ~corrupt ~json_out =
   let open Eventsim in
   let module P = Portland_policy.Policy in
   let fab = create_fabric c in
-  if not (Portland.Fabric.await_convergence fab) then begin
-    prerr_endline "fabric failed to converge";
-    exit 2
-  end;
+  converge_or_exit ~code:2 fab;
   Printf.printf "%s converged at %s\n%!" (describe_fabric c fab)
     (Time.to_string (Portland.Fabric.now fab));
   let pol = P.baseline fab in
@@ -439,14 +440,7 @@ let run_policy ({ verbose; _ } as c) ~check ~corrupt ~json_out =
       Printf.printf "shrunk reproducer: %d clause(s)\n" (List.length spans);
       List.iter (fun s -> Printf.printf "  %s\n" s) spans
     end;
-    (match json_out with
-     | None -> ()
-     | Some path ->
-       let oc = open_out path in
-       output_string oc (Obs.Json.to_string (P.Check.report_to_json report));
-       output_char oc '\n';
-       close_out oc;
-       Printf.printf "wrote policy differential report to %s\n" path);
+    write_json_report json_out ~what:"policy differential report" P.Check.report_to_json report;
     exit (if P.Check.ok report then 0 else 1)
 
 (* ---------------- chaos campaigns ---------------- *)
@@ -464,10 +458,7 @@ let run_chaos ({ seed; verbose; _ } as c) ~duration_ms ~campaign ~verify_every_u
   in
   let obs = Obs.create () in
   let fab = create_fabric ~obs c in
-  if not (Portland.Fabric.await_convergence fab) then begin
-    prerr_endline "fabric failed to converge";
-    exit 2
-  end;
+  converge_or_exit ~code:2 fab;
   Printf.printf "%s converged at %s; campaign=%s duration=%dms seed=%d\n%!"
     (describe_fabric c fab)
     (Time.to_string (Portland.Fabric.now fab))
@@ -505,14 +496,7 @@ let run_chaos ({ seed; verbose; _ } as c) ~duration_ms ~campaign ~verify_every_u
         List.iter (fun v -> Format.printf "    violation: %s@." v) c.Chaos.chk_violations)
       bad
   end;
-  (match json_out with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     output_string oc (Obs.Json.to_string (Chaos.report_to_json report));
-     output_char oc '\n';
-     close_out oc;
-     Printf.printf "wrote campaign report to %s\n" path);
+  write_json_report json_out ~what:"campaign report" Chaos.report_to_json report;
   if Chaos.report_ok report then print_endline "campaign OK"
   else print_endline "campaign FAILED";
   exit (if Chaos.report_ok report then 0 else 1)
@@ -587,14 +571,7 @@ let run_mc { k; topo; seed; verbose; _ } ~depth ~max_step ~delay_budget
        if verbose then
          Format.printf "--- replay of shrunk schedule ---@.%a@." Mc.pp_run
            (Mc.run_schedule p cx.Mc.cx_schedule));
-    (match json_out with
-     | None -> ()
-     | Some path ->
-       let oc = open_out path in
-       output_string oc (Obs.Json.to_string (Mc.report_to_json rep));
-       output_char oc '\n';
-       close_out oc;
-       Printf.printf "wrote mc report to %s\n" path);
+    write_json_report json_out ~what:"mc report" Mc.report_to_json rep;
     if Mc.report_ok rep then print_endline "mc OK" else print_endline "mc FAILED";
     exit (if Mc.report_ok rep then 0 else 1)
 

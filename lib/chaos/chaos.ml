@@ -319,12 +319,13 @@ let generate ?(profile = Mixed) ~seed ~duration (mt : MR.t) =
       emit (t1 + Time.ms 300) (Set_link_loss { a = l.la; b = l.lb; rate = 0.0 })
   in
   let ep_shard_failover t0 =
-    (* FM failover: wipe the FM's bindings and rebuild them from the
-       replication log mid-campaign, dropping one pod's pending ARPs. The
-       shadow fault set is untouched — a correct rebuild is invisible to
+    (* FM failover: drop one pod's pending ARPs and rebuild the FM's
+       serving index from its binding table mid-campaign. The shadow
+       fault set is untouched — a correct rebuild is invisible to
        routability; the executor's quiescent check (full verifier + FM
-       integrity pack) is what judges it. Paired with a link flap in the same pod so the rebuilt
-       fault rows are load-bearing, not vacuously empty. *)
+       integrity pack) is what judges it. Paired with a link flap in the
+       same pod so the failover lands while the fault matrix is
+       non-empty. *)
     let pod = Prng.int prng spec.MR.num_pods in
     match
       pick_admissible 4
@@ -431,8 +432,8 @@ let apply fab = function
     true
   | Failover_fm_shard { pod } ->
     (* [applied] doubles as the failover's own integrity verdict: false
-       means the digest-checked rebuild or the FM integrity pack
-       failed, which the quiescent check will also surface *)
+       means the rebuilt serving index failed the FM integrity pack,
+       which the quiescent check will also surface *)
     F.failover_fm_shard fab ~pod
   | Set_link_loss { a; b; rate } ->
     if rate <= 0.0 then F.clear_link_loss_between fab ~a ~b
@@ -504,9 +505,8 @@ let run_campaign ?(probes_per_check = 4) ?(label = "custom") ?(verify_every_upda
           @ [ Printf.sprintf "incremental/full divergence: incremental %s vs full %s" di df ]
         end
     in
-    (* the FM's integrity pack runs at every quiescent point: log-replay
-       equivalence (both directions), fault-row and multicast mirroring,
-       and serving-index agreement with the binding table *)
+    (* the FM's integrity pack runs at every quiescent point:
+       serving-index agreement with the binding table, both directions *)
     let violations =
       violations
       @ List.map (Printf.sprintf "fm integrity: %s")

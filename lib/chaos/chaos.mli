@@ -41,10 +41,9 @@ type action =
   | Restart_switch of int     (** {!Portland.Fabric.recover_switch} — cold reboot *)
   | Restart_fm                (** {!Portland.Fabric.restart_fabric_manager} *)
   | Failover_fm_shard of { pod : int }
-      (** {!Portland.Fabric.failover_fm_shard}: wipe the FM's bindings,
-          drop [pod]'s pending ARPs and rebuild the bindings from the
-          replication log. [ev_applied]
-          carries the failover's digest/integrity verdict. *)
+      (** {!Portland.Fabric.failover_fm_shard}: drop [pod]'s pending
+          ARPs and rebuild the FM's serving index from its binding
+          table. [ev_applied] carries the failover's integrity verdict. *)
   | Set_link_loss of { a : int; b : int; rate : float }
 
 type event = { at : Eventsim.Time.t; action : action }

@@ -56,6 +56,8 @@ type t = {
 let jemit t u = match t.journal with None -> () | Some f -> f u
 
 let set_journal t hook =
+  if Option.is_some t.journal && Option.is_some hook then
+    invalid_arg "Fabric.set_journal: a subscriber is already attached";
   t.journal <- hook;
   Fabric_manager.set_journal t.fm hook;
   Hashtbl.iter (fun _ a -> Switch_agent.set_journal a hook) t.switch_agents
@@ -184,8 +186,7 @@ let failover_fm_shard t ~pod =
   if pod < 0 || pod >= t.spec.MR.num_pods then
     invalid_arg "Fabric.failover_fm_shard: pod out of range";
   Obs.eventf t.obs ~time:(now t) ~level:Eventsim.Trace.Warn ~subsystem:"fabric"
-    "fm bindings failed over for pod %d (wipe + replay)" pod;
-  (* the FM emits the [Journal.Fm_shard_failover] record itself *)
+    "fm failed over for pod %d (serving index rebuilt)" pod;
   Fabric_manager.failover t.fm ~pod
 
 let fail_switch t device =

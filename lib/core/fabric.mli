@@ -164,16 +164,14 @@ val restart_fabric_manager : t -> unit
     the new instance afterwards. *)
 
 val failover_fm_shard : t -> pod:int -> bool
-(** Simulate the failure and recovery of the FM's binding store
-    ({!Fabric_manager.failover}): the binding table is wiped, the pending
-    ARPs for [pod]'s IPs are dropped (counted in
-    [Fabric_manager.counters.pending_dropped]; host retry recovers them),
-    and the bindings and serving index are rebuilt from the replication
-    log. Returns [true] iff the rebuilt state is digest-identical to the
-    pre-failure state and the full {!Fabric_manager.integrity} pack
-    passes. Emits
-    {!Journal.update.Fm_shard_failover}. Raises [Invalid_argument] for an
-    out-of-range pod. *)
+(** Simulate the loss of the FM's volatile serving state
+    ({!Fabric_manager.failover}): the pending ARPs for [pod]'s IPs are
+    dropped (counted in [Fabric_manager.counters.pending_dropped]; host
+    retry recovers them) and the serving index is rebuilt from the
+    binding table, the FM's one durable record. Returns [true] iff the
+    {!Fabric_manager.integrity} pack passes afterwards. Changes nothing
+    the dataplane verifier reads, so it journals nothing. Raises
+    [Invalid_argument] for an out-of-range pod. *)
 
 (** {1 Routing inspection} *)
 
@@ -224,4 +222,6 @@ val set_journal : t -> Journal.hook option -> unit
     {!restart_fabric_manager} (the fresh instance is re-hooked and an
     {!Journal.update.Fm_restarted} marker is emitted). [None]
     unsubscribes everywhere. At most one subscriber at a time — the
-    incremental dataplane verifier ({!Portland_verify}). *)
+    incremental dataplane verifier ({!Portland_verify}): subscribing
+    while another subscriber is attached raises [Invalid_argument]
+    instead of silently taking its updates. *)

@@ -11,17 +11,6 @@ type sw_info = {
 
 type pending_arp = { from_sw : int; requester_ip : Ipv4_addr.t; requester_port : int }
 
-(* One entry of the replication log: every durable soft-state write, in
-   arrival order. Replaying the log from scratch must rebuild exactly the
-   current state — that property is what [failover] and [integrity]
-   check, and what would drive a standby replica in a real deployment.
-   Pending ARPs are deliberately not logged: they are ephemeral (the host
-   retry path re-creates them), so failover drops them instead. *)
-type repl_entry =
-  | R_bind of Msg.host_binding
-  | R_fault of { fault : Fault.t; active : bool }
-  | R_mcast of { group : Ipv4_addr.t; switch : int; port : int; join : bool }
-
 type group_state = {
   receivers : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* edge switch id -> host port set *)
   mutable core_sw : int option;
@@ -72,11 +61,10 @@ type t = {
   stripe_ids : (int, int) Hashtbl.t; (* stripe-component root -> stripe label *)
   mutable next_stripe : int;
   positions : (int, (int, int) Hashtbl.t) Hashtbl.t; (* pod -> position -> edge switch id *)
-  members : (int, (int, int) Hashtbl.t) Hashtbl.t; (* stripe -> member -> core switch id *)
   bindings : (Ipv4_addr.t, Msg.host_binding) Hashtbl.t;
-      (* the binding records: migration detection, edge restores, integrity *)
+      (* the binding records, the FM's one durable record of hosts:
+         migration detection, edge restores, the serving index's source *)
   pending : (Ipv4_addr.t, pending_arp list) Hashtbl.t;
-  mutable log : repl_entry list; (* newest first *)
   mutable index : int array;
       (* serving index: [resolve]'s only path, updated in place on every
          binding write (see [index_set]) *)
@@ -97,13 +85,6 @@ type t = {
    function of the address — which is what lets a failover drop the
    pending ARPs of one pod. *)
 let pod_of_ip ip = (Ipv4_addr.to_int ip lsr 16) land 0xff
-
-let log_entry t e = t.log <- e :: t.log
-
-let replay_bindings t tbl =
-  List.iter
-    (function R_bind b -> Hashtbl.replace tbl b.Msg.ip b | R_fault _ | R_mcast _ -> ())
-    (List.rev t.log)
 
 let jemit t u = match t.journal with None -> () | Some f -> f u
 
@@ -151,8 +132,8 @@ let pending_count t = Hashtbl.length t.pending
    array — a hit is one cache line instead of a bucket-chain walk.
    Fibonacci hashing scatters the IPs; capacity doubles whenever load
    would pass 3/4, so linear probes stay short. Bindings are only ever
-   inserted or overwritten in place (a failover wipes the whole table and
-   rebuilds the index with it), so probes need no tombstones. *)
+   inserted or overwritten in place (a failover rebuilds the whole index
+   from the binding table), so probes need no tombstones. *)
 let pmac_pack (p : Pmac.t) =
   (p.Pmac.pod lsl 32) lor (p.Pmac.position lsl 24) lor (p.Pmac.port lsl 16) lor p.Pmac.vmid
 
@@ -213,11 +194,10 @@ let resolve t ip =
 
 let lookup_binding t ip = Hashtbl.find_opt t.bindings ip
 
-(* every binding write: record, serving index, replication log, journal *)
+(* every binding write: record, serving index, journal *)
 let write_binding t (b : Msg.host_binding) =
   Hashtbl.replace t.bindings b.Msg.ip b;
   index_set t (index_key b.Msg.ip) (pmac_pack b.Msg.pmac);
-  log_entry t (R_bind b);
   jemit t (Journal.Binding { ip = b.Msg.ip })
 
 let insert_binding_for_test = write_binding
@@ -327,20 +307,9 @@ let try_assign_stripe t sw =
           | Some pod -> assign_coords t a (Coords.Agg { pod; stripe })
           | None -> () (* its pod is not labelled yet; a later pass assigns *))
       aggs;
-    let member_tbl =
-      match Hashtbl.find_opt t.members stripe with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = Hashtbl.create 8 in
-        Hashtbl.replace t.members stripe tbl;
-        tbl
-    in
     List.iteri
       (fun member (c : sw_info) ->
-        if c.coords = None then begin
-          Hashtbl.replace member_tbl member c.sw_id;
-          assign_coords t c (Coords.Core { stripe; member })
-        end)
+        if c.coords = None then assign_coords t c (Coords.Core { stripe; member }))
       (List.sort (fun (a : sw_info) b -> compare a.sw_id b.sw_id) cores)
 
 let try_assign t sw =
@@ -351,17 +320,6 @@ let try_assign t sw =
   end
 
 let by_sw_id = List.sort (fun (a : sw_info) b -> compare a.sw_id b.sw_id)
-
-let register_member t ~stripe ~member sw_id =
-  let tbl =
-    match Hashtbl.find_opt t.members stripe with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 8 in
-      Hashtbl.replace t.members stripe tbl;
-      tbl
-  in
-  Hashtbl.replace tbl member sw_id
 
 let core_neighbor_ids sw =
   List.filter_map
@@ -404,10 +362,8 @@ let try_assign_ab t =
         List.iteri
           (fun member cid ->
             let csw = get_sw t cid in
-            if csw.coords = None then begin
-              register_member t ~stripe:row ~member cid;
-              assign_coords t csw (Coords.Core { stripe = row; member })
-            end)
+            if csw.coords = None then
+              assign_coords t csw (Coords.Core { stripe = row; member }))
           (core_neighbor_ids agg))
       ref_aggs;
     let classify sw =
@@ -463,10 +419,7 @@ let try_assign_flat t =
   if List.length cores = t.spec.MR.num_cores then
     List.iteri
       (fun member sw ->
-        if sw.coords = None then begin
-          register_member t ~stripe:0 ~member sw.sw_id;
-          assign_coords t sw (Coords.Core { stripe = 0; member })
-        end)
+        if sw.coords = None then assign_coords t sw (Coords.Core { stripe = 0; member }))
       cores
 
 let try_assign_all t =
@@ -531,17 +484,7 @@ let on_reclaim t ~switch_id coords =
   | Coords.Agg { pod; stripe } ->
     claim_pod pod;
     claim_stripe stripe
-  | Coords.Core { stripe; member } ->
-    claim_stripe stripe;
-    let tbl =
-      match Hashtbl.find_opt t.members stripe with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = Hashtbl.create 8 in
-        Hashtbl.replace t.members stripe tbl;
-        tbl
-    in
-    Hashtbl.replace tbl member switch_id
+  | Coords.Core { stripe; _ } -> claim_stripe stripe
 
 let on_propose_position t ~switch_id ~position =
   let sw = get_sw t switch_id in
@@ -866,15 +809,12 @@ let broadcast_faults t =
     (Fault.Set.cardinal t.faults);
   Ctrl.broadcast_to_switches t.ctrl (Msg.Fault_update { faults = Fault.Set.elements t.faults })
 
-let log_fault t fault active = log_entry t (R_fault { fault; active })
-
 let on_fault_notice t ~switch_id ~neighbor =
   t.c.m_fault_notices <- t.c.m_fault_notices + 1;
   match translate_fault t switch_id neighbor with
   | Some f when not (Fault.Set.mem t.faults f) ->
     Fault.Set.add t.faults f;
     bump_tree_gen t;
-    log_fault t f true;
     broadcast_faults t;
     recompute_all_groups t
   | Some _ | None -> ()
@@ -890,8 +830,7 @@ let on_recovery_notice t ~switch_id ~neighbor =
        enough that the extra traffic is negligible. *)
     if Fault.Set.mem t.faults f then begin
       Fault.Set.remove t.faults f;
-      bump_tree_gen t;
-      log_fault t f false
+      bump_tree_gen t
     end;
     broadcast_faults t;
     recompute_all_groups t
@@ -1048,7 +987,6 @@ let handle t ~from:_ (msg : Msg.to_fm) =
         ports
     in
     Hashtbl.replace ports port ();
-    log_entry t (R_mcast { group; switch = switch_id; port; join = true });
     recompute_group t group
   | Msg.Reclaim_coords { switch_id; coords } -> on_reclaim t ~switch_id coords
   | Msg.Coords_request { switch_id } -> on_coords_request t ~switch_id
@@ -1059,71 +997,20 @@ let handle t ~from:_ (msg : Msg.to_fm) =
        Hashtbl.remove ports port;
        if Hashtbl.length ports = 0 then Hashtbl.remove g.receivers switch_id
      | None -> ());
-    log_entry t (R_mcast { group; switch = switch_id; port; join = false });
     recompute_group t group
 
 (* ---------------- failover & integrity ---------------- *)
 
-let render_binding (b : Msg.host_binding) =
-  Printf.sprintf "%d:%d:%d:%d" (Ipv4_addr.to_int b.Msg.ip) (Mac_addr.to_int b.Msg.amac)
-    (Mac_addr.to_int (Pmac.to_mac b.Msg.pmac))
-    b.Msg.edge_switch
-
-let binding_digest t =
-  Hashtbl.fold (fun _ b acc -> render_binding b :: acc) t.bindings []
-  |> List.sort compare |> Line_digest.of_lines
-
-let replay_faults t =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (function
-      | R_fault { fault; active } ->
-        if active then Hashtbl.replace tbl fault () else Hashtbl.remove tbl fault
-      | R_bind _ | R_mcast _ -> ())
-    (List.rev t.log);
-  Hashtbl.fold (fun f () acc -> f :: acc) tbl [] |> List.sort compare
-
-let replay_mcast t =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (function
-      | R_mcast { group; switch; port; join } ->
-        let key = (Ipv4_addr.to_int group, switch, port) in
-        if join then Hashtbl.replace tbl key () else Hashtbl.remove tbl key
-      | R_bind _ | R_fault _ -> ())
-    (List.rev t.log);
-  Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
-
-let live_mcast t =
-  Hashtbl.fold
-    (fun group g acc ->
-      Hashtbl.fold
-        (fun sw ports acc ->
-          Hashtbl.fold (fun p () acc -> (Ipv4_addr.to_int group, sw, p) :: acc) ports acc)
-        g.receivers acc)
-    t.groups []
-  |> List.sort compare
-
-(* Every check runs both directions: the log replays to exactly the live
-   bindings, fault matrix and multicast membership, and the serving index
-   holds exactly the live bindings' PMACs. Also run by the mc invariant
-   pack and the chaos quiescent checks. *)
+(* The serving index mirrors the binding table exactly, both directions:
+   every binding resolves to its PMAC, and every occupied slot names a
+   bound IP. Also run by the mc invariant pack and the chaos quiescent
+   checks. *)
 let integrity t =
   let violations = ref [] in
   let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let ip_s = Ipv4_addr.to_string in
-  let rebuilt = Hashtbl.create (Hashtbl.length t.bindings) in
-  replay_bindings t rebuilt;
-  Hashtbl.iter
-    (fun ip b ->
-      match Hashtbl.find_opt t.bindings ip with
-      | Some b' when b' = b -> ()
-      | Some _ -> bad "log and live binding differ for %s" (ip_s ip)
-      | None -> bad "log has binding %s absent live" (ip_s ip))
-    rebuilt;
   Hashtbl.iter
     (fun ip (b : Msg.host_binding) ->
-      if not (Hashtbl.mem rebuilt ip) then bad "live binding %s absent from log" (ip_s ip);
       match resolve t ip with
       | Some p when Pmac.equal p b.Msg.pmac -> ()
       | Some _ -> bad "serving index disagrees with the binding for %s" (ip_s ip)
@@ -1137,21 +1024,16 @@ let integrity t =
         bad "serving index holds %s absent from the bindings" (ip_s ip)
     end
   done;
-  let expected = replay_faults t and actual = List.sort compare (Fault.Set.elements t.faults) in
-  if expected <> actual then
-    bad "fault rows diverge (log %d, live %d)" (List.length expected) (List.length actual);
-  if replay_mcast t <> live_mcast t then bad "multicast membership log diverges from live groups";
   List.rev !violations
 
-(* Failover: the binding store loses its RAM. Pending ARPs for the
-   failed pod's IPs are dropped (the host retry path recovers them); the
-   bindings are wiped and rebuilt from the replication log, the serving
-   index with them; the rebuilt state is checkpointed against the
-   pre-failure digest and the integrity pack. Returns true iff the
-   rebuild verified. *)
+(* Failover: the FM loses its volatile serving state. The binding table
+   is the durable record and survives; the pending ARPs for the failed
+   pod's IPs are dropped (the host retry path recovers them) and the
+   serving index is rebuilt from the binding table. Returns true iff the
+   rebuilt index passes the integrity pack. *)
 let failover t ~pod =
   t.c.m_shard_failovers <- t.c.m_shard_failovers + 1;
-  tracef t Eventsim.Trace.Warn "fm failover (pod %d): rebuilding bindings from log" pod;
+  tracef t Eventsim.Trace.Warn "fm failover (pod %d): rebuilding the serving index" pod;
   let stale =
     Hashtbl.fold (fun ip w acc -> if pod_of_ip ip = pod then (ip, w) :: acc else acc) t.pending []
   in
@@ -1160,13 +1042,8 @@ let failover t ~pod =
       t.c.m_pending_dropped <- t.c.m_pending_dropped + List.length w;
       Hashtbl.remove t.pending ip)
     stale;
-  let before = binding_digest t in
-  Hashtbl.reset t.bindings;
-  replay_bindings t t.bindings;
   index_rebuild t;
-  let after = binding_digest t in
-  jemit t (Journal.Fm_shard_failover { pod });
-  before = after && integrity t = []
+  integrity t = []
 
 let create ?(obs = Obs.null) engine config ctrl ~spec =
   let t =
@@ -1181,10 +1058,8 @@ let create ?(obs = Obs.null) engine config ctrl ~spec =
       stripe_ids = Hashtbl.create 16;
       next_stripe = 0;
       positions = Hashtbl.create 16;
-      members = Hashtbl.create 16;
       bindings = Hashtbl.create 1024;
       pending = Hashtbl.create 16;
-      log = [];
       index = index_create 0;
       index_count = 0;
       arp_gen = 0;

@@ -24,13 +24,14 @@
       programs per-switch port sets, recomputing on membership or fault
       changes.
 
-    {b State layout.} One binding table (the records behind
-    {!lookup_binding}), one pending-ARP table, one replication log and
-    one flat serving index that {!resolve} reads. Every binding write
-    updates the index in place. Every durable write (bindings, fault
-    deltas, multicast membership) is appended to the replication log, so
-    {!failover} can wipe the bindings and rebuild them deterministically
-    — checked against a pre-failure digest and the {!integrity} pack.
+    {b State layout.} One copy of each piece of state: one binding table
+    (the records behind {!lookup_binding}, the FM's durable record of
+    hosts), one pending-ARP table, the fault set, the multicast groups,
+    and one flat serving index that {!resolve} reads. Every binding
+    write updates the index in place; the index is volatile and
+    {!failover} rebuilds it from the binding table. A cold restart
+    ({!Fabric.restart_fabric_manager}) rebuilds everything else from the
+    switches.
 
     {b ARP generations.} Every VM migration advances a fabric-wide ARP
     generation, broadcast to all switches and stamped on every ARP
@@ -90,17 +91,16 @@ val arp_generation : t -> int
 (** Current ARP generation; advances on every migration. *)
 
 val failover : t -> pod:int -> bool
-(** Fail over the binding store: drop the pending ARPs for [pod]'s IPs
-    (counted in [pending_dropped]), wipe the bindings and rebuild them
-    and the serving index from the replication log, then verify the
-    rebuild — digest equality with the pre-failure state plus the full
-    {!integrity} pack. [true] iff the rebuilt state verified. *)
+(** Lose the FM's volatile serving state: drop the pending ARPs for
+    [pod]'s IPs (counted in [pending_dropped]; host retry recovers them)
+    and rebuild the serving index from the binding table, which
+    survives. Counted in [shard_failovers]. [true] iff {!integrity}
+    holds afterwards. *)
 
 val integrity : t -> string list
-(** Replication-log and serving-index agreement, both directions: the
-    log replays to exactly the live bindings, fault matrix and multicast
-    membership; the serving index holds exactly the live bindings'
-    PMACs. Empty iff consistent. Run by the mc invariant pack and chaos
+(** Serving-index and binding-table agreement, both directions: every
+    binding resolves to its PMAC, and every IP the index holds is
+    bound. Empty iff consistent. Run by the mc invariant pack and chaos
     quiescent checks. *)
 
 (** {1 Direct access, used by benchmarks and tests}

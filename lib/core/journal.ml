@@ -10,7 +10,6 @@ type update =
   | Device_state of { device : int; up : bool }
   | Wiring of { device : int }
   | Fm_restarted
-  | Fm_shard_failover of { pod : int }
 
 type hook = update -> unit
 
@@ -27,5 +26,3 @@ let pp fmt = function
     Format.fprintf fmt "device %d %s" device (if up then "up" else "down")
   | Wiring { device } -> Format.fprintf fmt "wiring changed at device %d" device
   | Fm_restarted -> Format.pp_print_string fmt "fabric manager restarted"
-  | Fm_shard_failover { pod } ->
-    Format.fprintf fmt "fm shard failover (pod %d): rebuilt from replication log" pod

@@ -9,7 +9,9 @@
     {!Fault.Set.set_hook}, fabric-manager and switch-agent hooks) into a
     single subscriber, which is how the incremental verifier maps each
     update to the destination equivalence classes it can affect and
-    re-walks only those. *)
+    re-walks only those. An FM failover ({!Fabric.failover_fm_shard})
+    rebuilds only the FM's serving index from its binding table, which
+    no verdict reads, so it is not an update. *)
 
 type update =
   | Flow of { switch : int; change : Switchfab.Flow_table.update }
@@ -39,12 +41,6 @@ type update =
   | Fm_restarted
       (** The fabric manager was replaced wholesale; all soft state —
           bindings, fault matrix, coordinate grants — is rebuilding. *)
-  | Fm_shard_failover of { pod : int }
-      (** The FM's bindings were wiped and rebuilt from its replication
-          log, dropping [pod]'s pending ARPs. The rebuild is
-          digest-checked to be state-identical, so no dataplane
-          re-verification is needed —
-          the record exists for observability and campaign reports. *)
 
 type hook = update -> unit
 

@@ -163,11 +163,10 @@ let check_invariants_counted ?settle fab =
              Netcore.Ipv4_addr.pp ip fb.Portland.Msg.edge_switch))
     (F.hosts fab);
   (* 2b. binding agreement, both directions: the FM's binding store must
-     be internally consistent (its replication log replays to its live
-     state, its serving index mirrors its bindings), and every live
-     generation-stamped edge ARP-cache entry must agree with the FM's
-     binding for its IP — while no edge may have seen an ARP generation
-     the FM never issued. *)
+     be internally consistent (its serving index mirrors its binding
+     table exactly), and every live generation-stamped edge ARP-cache
+     entry must agree with the FM's binding for its IP — while no edge
+     may have seen an ARP generation the FM never issued. *)
   let binding_checks = ref 1 in
   List.iter (fun s -> add "fm integrity: %s" s) (FM.integrity fm);
   let fm_gen = FM.arp_generation fm in

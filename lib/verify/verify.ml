@@ -694,6 +694,7 @@ module Incremental = struct
     mutable fault_viols : violation list;
     mutable faults_checked : int;
     pending : Journal.update Queue.t;
+    mutable attached : bool; (* this session holds the fabric's journal *)
     mutable full_dirty : bool;
     dirty_classes : (Ipv4_addr.t, unit) Hashtbl.t;
     deltas : (int, delta) Hashtbl.t;      (* per switch: flow-table changes since last refresh *)
@@ -745,10 +746,6 @@ module Incremental = struct
          re-walks every class) and relabels the coordinate reverse maps
          every audit leans on; an FM restart invalidates all soft state *)
       t.full_dirty <- true
-    | Journal.Fm_shard_failover _ ->
-      (* the binding rebuild is digest-checked to be state-identical, so
-         no class can have changed verdict *)
-      ()
     | Journal.Fault_delta { fault; active = _ } ->
       t.faults_dirty <- true;
       List.iter (fun d -> Hashtbl.replace t.dirty_audits d ()) (fault_devices s fault)
@@ -905,6 +902,10 @@ module Incremental = struct
 
   let attach ?obs fab =
     let o = match obs with Some o -> o | None -> Fabric.obs fab in
+    (* subscribe first: a second session on one fabric raises here,
+       before it registers anything *)
+    let pending = Queue.create () in
+    Fabric.set_journal fab (Some (fun u -> Queue.push u pending));
     let t =
       { fab;
         snap = None;
@@ -912,7 +913,8 @@ module Incremental = struct
         audits = Hashtbl.create 64;
         fault_viols = [];
         faults_checked = 0;
-        pending = Queue.create ();
+        pending;
+        attached = true;
         full_dirty = true;
         dirty_classes = Hashtbl.create 64;
         deltas = Hashtbl.create 64;
@@ -924,11 +926,15 @@ module Incremental = struct
         m_ns = Obs.histogram o ~subsystem:"verify" ~name:"incremental_ns" ();
         m_equiv = Obs.counter o ~subsystem:"verify" ~name:"full_equiv_checks" () }
     in
-    Fabric.set_journal fab (Some (fun u -> Queue.push u t.pending));
     ignore (refresh t);
     t
 
-  let detach t = Fabric.set_journal t.fab None
+  let detach t =
+    if t.attached then begin
+      t.attached <- false;
+      Fabric.set_journal t.fab None
+    end
+
   let delta_classes t = t.last_delta
   let digest t = digest_of_report (report t)
 

@@ -156,15 +156,17 @@ module Incremental : sig
   type t
 
   val attach : ?obs:Obs.t -> Portland.Fabric.t -> t
-  (** Subscribe to the fabric's journal (displacing any other subscriber)
-      and run one full baseline pass. [obs] (default the fabric's own
-      registry) receives [verify/delta_classes] and
-      [verify/incremental_ns] histograms per refresh and the
-      [verify/full_equiv_checks] counter. *)
+  (** Subscribe to the fabric's journal and run one full baseline pass.
+      [obs] (default the fabric's own registry) receives
+      [verify/delta_classes] and [verify/incremental_ns] histograms per
+      refresh and the [verify/full_equiv_checks] counter. Raises
+      [Invalid_argument] while another session is attached to the same
+      fabric ({!Portland.Fabric.set_journal}); {!detach} it first. *)
 
   val detach : t -> unit
   (** Unsubscribe. The session's caches stay readable but no longer
-      track the fabric. *)
+      track the fabric. A no-op on a session already detached, so it
+      never unsubscribes a later session. *)
 
   val refresh : t -> report
   (** Drain queued updates, re-verify the affected classes/audits only,

@@ -1,7 +1,7 @@
 (* Fabric-manager soft-state suite: the binding store (serving index,
-   replication-log failover, edge restores), the pending-ARP lifecycle
-   (dedupe, drops on switch death and FM restart) and the
-   generation-stamped edge ARP caches. *)
+   failover, edge restores, bounded state under rewrites), the
+   pending-ARP lifecycle (dedupe, drops on switch death, pod-scoped drops
+   on failover, FM restart) and the generation-stamped edge ARP caches. *)
 
 module F = Portland.Fabric
 module FM = Portland.Fabric_manager
@@ -84,13 +84,38 @@ let test_pending_dropped_on_switch_death () =
   Testutil.check_int "live switch answered" 1 !alive;
   Testutil.check_int "dead switch never answered" 0 !dead
 
+(* A failover drops only the failed pod's waiters: a target in pod 2
+   loses its pending entry (counted), while a target in pod 3 stays
+   queued and is answered once it announces. *)
+let test_failover_drops_only_its_pod () =
+  let engine, ctrl, fm = mk_fm () in
+  let answers = ref 0 in
+  count_answers ctrl 1 answers;
+  let in_pod2 = Netcore.Ipv4_addr.of_octets 10 2 0 5 in
+  let in_pod3 = Netcore.Ipv4_addr.of_octets 10 3 0 5 in
+  query ctrl ~from_sw:1 ~port:0 in_pod2;
+  query ctrl ~from_sw:1 ~port:0 in_pod3;
+  Eventsim.Engine.run engine;
+  Testutil.check_int "both targets waiting" 2 (FM.pending_count fm);
+  Alcotest.(check bool) "failover verified" true (FM.failover fm ~pod:2);
+  Testutil.check_int "pod 2's waiter dropped and counted" 1 (FM.counters fm).FM.pending_dropped;
+  Testutil.check_int "pod 3's waiter survives" 1 (FM.pending_count fm);
+  List.iter
+    (fun (i, ip) ->
+      Portland.Ctrl.send_to_fm ctrl ~from:9
+        (Portland.Msg.Host_announce { (mk_binding i) with Portland.Msg.ip = ip }))
+    [ (5, in_pod2); (6, in_pod3) ];
+  Eventsim.Engine.run engine;
+  Testutil.check_int "only pod 3's waiter answered" 1 !answers;
+  Testutil.check_int "nothing left pending" 0 (FM.pending_count fm)
+
 (* ---------------- binding store ---------------- *)
 
 (* [resolve] reads the flat serving index, [lookup_binding] the binding
    table; the two must agree on present, absent and repeated IPs while
    the index grows from its initial 16 slots past 100k entries, after
-   in-place migration updates, and after a failover rebuilds both from
-   the replication log. PMACs are distinct per IP, so an index that
+   in-place migration updates, and after a failover rebuilds the index
+   from the binding table. PMACs are distinct per IP, so an index that
    served a neighbouring slot would be caught. *)
 let test_resolve_matches_lookup () =
   let _, _, fm = mk_fm () in
@@ -125,6 +150,25 @@ let test_resolve_matches_lookup () =
   Alcotest.(check bool) "failover verified" true (FM.failover fm ~pod:0);
   sweep "after failover";
   Alcotest.(check (list string)) "integrity" [] (FM.integrity fm)
+
+(* The FM keeps one copy of its state, so rewriting the same bindings
+   (new PMACs, same IPs) must not grow it: a history of writes would add
+   words on every round. *)
+let test_bounded_under_rewrites () =
+  let _, _, fm = mk_fm () in
+  let write round =
+    for i = 0 to 99 do
+      FM.insert_binding_for_test fm
+        { (mk_binding i) with
+          Portland.Msg.pmac = Portland.Pmac.make ~pod:(i mod 4) ~position:0 ~port:0 ~vmid:round }
+    done
+  in
+  write 1;
+  let words = Obj.reachable_words (Obj.repr fm) in
+  for round = 2 to 100 do write round done;
+  Testutil.check_int "FM size after 100 rounds of 100 rewrites" words
+    (Obj.reachable_words (Obj.repr fm));
+  Testutil.check_int "still 100 bindings" 100 (FM.binding_count fm)
 
 let family ~k name =
   match Topology.Topo.Family.of_string ~k name with
@@ -161,9 +205,9 @@ let test_failover () =
   Testutil.assert_all_pairs_deliver ~msg:"delivery after failovers" fab
 
 (* A rebooted edge switch gets its host bindings back from the FM's live
-   binding table. One of its hosts migrated away first, so the replication
-   log still names this edge for that IP; the restore must hold exactly
-   the bindings live at the edge now, not every binding it ever had. A
+   binding table. One of its hosts migrated away first, so that IP was
+   once bound at this edge; the restore must hold exactly the bindings
+   live at the edge now, not every binding it ever had. A
    cold-rebooted edge starts empty and its idle hosts send nothing, so
    its table after reconvergence is the restore. *)
 let test_edge_reboot_restores_live_bindings () =
@@ -381,11 +425,14 @@ let () =
         [ Alcotest.test_case "dedupe per (switch, requester, port)" `Quick
             test_pending_dedupe;
           Alcotest.test_case "dropped when the asking switch dies" `Quick
-            test_pending_dropped_on_switch_death ] );
+            test_pending_dropped_on_switch_death;
+          Alcotest.test_case "failover drops only its pod's waiters" `Quick
+            test_failover_drops_only_its_pod ] );
       ( "binding store",
         [ Alcotest.test_case "resolve = lookup_binding PMAC" `Quick test_resolve_matches_lookup;
           Alcotest.test_case "integrity on every family" `Quick test_integrity_converged;
-          Alcotest.test_case "failover rebuilds from the log" `Quick test_failover;
+          Alcotest.test_case "failover rebuilds serving index" `Quick test_failover;
+          Alcotest.test_case "state bounded under rewrites" `Quick test_bounded_under_rewrites;
           Alcotest.test_case "edge reboot restores live bindings" `Quick
             test_edge_reboot_restores_live_bindings ] );
       ( "fm-restart-race",
