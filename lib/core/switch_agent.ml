@@ -18,6 +18,7 @@ type agent_counters = {
   table_recomputes : int;
   faults_reported : int;
   recoveries_reported : int;
+  fault_updates_skipped : int;
 }
 
 type t = {
@@ -33,6 +34,7 @@ type t = {
   prng : Prng.t;
   mutable coords : Coords.t option;
   mutable operational : bool;
+  mutable installed_stamp : int; (* FT.stamp right after the last install_program *)
   faults : Fault.Set.t;
   (* edge-only state *)
   amac_to_host : (Mac_addr.t, host_entry) Hashtbl.t;
@@ -62,6 +64,7 @@ type t = {
   mutable c_table_recomputes : int;
   mutable c_faults_reported : int;
   mutable c_recoveries_reported : int;
+  mutable c_fault_updates_skipped : int;
   mutable journal : Journal.hook option;
 }
 
@@ -125,7 +128,8 @@ let counters t =
     corrective_arps = t.c_corrective_arps;
     table_recomputes = t.c_table_recomputes;
     faults_reported = t.c_faults_reported;
-    recoveries_reported = t.c_recoveries_reported }
+    recoveries_reported = t.c_recoveries_reported;
+    fault_updates_skipped = t.c_fault_updates_skipped }
 
 (* ---------------- group-id scheme ---------------- *)
 
@@ -351,6 +355,7 @@ let recompute_tables t =
   if t.coords <> None then begin
     t.c_table_recomputes <- t.c_table_recomputes + 1;
     Lang.install_program t.table (program t);
+    t.installed_stamp <- FT.stamp t.table;
     t.operational <- true
   end
 
@@ -632,6 +637,19 @@ let on_ctrl_msg t (msg : Msg.to_switch) =
      | None -> ())
   | Msg.Arp_flood { requester_ip; requester_pmac; target_ip } ->
     emit_arp_flood t ~requester_ip ~requester_pmac ~target_ip
+  | Msg.Fault_update { faults }
+    when t.coords <> None
+         && FT.stamp t.table = t.installed_stamp
+         && faults = Fault.Set.elements t.faults ->
+    (* The program reads coordinates, the LDP view, faults, hosts, traps
+       and multicast groups. Coordinate and view changes recompute
+       already, and host, trap and multicast edits write the table and
+       move its stamp. So with the same faults and an unmoved stamp the
+       rebuild would reinstall the same entries, in the same tie order,
+       with the same groups; only its zeroing of the hit counters would
+       show. *)
+    t.c_fault_updates_skipped <- t.c_fault_updates_skipped + 1;
+    FT.zero_hits t.table
   | Msg.Fault_update { faults } ->
     Fault.Set.clear t.faults;
     List.iter (Fault.Set.add t.faults) faults;
@@ -748,7 +766,7 @@ let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) () =
           ~labels:[ Obs.Label.sw device ] ();
       table = FT.create ();
       dp = None; ldp = None; prng;
-      coords = None; operational = false;
+      coords = None; operational = false; installed_stamp = -1;
       faults = Fault.Set.create ();
       amac_to_host = Hashtbl.create 16;
       pmac_to_host = Hashtbl.create 16;
@@ -765,7 +783,7 @@ let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) () =
       c_arps_proxied = 0; c_arps_answered = 0; c_arp_cache_hits = 0;
       c_hosts_learned = 0; c_trap_hits = 0;
       c_corrective_arps = 0; c_table_recomputes = 0; c_faults_reported = 0;
-      c_recoveries_reported = 0; journal = None }
+      c_recoveries_reported = 0; c_fault_updates_skipped = 0; journal = None }
   in
   t.position_candidate <- Prng.int t.prng spec.Spec.edges_per_pod;
   FT.set_hash_salt t.table (device * 0x85EBCA6B);
@@ -797,7 +815,8 @@ let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) () =
         s "corrective_arps" t.c_corrective_arps;
         s "table_recomputes" t.c_table_recomputes;
         s "faults_reported" t.c_faults_reported;
-        s "recoveries_reported" t.c_recoveries_reported ]);
+        s "recoveries_reported" t.c_recoveries_reported;
+        s "fault_updates_skipped" t.c_fault_updates_skipped ]);
   (* the agent's own handler wraps the dataplane (multi-table semantics) *)
   Switchfab.Net.set_handler dev (fun in_port frame -> handle_frame t in_port frame);
   Ctrl.register_switch ctrl device (fun msg -> on_ctrl_msg t msg);

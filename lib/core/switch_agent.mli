@@ -40,6 +40,12 @@ type agent_counters = {
   table_recomputes : int;
   faults_reported : int;
   recoveries_reported : int;
+  fault_updates_skipped : int;
+      (** [Msg.Fault_update]s that carried the fault matrix the switch
+          already held while its table still held what the last
+          recompute installed: the rebuild was skipped (only the hit
+          counters were zeroed, as the rebuild would have) and
+          [table_recomputes] did not move *)
 }
 
 val create :

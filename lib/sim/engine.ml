@@ -4,7 +4,7 @@ type event = {
   time : Time.t;
   seq : int;
   tag : string option; (* reorderable-action descriptor, None for ordinary events *)
-  thunk : unit -> unit;
+  mutable thunk : unit -> unit; (* grows when [extend] folds a same-instant event in *)
   mutable state : state;
 }
 
@@ -67,6 +67,17 @@ let schedule_tagged t ~delay ~tag thunk =
       else chosen
   in
   enqueue t ~time ~tag:(Some tag) thunk
+
+(* [h] fires at (time, seq) and nothing was enqueued after it, so an event
+   for the same instant scheduled now would take seq + 1 and fire right
+   after it: running [f] at the end of [h]'s thunk is the same order. *)
+let extend t h ~time f =
+  h.state = Pending && h.tag = None && h.seq = t.next_seq - 1 && h.time = time
+  && begin
+    let g = h.thunk in
+    h.thunk <- (fun () -> g (); f ());
+    true
+  end
 
 let cancel t handle =
   if handle.state = Pending then begin

@@ -50,6 +50,22 @@ val schedule_tagged : t -> delay:Time.t -> tag:string -> (unit -> unit) -> handl
     [schedule]; with one, the interceptor chooses the delivery time and
     is notified when the event fires. *)
 
+val extend : t -> handle -> time:Time.t -> (unit -> unit) -> bool
+(** [extend t h ~time f] is [schedule_at t ~time f] folded into [h]'s
+    event: [f] runs right after [h]'s thunk, inside the same event, and
+    the call returns [true]. It accepts only when [h] is pending,
+    untagged, due at [time] and the last event enqueued in [t];
+    otherwise it returns [false] and changes nothing, and the caller
+    schedules [f] itself. An event scheduled now for [h]'s instant would
+    take the next sequence number and so fire right after [h] with
+    nothing between them, and an event scheduled while the chain runs
+    fires after all of it either way, so folding preserves the firing
+    order exactly. [Switchfab.Net] folds the same-instant frame
+    deliveries of a burst this way.
+
+    Callers must never {!cancel} an extended handle: cancelling it drops
+    every function folded into it. [h] must come from [t]. *)
+
 val set_interceptor : t -> interceptor option -> unit
 (** Install (or remove) the controlled scheduler. Affects only events
     scheduled through {!schedule_tagged} from this point on; already
@@ -82,4 +98,7 @@ val step : t -> bool
 (** Fire the single next event. Returns [false] when the queue is empty. *)
 
 val events_processed : t -> int
-(** Total events fired since creation (cancelled events excluded). *)
+(** Total events fired since creation (cancelled events excluded). An
+    event that {!extend} grew counts once, however many functions were
+    folded into it; {!pending_count}, [max_events] and {!step} count it
+    the same way. *)

@@ -172,12 +172,17 @@ type t = {
   mutable root : node; (* dst-prefix index over the indexable entries *)
   mutable residual : indexed list; (* non-indexable entries, lookup order *)
   mutable journal : (update -> unit) option;
+  mutable stamp : int; (* bumped by every mutation of entries or groups *)
 }
 
 let create () =
   { entries = []; next_tie = 0; groups = Hashtbl.create 8;
     by_name = Hashtbl.create 16; salt = 0; root = new_node (); residual = [];
-    journal = None }
+    journal = None; stamp = 0 }
+
+let stamp t = t.stamp
+let touch t = t.stamp <- t.stamp + 1
+let zero_hits t = Hashtbl.iter (fun _ ix -> ix.hits <- 0) t.by_name
 
 let set_journal t j = t.journal <- j
 let emit t u = match t.journal with None -> () | Some f -> f u
@@ -208,6 +213,7 @@ let index t ix =
   | None -> t.residual <- insert_ix_sorted ix t.residual
 
 let install t entry =
+  touch t;
   let old = List.find_opt (fun e -> e.name = entry.name) t.entries in
   (match old with Some o -> deindex t o | None -> ());
   t.entries <- List.filter (fun e -> e.name <> entry.name) t.entries;
@@ -232,12 +238,14 @@ let remove t name =
   match List.find_opt (fun e -> e.name = name) t.entries with
   | None -> ()
   | Some old ->
+    touch t;
     deindex t old;
     t.entries <- List.filter (fun e -> e.name <> name) t.entries;
     Hashtbl.remove t.by_name name;
     emit t (Removed { name; prefix = indexable_prefix old.mtch })
 
 let clear t =
+  touch t;
   t.entries <- [];
   Hashtbl.reset t.groups;
   Hashtbl.reset t.by_name;
@@ -288,6 +296,7 @@ let size t = List.length t.entries
 let entry_names t = List.map (fun e -> e.name) t.entries
 
 let set_group t id members =
+  touch t;
   Hashtbl.replace t.groups id (Array.copy members);
   emit t (Group_changed { group = id })
 let group_members t id = Option.map Array.copy (Hashtbl.find_opt t.groups id)

@@ -80,6 +80,18 @@ val rebuild : t -> (unit -> unit) -> unit
     members differ, by ascending id — never [Cleared] or the unchanged
     reinstalls. A rebuild to identical contents journals nothing. *)
 
+val stamp : t -> int
+(** Mutation stamp: a counter that {!install}, {!remove} (of an installed
+    name), {!clear} and {!set_group} bump, so {!rebuild} bumps it too.
+    Lookups and {!zero_hits} leave it alone. A caller that recorded the
+    stamp right after rebuilding the table knows, while the stamp still
+    reads the same, that the table holds exactly what that rebuild left. *)
+
+val zero_hits : t -> unit
+(** Reset every entry's hit counter to 0 — the one thing a {!rebuild} to
+    identical contents changes. A caller that skips such a rebuild calls
+    this instead. *)
+
 val size : t -> int
 (** Number of installed entries — the "switch state" metric in the state
     experiment. *)

@@ -75,9 +75,18 @@ type t = {
   devices : device array;
   topo_links : link option array;
   mutable tagger : (src:int -> dst:int -> Netcore.Eth.t -> string option) option;
+  mutable last_rx : Engine.handle; (* the latest untagged delivery event *)
 }
 
 let null_handler _ _ = ()
+
+(* a handle [Engine.extend] always refuses: cancelled in an engine of
+   its own *)
+let no_delivery =
+  let e = Engine.create () in
+  let h = Engine.schedule e ~delay:0 ignore in
+  Engine.cancel e h;
+  h
 
 let create ?(params = default_link_params) ?(loss_seed = 7) engine topo =
   let devices =
@@ -113,7 +122,7 @@ let create ?(params = default_link_params) ?(loss_seed = 7) engine topo =
         Some link)
       (Topology.Topo.links topo)
   in
-  { engine; topo; devices; topo_links; tagger = None }
+  { engine; topo; devices; topo_links; tagger = None; last_rx = no_delivery }
 
 let set_delivery_tagger t f = t.tagger <- f
 let engine t = t.engine
@@ -281,7 +290,12 @@ let transmit t ~node ~port frame =
         match tag with
         | Some tag ->
           ignore (Engine.schedule_tagged t.engine ~delay:(arrival - now_t) ~tag deliver)
-        | None -> ignore (Engine.schedule_at t.engine ~time:arrival deliver)
+        | None ->
+          (* a burst (a beacon or flood on every port) lands at one
+             instant: fold each delivery into the previous one's event
+             while nothing else has been scheduled in between *)
+          if not (Engine.extend t.engine t.last_rx ~time:arrival deliver) then
+            t.last_rx <- Engine.schedule_at t.engine ~time:arrival deliver
       end
   end
 

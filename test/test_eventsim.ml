@@ -173,6 +173,64 @@ let test_engine_max_events () =
   Testutil.check_int "bounded" 4 !fired;
   Testutil.check_int "processed counter" 4 (Engine.events_processed e)
 
+(* ---------------- extend: same-instant folding ---------------- *)
+
+let test_engine_extend_chain () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  ignore (Engine.schedule_at e ~time:10 (note "before"));
+  let h = Engine.schedule_at e ~time:10 (note "a") in
+  Testutil.check_bool "fold b" true (Engine.extend e h ~time:10 (note "b"));
+  Testutil.check_bool "fold c" true (Engine.extend e h ~time:10 (note "c"));
+  Testutil.check_int "the chain is one pending event" 2 (Engine.pending_count e);
+  Engine.run e;
+  Alcotest.(check (list string)) "chain fires in order" [ "before"; "a"; "b"; "c" ]
+    (List.rev !log);
+  Testutil.check_int "one event for the chain" 2 (Engine.events_processed e);
+  Testutil.check_int "at the chain's instant" 10 (Engine.now e)
+
+let test_engine_extend_zero_delay_after_chain () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  let h =
+    Engine.schedule_at e ~time:5 (fun () ->
+        note "a" ();
+        ignore (Engine.schedule e ~delay:0 (note "zero-delay")))
+  in
+  Testutil.check_bool "fold b" true (Engine.extend e h ~time:5 (note "b"));
+  Testutil.check_bool "fold c" true (Engine.extend e h ~time:5 (note "c"));
+  Engine.run e;
+  Alcotest.(check (list string)) "scheduled from inside fires after all of it"
+    [ "a"; "b"; "c"; "zero-delay" ] (List.rev !log)
+
+let test_engine_extend_refusals () =
+  let e = Engine.create () in
+  let ran = ref 0 in
+  let f () = incr ran in
+  (* another instant *)
+  let h = Engine.schedule_at e ~time:1 ignore in
+  Testutil.check_bool "another instant" false (Engine.extend e h ~time:2 f);
+  (* any other schedule in between *)
+  ignore (Engine.schedule_at e ~time:1 ignore);
+  Testutil.check_bool "after another schedule" false (Engine.extend e h ~time:1 f);
+  (* a tagged event *)
+  let tagged = Engine.schedule_tagged e ~delay:1 ~tag:"t" ignore in
+  Testutil.check_bool "tagged" false (Engine.extend e tagged ~time:1 f);
+  (* a cancelled event *)
+  let c = Engine.schedule_at e ~time:1 ignore in
+  Engine.cancel e c;
+  Testutil.check_bool "cancelled" false (Engine.extend e c ~time:1 f);
+  (* a fired event, even though it is still the last one enqueued *)
+  Engine.run e;
+  let fired = Engine.schedule_at e ~time:2 ignore in
+  Engine.run e;
+  Testutil.check_bool "fired" false (Engine.extend e fired ~time:2 f);
+  Engine.run e;
+  Testutil.check_int "no refused function ever ran" 0 !ran;
+  Testutil.check_int "refusals leave no pending event" 0 (Engine.pending_count e)
+
 let test_engine_validation () =
   let e = Engine.create ~now:100 () in
   Alcotest.check_raises "past" (Invalid_argument
@@ -466,7 +524,11 @@ let () =
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "validation" `Quick test_engine_validation;
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule;
-          Alcotest.test_case "step" `Quick test_engine_step ] );
+          Alcotest.test_case "step" `Quick test_engine_step;
+          Alcotest.test_case "extend: chain is one event" `Quick test_engine_extend_chain;
+          Alcotest.test_case "extend: zero delay fires after the chain" `Quick
+            test_engine_extend_zero_delay_after_chain;
+          Alcotest.test_case "extend: refusals" `Quick test_engine_extend_refusals ] );
       ( "timer",
         [ Alcotest.test_case "recurring" `Quick test_timer_every;
           Alcotest.test_case "stop from callback" `Quick test_timer_stop_from_callback;

@@ -17,7 +17,9 @@
    3. Engine determinism regression: a fixed-seed k=4 failure/recovery
       scenario produces an identical event trace, event count, final
       clock and switch tables across two runs — the heap/engine hot-loop
-      rework must not perturb same-instant FIFO semantics anywhere. *)
+      rework must not perturb same-instant FIFO semantics anywhere — and
+      every family's boot and fail/recover streams (trace, journal,
+      frame deliveries) match golden digests. *)
 
 open Eventsim
 module FT = Switchfab.Flow_table
@@ -530,6 +532,59 @@ let test_trace_determinism () =
   Testutil.check_int "pending events" pend1 pend2;
   Testutil.check_int "final clock" now1 now2
 
+(* Golden event streams: a k=4 boot and one edge-uplink fail/recover
+   cycle on every family, digested as the Trace dump, the journal stream
+   (stamped with the sim time) and every frame delivery in the order the
+   devices received it. The digests were recorded before same-instant
+   deliveries were folded into one engine event; a fold that reordered
+   any delivery, or a skipped rebuild that changed any table write,
+   changes them. *)
+let golden_stream family =
+  let fab = Fabric.create @@ Fabric.Config.of_family ~seed:42 family in
+  let buf = Buffer.create (1 lsl 20) in
+  let net = Fabric.net fab in
+  for dev = 0 to Switchfab.Net.device_count net - 1 do
+    Switchfab.Net.add_tap net ~device:dev (fun dir ~port frame ->
+        if dir = Switchfab.Net.Rx then
+          Buffer.add_string buf
+            (Format.asprintf "rx %d %d.%d %a\n" (Fabric.now fab) dev port Eth.pp frame))
+  done;
+  let journal = Buffer.create (1 lsl 16) in
+  Fabric.set_journal fab
+    (Some
+       (fun u ->
+         Buffer.add_string journal (Format.asprintf "%d %a\n" (Fabric.now fab) Journal.pp u)));
+  if not (Fabric.await_convergence fab) then Alcotest.fail "fabric failed to converge";
+  let mt = Fabric.tree fab in
+  let a = mt.MR.edges.(0).(0) in
+  let b = if Array.length mt.MR.aggs.(0) > 0 then mt.MR.aggs.(0).(0) else mt.MR.cores.(0) in
+  ignore (Fabric.fail_link_between fab ~a ~b);
+  Fabric.run_for fab (Time.ms 300);
+  ignore (Fabric.recover_link_between fab ~a ~b);
+  Fabric.run_for fab (Time.ms 300);
+  let trace = Format.asprintf "%a" Trace.dump (Fabric.trace fab) in
+  ( Digest.to_hex (Digest.string trace),
+    Digest.to_hex (Digest.string (Buffer.contents journal)),
+    Digest.to_hex (Digest.string (Buffer.contents buf)) )
+
+let golden_streams =
+  [ ("plain", ("473e44647bb90244fd4b0b2859b45a3d", "479df186867c833ff17c0287bb852550",
+                "346febf840bf1794ba035c8c9060125a"));
+    ("ab", ("32103b7ffb3da21dd710903cc388f18b", "57a6d66496c7b8678d87a5a5dd6b36ba",
+             "b7eb20876a7fe73ef05430a6be8a355e"));
+    ("two-layer", ("58f01f969aac9a8ca8b970c01ee112f7", "d509a754954b04f2e66d037f3bc7d052",
+                    "9a577f79501eb435d9549c4c38c44db9")) ]
+
+let test_golden_streams () =
+  List.iter
+    (fun (name, (trace, journal, rx)) ->
+      let family = Topology.Topo.Family.of_string ~k:4 name |> Result.get_ok in
+      let t, j, r = golden_stream family in
+      Testutil.check_string (name ^ ": trace") trace t;
+      Testutil.check_string (name ^ ": journal") journal j;
+      Testutil.check_string (name ^ ": deliveries") rx r)
+    golden_streams
+
 (* ---------------- control codec truncation robustness ---------------- *)
 
 (* The control-plane codec must match the dataplane codec's contract: no
@@ -636,4 +691,6 @@ let () =
             test_ctrl_decode_never_raises ] );
       ( "engine determinism",
         [ Alcotest.test_case "k=4 failure/recovery trace is reproducible" `Quick
-            test_trace_determinism ] ) ]
+            test_trace_determinism;
+          Alcotest.test_case "golden boot and fail/recover streams" `Quick
+            test_golden_streams ] ) ]

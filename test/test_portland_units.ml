@@ -506,6 +506,100 @@ let test_config_defaults () =
   Testutil.check_bool "pp mentions period" true
     (String.length s > 0 && String.contains s '=')
 
+(* ---------------- duplicate fault updates ---------------- *)
+
+module SA = Switch_agent
+
+let test_stamp_moves_on_every_mutation () =
+  let t = FT.create () in
+  let entry name = { FT.name; priority = 10; mtch = FT.match_any; actions = [ FT.Drop ] } in
+  let moves what f =
+    let before = FT.stamp t in
+    f ();
+    Testutil.check_bool (what ^ " moves the stamp") true (FT.stamp t <> before)
+  in
+  let stays what f =
+    let before = FT.stamp t in
+    f ();
+    Testutil.check_int (what ^ " leaves the stamp") before (FT.stamp t)
+  in
+  moves "install" (fun () -> FT.install t (entry "a"));
+  moves "reinstall" (fun () -> FT.install t (entry "a"));
+  moves "set_group" (fun () -> FT.set_group t 1 [| 2; 3 |]);
+  moves "remove" (fun () -> FT.remove t "a");
+  moves "clear" (fun () -> FT.clear t);
+  moves "rebuild" (fun () -> FT.rebuild t ignore);
+  FT.install t (entry "b");
+  let frame =
+    Eth.make ~dst:Mac_addr.broadcast ~src:Mac_addr.zero (Eth.Raw { ethertype = 1; len = 10 })
+  in
+  stays "lookup" (fun () -> ignore (FT.lookup t frame));
+  Testutil.check_int "the lookup hit" 1 (FT.hit_count t "b");
+  stays "zero_hits" (fun () -> FT.zero_hits t);
+  Testutil.check_int "zero_hits zeroes" 0 (FT.hit_count t "b");
+  stays "removing an absent name" (fun () -> FT.remove t "ghost")
+
+let dumps fab =
+  List.map (fun ag -> Format.asprintf "%a" FT.pp (SA.table ag)) (Fabric.agents fab)
+
+let count f fab = List.fold_left (fun acc ag -> acc + f (SA.counters ag)) 0 (Fabric.agents fab)
+let skipped = count (fun c -> c.SA.fault_updates_skipped)
+let recomputes = count (fun c -> c.SA.table_recomputes)
+
+(* every switch gets the fault matrix it already holds *)
+let resend_faults fab agents =
+  List.iter
+    (fun ag ->
+      Ctrl.send_to_switch (Fabric.ctrl fab) (SA.switch_id ag)
+        (Msg.Fault_update { faults = SA.faults ag }))
+    agents;
+  Fabric.run_for fab (Eventsim.Time.ms 5)
+
+(* a converged k=4 fabric with one edge uplink down, after all-pairs
+   traffic has left hit counts in the tables *)
+let faulted_fabric () =
+  let fab = Testutil.converged_fabric ~k:4 () in
+  let mt = Fabric.tree fab in
+  let module MR = Topology.Multirooted in
+  ignore (Fabric.fail_link_between fab ~a:mt.MR.edges.(0).(0) ~b:mt.MR.aggs.(0).(0));
+  Fabric.run_for fab (Eventsim.Time.ms 300);
+  Testutil.assert_all_pairs_deliver fab;
+  fab
+
+let test_duplicate_fault_update_is_exact () =
+  let fab = faulted_fabric () in
+  Testutil.check_bool "the matrix is not empty" true
+    (Fabric_manager.fault_set (Fabric.fabric_manager fab) <> []);
+  let before = dumps fab in
+  let skipped0 = skipped fab and recomputes0 = recomputes fab in
+  resend_faults fab (Fabric.agents fab);
+  let after = dumps fab in
+  Testutil.check_int "every switch skipped its rebuild" (List.length (Fabric.agents fab))
+    (skipped fab - skipped0);
+  Testutil.check_int "no recompute ran" recomputes0 (recomputes fab);
+  Testutil.check_bool "hit counters were zeroed" true (before <> after);
+  List.iter
+    (fun ag -> Switchfab.Policy_lang.install_program (SA.table ag) (SA.program ag))
+    (Fabric.agents fab);
+  List.iter2
+    (fun skip forced -> Testutil.check_string "skip = forced install_program" forced skip)
+    after (dumps fab)
+
+let test_duplicate_after_direct_install_rebuilds () =
+  let fab = faulted_fabric () in
+  let ag = Fabric.agent fab (Fabric.tree fab).Topology.Multirooted.edges.(1).(0) in
+  FT.install (SA.table ag)
+    { FT.name = "host:direct"; priority = 90;
+      mtch = FT.match_dst_prefix ~value:0x0001_0203_0405 ~mask:0xFFFFFFFFFFFF;
+      actions = [ FT.Output 0 ] };
+  let c0 = SA.counters ag in
+  resend_faults fab [ ag ];
+  let c1 = SA.counters ag in
+  Testutil.check_int "not skipped" c0.SA.fault_updates_skipped c1.SA.fault_updates_skipped;
+  Testutil.check_int "rebuilt" (c0.SA.table_recomputes + 1) c1.SA.table_recomputes;
+  Testutil.check_bool "the rebuild dropped the direct entry" true
+    (FT.find_entry (SA.table ag) "host:direct" = None)
+
 let () =
   Alcotest.run "portland-units"
     [ ( "pmac",
@@ -541,4 +635,11 @@ let () =
           prop_msg_to_switch_roundtrip;
           Alcotest.test_case "malformed input" `Quick test_msg_codec_errors;
           Alcotest.test_case "byte metering" `Quick test_ctrl_byte_metering ] );
-      ("config", [ Alcotest.test_case "defaults" `Quick test_config_defaults ]) ]
+      ("config", [ Alcotest.test_case "defaults" `Quick test_config_defaults ]);
+      ( "duplicate fault updates",
+        [ Alcotest.test_case "every table mutator moves the stamp" `Quick
+            test_stamp_moves_on_every_mutation;
+          Alcotest.test_case "skipped rebuild equals a forced one" `Quick
+            test_duplicate_fault_update_is_exact;
+          Alcotest.test_case "a direct install forces the rebuild" `Quick
+            test_duplicate_after_direct_install_rebuilds ] ) ]

@@ -284,6 +284,97 @@ let test_net_flood () =
   Testutil.check_int "excluded port silent" 0 !got0;
   Testutil.check_int "other port got it" 1 !got2
 
+(* ---------------- Net: same-instant bursts ---------------- *)
+
+(* hub (device 0, [n] ports) whose port [i] is wired to port 0 of leaf
+   [i + 1]: a flood from the hub lands on every leaf at one instant *)
+let star_net n =
+  let nodes =
+    { Topology.Topo.id = 0; kind = Topology.Topo.Edge_switch; name = "hub"; nports = n }
+    :: List.init n (fun i ->
+           { Topology.Topo.id = i + 1; kind = Topology.Topo.Host;
+             name = Printf.sprintf "leaf%d" i; nports = 1 })
+  in
+  let links =
+    List.init n (fun i ->
+        { Topology.Topo.a = { Topology.Topo.node = 0; port = i };
+          b = { Topology.Topo.node = i + 1; port = 0 } })
+  in
+  let engine = Eventsim.Engine.create () in
+  (engine, Net.create engine (Topology.Topo.create ~nodes ~links))
+
+(* every leaf logs the hub port it hangs off when its handler runs *)
+let log_leaves net n log =
+  for i = 0 to n - 1 do
+    Net.set_handler (Net.device net (i + 1)) (fun _ _ -> log := Printf.sprintf "rx%d" i :: !log)
+  done
+
+let test_net_burst_port_order () =
+  let engine, net = star_net 4 in
+  let log = ref [] in
+  log_leaves net 4 log;
+  Net.flood net ~node:0 ~except:(-1) (udp_frame ());
+  Eventsim.Engine.run engine;
+  Alcotest.(check (list string)) "delivered in port order" [ "rx0"; "rx1"; "rx2"; "rx3" ]
+    (List.rev !log);
+  Testutil.check_int "the burst is one engine event" 1 (Eventsim.Engine.events_processed engine);
+  Testutil.check_int "every frame counted" 4 (Net.total_counters net).Net.rx_frames
+
+let test_net_burst_reads_link_at_delivery () =
+  let engine, net = star_net 4 in
+  let log = ref [] in
+  log_leaves net 4 log;
+  let l2 = Option.get (Net.link_between net 0 3) in
+  Net.set_handler (Net.device net 2) (fun _ _ ->
+      log := "rx1" :: !log;
+      Net.fail_link net l2);
+  Net.flood net ~node:0 ~except:(-1) (udp_frame ());
+  Eventsim.Engine.run engine;
+  Alcotest.(check (list string)) "port 2's frame is lost to the failure" [ "rx0"; "rx1"; "rx3" ]
+    (List.rev !log)
+
+let test_net_burst_taps () =
+  let engine, net = star_net 3 in
+  let log = ref [] in
+  log_leaves net 3 log;
+  for i = 0 to 2 do
+    Net.add_tap net ~device:(i + 1) (fun dir ~port:_ _ ->
+        if dir = Net.Rx then log := Printf.sprintf "tap%d" i :: !log)
+  done;
+  Net.flood net ~node:0 ~except:(-1) (udp_frame ());
+  Eventsim.Engine.run engine;
+  Alcotest.(check (list string)) "each tap runs right before its handler"
+    [ "tap0"; "rx0"; "tap1"; "rx1"; "tap2"; "rx2" ] (List.rev !log)
+
+(* With the model checker's hooks installed, the deliveries to the
+   [tagged] leaves are reorderable actions: none of them is folded into
+   another event, and no untagged delivery is folded into them. *)
+let burst_with_tagger ~tagged =
+  let engine, net = star_net 4 in
+  let log = ref [] and fired = ref [] in
+  log_leaves net 4 log;
+  Eventsim.Engine.set_interceptor engine
+    (Some
+       { Eventsim.Engine.on_schedule = (fun ~tag:_ ~now:_ ~due -> due);
+         on_fire = (fun ~tag ~time:_ -> fired := tag :: !fired) });
+  Net.set_delivery_tagger net
+    (Some
+       (fun ~src:_ ~dst _ ->
+         if List.mem dst tagged then Some (Printf.sprintf "to%d" dst) else None));
+  Net.flood net ~node:0 ~except:(-1) (udp_frame ());
+  Eventsim.Engine.run engine;
+  Alcotest.(check (list string)) "port order holds" [ "rx0"; "rx1"; "rx2"; "rx3" ]
+    (List.rev !log);
+  Testutil.check_int "every tagged delivery fired as its own action" (List.length tagged)
+    (List.length !fired);
+  Eventsim.Engine.events_processed engine
+
+let test_net_burst_tagged_never_folds () =
+  (* untagged, tagged, untagged, untagged: only the last folds *)
+  Testutil.check_int "one fold" 3 (burst_with_tagger ~tagged:[ 2 ]);
+  (* tagged, untagged, tagged, untagged: nothing folds *)
+  Testutil.check_int "no fold" 4 (burst_with_tagger ~tagged:[ 1; 3 ])
+
 (* ---------------- Dataplane ---------------- *)
 
 let test_dp_pipeline () =
@@ -457,7 +548,13 @@ let () =
           Alcotest.test_case "unplug & plug" `Quick test_net_unplug_plug;
           Alcotest.test_case "peer link" `Quick test_net_peer_link;
           Alcotest.test_case "flood" `Quick test_net_flood;
-          Alcotest.test_case "random loss" `Quick test_net_random_loss ] );
+          Alcotest.test_case "random loss" `Quick test_net_random_loss;
+          Alcotest.test_case "burst: port order, one event" `Quick test_net_burst_port_order;
+          Alcotest.test_case "burst: link state read at delivery" `Quick
+            test_net_burst_reads_link_at_delivery;
+          Alcotest.test_case "burst: taps keep Rx order" `Quick test_net_burst_taps;
+          Alcotest.test_case "burst: tagged deliveries never fold" `Quick
+            test_net_burst_tagged_never_folds ] );
       ( "dataplane",
         [ Alcotest.test_case "rewrite then output" `Quick test_dp_pipeline;
           Alcotest.test_case "miss punt" `Quick test_dp_miss_policies;
