@@ -636,7 +636,7 @@ let () =
           Alcotest.test_case "malformed input" `Quick test_msg_codec_errors;
           Alcotest.test_case "byte metering" `Quick test_ctrl_byte_metering ] );
       ("config", [ Alcotest.test_case "defaults" `Quick test_config_defaults ]);
-      ( "duplicate fault updates",
+      ( "fault updates",
         [ Alcotest.test_case "every table mutator moves the stamp" `Quick
             test_stamp_moves_on_every_mutation;
           Alcotest.test_case "skipped rebuild equals a forced one" `Quick
