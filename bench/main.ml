@@ -11,9 +11,9 @@
    `dune exec bench/main.exe` runs both; `-- --quick` trims the
    experiments; `-- --micro-only` / `-- --experiments-only` select one
    part; `-- --json` additionally writes the micro rows, the verifier's
-   k-scaling and the scalability sweep to BENCH_hotpath.json (or
-   `--out FILE`), with speedups against the seed constants recorded in
-   EXPERIMENTS.md. *)
+   k-scaling, the scalability sweep and the instrumentation-cost rows to
+   BENCH_hotpath.json (or `--out FILE`), with speedups against the seed
+   constants recorded in EXPERIMENTS.md. *)
 
 open Bechamel
 open Toolkit
@@ -328,6 +328,54 @@ let run_scalability ~quick =
   print_newline ();
   rows
 
+type obs_cost_row = {
+  o_k : int;
+  o_runs : int;
+  o_live_s : float;      (* median wall of a boot with a live [Obs.create ()] *)
+  o_live_min_s : float;
+  o_live_max_s : float;
+  o_null_s : float;      (* median wall of the same boot with [Obs.null] *)
+  o_null_min_s : float;
+  o_null_max_s : float;
+}
+
+(* what instrumentation costs: the same plain fat-tree boot with a live
+   registry (every counter registered, every probe and trace event kept)
+   and with the disabled capability. The runs alternate, so host noise
+   hits both sides alike; the row records both medians and their ratio. *)
+let run_obs_cost ~quick =
+  print_endline "=== Instrumentation cost: boot with a live registry vs Obs.null ===";
+  Printf.printf "  %-4s %-5s %-13s %-15s %-13s %-15s %s\n" "k" "runs" "live (s)" "min-max (s)"
+    "null (s)" "min-max (s)" "live/null";
+  let runs = 5 in
+  let boot k obs =
+    let t0 = Unix.gettimeofday () in
+    let fab = Portland.Fabric.create @@ Portland.Fabric.Config.fattree ~obs ~k () in
+    if not (Portland.Fabric.await_convergence ~timeout:(Eventsim.Time.sec 10) fab) then
+      failwith (Printf.sprintf "bench: k=%d fabric failed to converge" k);
+    Unix.gettimeofday () -. t0
+  in
+  let one k =
+    let pairs = List.init runs (fun _ -> (boot k (Obs.create ()), boot k Obs.null)) in
+    let live = List.sort compare (List.map fst pairs) in
+    let null = List.sort compare (List.map snd pairs) in
+    let med l = List.nth l (runs / 2) and last l = List.nth l (runs - 1) in
+    let row =
+      { o_k = k; o_runs = runs;
+        o_live_s = med live; o_live_min_s = List.hd live; o_live_max_s = last live;
+        o_null_s = med null; o_null_min_s = List.hd null; o_null_max_s = last null }
+    in
+    Printf.printf "  %-4d %-5d %-13.4f %-15s %-13.4f %-15s %.2f\n" k runs row.o_live_s
+      (Printf.sprintf "%.4f-%.4f" row.o_live_min_s row.o_live_max_s)
+      row.o_null_s
+      (Printf.sprintf "%.4f-%.4f" row.o_null_min_s row.o_null_max_s)
+      (row.o_live_s /. row.o_null_s);
+    row
+  in
+  let rows = List.map one (if quick then [ 8 ] else [ 8; 16 ]) in
+  print_newline ();
+  rows
+
 type verify_scale_row = {
   v_k : int;
   v_classes : int;
@@ -479,7 +527,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let write_json ~out ~micro ~scal ~fm_scale ~verify_scale =
+let write_json ~out ~micro ~scal ~obs_cost ~fm_scale ~verify_scale =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
@@ -553,6 +601,18 @@ let write_json ~out ~micro ~scal ~fm_scale ~verify_scale =
         (if i = List.length scal - 1 then "" else ","))
     scal;
   add "  ],\n";
+  add "  \"obs_cost\": [\n";
+  List.iteri
+    (fun i r ->
+      add
+        "    {\"k\": %d, \"runs\": %d, \"live_s\": %.4f, \"live_min_s\": %.4f, \
+         \"live_max_s\": %.4f, \"null_s\": %.4f, \"null_min_s\": %.4f, \"null_max_s\": %.4f, \
+         \"live_over_null\": %.3f}%s\n"
+        r.o_k r.o_runs r.o_live_s r.o_live_min_s r.o_live_max_s r.o_null_s r.o_null_min_s
+        r.o_null_max_s (r.o_live_s /. r.o_null_s)
+        (if i = List.length obs_cost - 1 then "" else ","))
+    obs_cost;
+  add "  ],\n";
   add "  \"fm_scale\": [\n";
   List.iteri
     (fun i r ->
@@ -591,7 +651,8 @@ let () =
     let fm_scale = run_fm_scale ~quick in
     let verify_scale = run_verify_scale ~quick in
     let scal = run_scalability ~quick in
-    if json then write_json ~out ~micro ~scal ~fm_scale ~verify_scale
+    let obs_cost = run_obs_cost ~quick in
+    if json then write_json ~out ~micro ~scal ~obs_cost ~fm_scale ~verify_scale
   end;
   if not micro_only then begin
     print_endline "=== Paper reproduction: every table and figure ===";

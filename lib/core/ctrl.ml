@@ -6,20 +6,18 @@ type t = {
   mutable fm_handler : (from:int -> Msg.to_fm -> unit) option;
   mutable unregister_hook : (int -> unit) option;
   switch_handlers : (int, Msg.to_switch -> unit) Hashtbl.t;
-  (* counters are atomic, so another domain may read them safely *)
-  to_fm : int Atomic.t;
-  to_switch : int Atomic.t;
-  to_fm_bytes : int Atomic.t;
-  to_switch_bytes : int Atomic.t;
-  dropped : int Atomic.t;
+  (* plain counters: the control network lives on the fabric's one domain *)
+  mutable to_fm : int;
+  mutable to_switch : int;
+  mutable to_fm_bytes : int;
+  mutable to_switch_bytes : int;
+  mutable dropped : int;
 }
 
 let create engine ~latency =
   { engine; latency; fm_handler = None; unregister_hook = None;
     switch_handlers = Hashtbl.create 64;
-    to_fm = Atomic.make 0; to_switch = Atomic.make 0;
-    to_fm_bytes = Atomic.make 0; to_switch_bytes = Atomic.make 0;
-    dropped = Atomic.make 0 }
+    to_fm = 0; to_switch = 0; to_fm_bytes = 0; to_switch_bytes = 0; dropped = 0 }
 
 let register_fm t f = t.fm_handler <- Some f
 let set_unregister_hook t f = t.unregister_hook <- Some f
@@ -33,9 +31,6 @@ let unregister_switch t id =
 
 let has_switch t id = Hashtbl.mem t.switch_handlers id
 
-let bump c = Atomic.incr c
-let bump_by c n = ignore (Atomic.fetch_and_add c n)
-
 (* Deliveries are tagged as reorderable actions whenever an engine
    interceptor (the model checker's controlled scheduler) is installed;
    on the normal path no descriptor string is ever built. *)
@@ -48,10 +43,10 @@ let send_to_fm t ~from msg =
   let thunk () =
     match t.fm_handler with
     | Some f ->
-      bump t.to_fm;
-      bump_by t.to_fm_bytes (Msg_codec.to_fm_wire_len msg);
+      t.to_fm <- t.to_fm + 1;
+      t.to_fm_bytes <- t.to_fm_bytes + Msg_codec.to_fm_wire_len msg;
       f ~from msg
-    | None -> bump t.dropped
+    | None -> t.dropped <- t.dropped + 1
   in
   deliver t
     ~tag:(fun () -> Printf.sprintf "ctrl:fm<-%d:%s" from (Msg.describe_to_fm msg))
@@ -61,10 +56,10 @@ let send_to_switch t id msg =
   let thunk () =
     match Hashtbl.find_opt t.switch_handlers id with
     | Some f ->
-      bump t.to_switch;
-      bump_by t.to_switch_bytes (Msg_codec.to_switch_wire_len msg);
+      t.to_switch <- t.to_switch + 1;
+      t.to_switch_bytes <- t.to_switch_bytes + Msg_codec.to_switch_wire_len msg;
       f msg
-    | None -> bump t.dropped
+    | None -> t.dropped <- t.dropped + 1
   in
   deliver t
     ~tag:(fun () -> Printf.sprintf "ctrl:sw%d<-fm:%s" id (Msg.describe_to_switch msg))
@@ -79,8 +74,8 @@ let broadcast_to_switches t msg =
   let ids = List.sort compare ids in
   List.iter (fun id -> send_to_switch t id msg) ids
 
-let to_fm_count t = Atomic.get t.to_fm
-let to_switch_count t = Atomic.get t.to_switch
-let to_fm_bytes t = Atomic.get t.to_fm_bytes
-let to_switch_bytes t = Atomic.get t.to_switch_bytes
-let dropped_count t = Atomic.get t.dropped
+let to_fm_count t = t.to_fm
+let to_switch_count t = t.to_switch
+let to_fm_bytes t = t.to_fm_bytes
+let to_switch_bytes t = t.to_switch_bytes
+let dropped_count t = t.dropped

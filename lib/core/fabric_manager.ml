@@ -19,31 +19,17 @@ type group_state = {
 }
 
 type counters = {
-  arp_queries : int;
-  arp_hits : int;
-  arp_misses : int;
-  host_announces : int;
-  migrations : int;
-  fault_notices : int;
-  fault_broadcasts : int;
-  mcast_recomputes : int;
-  reports : int;
-  pending_dropped : int;
-  shard_failovers : int;
-}
-
-type counters_mut = {
-  mutable m_arp_queries : int;
-  mutable m_arp_hits : int;
-  mutable m_arp_misses : int;
-  mutable m_host_announces : int;
-  mutable m_migrations : int;
-  mutable m_fault_notices : int;
-  mutable m_fault_broadcasts : int;
-  mutable m_mcast_recomputes : int;
-  mutable m_reports : int;
-  mutable m_pending_dropped : int;
-  mutable m_shard_failovers : int;
+  mutable arp_queries : int;
+  mutable arp_hits : int;
+  mutable arp_misses : int;
+  mutable host_announces : int;
+  mutable migrations : int;
+  mutable fault_notices : int;
+  mutable fault_broadcasts : int;
+  mutable mcast_recomputes : int;
+  mutable reports : int;
+  mutable pending_dropped : int;
+  mutable shard_failovers : int;
 }
 
 type t = {
@@ -77,7 +63,7 @@ type t = {
          the neighbours or host ports of a switch holding coordinates, or
          the fault set. A broadcast tree built at the current generation
          is still exact, so [recompute_broadcast] skips it. *)
-  c : counters_mut;
+  c : counters;
   mutable journal : Journal.hook option;
 }
 
@@ -100,18 +86,7 @@ let set_journal t hook =
 let tracef t level fmt =
   Obs.eventf t.obs ~time:(Eventsim.Engine.now t.engine) ~level ~subsystem:"fm" fmt
 
-let counters t =
-  { arp_queries = t.c.m_arp_queries;
-    arp_hits = t.c.m_arp_hits;
-    arp_misses = t.c.m_arp_misses;
-    host_announces = t.c.m_host_announces;
-    migrations = t.c.m_migrations;
-    fault_notices = t.c.m_fault_notices;
-    fault_broadcasts = t.c.m_fault_broadcasts;
-    mcast_recomputes = t.c.m_mcast_recomputes;
-    reports = t.c.m_reports;
-    pending_dropped = t.c.m_pending_dropped;
-    shard_failovers = t.c.m_shard_failovers }
+let counters t = { t.c with arp_queries = t.c.arp_queries }
 
 let switch_coords t id =
   match Hashtbl.find_opt t.switches id with
@@ -429,7 +404,7 @@ let try_assign_all t =
   | MR.Flat -> try_assign_flat t
 
 let on_report t ~switch_id ~level ~neighbors ~host_ports =
-  t.c.m_reports <- t.c.m_reports + 1;
+  t.c.reports <- t.c.reports + 1;
   let sw = get_sw t switch_id in
   (* a switch without coordinates is not part of any tree yet; its view
      becomes an input when [assign_coords] grants it a place *)
@@ -748,7 +723,7 @@ let tree_targets t group =
   end
 
 let recompute_group t group =
-  t.c.m_mcast_recomputes <- t.c.m_mcast_recomputes + 1;
+  t.c.mcast_recomputes <- t.c.mcast_recomputes + 1;
   let g = group_state t group in
   let core, targets = tree_targets t group in
   (match (g.core_sw, core) with
@@ -804,13 +779,13 @@ let translate_fault t a b =
   | _, _ -> None
 
 let broadcast_faults t =
-  t.c.m_fault_broadcasts <- t.c.m_fault_broadcasts + 1;
+  t.c.fault_broadcasts <- t.c.fault_broadcasts + 1;
   tracef t Eventsim.Trace.Warn "fault matrix now %d entries; broadcasting"
     (Fault.Set.cardinal t.faults);
   Ctrl.broadcast_to_switches t.ctrl (Msg.Fault_update { faults = Fault.Set.elements t.faults })
 
 let on_fault_notice t ~switch_id ~neighbor =
-  t.c.m_fault_notices <- t.c.m_fault_notices + 1;
+  t.c.fault_notices <- t.c.fault_notices + 1;
   match translate_fault t switch_id neighbor with
   | Some f when not (Fault.Set.mem t.faults f) ->
     Fault.Set.add t.faults f;
@@ -881,15 +856,15 @@ let answer_arp t ~to_sw ~target_ip ~target_pmac ~requester_ip ~requester_port =
     (Msg.Arp_answer { target_ip; target_pmac; requester_ip; requester_port; gen = t.arp_gen })
 
 let on_arp_query t ~from_sw ~requester_ip ~requester_pmac ~requester_port ~target_ip =
-  t.c.m_arp_queries <- t.c.m_arp_queries + 1;
+  t.c.arp_queries <- t.c.arp_queries + 1;
   let respond () =
     match resolve t target_ip with
     | Some pmac ->
-      t.c.m_arp_hits <- t.c.m_arp_hits + 1;
+      t.c.arp_hits <- t.c.arp_hits + 1;
       answer_arp t ~to_sw:from_sw ~target_ip ~target_pmac:(Some pmac) ~requester_ip
         ~requester_port
     | None ->
-      t.c.m_arp_misses <- t.c.m_arp_misses + 1;
+      t.c.arp_misses <- t.c.arp_misses + 1;
       let entry = { from_sw; requester_ip; requester_port } in
       let waiting = try Hashtbl.find t.pending target_ip with Not_found -> [] in
       (* a host retrying the same unresolved target re-misses here: keep
@@ -924,19 +899,19 @@ let on_switch_unregistered t switch_id =
   List.iter
     (fun (ip, waiting) ->
       let keep, drop = List.partition (fun w -> w.from_sw <> switch_id) waiting in
-      t.c.m_pending_dropped <- t.c.m_pending_dropped + List.length drop;
+      t.c.pending_dropped <- t.c.pending_dropped + List.length drop;
       if keep = [] then Hashtbl.remove t.pending ip else Hashtbl.replace t.pending ip keep)
     stale
 
 let on_host_announce t (b : Msg.host_binding) =
-  t.c.m_host_announces <- t.c.m_host_announces + 1;
+  t.c.host_announces <- t.c.host_announces + 1;
   (match Hashtbl.find_opt t.bindings b.Msg.ip with
    | Some old when not (Pmac.equal old.Msg.pmac b.Msg.pmac) ->
      (* the IP moved: a VM migration (or host re-plug). Invalidate at the
         previous edge switch so stale senders are corrected, and advance
         the ARP generation so every edge-cached answer fabric-wide goes
         stale and re-resolves. *)
-     t.c.m_migrations <- t.c.m_migrations + 1;
+     t.c.migrations <- t.c.migrations + 1;
      tracef t Eventsim.Trace.Info "migration: %a moved %a -> %a" Ipv4_addr.pp b.Msg.ip Pmac.pp
        old.Msg.pmac Pmac.pp b.Msg.pmac;
      Ctrl.send_to_switch t.ctrl old.Msg.edge_switch
@@ -956,7 +931,7 @@ let on_host_announce t (b : Msg.host_binding) =
         if Ctrl.has_switch t.ctrl w.from_sw then
           answer_arp t ~to_sw:w.from_sw ~target_ip:b.Msg.ip ~target_pmac:(Some b.Msg.pmac)
             ~requester_ip:w.requester_ip ~requester_port:w.requester_port
-        else t.c.m_pending_dropped <- t.c.m_pending_dropped + 1)
+        else t.c.pending_dropped <- t.c.pending_dropped + 1)
       waiting
 
 (* ---------------- dispatch ---------------- *)
@@ -1032,14 +1007,14 @@ let integrity t =
    serving index is rebuilt from the binding table. Returns true iff the
    rebuilt index passes the integrity pack. *)
 let failover t ~pod =
-  t.c.m_shard_failovers <- t.c.m_shard_failovers + 1;
+  t.c.shard_failovers <- t.c.shard_failovers + 1;
   tracef t Eventsim.Trace.Warn "fm failover (pod %d): rebuilding the serving index" pod;
   let stale =
     Hashtbl.fold (fun ip w acc -> if pod_of_ip ip = pod then (ip, w) :: acc else acc) t.pending []
   in
   List.iter
     (fun (ip, w) ->
-      t.c.m_pending_dropped <- t.c.m_pending_dropped + List.length w;
+      t.c.pending_dropped <- t.c.pending_dropped + List.length w;
       Hashtbl.remove t.pending ip)
     stale;
   index_rebuild t;
@@ -1068,24 +1043,24 @@ let create ?(obs = Obs.null) engine config ctrl ~spec =
       tree_gen = 0;
       journal = None;
       c =
-        { m_arp_queries = 0; m_arp_hits = 0; m_arp_misses = 0; m_host_announces = 0;
-          m_migrations = 0; m_fault_notices = 0; m_fault_broadcasts = 0; m_mcast_recomputes = 0;
-          m_reports = 0; m_pending_dropped = 0; m_shard_failovers = 0 } }
+        { arp_queries = 0; arp_hits = 0; arp_misses = 0; host_announces = 0; migrations = 0;
+          fault_notices = 0; fault_broadcasts = 0; mcast_recomputes = 0; reports = 0;
+          pending_dropped = 0; shard_failovers = 0 } }
   in
   Obs.add_probe obs ~name:"fm" (fun () ->
       let c name v = Obs.sample ~subsystem:"fm" ~name (Obs.Count v) in
       let g name v = Obs.sample ~subsystem:"fm" ~name (Obs.Value (float_of_int v)) in
-      [ c "arp_queries" t.c.m_arp_queries;
-        c "arp_hits" t.c.m_arp_hits;
-        c "arp_misses" t.c.m_arp_misses;
-        c "host_announces" t.c.m_host_announces;
-        c "migrations" t.c.m_migrations;
-        c "fault_notices" t.c.m_fault_notices;
-        c "fault_broadcasts" t.c.m_fault_broadcasts;
-        c "mcast_recomputes" t.c.m_mcast_recomputes;
-        c "reports" t.c.m_reports;
-        c "pending_dropped" t.c.m_pending_dropped;
-        c "shard_failovers" t.c.m_shard_failovers;
+      [ c "arp_queries" t.c.arp_queries;
+        c "arp_hits" t.c.arp_hits;
+        c "arp_misses" t.c.arp_misses;
+        c "host_announces" t.c.host_announces;
+        c "migrations" t.c.migrations;
+        c "fault_notices" t.c.fault_notices;
+        c "fault_broadcasts" t.c.fault_broadcasts;
+        c "mcast_recomputes" t.c.mcast_recomputes;
+        c "reports" t.c.reports;
+        c "pending_dropped" t.c.pending_dropped;
+        c "shard_failovers" t.c.shard_failovers;
         g "bindings" (binding_count t);
         g "known_switches" (Hashtbl.length t.switches);
         g "faults" (Fault.Set.cardinal t.faults);

@@ -41,26 +41,28 @@
 
 type t
 
-type counters = {
-  arp_queries : int;
-  arp_hits : int;
-  arp_misses : int;
-  host_announces : int;
-  migrations : int;       (** announces that moved an existing IP *)
-  fault_notices : int;
-  fault_broadcasts : int;
-  mcast_recomputes : int;
+(** The fabric manager's own counter record, updated in place;
+    [private], so callers read it but never write or build one. *)
+type counters = private {
+  mutable arp_queries : int;
+  mutable arp_hits : int;
+  mutable arp_misses : int;
+  mutable host_announces : int;
+  mutable migrations : int;       (** announces that moved an existing IP *)
+  mutable fault_notices : int;
+  mutable fault_broadcasts : int;
+  mutable mcast_recomputes : int;
       (** multicast and broadcast trees actually computed. Membership
           changes and fault-matrix changes always compute; a neighbor
           report or position proposal computes the broadcast tree only
           when it changed one of the tree's inputs (coordinates, the
           neighbours or host ports of a switch holding coordinates, the
           fault set) since the tree was last built. *)
-  reports : int;
-  pending_dropped : int;
+  mutable reports : int;
+  mutable pending_dropped : int;
       (** pending ARP entries discarded because the asking switch died or
           cold-rebooted, or a {!failover} dropped the target pod's waiters *)
-  shard_failovers : int;  (** {!failover} calls *)
+  mutable shard_failovers : int;  (** {!failover} calls *)
 }
 
 val create :
@@ -76,6 +78,7 @@ val create :
     of double-reporting. *)
 
 val counters : t -> counters
+(** A copy, so a caller can keep it and diff it against a later one. *)
 
 val switch_coords : t -> int -> Coords.t option
 (** Coordinates the FM has granted to a switch id, if any. *)

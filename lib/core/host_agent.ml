@@ -12,11 +12,11 @@ type resolving = {
 }
 
 type host_counters = {
-  tx_packets : int;
-  rx_packets : int;
-  arps_sent : int;
-  pending_drops : int;
-  arp_abandoned : int;
+  mutable tx_packets : int;
+  mutable rx_packets : int;
+  mutable arps_sent : int;
+  mutable pending_drops : int;
+  mutable arp_abandoned : int;
 }
 
 type t = {
@@ -31,11 +31,7 @@ type t = {
   resolving : (Ipv4_addr.t, resolving) Hashtbl.t;
   mutable rx : (Ipv4_pkt.t -> unit) option;
   mutable started : bool;
-  mutable c_tx : int;
-  mutable c_rx : int;
-  mutable c_arps : int;
-  mutable c_pending_drops : int;
-  mutable c_arp_abandoned : int;
+  c : host_counters;
 }
 
 let ip t = t.h_ip
@@ -49,9 +45,7 @@ let vm_ips t = List.map (fun i -> i.if_ip) t.extra_ifaces
 let iface_owning_ip t ip =
   List.find_opt (fun i -> Ipv4_addr.equal i.if_ip ip) (ifaces t)
 
-let counters t =
-  { tx_packets = t.c_tx; rx_packets = t.c_rx; arps_sent = t.c_arps;
-    pending_drops = t.c_pending_drops; arp_abandoned = t.c_arp_abandoned }
+let counters t = { t.c with tx_packets = t.c.tx_packets }
 
 let set_rx t f = t.rx <- Some f
 
@@ -74,12 +68,12 @@ let arp_lookup t dst =
 let flush_arp_cache t = Hashtbl.reset t.cache
 
 let send_frame_from t (i : iface) ~dst_mac ~dst payload =
-  t.c_tx <- t.c_tx + 1;
+  t.c.tx_packets <- t.c.tx_packets + 1;
   let pkt = Ipv4_pkt.make ~src:i.if_ip ~dst payload in
   transmit t (Eth.make ~dst:dst_mac ~src:i.if_amac (Eth.Ipv4 pkt))
 
 let send_arp_request t (i : iface) ~target_ip =
-  t.c_arps <- t.c_arps + 1;
+  t.c.arps_sent <- t.c.arps_sent + 1;
   let a = Arp.request ~sender_mac:i.if_amac ~sender_ip:i.if_ip ~target_ip in
   transmit t (Eth.make ~dst:Mac_addr.broadcast ~src:i.if_amac (Eth.Arp a))
 
@@ -92,8 +86,8 @@ let abandon_resolution t dst (r : resolving) =
   Option.iter Timer.stop r.timer;
   r.timer <- None;
   Hashtbl.remove t.resolving dst;
-  t.c_arp_abandoned <- t.c_arp_abandoned + 1;
-  t.c_pending_drops <- t.c_pending_drops + List.length r.queue;
+  t.c.arp_abandoned <- t.c.arp_abandoned + 1;
+  t.c.pending_drops <- t.c.pending_drops + List.length r.queue;
   r.queue <- []
 
 let rec schedule_arp_retry t (i : iface) dst (r : resolving) =
@@ -133,7 +127,7 @@ let send_ip_from t (i : iface) ~dst payload =
     | None ->
       let r = start_resolution t i dst in
       if List.length r.queue >= t.config.Config.host_pending_limit then
-        t.c_pending_drops <- t.c_pending_drops + 1
+        t.c.pending_drops <- t.c.pending_drops + 1
       else r.queue <- (i, payload) :: r.queue
   end
 
@@ -190,7 +184,7 @@ let handle_frame t _in_port (frame : Eth.t) =
       || Ipv4_addr.is_multicast pkt.Ipv4_pkt.dst
       || Ipv4_addr.is_broadcast pkt.Ipv4_pkt.dst
     then begin
-      t.c_rx <- t.c_rx + 1;
+      t.c.rx_packets <- t.c.rx_packets + 1;
       match (pkt.Ipv4_pkt.payload, owner) with
       | Ipv4_pkt.Icmp (Icmp.Echo_request _ as req), Some i ->
         (* answered in the "kernel", as real hosts do *)
@@ -203,14 +197,14 @@ let create engine config net ~device ~amac ~ip ?(obs = Obs.null) () =
   let t =
     { engine; config; net; device; h_amac = amac; h_ip = ip; extra_ifaces = [];
       cache = Hashtbl.create 16; resolving = Hashtbl.create 4; rx = None; started = false;
-      c_tx = 0; c_rx = 0; c_arps = 0; c_pending_drops = 0; c_arp_abandoned = 0 }
+      c = { tx_packets = 0; rx_packets = 0; arps_sent = 0; pending_drops = 0; arp_abandoned = 0 } }
   in
   Obs.add_probe obs ~name:(Printf.sprintf "host:%d" device) (fun () ->
       let labels = [ Obs.Label.host (Ipv4_addr.to_string t.h_ip) ] in
       let s name v = Obs.sample ~subsystem:"host" ~name ~labels (Obs.Count v) in
-      [ s "tx_packets" t.c_tx; s "rx_packets" t.c_rx;
-        s "arps_sent" t.c_arps; s "pending_drops" t.c_pending_drops;
-        s "arp_abandoned" t.c_arp_abandoned ]);
+      [ s "tx_packets" t.c.tx_packets; s "rx_packets" t.c.rx_packets;
+        s "arps_sent" t.c.arps_sent; s "pending_drops" t.c.pending_drops;
+        s "arp_abandoned" t.c.arp_abandoned ]);
   t
 
 let start t =

@@ -10,14 +10,16 @@
 
 type t
 
-type host_counters = {
-  tx_packets : int;
-  rx_packets : int;
-  arps_sent : int;
-  pending_drops : int;
+(** The host's own counter record, updated in place; [private], so
+    callers read it but never write or build one. *)
+type host_counters = private {
+  mutable tx_packets : int;
+  mutable rx_packets : int;
+  mutable arps_sent : int;
+  mutable pending_drops : int;
       (** packets dropped because the ARP queue overflowed, or because the
           resolution they were queued on was abandoned *)
-  arp_abandoned : int;
+  mutable arp_abandoned : int;
       (** resolutions given up after [arp_retry_limit] retransmissions
           with exponential ([arp_backoff]) spacing *)
 }
@@ -76,4 +78,6 @@ val arp_lookup : t -> Netcore.Ipv4_addr.t -> Netcore.Mac_addr.t option
 (** Current (unexpired) cache entry — exposed for tests. *)
 
 val flush_arp_cache : t -> unit
+
 val counters : t -> host_counters
+(** A copy, so a caller can keep it and diff it against a later one. *)

@@ -9,16 +9,16 @@ type host_entry = { h_amac : Mac_addr.t; h_port : int; h_pmac : Pmac.t }
 type trap_entry = { t_ip : Ipv4_addr.t; t_new_pmac : Pmac.t }
 
 type agent_counters = {
-  arps_proxied : int;
-  arps_answered : int;
-  arp_cache_hits : int;
-  hosts_learned : int;
-  trap_hits : int;
-  corrective_arps : int;
-  table_recomputes : int;
-  faults_reported : int;
-  recoveries_reported : int;
-  fault_updates_skipped : int;
+  mutable arps_proxied : int;
+  mutable arps_answered : int;
+  mutable arp_cache_hits : int;
+  mutable hosts_learned : int;
+  mutable trap_hits : int;
+  mutable corrective_arps : int;
+  mutable table_recomputes : int;
+  mutable faults_reported : int;
+  mutable recoveries_reported : int;
+  mutable fault_updates_skipped : int;
 }
 
 type t = {
@@ -54,17 +54,7 @@ type t = {
   mutable position_candidate : int;
   mutable proposal_outstanding : bool;
   mutable report_scheduled : bool;
-  (* counters *)
-  mutable c_arps_proxied : int;
-  mutable c_arps_answered : int;
-  mutable c_arp_cache_hits : int;
-  mutable c_hosts_learned : int;
-  mutable c_trap_hits : int;
-  mutable c_corrective_arps : int;
-  mutable c_table_recomputes : int;
-  mutable c_faults_reported : int;
-  mutable c_recoveries_reported : int;
-  mutable c_fault_updates_skipped : int;
+  c : agent_counters;
   mutable journal : Journal.hook option;
 }
 
@@ -119,17 +109,7 @@ let ldp = get_ldp
 let dataplane = get_dp
 let level t = match t.ldp with Some l -> Ldp.level l | None -> None
 
-let counters t =
-  { arps_proxied = t.c_arps_proxied;
-    arps_answered = t.c_arps_answered;
-    arp_cache_hits = t.c_arp_cache_hits;
-    hosts_learned = t.c_hosts_learned;
-    trap_hits = t.c_trap_hits;
-    corrective_arps = t.c_corrective_arps;
-    table_recomputes = t.c_table_recomputes;
-    faults_reported = t.c_faults_reported;
-    recoveries_reported = t.c_recoveries_reported;
-    fault_updates_skipped = t.c_fault_updates_skipped }
+let counters t = { t.c with arps_proxied = t.c.arps_proxied }
 
 (* ---------------- group-id scheme ---------------- *)
 
@@ -353,7 +333,7 @@ let program t =
 
 let recompute_tables t =
   if t.coords <> None then begin
-    t.c_table_recomputes <- t.c_table_recomputes + 1;
+    t.c.table_recomputes <- t.c.table_recomputes + 1;
     Lang.install_program t.table (program t);
     t.installed_stamp <- FT.stamp t.table;
     t.operational <- true
@@ -432,7 +412,7 @@ let learn_host t ~port ~amac ~ip =
         let h = { h_amac = amac; h_port = port; h_pmac = pmac } in
         Hashtbl.replace t.amac_to_host amac h;
         Hashtbl.replace t.pmac_to_host (Mac_addr.to_int (Pmac.to_mac pmac)) h;
-        t.c_hosts_learned <- t.c_hosts_learned + 1;
+        t.c.hosts_learned <- t.c.hosts_learned + 1;
         Lang.install_clause t.table (host_clause h);
         h
     in
@@ -466,7 +446,7 @@ let handle_arp t ~in_port (frame : Eth.t) (a : Arp.t) =
       match (a.Arp.op, learned) with
       | Arp.Request, Some h ->
         let query () =
-          t.c_arps_proxied <- t.c_arps_proxied + 1;
+          t.c.arps_proxied <- t.c.arps_proxied + 1;
           Ctrl.send_to_fm t.ctrl ~from:t.sw_id
             (Msg.Arp_query
                { switch_id = t.sw_id;
@@ -480,8 +460,8 @@ let handle_arp t ~in_port (frame : Eth.t) (a : Arp.t) =
            when gen >= t.arp_gen_seen && Engine.now t.engine <= expiry ->
            (* serve locally: the cached answer is from the current ARP
               generation, so no migration can have invalidated it *)
-           t.c_arp_cache_hits <- t.c_arp_cache_hits + 1;
-           t.c_arps_answered <- t.c_arps_answered + 1;
+           t.c.arp_cache_hits <- t.c.arp_cache_hits + 1;
+           t.c.arps_answered <- t.c.arps_answered + 1;
            let reply =
              Arp.reply ~sender_mac:(Pmac.to_mac pmac) ~sender_ip:a.Arp.target_ip
                ~target_mac:h.h_amac ~target_ip:a.Arp.sender_ip
@@ -518,7 +498,7 @@ let handle_igmp t ~in_port (m : Igmp.t) =
 
 (* corrective gratuitous ARP to the sender of a trapped frame *)
 let send_corrective_arp t ~in_port ~to_mac (trap : trap_entry) =
-  t.c_corrective_arps <- t.c_corrective_arps + 1;
+  t.c.corrective_arps <- t.c.corrective_arps + 1;
   let reply =
     Arp.reply
       ~sender_mac:(Pmac.to_mac trap.t_new_pmac)
@@ -533,7 +513,7 @@ let on_punt t ~in_port (frame : Eth.t) =
   let dst = Mac_addr.to_int frame.Eth.dst in
   match Hashtbl.find_opt t.traps dst with
   | Some trap ->
-    t.c_trap_hits <- t.c_trap_hits + 1;
+    t.c.trap_hits <- t.c.trap_hits + 1;
     send_corrective_arp t ~in_port ~to_mac:frame.Eth.src trap;
     if t.config.Config.forward_stale then begin
       let fixed = { frame with Eth.dst = Pmac.to_mac trap.t_new_pmac } in
@@ -550,7 +530,7 @@ let craft_arp_reply t ~target_ip ~target_pmac ~requester_ip ~requester_port =
     (match Hashtbl.find_opt t.pmac_to_host (Mac_addr.to_int (Pmac.to_mac req_pmac)) with
      | None -> ()
      | Some h ->
-       t.c_arps_answered <- t.c_arps_answered + 1;
+       t.c.arps_answered <- t.c.arps_answered + 1;
        let reply =
          Arp.reply ~sender_mac:(Pmac.to_mac target_pmac) ~sender_ip:target_ip
            ~target_mac:h.h_amac ~target_ip:requester_ip
@@ -648,7 +628,7 @@ let on_ctrl_msg t (msg : Msg.to_switch) =
        rebuild would reinstall the same entries, in the same tie order,
        with the same groups; only its zeroing of the hit counters would
        show. *)
-    t.c_fault_updates_skipped <- t.c_fault_updates_skipped + 1;
+    t.c.fault_updates_skipped <- t.c.fault_updates_skipped + 1;
     FT.zero_hits t.table
   | Msg.Fault_update { faults } ->
     Fault.Set.clear t.faults;
@@ -711,13 +691,13 @@ let on_ldp_event t (ev : Ldp.event) =
     maybe_propose_position t;
     if t.operational then recompute_tables t
   | Ldp.Port_dead { port; neighbor_id } ->
-    t.c_faults_reported <- t.c_faults_reported + 1;
+    t.c.faults_reported <- t.c.faults_reported + 1;
     Ctrl.send_to_fm t.ctrl ~from:t.sw_id
       (Msg.Fault_notice { switch_id = t.sw_id; port; neighbor = neighbor_id });
     (* react locally right away; the fabric manager's update follows *)
     recompute_tables t
   | Ldp.Port_recovered { port; neighbor_id } ->
-    t.c_recoveries_reported <- t.c_recoveries_reported + 1;
+    t.c.recoveries_reported <- t.c.recoveries_reported + 1;
     Ctrl.send_to_fm t.ctrl ~from:t.sw_id
       (Msg.Recovery_notice { switch_id = t.sw_id; port; neighbor = neighbor_id });
     recompute_tables t
@@ -780,10 +760,11 @@ let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) () =
       position_candidate = 0;
       proposal_outstanding = false;
       report_scheduled = false;
-      c_arps_proxied = 0; c_arps_answered = 0; c_arp_cache_hits = 0;
-      c_hosts_learned = 0; c_trap_hits = 0;
-      c_corrective_arps = 0; c_table_recomputes = 0; c_faults_reported = 0;
-      c_recoveries_reported = 0; c_fault_updates_skipped = 0; journal = None }
+      c =
+        { arps_proxied = 0; arps_answered = 0; arp_cache_hits = 0; hosts_learned = 0;
+          trap_hits = 0; corrective_arps = 0; table_recomputes = 0; faults_reported = 0;
+          recoveries_reported = 0; fault_updates_skipped = 0 };
+      journal = None }
   in
   t.position_candidate <- Prng.int t.prng spec.Spec.edges_per_pod;
   FT.set_hash_salt t.table (device * 0x85EBCA6B);
@@ -807,16 +788,16 @@ let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) () =
   Obs.add_probe obs ~name:(Printf.sprintf "sw:%d" device) (fun () ->
       let labels = [ Obs.Label.sw device ] in
       let s name v = Obs.sample ~subsystem:"switch" ~name ~labels (Obs.Count v) in
-      [ s "arps_proxied" t.c_arps_proxied;
-        s "arps_answered" t.c_arps_answered;
-        s "arp_cache_hits" t.c_arp_cache_hits;
-        s "hosts_learned" t.c_hosts_learned;
-        s "trap_hits" t.c_trap_hits;
-        s "corrective_arps" t.c_corrective_arps;
-        s "table_recomputes" t.c_table_recomputes;
-        s "faults_reported" t.c_faults_reported;
-        s "recoveries_reported" t.c_recoveries_reported;
-        s "fault_updates_skipped" t.c_fault_updates_skipped ]);
+      [ s "arps_proxied" t.c.arps_proxied;
+        s "arps_answered" t.c.arps_answered;
+        s "arp_cache_hits" t.c.arp_cache_hits;
+        s "hosts_learned" t.c.hosts_learned;
+        s "trap_hits" t.c.trap_hits;
+        s "corrective_arps" t.c.corrective_arps;
+        s "table_recomputes" t.c.table_recomputes;
+        s "faults_reported" t.c.faults_reported;
+        s "recoveries_reported" t.c.recoveries_reported;
+        s "fault_updates_skipped" t.c.fault_updates_skipped ]);
   (* the agent's own handler wraps the dataplane (multi-table semantics) *)
   Switchfab.Net.set_handler dev (fun in_port frame -> handle_frame t in_port frame);
   Ctrl.register_switch ctrl device (fun msg -> on_ctrl_msg t msg);

@@ -28,19 +28,21 @@
 
 type t
 
-type agent_counters = {
-  arps_proxied : int;        (** who-has queries forwarded to the FM *)
-  arps_answered : int;       (** ARP replies crafted for local hosts *)
-  arp_cache_hits : int;
+(** The agent's own counter record, updated in place; [private], so
+    callers read it but never write or build one. *)
+type agent_counters = private {
+  mutable arps_proxied : int;        (** who-has queries forwarded to the FM *)
+  mutable arps_answered : int;       (** ARP replies crafted for local hosts *)
+  mutable arp_cache_hits : int;
       (** replies served from the generation-stamped edge ARP cache
           without consulting the fabric manager *)
-  hosts_learned : int;
-  trap_hits : int;           (** frames caught on a stale PMAC *)
-  corrective_arps : int;
-  table_recomputes : int;
-  faults_reported : int;
-  recoveries_reported : int;
-  fault_updates_skipped : int;
+  mutable hosts_learned : int;
+  mutable trap_hits : int;           (** frames caught on a stale PMAC *)
+  mutable corrective_arps : int;
+  mutable table_recomputes : int;
+  mutable faults_reported : int;
+  mutable recoveries_reported : int;
+  mutable fault_updates_skipped : int;
       (** [Msg.Fault_update]s that carried the fault matrix the switch
           already held while its table still held what the last
           recompute installed: the rebuild was skipped (only the hit
@@ -75,7 +77,10 @@ val coords : t -> Coords.t option
 val level : t -> Netcore.Ldp_msg.level option
 val table : t -> Switchfab.Flow_table.t
 val table_size : t -> int
+
 val counters : t -> agent_counters
+(** A copy, so a caller can keep it and diff it against a later one. *)
+
 val ldp : t -> Ldp.t
 val dataplane : t -> Switchfab.Dataplane.t
 

@@ -68,11 +68,7 @@ end
 
 module Label = struct
   let sw id = ("sw", string_of_int id)
-  let pod n = ("pod", string_of_int n)
-  let port p = ("port", string_of_int p)
   let host ip = ("host", ip)
-  let level l = ("level", l)
-  let k n = ("k", string_of_int n)
 end
 
 module Counter = struct
@@ -112,7 +108,6 @@ type meta = { m_subsystem : string; m_name : string; m_labels : labels; m_inst :
 type t = {
   enabled : bool;
   tr : Trace.t;
-  lock : Mutex.t; (* guards [metrics] and [probes]; see register/snapshot *)
   metrics : (string, meta) Hashtbl.t;
   mutable probes : (string * (unit -> sample list)) list; (* newest first, unique names *)
 }
@@ -130,11 +125,9 @@ let key_of ~subsystem ~name labels =
 
 let create ?trace () =
   let tr = match trace with Some tr -> tr | None -> Trace.create ~capacity:8192 () in
-  { enabled = true; tr; lock = Mutex.create (); metrics = Hashtbl.create 256; probes = [] }
+  { enabled = true; tr; metrics = Hashtbl.create 256; probes = [] }
 
-let null =
-  { enabled = false; tr = Trace.null; lock = Mutex.create ();
-    metrics = Hashtbl.create 1; probes = [] }
+let null = { enabled = false; tr = Trace.null; metrics = Hashtbl.create 1; probes = [] }
 
 let enabled t = t.enabled
 let trace t = t.tr
@@ -147,18 +140,13 @@ let kind_name = function
 let register t ~subsystem ~name ~labels make =
   let labels = canon_labels labels in
   let key = key_of ~subsystem ~name labels in
-  Mutex.lock t.lock;
-  let inst =
-    match Hashtbl.find_opt t.metrics key with
-    | Some m -> m.m_inst
-    | None ->
-      let inst = make () in
-      Hashtbl.replace t.metrics key
-        { m_subsystem = subsystem; m_name = name; m_labels = labels; m_inst = inst };
-      inst
-  in
-  Mutex.unlock t.lock;
-  inst
+  match Hashtbl.find_opt t.metrics key with
+  | Some m -> m.m_inst
+  | None ->
+    let inst = make () in
+    Hashtbl.replace t.metrics key
+      { m_subsystem = subsystem; m_name = name; m_labels = labels; m_inst = inst };
+    inst
 
 let mismatch key inst want =
   invalid_arg
@@ -227,11 +215,7 @@ let sample ~subsystem ~name ?(labels = []) value =
   { subsystem; name; labels = canon_labels labels; value }
 
 let add_probe t ~name f =
-  if t.enabled then begin
-    Mutex.lock t.lock;
-    t.probes <- (name, f) :: List.remove_assoc name t.probes;
-    Mutex.unlock t.lock
-  end
+  if t.enabled then t.probes <- (name, f) :: List.remove_assoc name t.probes
 
 (* ---------------- snapshot & export ---------------- *)
 
@@ -255,11 +239,6 @@ let value_of_inst = function
 let sample_key s = key_of ~subsystem:s.subsystem ~name:s.name s.labels
 
 let snapshot t =
-  (* Fold the registry under the lock so another domain registering a labelled
-     metric mid-run cannot race the traversal; probe closures read agent
-     state and are run outside the lock (snapshots are taken at
-     quiescent points). *)
-  Mutex.lock t.lock;
   let from_instruments =
     Hashtbl.fold
       (fun _ m acc ->
@@ -270,9 +249,7 @@ let snapshot t =
         :: acc)
       t.metrics []
   in
-  let probes = List.rev t.probes in
-  Mutex.unlock t.lock;
-  let from_probes = List.concat_map (fun (_, f) -> f ()) probes in
+  let from_probes = List.concat_map (fun (_, f) -> f ()) (List.rev t.probes) in
   List.sort
     (fun a b -> compare (sample_key a) (sample_key b))
     (from_instruments @ from_probes)
@@ -303,8 +280,15 @@ let json_of_sample s =
 
 let to_json t = Json.Obj [ ("metrics", Json.List (List.map json_of_sample (snapshot t))) ]
 
+(* RFC 4180: a field holding a comma or a quote is quoted, inner quotes
+   doubled; a key with two labels has a comma between them *)
+let csv_field f =
+  if String.contains f ',' || String.contains f '"' then
+    "\"" ^ String.concat "\"\"" (String.split_on_char '"' f) ^ "\""
+  else f
+
 let csv_row s =
-  let key = sample_key s in
+  let key = csv_field (sample_key s) in
   match s.value with
   | Count n -> Printf.sprintf "%s,counter,%d,,,,,," key n
   | Value v -> Printf.sprintf "%s,gauge,%.12g,,,,,," key v

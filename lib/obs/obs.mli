@@ -15,12 +15,9 @@
     cheap no-op and {!snapshot} is empty, so instrumented code needs no
     [if] around its counters.
 
-    Domain-safe: counter increments are atomic, histogram observations
-    are serialized, and the registry (registration, probes, {!snapshot})
-    is mutex-protected, so code running on several OCaml domains can
-    share one [Obs.t] without losing updates. Gauge writes are plain
-    stores — keep each gauge owned by one domain. Snapshots are meant for
-    quiescent points (after a run). *)
+    Nothing here is synchronised: a registry and every instrument in it
+    belong to one domain, the one that runs the fabric they measure.
+    Snapshots are meant for quiescent points (after a run). *)
 
 type t
 
@@ -49,16 +46,8 @@ module Label : sig
   val sw : int -> string * string
   (** Switch device id. *)
 
-  val pod : int -> string * string
-  val port : int -> string * string
-
   val host : string -> string * string
   (** Host primary IP. *)
-
-  val level : string -> string * string
-
-  val k : int -> string * string
-  (** Fat-tree arity. *)
 end
 
 val create : ?trace:Eventsim.Trace.t -> unit -> t
@@ -168,7 +157,9 @@ val to_json : t -> Json.t
 
 val to_csv : t -> string
 (** One header line ([key,type,value,count,mean,min,max,p50,p99]) then
-    one row per sample. *)
+    one row per sample. A key holding a comma (two or more labels) or a
+    double quote is quoted RFC 4180 style, so every row has the header's
+    columns. *)
 
 val write_json : t -> path:string -> unit
 

@@ -1,11 +1,11 @@
 module Counter = struct
-  type t = { n : int Atomic.t }
+  type t = { mutable n : int }
 
-  let create () = { n = Atomic.make 0 }
-  let incr t = Atomic.incr t.n
-  let add t k = ignore (Atomic.fetch_and_add t.n k)
-  let value t = Atomic.get t.n
-  let reset t = Atomic.set t.n 0
+  let create () = { n = 0 }
+  let incr t = t.n <- t.n + 1
+  let add t k = t.n <- t.n + k
+  let value t = t.n
+  let reset t = t.n <- 0
 end
 
 module Growable = struct
@@ -30,7 +30,6 @@ end
 module Distribution = struct
   type t = {
     samples : Growable.t;
-    lock : Mutex.t;
     mutable sum : float;
     mutable sum_sq : float;
     mutable mn : float;
@@ -38,17 +37,14 @@ module Distribution = struct
   }
 
   let create () =
-    { samples = Growable.create (); lock = Mutex.create ();
-      sum = 0.0; sum_sq = 0.0; mn = infinity; mx = neg_infinity }
+    { samples = Growable.create (); sum = 0.0; sum_sq = 0.0; mn = infinity; mx = neg_infinity }
 
   let add t x =
-    Mutex.lock t.lock;
     Growable.add t.samples x;
     t.sum <- t.sum +. x;
     t.sum_sq <- t.sum_sq +. (x *. x);
     if x < t.mn then t.mn <- x;
-    if x > t.mx then t.mx <- x;
-    Mutex.unlock t.lock
+    if x > t.mx then t.mx <- x
 
   let count t = t.samples.Growable.size
   let mean t = if count t = 0 then 0.0 else t.sum /. float_of_int (count t)

@@ -1,8 +1,9 @@
-(** Measurement primitives used by devices, protocols and experiments. *)
+(** Measurement primitives used by devices, protocols and experiments.
 
-(** Monotonically increasing event counter. Domain-safe: increments are
-    atomic, so several OCaml domains can bump the same counter without
-    losing updates. *)
+    Every primitive is a plain mutable value with no synchronisation:
+    each one must be written and read from one domain (the fabric's). *)
+
+(** Monotonically increasing event counter. *)
 module Counter : sig
   type t
 
@@ -16,10 +17,7 @@ end
 (** Sample collector with order statistics.
 
     Stores every sample (growable array); suitable for the per-experiment
-    sample counts in this repository (up to a few million). [add] is
-    serialized under an internal mutex (no lost samples across domains);
-    readers are meant for quiescent points — after a run — not
-    concurrently with writers. *)
+    sample counts in this repository (up to a few million). *)
 module Distribution : sig
   type t
 

@@ -4,7 +4,6 @@ type entry = { time : Time.t; level : level; subsystem : string; message : strin
 
 type t = {
   capacity : int;
-  lock : Mutex.t;
   mutable min_level : level;
   buffer : entry option array;
   mutable next : int;
@@ -21,8 +20,7 @@ let level_to_string = function
 
 let create ?(capacity = 4096) ?(min_level = Info) () =
   let capacity = max 1 capacity in
-  { capacity; lock = Mutex.create (); min_level;
-    buffer = Array.make capacity None; next = 0; stored = 0 }
+  { capacity; min_level; buffer = Array.make capacity None; next = 0; stored = 0 }
 
 let null = create ~capacity:1 ~min_level:Error ()
 
@@ -32,11 +30,9 @@ let keeps t level = level_rank level >= level_rank t.min_level
 
 let record t ~time level ~subsystem message =
   if keeps t level && t != null then begin
-    Mutex.lock t.lock;
     t.buffer.(t.next) <- Some { time; level; subsystem; message };
     t.next <- (t.next + 1) mod t.capacity;
-    if t.stored < t.capacity then t.stored <- t.stored + 1;
-    Mutex.unlock t.lock
+    if t.stored < t.capacity then t.stored <- t.stored + 1
   end
 
 let recordf t ~time level ~subsystem fmt =
@@ -45,7 +41,6 @@ let recordf t ~time level ~subsystem fmt =
   else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
 let entries t =
-  Mutex.lock t.lock;
   let acc = ref [] in
   for i = 0 to t.stored - 1 do
     (* walk backwards from the newest entry, prepending *)
@@ -54,18 +49,15 @@ let entries t =
     | Some e -> acc := e :: !acc
     | None -> ()
   done;
-  Mutex.unlock t.lock;
   !acc
 
 let count t = t.stored
 
 let clear t =
   if t != null then begin
-    Mutex.lock t.lock;
     Array.fill t.buffer 0 t.capacity None;
     t.next <- 0;
-    t.stored <- 0;
-    Mutex.unlock t.lock
+    t.stored <- 0
   end
 
 let pp_entry fmt e =

@@ -3,9 +3,8 @@
     A bounded ring buffer of timestamped messages. Tracing is off by
     default and cheap when disabled; experiments enable it to debug
     protocol interactions, and a few tests assert on recorded entries.
-    The buffer is domain-safe: {!record}, {!entries} and {!clear} take an
-    internal mutex, so several OCaml domains can share one trace (entry
-    order across domains is scheduling-dependent). *)
+    The buffer is not synchronised: one trace belongs to one domain, the
+    one that runs the fabric recording into it. *)
 
 type level = Debug | Info | Warn | Error
 

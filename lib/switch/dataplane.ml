@@ -1,6 +1,11 @@
 type miss_policy = Miss_drop | Miss_punt | Miss_flood
 
-type stats = { matched : int; missed : int; punts : int; dropped : int }
+type stats = {
+  mutable matched : int;
+  mutable missed : int;
+  mutable punts : int;
+  mutable dropped : int;
+}
 
 type t = {
   net : Net.t;
@@ -8,26 +13,22 @@ type t = {
   table : Flow_table.t;
   miss : miss_policy;
   on_punt : in_port:int -> Netcore.Eth.t -> unit;
-  mutable s_matched : int;
-  mutable s_missed : int;
-  mutable s_punts : int;
-  mutable s_dropped : int;
+  stats : stats;
 }
 
 let table t = t.table
 
-let stats t =
-  { matched = t.s_matched; missed = t.s_missed; punts = t.s_punts; dropped = t.s_dropped }
+let stats t = { t.stats with matched = t.stats.matched }
 
 let punt t ~in_port frame =
-  t.s_punts <- t.s_punts + 1;
+  t.stats.punts <- t.stats.punts + 1;
   t.on_punt ~in_port frame
 
 let via_group t frame g =
   let hash = Flow_table.flow_hash frame in
   match Flow_table.select_member t.table ~group:g ~hash with
   | Some port -> Net.transmit t.net ~node:t.device ~port frame
-  | None -> t.s_dropped <- t.s_dropped + 1
+  | None -> t.stats.dropped <- t.stats.dropped + 1
 
 let rec run_actions t ~in_port frame actions =
   (* The per-hop loop: the forwarding shapes PortLand installs — plain
@@ -53,37 +54,39 @@ let rec run_actions t ~in_port frame actions =
      | Flow_table.Flood -> Net.flood t.net ~node:t.device ~except:in_port frame
      | Flow_table.Set_dst_mac _ | Flow_table.Set_src_mac _ -> assert false
      | Flow_table.Punt -> punt t ~in_port frame
-     | Flow_table.Drop -> t.s_dropped <- t.s_dropped + 1);
+     | Flow_table.Drop -> t.stats.dropped <- t.stats.dropped + 1);
     run_actions t ~in_port frame rest
 
 let handle t in_port frame =
   match Flow_table.lookup t.table frame with
   | Some entry ->
-    t.s_matched <- t.s_matched + 1;
+    t.stats.matched <- t.stats.matched + 1;
     run_actions t ~in_port frame entry.Flow_table.actions
   | None ->
-    t.s_missed <- t.s_missed + 1;
+    t.stats.missed <- t.stats.missed + 1;
     (match t.miss with
-     | Miss_drop -> t.s_dropped <- t.s_dropped + 1
+     | Miss_drop -> t.stats.dropped <- t.stats.dropped + 1
      | Miss_punt -> punt t ~in_port frame
      | Miss_flood -> Net.flood t.net ~node:t.device ~except:in_port frame)
 
 let attach net ~device ~table ~miss ?(on_punt = fun ~in_port:_ _ -> ()) ?(obs = Obs.null) () =
   let t =
-    { net; device; table; miss; on_punt; s_matched = 0; s_missed = 0; s_punts = 0; s_dropped = 0 }
+    { net; device; table; miss; on_punt;
+      stats = { matched = 0; missed = 0; punts = 0; dropped = 0 } }
   in
+  let s = t.stats in
   (* pull-style export: the hot path keeps its plain mutable counters and
      the registry reads them (plus table occupancy) only at snapshot time *)
   Obs.add_probe obs ~name:(Printf.sprintf "dp:%d" device) (fun () ->
       let labels = [ Obs.Label.sw device ] in
-      let total = t.s_matched + t.s_missed in
+      let total = s.matched + s.missed in
       let hit_rate =
-        if total = 0 then 0.0 else float_of_int t.s_matched /. float_of_int total
+        if total = 0 then 0.0 else float_of_int s.matched /. float_of_int total
       in
-      [ Obs.sample ~subsystem:"dataplane" ~name:"matched" ~labels (Obs.Count t.s_matched);
-        Obs.sample ~subsystem:"dataplane" ~name:"missed" ~labels (Obs.Count t.s_missed);
-        Obs.sample ~subsystem:"dataplane" ~name:"punts" ~labels (Obs.Count t.s_punts);
-        Obs.sample ~subsystem:"dataplane" ~name:"dropped" ~labels (Obs.Count t.s_dropped);
+      [ Obs.sample ~subsystem:"dataplane" ~name:"matched" ~labels (Obs.Count s.matched);
+        Obs.sample ~subsystem:"dataplane" ~name:"missed" ~labels (Obs.Count s.missed);
+        Obs.sample ~subsystem:"dataplane" ~name:"punts" ~labels (Obs.Count s.punts);
+        Obs.sample ~subsystem:"dataplane" ~name:"dropped" ~labels (Obs.Count s.dropped);
         Obs.sample ~subsystem:"dataplane" ~name:"hit_rate" ~labels (Obs.Value hit_rate);
         Obs.sample ~subsystem:"flow_table" ~name:"size" ~labels
           (Obs.Count (Flow_table.size table)) ]);

@@ -8,7 +8,14 @@
 
 type miss_policy = Miss_drop | Miss_punt | Miss_flood
 
-type stats = { matched : int; missed : int; punts : int; dropped : int }
+(** The pipeline's own counter record, updated in place; [private], so
+    callers read it but never write or build one. *)
+type stats = private {
+  mutable matched : int;
+  mutable missed : int;
+  mutable punts : int;
+  mutable dropped : int;
+}
 
 type t
 
@@ -23,6 +30,7 @@ val attach :
 
 val table : t -> Flow_table.t
 val stats : t -> stats
+(** A copy, so a caller can keep it and diff it against a later one. *)
 
 val inject : t -> in_port:int -> Netcore.Eth.t -> unit
 (** Run a frame through the pipeline as if it had arrived on [in_port] —

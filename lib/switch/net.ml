@@ -12,35 +12,20 @@ let default_link_params =
     loss_rate = 0.0 }
 
 type counters = {
-  rx_frames : int;
-  tx_frames : int;
-  rx_bytes : int;
-  tx_bytes : int;
-  queue_drops : int;
-  down_drops : int;
-  loss_drops : int;
+  mutable rx_frames : int;
+  mutable tx_frames : int;
+  mutable rx_bytes : int;
+  mutable tx_bytes : int;
+  mutable queue_drops : int;
+  mutable down_drops : int;
+  mutable loss_drops : int;
 }
 
-type mutable_counters = {
-  mutable c_rx_frames : int;
-  mutable c_tx_frames : int;
-  mutable c_rx_bytes : int;
-  mutable c_tx_bytes : int;
-  mutable c_queue_drops : int;
-  mutable c_down_drops : int;
-  mutable c_loss_drops : int;
-}
-
-let fresh_counters () =
-  { c_rx_frames = 0; c_tx_frames = 0; c_rx_bytes = 0; c_tx_bytes = 0; c_queue_drops = 0;
-    c_down_drops = 0; c_loss_drops = 0 }
+let zero_counters () =
+  { rx_frames = 0; tx_frames = 0; rx_bytes = 0; tx_bytes = 0; queue_drops = 0;
+    down_drops = 0; loss_drops = 0 }
 
 type direction = Rx | Tx
-
-let snapshot c =
-  { rx_frames = c.c_rx_frames; tx_frames = c.c_tx_frames; rx_bytes = c.c_rx_bytes;
-    tx_bytes = c.c_tx_bytes; queue_drops = c.c_queue_drops; down_drops = c.c_down_drops;
-    loss_drops = c.c_loss_drops }
 
 type device = {
   dev_id : int;
@@ -50,7 +35,7 @@ type device = {
   mutable up : bool;
   mutable handler : int -> Netcore.Eth.t -> unit;
   mutable taps : (direction -> port:int -> Netcore.Eth.t -> unit) list;
-  counters : mutable_counters;
+  counters : counters;
 }
 
 and port = {
@@ -103,7 +88,7 @@ let create ?(params = default_link_params) ?(loss_seed = 7) engine topo =
           up = true;
           handler = null_handler;
           taps = [];
-          counters = fresh_counters () })
+          counters = zero_counters () })
       (Topology.Topo.nodes topo)
   in
   let topo_links =
@@ -248,34 +233,34 @@ let transmit t ~node ~port frame =
   else begin
     let p = d.ports.(port) in
     match p.attached with
-    | None -> d.counters.c_down_drops <- d.counters.c_down_drops + 1
+    | None -> d.counters.down_drops <- d.counters.down_drops + 1
     | Some link when not link.link_up ->
-      d.counters.c_down_drops <- d.counters.c_down_drops + 1
+      d.counters.down_drops <- d.counters.down_drops + 1
     | Some link ->
       let bytes = Netcore.Eth.wire_len frame in
       let now_t = Engine.now t.engine in
       let backlog_ns = max 0 (p.busy_until - now_t) in
       let backlog_bytes = backlog_ns * link.params.bandwidth_bps / 8_000_000_000 in
       if backlog_bytes + bytes > link.params.queue_cap_bytes then
-        d.counters.c_queue_drops <- d.counters.c_queue_drops + 1
+        d.counters.queue_drops <- d.counters.queue_drops + 1
       else if
         (let rate = link_loss link in
          rate > 0.0 && Prng.float p.loss_prng 1.0 < rate)
-      then d.counters.c_loss_drops <- d.counters.c_loss_drops + 1
+      then d.counters.loss_drops <- d.counters.loss_drops + 1
       else begin
         let depart = max now_t p.busy_until in
         let done_tx = depart + tx_time link.params bytes in
         p.busy_until <- done_tx;
-        d.counters.c_tx_frames <- d.counters.c_tx_frames + 1;
-        d.counters.c_tx_bytes <- d.counters.c_tx_bytes + bytes;
+        d.counters.tx_frames <- d.counters.tx_frames + 1;
+        d.counters.tx_bytes <- d.counters.tx_bytes + bytes;
         List.iter (fun tap -> tap Tx ~port frame) d.taps;
         let arrival = done_tx + link.params.delay in
         let dst_dev, dst_port = peer_endpoint link (node, port) in
         let deliver () =
           let dd = t.devices.(dst_dev) in
           if link.link_up && dd.up then begin
-            dd.counters.c_rx_frames <- dd.counters.c_rx_frames + 1;
-            dd.counters.c_rx_bytes <- dd.counters.c_rx_bytes + bytes;
+            dd.counters.rx_frames <- dd.counters.rx_frames + 1;
+            dd.counters.rx_bytes <- dd.counters.rx_bytes + bytes;
             List.iter (fun tap -> tap Rx ~port:dst_port frame) dd.taps;
             dd.handler dst_port frame
           end
@@ -309,18 +294,18 @@ let add_tap t ~device:dev tap =
   let d = device t dev in
   d.taps <- d.taps @ [ tap ]
 
-let device_counters d = snapshot d.counters
+let device_counters d = { d.counters with rx_frames = d.counters.rx_frames }
 
 let total_counters t =
-  let acc = fresh_counters () in
+  let acc = zero_counters () in
   Array.iter
-    (fun d ->
-      acc.c_rx_frames <- acc.c_rx_frames + d.counters.c_rx_frames;
-      acc.c_tx_frames <- acc.c_tx_frames + d.counters.c_tx_frames;
-      acc.c_rx_bytes <- acc.c_rx_bytes + d.counters.c_rx_bytes;
-      acc.c_tx_bytes <- acc.c_tx_bytes + d.counters.c_tx_bytes;
-      acc.c_queue_drops <- acc.c_queue_drops + d.counters.c_queue_drops;
-      acc.c_down_drops <- acc.c_down_drops + d.counters.c_down_drops;
-      acc.c_loss_drops <- acc.c_loss_drops + d.counters.c_loss_drops)
+    (fun { counters = c; _ } ->
+      acc.rx_frames <- acc.rx_frames + c.rx_frames;
+      acc.tx_frames <- acc.tx_frames + c.tx_frames;
+      acc.rx_bytes <- acc.rx_bytes + c.rx_bytes;
+      acc.tx_bytes <- acc.tx_bytes + c.tx_bytes;
+      acc.queue_drops <- acc.queue_drops + c.queue_drops;
+      acc.down_drops <- acc.down_drops + c.down_drops;
+      acc.loss_drops <- acc.loss_drops + c.loss_drops)
     t.devices;
-  snapshot acc
+  acc

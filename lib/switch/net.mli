@@ -132,15 +132,20 @@ val add_tap : t -> device:int -> (direction -> port:int -> Netcore.Eth.t -> unit
 
 (** {1 Counters} *)
 
-type counters = {
-  rx_frames : int;
-  tx_frames : int;
-  rx_bytes : int;
-  tx_bytes : int;
-  queue_drops : int;
-  down_drops : int;  (** dropped because device/link down or port unwired *)
-  loss_drops : int;  (** dropped by the link's random-loss model *)
+(** The device's own counter record, updated in place; [private], so
+    callers read it but never write or build one. *)
+type counters = private {
+  mutable rx_frames : int;
+  mutable tx_frames : int;
+  mutable rx_bytes : int;
+  mutable tx_bytes : int;
+  mutable queue_drops : int;
+  mutable down_drops : int;  (** dropped because device/link down or port unwired *)
+  mutable loss_drops : int;  (** dropped by the link's random-loss model *)
 }
 
 val device_counters : device -> counters
+(** A copy, so a caller can keep it and diff it against a later one. *)
+
 val total_counters : t -> counters
+(** Sum over every device (a fresh record). *)

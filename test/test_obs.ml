@@ -152,41 +152,30 @@ let test_to_csv () =
     check_bool "gauge row" true (String.length row2 > 0 && String.sub row2 0 4 = "b/g,")
   | l -> Alcotest.failf "expected 3 csv lines, got %d" (List.length l)
 
-(* 4 domains hammering the same instruments and the registry itself:
-   counters must not lose increments, histogram counts must balance, and
-   concurrent registration/snapshot must neither crash nor duplicate *)
-let test_multi_domain_hammer () =
+(* a key with two labels holds a comma: quoted, its row still has the
+   header's nine columns *)
+let test_csv_columns () =
   let o = Obs.create () in
-  let c = Obs.counter o ~subsystem:"hammer" ~name:"hits" () in
-  let h = Obs.histogram o ~subsystem:"hammer" ~name:"lat" () in
-  let per_domain = 100_000 in
-  let workers =
-    Array.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 1 to per_domain do
-              Obs.Counter.incr c;
-              if i mod 100 = 0 then Obs.Histogram.observe h (float_of_int (i land 7));
-              if i mod 10_000 = 0 then
-                (* concurrent lookup-or-register on a shared name and a
-                   per-domain one, racing the other domains *)
-                Obs.Counter.incr (Obs.counter o ~subsystem:"hammer" ~name:"shared" ());
-              if i mod 25_000 = 0 then
-                ignore
-                  (Obs.counter o ~subsystem:"hammer" ~name:"mine"
-                     ~labels:[ ("d", string_of_int d) ] ());
-              if i mod 10_000 = 0 then ignore (Obs.snapshot o)
-            done))
+  Obs.Counter.incr (Obs.counter o ~subsystem:"s" ~name:"c" ~labels:[ ("sw", "3"); ("pod", "1") ] ());
+  Obs.Gauge.set (Obs.gauge o ~subsystem:"s" ~name:"g" ~labels:[ ("a", "x\"y"); ("b", "2") ] ()) 1.0;
+  ignore (Obs.histogram o ~subsystem:"s" ~name:"h" ~labels:[ ("sw", "1"); ("k", "4") ] ());
+  Obs.Counter.incr (Obs.counter o ~subsystem:"s" ~name:"plain" ());
+  (* RFC 4180 field count: commas outside quoted fields, plus one *)
+  let columns row =
+    let quoted = ref false and n = ref 1 in
+    String.iter
+      (function '"' -> quoted := not !quoted | ',' when not !quoted -> incr n | _ -> ())
+      row;
+    !n
   in
-  Array.iter Domain.join workers;
-  check_int "no lost increments" (4 * per_domain) (Obs.Counter.value c);
-  check_int "no lost observations" (4 * (per_domain / 100)) (Obs.Histogram.count h);
-  check_int "shared counter registered once" (4 * (per_domain / 10_000))
-    (Obs.Counter.value (Obs.counter o ~subsystem:"hammer" ~name:"shared" ()));
-  (* hits + lat + shared + 4 labelled = 7 hammer metrics, each exactly once *)
-  let hammer_samples =
-    List.filter (fun s -> s.Obs.subsystem = "hammer") (Obs.snapshot o)
-  in
-  check_int "registry has exactly the hammer metrics" 7 (List.length hammer_samples)
+  match String.split_on_char '\n' (String.trim (Obs.to_csv o)) with
+  | header :: rows ->
+    check_int "rows" 4 (List.length rows);
+    List.iter (fun row -> check_int row (columns header) (columns row)) rows;
+    check_bool "quoted key" true (contains ~sub:"\"s/c{pod=1,sw=3}\",counter,1," (Obs.to_csv o));
+    check_bool "inner quote doubled" true (contains ~sub:"\"s/g{a=x\"\"y,b=2}\",gauge," (Obs.to_csv o));
+    check_bool "plain key unquoted" true (contains ~sub:"\ns/plain,counter,1," (Obs.to_csv o))
+  | [] -> Alcotest.fail "empty csv"
 
 let test_json_scalars () =
   let open Obs.Json in
@@ -209,9 +198,8 @@ let () =
         [ Alcotest.test_case "replacement by name" `Quick test_probe_replacement;
           Alcotest.test_case "snapshot deterministic" `Quick test_snapshot_deterministic ] );
       ("spans", [ Alcotest.test_case "span feeds histogram" `Quick test_span ]);
-      ( "domain-safety",
-        [ Alcotest.test_case "4-domain hammer loses nothing" `Quick test_multi_domain_hammer ] );
       ( "export",
         [ Alcotest.test_case "to_json" `Quick test_to_json;
           Alcotest.test_case "to_csv" `Quick test_to_csv;
+          Alcotest.test_case "csv rows match the header" `Quick test_csv_columns;
           Alcotest.test_case "json scalars" `Quick test_json_scalars ] ) ]

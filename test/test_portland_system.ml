@@ -455,6 +455,48 @@ let test_state_is_o_k () =
         true (size <= bound))
     (Fabric.switch_table_sizes fab)
 
+(* Long-running state stays bounded: a k=4 soak of link fail/recover
+   cycles, with a switch cold reboot every third cycle and a fabric-manager
+   restart every 50th. The schedule repeats every 300 cycles (30 links,
+   20 switches x 3, 50), so two checkpoints one period apart see the same
+   fabric: its reachable heap, apart from the trace ring's message
+   strings, must be word-for-word equal, and the ring itself stays at
+   its capacity. *)
+let test_soak_state_flat () =
+  let capacity = 256 and period = 300 in
+  let trace = Trace.create ~capacity () in
+  let fab = Fabric.create (Fabric.Config.fattree ~obs:(Obs.create ~trace ()) ~k:4 ()) in
+  Testutil.check_bool "boot converged" true (Fabric.await_convergence fab);
+  let links = Array.of_list (Workloads.Failure_plan.switch_links (Fabric.tree fab)) in
+  let switches = Array.of_list (List.map Switch_agent.switch_id (Fabric.agents fab)) in
+  Testutil.check_bool "schedule period" true
+    (Array.length links >= 30 && period mod (3 * Array.length switches) = 0);
+  let cycle i =
+    let a, b = links.(i mod 30) in
+    ignore (Fabric.fail_link_between fab ~a ~b);
+    Fabric.run_for fab (Time.ms 100);
+    ignore (Fabric.recover_link_between fab ~a ~b);
+    Fabric.run_for fab (Time.ms 100);
+    if i mod 3 = 0 then begin
+      let sw = switches.(i / 3 mod Array.length switches) in
+      Fabric.fail_switch fab sw;
+      Fabric.run_for fab (Time.ms 100);
+      Fabric.recover_switch fab sw;
+      Fabric.run_for fab (Time.ms 100)
+    end;
+    if i mod 50 = 0 then Fabric.restart_fabric_manager fab
+  in
+  let checkpoint upto =
+    for i = upto - period + 1 to upto do cycle i done;
+    Testutil.check_bool (Printf.sprintf "converged at cycle %d" upto) true
+      (Fabric.await_convergence fab);
+    Testutil.check_int "trace ring full" capacity (Trace.count trace);
+    Obj.reachable_words (Obj.repr fab) - Obj.reachable_words (Obj.repr trace)
+  in
+  let early = checkpoint period in
+  let late = checkpoint (2 * period) in
+  Testutil.check_int "fabric words one period later" early late
+
 let test_random_faults_preserve_connectivity () =
   (* property: any physically survivable set of fabric-link failures
      leaves the pair connected through the healed tables, with a bounded
@@ -939,6 +981,7 @@ let () =
             test_random_faults_preserve_connectivity;
           Alcotest.test_case "fuzzed operation sequences" `Quick test_fuzz_operations;
           Alcotest.test_case "state is O(k)" `Quick test_state_is_o_k;
+          Alcotest.test_case "churn soak stays flat" `Quick test_soak_state_flat;
           Alcotest.test_case "runs are deterministic" `Quick test_deterministic_runs;
           Alcotest.test_case "trace records lifecycle" `Quick test_trace_records_lifecycle;
           Alcotest.test_case "scale: k=12 (432 hosts)" `Slow test_scale_k12;
