@@ -261,12 +261,11 @@ let run_stats ({ verbose; _ } as c) ~duration_ms ~metrics_out ~csv_out =
   let obs = Obs.create () in
   let fab = create_fabric ~obs c in
   converge_or_exit ~code:1 fab;
+  let converged_at = Portland.Fabric.now fab in
   let sent, received = ping_all fab in
   Portland.Fabric.run_for fab (Time.ms duration_ms);
   Printf.printf "%s, converged at %s; ping-all warm-up: %d sent, %d received\n%!"
-    (describe_fabric c fab)
-    (Time.to_string (Portland.Fabric.now fab))
-    sent !received;
+    (describe_fabric c fab) (Time.to_string converged_at) sent !received;
   Format.printf "%a" Obs.pp_snapshot obs;
   write_metrics obs metrics_out;
   (match csv_out with

@@ -83,9 +83,6 @@ let await_stp_convergence ?(timeout = Time.sec 120) t =
   in
   go ()
 
-let total_frames_handled t =
-  List.fold_left (fun acc sw -> acc + Learning_switch.frames_handled sw) 0 t.switches
-
 let mac_table_sizes t =
   List.map (fun sw -> Mac_table.size (Learning_switch.mac_table sw)) t.switches
 

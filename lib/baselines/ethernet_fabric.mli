@@ -37,6 +37,5 @@ val await_stp_convergence : ?timeout:Eventsim.Time.t -> t -> bool
     timeout 120 s of simulated time). Immediately true when built with
     [stp:false]. *)
 
-val total_frames_handled : t -> int
 val mac_table_sizes : t -> int list
 val fail_link_between : t -> a:int -> b:int -> bool

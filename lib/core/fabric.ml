@@ -49,8 +49,9 @@ type t = {
   mutable fm : Fabric_manager.t;
   switch_agents : (int, Switch_agent.t) Hashtbl.t;
   host_slots : (int, host_slot) Hashtbl.t; (* device id -> slot *)
-  by_ip : (Ipv4_addr.t, int) Hashtbl.t; (* current IP -> host device id *)
   mutable journal : Journal.hook option;
+  convergence : Stats.Distribution.t; (* ms from each await_convergence call to settled *)
+  mutable converged_at : Time.t option; (* when the last one settled *)
 }
 
 let jemit t u = match t.journal with None -> () | Some f -> f u
@@ -100,14 +101,6 @@ let host t ~pod ~edge ~slot =
   | Some { plugged = false; _ } -> invalid_arg "Fabric.host: that slot is a spare (unplugged)"
   | None -> invalid_arg "Fabric.host: no such host"
 
-let host_by_ip t ip =
-  match Hashtbl.find_opt t.by_ip ip with
-  | Some device ->
-    (match Hashtbl.find_opt t.host_slots device with
-     | Some s -> Some s.agent
-     | None -> None)
-  | None -> None
-
 let hosts t =
   Hashtbl.fold (fun _ s acc -> if s.plugged then s.agent :: acc else acc) t.host_slots []
 
@@ -125,17 +118,15 @@ let converged t =
   all_ops && Fabric_manager.binding_count t.fm >= plugged_host_count t
 
 let await_convergence ?(timeout = Time.sec 5) t =
-  let sp = Obs.span t.obs ~time:(now t) ~subsystem:"fabric" ~name:"convergence" () in
+  let start = now t in
   let deadline = now t + timeout in
   let rec go () =
     if converged t then begin
       (* settle: let one more LDM round refresh every neighbor claim so
          freshly assigned coordinates propagate into all tables *)
       run_for t (3 * t.config.Config.proto.Proto.ldm_period);
-      Obs.finish sp ~time:(now t);
-      Obs.Gauge.set
-        (Obs.gauge t.obs ~subsystem:"fabric" ~name:"converged_at_ms" ())
-        (Time.to_ms_f (now t));
+      Stats.Distribution.add t.convergence (Time.to_ms_f (now t - start));
+      t.converged_at <- Some (now t);
       true
     end
     else if now t >= deadline then begin
@@ -397,8 +388,9 @@ let create (cfg : Config.t) =
     { config = cfg; engine; obs; spec; mt; net; ctrl; fm;
       switch_agents = Hashtbl.create 64;
       host_slots = Hashtbl.create 256;
-      by_ip = Hashtbl.create 256;
-      journal = None }
+      journal = None;
+      convergence = Stats.Distribution.create ();
+      converged_at = None }
   in
   (* switches *)
   Array.iter
@@ -432,15 +424,19 @@ let create (cfg : Config.t) =
       let is_spare = Hashtbl.mem spare (pod, edge, slot) in
       Hashtbl.replace t.host_slots device { agent; plugged = not is_spare };
       if is_spare then SNet.unplug t.net ~node:device ~port:0
-      else begin
-        boot (fun () -> Host_agent.start agent);
-        Hashtbl.replace t.by_ip ip device
-      end)
+      else boot (fun () -> Host_agent.start agent))
     mt.MR.hosts;
   Obs.add_probe obs ~name:"fabric" (fun () ->
-      [ Obs.sample ~subsystem:"fabric" ~name:"switches"
-          (Obs.Value (float_of_int (Hashtbl.length t.switch_agents)));
-        Obs.sample ~subsystem:"fabric" ~name:"plugged_hosts"
-          (Obs.Value (float_of_int (plugged_host_count t)));
-        Obs.sample ~subsystem:"fabric" ~name:"now_ms" (Obs.Value (Time.to_ms_f (now t))) ]);
+      let s name v = Obs.sample ~subsystem:"fabric" ~name v in
+      let timeline =
+        match t.converged_at with
+        | None -> []
+        | Some at ->
+          [ s "convergence_ms" (Obs.summary_of_dist t.convergence);
+            s "converged_at_ms" (Obs.Value (Time.to_ms_f at)) ]
+      in
+      [ s "switches" (Obs.Value (float_of_int (Hashtbl.length t.switch_agents)));
+        s "plugged_hosts" (Obs.Value (float_of_int (plugged_host_count t)));
+        s "now_ms" (Obs.Value (Time.to_ms_f (now t))) ]
+      @ timeline);
   t

@@ -111,7 +111,6 @@ val agents : t -> Switch_agent.t list
 val host : t -> pod:int -> edge:int -> slot:int -> Host_agent.t
 (** Raises [Invalid_argument] for a spare slot. *)
 
-val host_by_ip : t -> Netcore.Ipv4_addr.t -> Host_agent.t option
 val hosts : t -> Host_agent.t list
 val host_ip : pod:int -> edge:int -> slot:int -> Netcore.Ipv4_addr.t
 (** The static address scheme (pure function of position at boot —
@@ -126,7 +125,11 @@ val run_for : t -> Eventsim.Time.t -> unit
 val await_convergence : ?timeout:Eventsim.Time.t -> t -> bool
 (** Advance time until every switch agent is operational and every plugged
     host's binding is registered at the fabric manager (or [timeout],
-    default 5 s, passes). *)
+    default 5 s, passes). Each call that converges adds its duration, the
+    settling LDM rounds included, to the fabric's
+    [fabric/convergence_ms] distribution and records the time as
+    [fabric/converged_at_ms]; the ["fabric"] probe exports both once the
+    fabric has converged. *)
 
 (** {1 Failures} *)
 

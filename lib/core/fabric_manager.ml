@@ -37,7 +37,6 @@ type t = {
   config : Config.t;
   ctrl : Ctrl.t;
   obs : Obs.t;
-  m_ctrl_msgs : Obs.Counter.t;
   spec : Topology.Multirooted.spec;
   switches : (int, sw_info) Hashtbl.t;
   pod_uf : Uf.t;
@@ -937,7 +936,6 @@ let on_host_announce t (b : Msg.host_binding) =
 (* ---------------- dispatch ---------------- *)
 
 let handle t ~from:_ (msg : Msg.to_fm) =
-  Obs.Counter.incr t.m_ctrl_msgs;
   match msg with
   | Msg.Neighbor_report { switch_id; level; neighbors; host_ports } ->
     on_report t ~switch_id ~level ~neighbors ~host_ports;
@@ -1023,7 +1021,6 @@ let failover t ~pod =
 let create ?(obs = Obs.null) engine config ctrl ~spec =
   let t =
     { engine; config; ctrl; obs;
-      m_ctrl_msgs = Obs.counter obs ~subsystem:"fm" ~name:"ctrl_msgs" ();
       spec;
       switches = Hashtbl.create 128;
       pod_uf = Uf.create ();
@@ -1061,6 +1058,9 @@ let create ?(obs = Obs.null) engine config ctrl ~spec =
         c "reports" t.c.reports;
         c "pending_dropped" t.c.pending_dropped;
         c "shard_failovers" t.c.shard_failovers;
+        (* counted by the control network just before [handle] runs; it
+           outlives a restart, so the count spans every instance *)
+        c "ctrl_msgs" (Ctrl.to_fm_count t.ctrl);
         g "bindings" (binding_count t);
         g "known_switches" (Hashtbl.length t.switches);
         g "faults" (Fault.Set.cardinal t.faults);

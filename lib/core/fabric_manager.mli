@@ -71,11 +71,12 @@ val create :
 (** Registers itself as the control network's fabric manager. Significant
     events (coordinate grants, fault-matrix changes, migrations,
     multicast re-rooting) are traced through [obs] when a live registry is
-    given; the FM also counts [fm/ctrl_msgs] and exports its {!counters}
-    plus soft-state levels ([fm/bindings], [fm/known_switches],
-    [fm/faults], [fm/pending_arps]) under the probe name ["fm"] — a
-    restarted FM therefore supersedes its predecessor's readings instead
-    of double-reporting. *)
+    given; the FM exports its {!counters}, soft-state levels
+    ([fm/bindings], [fm/known_switches], [fm/faults], [fm/pending_arps])
+    and [fm/ctrl_msgs] (the control network's {!Ctrl.to_fm_count}, which
+    spans restarts) under the probe name ["fm"] — a restarted FM
+    therefore supersedes its predecessor's readings instead of
+    double-reporting. *)
 
 val counters : t -> counters
 (** A copy, so a caller can keep it and diff it against a later one. *)

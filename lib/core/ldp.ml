@@ -22,6 +22,13 @@ type event =
   | Port_dead of { port : int; neighbor_id : int }
   | Port_recovered of { port : int; neighbor_id : int }
 
+type counters = {
+  mutable ldm_tx : int;
+  mutable ldm_rx : int;
+  mutable port_dead : int;
+  mutable port_recovered : int;
+}
+
 type t = {
   engine : Engine.t;
   config : Config.t;
@@ -32,26 +39,31 @@ type t = {
   notify : event -> unit;
   ports : port_state array;
   obs : Obs.t;
-  m_ldm_tx : Obs.Counter.t;
-  m_ldm_rx : Obs.Counter.t;
-  m_port_dead : Obs.Counter.t;
-  m_port_recovered : Obs.Counter.t;
+  c : counters;
   mutable self_level : Ldp_msg.level option;
   mutable self_coords : Coords.t option;
   mutable beacon : Timer.t option;
   mutable checker : Timer.t option;
 }
 
-let create engine config ~switch_id ~nports ?(wiring = Topology.Multirooted.Stripes) ~send
-    ~notify ?(obs = Obs.null) () =
-  let labels = [ Obs.Label.sw switch_id ] in
-  let c name = Obs.counter obs ~subsystem:"ldp" ~name ~labels () in
-  { engine; config; switch_id; nports; wiring; send; notify;
-    ports = Array.make nports Unknown;
-    obs;
-    m_ldm_tx = c "ldm_tx"; m_ldm_rx = c "ldm_rx";
-    m_port_dead = c "port_dead"; m_port_recovered = c "port_recovered";
-    self_level = None; self_coords = None; beacon = None; checker = None }
+let create engine config ~switch_id ~nports ~wiring ~send ~notify ?(obs = Obs.null) () =
+  let t =
+    { engine; config; switch_id; nports; wiring; send; notify;
+      ports = Array.make nports Unknown;
+      obs;
+      c = { ldm_tx = 0; ldm_rx = 0; port_dead = 0; port_recovered = 0 };
+      self_level = None; self_coords = None; beacon = None; checker = None }
+  in
+  Obs.add_probe obs ~name:(Printf.sprintf "ldp:%d" switch_id) (fun () ->
+      let labels = [ Obs.Label.sw switch_id ] in
+      let s name v = Obs.sample ~subsystem:"ldp" ~name ~labels (Obs.Count v) in
+      [ s "ldm_tx" t.c.ldm_tx;
+        s "ldm_rx" t.c.ldm_rx;
+        s "port_dead" t.c.port_dead;
+        s "port_recovered" t.c.port_recovered ]);
+  t
+
+let counters t = { t.c with ldm_tx = t.c.ldm_tx }
 
 let level t = t.self_level
 let coords t = t.self_coords
@@ -181,7 +193,7 @@ let int_opt_eq a b =
 
 let on_ldm t ~port (msg : Ldp_msg.t) =
   if port < 0 || port >= t.nports then invalid_arg "Ldp.on_ldm: port out of range";
-  Obs.Counter.incr t.m_ldm_rx;
+  t.c.ldm_rx <- t.c.ldm_rx + 1;
   let now = Engine.now t.engine in
   match t.ports.(port) with
   | Switch_port old
@@ -206,7 +218,7 @@ let on_ldm t ~port (msg : Ldp_msg.t) =
     t.ports.(port) <- Switch_port fresh;
     (match prev with
      | Dead_port old ->
-       Obs.Counter.incr t.m_port_recovered;
+       t.c.port_recovered <- t.c.port_recovered + 1;
        Obs.eventf t.obs ~time:now ~subsystem:"ldp" "sw %d port %d: neighbor %d recovered"
          t.switch_id port old.switch_id;
        t.notify (Port_recovered { port; neighbor_id = old.switch_id })
@@ -225,7 +237,7 @@ let on_host_frame t ~port =
 
 let beacon_all t =
   for p = 0 to t.nports - 1 do
-    Obs.Counter.incr t.m_ldm_tx;
+    t.c.ldm_tx <- t.c.ldm_tx + 1;
     t.send ~port:p (current_ldm t ~out_port:p)
   done
 
@@ -235,7 +247,7 @@ let check_liveness t =
     match t.ports.(p) with
     | Switch_port n when now - n.last_heard > t.config.Config.ldm_timeout ->
       t.ports.(p) <- Dead_port n;
-      Obs.Counter.incr t.m_port_dead;
+      t.c.port_dead <- t.c.port_dead + 1;
       Obs.eventf t.obs ~time:now ~level:Eventsim.Trace.Warn ~subsystem:"ldp"
         "sw %d port %d: neighbor %d timed out" t.switch_id p n.switch_id;
       t.notify (Port_dead { port = p; neighbor_id = n.switch_id })

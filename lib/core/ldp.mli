@@ -49,16 +49,29 @@ type event =
 
 type t
 
+(** The instance's own counter record, updated in place; [private], so
+    callers read it but never write or build one. *)
+type counters = private {
+  mutable ldm_tx : int;          (** beacons sent, one per port per period *)
+  mutable ldm_rx : int;
+  mutable port_dead : int;       (** LDM timeouts *)
+  mutable port_recovered : int;  (** dead ports that heard LDMs again *)
+}
+
 val create :
   Eventsim.Engine.t -> Config.t -> switch_id:int -> nports:int ->
-  ?wiring:Topology.Multirooted.wiring ->
+  wiring:Topology.Multirooted.wiring ->
   send:(port:int -> Netcore.Ldp_msg.t -> unit) -> notify:(event -> unit) ->
   ?obs:Obs.t -> unit -> t
-(** [wiring] (default [Stripes]) selects the level-inference rules — see
-    the module comment. [obs] (default {!Obs.null}) receives the protocol counters
-    [ldp/ldm_tx], [ldp/ldm_rx], [ldp/port_dead] and [ldp/port_recovered]
-    (labelled [sw=switch_id]) plus trace events on fault detection and
-    recovery. *)
+(** [wiring] selects the level-inference rules — see the module comment.
+    [obs] (default {!Obs.null}) gets the probe ["ldp:<switch_id>"], which
+    exports {!counters} as [ldp/ldm_tx], [ldp/ldm_rx], [ldp/port_dead]
+    and [ldp/port_recovered] (labelled [sw=switch_id]), plus trace events
+    on fault detection and recovery. *)
+
+val counters : t -> counters
+(** A copy, so a caller can keep it and diff it against a later one.
+    {!reset} keeps the counts: they cover the instance's whole life. *)
 
 val start : t -> unit
 (** Arm the beacon and liveness timers. Beacons are phase-staggered

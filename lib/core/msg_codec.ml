@@ -20,8 +20,6 @@ let pp_error fmt = function
       (match tag with Some t -> Printf.sprintf " (tag %d)" t | None -> "")
       what
 
-let error_to_string e = Format.asprintf "%a" pp_error e
-
 exception Unknown of int
 
 (* Decode bodies signal malformed-but-complete fields via [failwith] and

@@ -27,7 +27,6 @@ type error =
           out-of-range address...) *)
 
 val pp_error : Format.formatter -> error -> unit
-val error_to_string : error -> string
 
 val encode_to_fm : Msg.to_fm -> bytes
 val decode_to_fm : bytes -> (Msg.to_fm, error) result

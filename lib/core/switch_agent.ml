@@ -19,6 +19,7 @@ type agent_counters = {
   mutable faults_reported : int;
   mutable recoveries_reported : int;
   mutable fault_updates_skipped : int;
+  mutable ingress_rewrites : int;
 }
 
 type t = {
@@ -27,7 +28,6 @@ type t = {
   ctrl : Ctrl.t;
   spec : Spec.spec;
   sw_id : int;
-  m_rewrites : Obs.Counter.t;
   table : FT.t;
   mutable dp : Switchfab.Dataplane.t option;
   mutable ldp : Ldp.t option;
@@ -722,7 +722,7 @@ let handle_frame t in_port (frame : Eth.t) =
         ignore (learn_host t ~port:in_port ~amac:frame.Eth.src ~ip:(Some p.Ipv4_pkt.src));
         match Hashtbl.find_opt t.amac_to_host frame.Eth.src with
         | Some h ->
-          Obs.Counter.incr t.m_rewrites;
+          t.c.ingress_rewrites <- t.c.ingress_rewrites + 1;
           { frame with Eth.src = Pmac.to_mac h.h_pmac }
         | None -> frame
       end
@@ -741,9 +741,6 @@ let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) () =
   let prng = Prng.create (seed lxor (device * 7919)) in
   let t =
     { engine; config; ctrl; spec; sw_id = device;
-      m_rewrites =
-        Obs.counter obs ~subsystem:"switch" ~name:"ingress_rewrites"
-          ~labels:[ Obs.Label.sw device ] ();
       table = FT.create ();
       dp = None; ldp = None; prng;
       coords = None; operational = false; installed_stamp = -1;
@@ -763,7 +760,7 @@ let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) () =
       c =
         { arps_proxied = 0; arps_answered = 0; arp_cache_hits = 0; hosts_learned = 0;
           trap_hits = 0; corrective_arps = 0; table_recomputes = 0; faults_reported = 0;
-          recoveries_reported = 0; fault_updates_skipped = 0 };
+          recoveries_reported = 0; fault_updates_skipped = 0; ingress_rewrites = 0 };
       journal = None }
   in
   t.position_candidate <- Prng.int t.prng spec.Spec.edges_per_pod;
@@ -797,7 +794,8 @@ let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) () =
         s "table_recomputes" t.c.table_recomputes;
         s "faults_reported" t.c.faults_reported;
         s "recoveries_reported" t.c.recoveries_reported;
-        s "fault_updates_skipped" t.c.fault_updates_skipped ]);
+        s "fault_updates_skipped" t.c.fault_updates_skipped;
+        s "ingress_rewrites" t.c.ingress_rewrites ]);
   (* the agent's own handler wraps the dataplane (multi-table semantics) *)
   Switchfab.Net.set_handler dev (fun in_port frame -> handle_frame t in_port frame);
   Ctrl.register_switch ctrl device (fun msg -> on_ctrl_msg t msg);

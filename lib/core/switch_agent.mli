@@ -48,6 +48,8 @@ type agent_counters = private {
           recompute installed: the rebuild was skipped (only the hit
           counters were zeroed, as the rebuild would have) and
           [table_recomputes] did not move *)
+  mutable ingress_rewrites : int;
+      (** host frames whose source AMAC was rewritten to its PMAC *)
 }
 
 val create :
@@ -55,9 +57,8 @@ val create :
   spec:Topology.Multirooted.spec -> device:int -> seed:int -> ?obs:Obs.t -> unit -> t
 (** Attach an agent to a switch device. Call {!start} to begin discovery.
     [obs] (default {!Obs.null}) is handed down to the agent's {!Ldp} and
-    {!Switchfab.Dataplane}; the agent itself counts
-    [switch/ingress_rewrites] and exports {!agent_counters} as
-    [switch/*] samples, all labelled [sw=device]. *)
+    {!Switchfab.Dataplane}; the agent's probe ["sw:<device>"] exports
+    {!agent_counters} as [switch/*] samples, all labelled [sw=device]. *)
 
 val start : t -> unit
 val stop : t -> unit

@@ -71,44 +71,14 @@ module Label = struct
   let host ip = ("host", ip)
 end
 
-module Counter = struct
-  type t = Stats.Counter.t
-
-  let incr = Stats.Counter.incr
-  let add = Stats.Counter.add
-  let value = Stats.Counter.value
-end
-
-module Gauge = struct
-  type t = { mutable v : float }
-
-  let set t v = t.v <- v
-  let value t = t.v
-end
-
-module Histogram = struct
-  type t = Stats.Distribution.t
-
-  let observe = Stats.Distribution.add
-  let count = Stats.Distribution.count
-end
-
 type value = Count of int | Value of float | Summary of summary
 and summary = { n : int; mean : float; vmin : float; vmax : float; p50 : float; p99 : float }
 
 type sample = { subsystem : string; name : string; labels : labels; value : value }
 
-type instrument =
-  | I_counter of Stats.Counter.t
-  | I_gauge of Gauge.t
-  | I_histogram of Stats.Distribution.t
-
-type meta = { m_subsystem : string; m_name : string; m_labels : labels; m_inst : instrument }
-
 type t = {
   enabled : bool;
   tr : Trace.t;
-  metrics : (string, meta) Hashtbl.t;
   mutable probes : (string * (unit -> sample list)) list; (* newest first, unique names *)
 }
 
@@ -125,89 +95,20 @@ let key_of ~subsystem ~name labels =
 
 let create ?trace () =
   let tr = match trace with Some tr -> tr | None -> Trace.create ~capacity:8192 () in
-  { enabled = true; tr; metrics = Hashtbl.create 256; probes = [] }
+  { enabled = true; tr; probes = [] }
 
-let null = { enabled = false; tr = Trace.null; metrics = Hashtbl.create 1; probes = [] }
+let null = { enabled = false; tr = Trace.null; probes = [] }
 
 let enabled t = t.enabled
 let trace t = t.tr
 
-let kind_name = function
-  | I_counter _ -> "counter"
-  | I_gauge _ -> "gauge"
-  | I_histogram _ -> "histogram"
-
-let register t ~subsystem ~name ~labels make =
-  let labels = canon_labels labels in
-  let key = key_of ~subsystem ~name labels in
-  match Hashtbl.find_opt t.metrics key with
-  | Some m -> m.m_inst
-  | None ->
-    let inst = make () in
-    Hashtbl.replace t.metrics key
-      { m_subsystem = subsystem; m_name = name; m_labels = labels; m_inst = inst };
-    inst
-
-let mismatch key inst want =
-  invalid_arg
-    (Printf.sprintf "Obs: metric %s already registered as a %s, requested as a %s" key
-       (kind_name inst) want)
-
-let counter t ~subsystem ~name ?(labels = []) () =
-  if not t.enabled then Stats.Counter.create ()
-  else begin
-    match register t ~subsystem ~name ~labels (fun () -> I_counter (Stats.Counter.create ())) with
-    | I_counter c -> c
-    | inst -> mismatch (key_of ~subsystem ~name (canon_labels labels)) inst "counter"
-  end
-
-let gauge t ~subsystem ~name ?(labels = []) () =
-  if not t.enabled then { Gauge.v = 0.0 }
-  else begin
-    match register t ~subsystem ~name ~labels (fun () -> I_gauge { Gauge.v = 0.0 }) with
-    | I_gauge g -> g
-    | inst -> mismatch (key_of ~subsystem ~name (canon_labels labels)) inst "gauge"
-  end
-
-let histogram t ~subsystem ~name ?(labels = []) () =
-  if not t.enabled then Stats.Distribution.create ()
-  else begin
-    match
-      register t ~subsystem ~name ~labels (fun () -> I_histogram (Stats.Distribution.create ()))
-    with
-    | I_histogram h -> h
-    | inst -> mismatch (key_of ~subsystem ~name (canon_labels labels)) inst "histogram"
-  end
-
-(* ---------------- events & spans ---------------- *)
+(* ---------------- events ---------------- *)
 
 let event t ~time ?(level = Trace.Info) ~subsystem msg =
   Trace.record t.tr ~time level ~subsystem msg
 
 let eventf t ~time ?(level = Trace.Info) ~subsystem fmt =
   Trace.recordf t.tr ~time level ~subsystem fmt
-
-type span = {
-  sp_t : t;
-  sp_subsystem : string;
-  sp_name : string;
-  sp_labels : labels;
-  sp_start : Time.t;
-}
-
-let span t ~time ~subsystem ~name ?(labels = []) () =
-  event t ~time ~level:Trace.Debug ~subsystem (name ^ ": begin");
-  { sp_t = t; sp_subsystem = subsystem; sp_name = name; sp_labels = labels; sp_start = time }
-
-let finish sp ~time =
-  let dur_ms = Time.to_ms_f (time - sp.sp_start) in
-  let h =
-    histogram sp.sp_t ~subsystem:sp.sp_subsystem ~name:(sp.sp_name ^ "_ms")
-      ~labels:sp.sp_labels ()
-  in
-  Histogram.observe h dur_ms;
-  eventf sp.sp_t ~time ~level:Trace.Debug ~subsystem:sp.sp_subsystem "%s: end (%.3f ms)"
-    sp.sp_name dur_ms
 
 (* ---------------- probes ---------------- *)
 
@@ -231,28 +132,11 @@ let summary_of_dist d =
         p50 = Stats.Distribution.percentile d 50.0;
         p99 = Stats.Distribution.percentile d 99.0 }
 
-let value_of_inst = function
-  | I_counter c -> Count (Stats.Counter.value c)
-  | I_gauge g -> Value g.Gauge.v
-  | I_histogram d -> summary_of_dist d
-
 let sample_key s = key_of ~subsystem:s.subsystem ~name:s.name s.labels
 
 let snapshot t =
-  let from_instruments =
-    Hashtbl.fold
-      (fun _ m acc ->
-        { subsystem = m.m_subsystem;
-          name = m.m_name;
-          labels = m.m_labels;
-          value = value_of_inst m.m_inst }
-        :: acc)
-      t.metrics []
-  in
-  let from_probes = List.concat_map (fun (_, f) -> f ()) (List.rev t.probes) in
-  List.sort
-    (fun a b -> compare (sample_key a) (sample_key b))
-    (from_instruments @ from_probes)
+  List.concat_map (fun (_, f) -> f ()) (List.rev t.probes)
+  |> List.sort (fun a b -> compare (sample_key a) (sample_key b))
 
 let find t ~subsystem ~name ?(labels = []) () =
   let key = key_of ~subsystem ~name (canon_labels labels) in

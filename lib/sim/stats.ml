@@ -1,13 +1,3 @@
-module Counter = struct
-  type t = { mutable n : int }
-
-  let create () = { n = 0 }
-  let incr t = t.n <- t.n + 1
-  let add t k = t.n <- t.n + k
-  let value t = t.n
-  let reset t = t.n <- 0
-end
-
 module Growable = struct
   type t = { mutable data : float array; mutable size : int }
 

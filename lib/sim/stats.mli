@@ -3,17 +3,6 @@
     Every primitive is a plain mutable value with no synchronisation:
     each one must be written and read from one domain (the fabric's). *)
 
-(** Monotonically increasing event counter. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val value : t -> int
-  val reset : t -> unit
-end
-
 (** Sample collector with order statistics.
 
     Stores every sample (growable array); suitable for the per-experiment

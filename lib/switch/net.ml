@@ -120,11 +120,6 @@ let device t i =
 
 let device_count t = Array.length t.devices
 
-let device_by_name t name =
-  match Topology.Topo.find_by_name t.topo name with
-  | Some n -> Some t.devices.(n.Topology.Topo.id)
-  | None -> None
-
 let id d = d.dev_id
 let name d = d.dev_name
 let kind d = d.dev_kind
@@ -166,7 +161,6 @@ let link_between t a b =
 let link_is_up l = l.link_up
 let fail_link _t l = l.link_up <- false
 let recover_link _t l = l.link_up <- true
-let link_ends l = (l.end_a, l.end_b)
 
 let link_loss l = match l.loss_override with Some r -> r | None -> l.params.loss_rate
 

@@ -40,7 +40,6 @@ val now : t -> Eventsim.Time.t
 
 val device : t -> int -> device
 val device_count : t -> int
-val device_by_name : t -> string -> device option
 val id : device -> int
 val name : device -> string
 val kind : device -> Topology.Topo.kind
@@ -79,8 +78,6 @@ val link_between : t -> int -> int -> link option
 val link_is_up : link -> bool
 val fail_link : t -> link -> unit
 val recover_link : t -> link -> unit
-val link_ends : link -> (int * int) * (int * int)
-(** [((dev_a, port_a), (dev_b, port_b))]. *)
 
 val link_loss : link -> float
 (** Effective per-frame loss probability: the runtime override when one is

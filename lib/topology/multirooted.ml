@@ -1,10 +1,5 @@
 type wiring = Stripes | Ab_stripes | Flat
 
-let wiring_to_string = function
-  | Stripes -> "stripes"
-  | Ab_stripes -> "ab-stripes"
-  | Flat -> "flat"
-
 type spec = {
   wiring : wiring;
   num_pods : int;
@@ -26,12 +21,6 @@ type t = {
 let uplinks_per_agg s = if s.aggs_per_pod = 0 then 0 else s.num_cores / s.aggs_per_pod
 
 let edge_uplinks s = match s.wiring with Flat -> s.num_cores | Stripes | Ab_stripes -> s.aggs_per_pod
-
-let num_stripes s =
-  match s.wiring with
-  | Stripes -> s.aggs_per_pod
-  | Ab_stripes -> 2 * uplinks_per_agg s
-  | Flat -> 1
 
 let pod_is_type_b s ~pod = s.wiring = Ab_stripes && pod land 1 = 1
 
@@ -62,14 +51,6 @@ let stripe_cores s ~stripe =
     else List.init u (fun j -> (j, stripe - u))
   | Flat -> List.init s.num_cores (fun m -> (0, m))
 
-let stripe_covers s ~stripe ~row ~member =
-  match s.wiring with
-  | Stripes -> stripe = row
-  | Ab_stripes ->
-    let u = uplinks_per_agg s in
-    if stripe < u then stripe = row else stripe - u = member
-  | Flat -> true
-
 let stripes_covering s ~row ~member =
   match s.wiring with
   | Stripes -> [ row ]
@@ -81,11 +62,6 @@ let pod_stripe_for_core s ~pod ~row ~member =
   | Stripes -> row
   | Ab_stripes -> if pod land 1 = 0 then row else uplinks_per_agg s + member
   | Flat -> 0
-
-let pod_stripe_labels s ~pod =
-  match s.wiring with
-  | Flat -> []
-  | Stripes | Ab_stripes -> List.init s.aggs_per_pod (fun a -> agg_stripe_label s ~pod ~agg_pos:a)
 
 let agg_uplink_core_index s ~pod ~agg_pos ~j =
   let u = uplinks_per_agg s in
@@ -233,8 +209,6 @@ let spec_of_family (f : Topo.Family.t) =
 
 let build_family f = build (spec_of_family f)
 
-let host_ids t = Array.to_list t.hosts
-let edge_uplink_port t ~agg_pos = t.spec.hosts_per_edge + agg_pos
 let agg_uplink_port t ~stripe_member = t.spec.edges_per_pod + stripe_member
 
 let core_of_stripe t ~agg_pos ~member =

@@ -49,8 +49,6 @@
 
 type wiring = Stripes | Ab_stripes | Flat
 
-val wiring_to_string : wiring -> string
-
 type spec = {
   wiring : wiring;
   num_pods : int;
@@ -92,9 +90,6 @@ val edge_uplinks : spec -> int
 (** Up-facing ports per edge switch: [aggs_per_pod], or [num_cores]
     under [Flat]. *)
 
-val num_stripes : spec -> int
-(** Size of the stripe-label space: [aggs_per_pod] ([Stripes]), [2u]
-    ([Ab_stripes]), 1 ([Flat]). *)
 
 val pod_is_type_b : spec -> pod:int -> bool
 (** Ground truth of the builder: odd pods transpose under [Ab_stripes];
@@ -113,9 +108,6 @@ val core_index : spec -> row:int -> member:int -> int
 val stripe_cores : spec -> stripe:int -> (int * int) list
 (** [C(sigma)]: core labels reachable through an agg labelled [stripe]. *)
 
-val stripe_covers : spec -> stripe:int -> row:int -> member:int -> bool
-(** [(row, member)] ∈ [C(stripe)], without building the list. *)
-
 val stripes_covering : spec -> row:int -> member:int -> int list
 (** All labels [sigma] with [(row, member)] ∈ [C(sigma)] — at most one
     per pod type, so testing a remote pod's uplink faults against this
@@ -124,15 +116,9 @@ val stripes_covering : spec -> row:int -> member:int -> int list
 val pod_stripe_for_core : spec -> pod:int -> row:int -> member:int -> int
 (** The label of the (unique) agg in [pod] wired to that core. *)
 
-val pod_stripe_labels : spec -> pod:int -> int list
-(** Labels of the pod's aggs in position order ([[]] under [Flat]). *)
-
 val agg_uplink_core_index : spec -> pod:int -> agg_pos:int -> j:int -> int
 (** Core (array index) on uplink [j] of the agg at [agg_pos] in [pod]. *)
 
-val host_ids : t -> int list
-val edge_uplink_port : t -> agg_pos:int -> int
-(** Edge-switch port facing the aggregation switch at [agg_pos]. *)
 
 val agg_uplink_port : t -> stripe_member:int -> int
 (** Aggregation-switch port facing member [stripe_member] of its core

@@ -16,12 +16,6 @@ type t = {
   by_name : (string, int) Hashtbl.t;
 }
 
-let kind_to_string = function
-  | Host -> "host"
-  | Edge_switch -> "edge"
-  | Agg_switch -> "agg"
-  | Core_switch -> "core"
-
 let create ~nodes ~links =
   let nodes = Array.of_list nodes in
   Array.iteri
@@ -130,8 +124,6 @@ let is_connected t =
     done;
     !count = n
   end
-
-let pp_endpoint fmt (e : endpoint) = Format.fprintf fmt "%d:%d" e.node e.port
 
 let to_dot ?(name = "fabric") t =
   let buf = Buffer.create 4096 in

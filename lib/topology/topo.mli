@@ -79,8 +79,6 @@ module Family : sig
   val pp : Format.formatter -> t -> unit
 end
 
-val kind_to_string : kind -> string
-val pp_endpoint : Format.formatter -> endpoint -> unit
 val pp_summary : Format.formatter -> t -> unit
 
 val to_dot : ?name:string -> t -> string

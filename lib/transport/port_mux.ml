@@ -37,5 +37,4 @@ let register_udp t ~port f = Hashtbl.replace t.udp port f
 let register_tcp t ~port f = Hashtbl.replace t.tcp port f
 let set_icmp_handler t f = t.icmp <- Some f
 let unregister_udp t ~port = Hashtbl.remove t.udp port
-let unregister_tcp t ~port = Hashtbl.remove t.tcp port
 let unmatched t = t.unmatched

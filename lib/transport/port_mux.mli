@@ -27,7 +27,6 @@ val set_icmp_handler : t -> (src:Netcore.Ipv4_addr.t -> Netcore.Icmp.t -> unit) 
     the mux ever sees them, as a kernel would). *)
 
 val unregister_udp : t -> port:int -> unit
-val unregister_tcp : t -> port:int -> unit
 
 val unmatched : t -> int
 (** Packets that arrived for no registered endpoint. *)

@@ -702,9 +702,9 @@ module Incremental = struct
     mutable all_audits_dirty : bool;
     mutable faults_dirty : bool;
     mutable last_delta : int;
-    m_delta : Obs.Histogram.t;
-    m_ns : Obs.Histogram.t;
-    m_equiv : Obs.Counter.t;
+    delta_dist : Eventsim.Stats.Distribution.t; (* classes walked per refresh *)
+    ns_dist : Eventsim.Stats.Distribution.t;    (* CPU ns per refresh *)
+    mutable equiv_checks : int;
   }
 
   let mac_bits = 48
@@ -896,8 +896,8 @@ module Incremental = struct
     end;
     t.full_dirty <- false;
     t.last_delta <- !walked;
-    Obs.Histogram.observe t.m_delta (float_of_int !walked);
-    Obs.Histogram.observe t.m_ns ((Sys.time () -. t0) *. 1e9);
+    Eventsim.Stats.Distribution.add t.delta_dist (float_of_int !walked);
+    Eventsim.Stats.Distribution.add t.ns_dist ((Sys.time () -. t0) *. 1e9);
     report t
 
   let attach ?obs fab =
@@ -922,10 +922,15 @@ module Incremental = struct
         all_audits_dirty = true;
         faults_dirty = true;
         last_delta = 0;
-        m_delta = Obs.histogram o ~subsystem:"verify" ~name:"delta_classes" ();
-        m_ns = Obs.histogram o ~subsystem:"verify" ~name:"incremental_ns" ();
-        m_equiv = Obs.counter o ~subsystem:"verify" ~name:"full_equiv_checks" () }
+        delta_dist = Eventsim.Stats.Distribution.create ();
+        ns_dist = Eventsim.Stats.Distribution.create ();
+        equiv_checks = 0 }
     in
+    Obs.add_probe o ~name:"verify" (fun () ->
+        let s name v = Obs.sample ~subsystem:"verify" ~name v in
+        [ s "delta_classes" (Obs.summary_of_dist t.delta_dist);
+          s "incremental_ns" (Obs.summary_of_dist t.ns_dist);
+          s "full_equiv_checks" (Obs.Count t.equiv_checks) ]);
     ignore (refresh t);
     t
 
@@ -945,6 +950,6 @@ module Incremental = struct
   let check_against_full t =
     let r = refresh t in
     let full = run t.fab in
-    Obs.Counter.incr t.m_equiv;
+    t.equiv_checks <- t.equiv_checks + 1;
     digest_of_report r = digest_of_report full
 end

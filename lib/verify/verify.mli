@@ -157,9 +157,12 @@ module Incremental : sig
 
   val attach : ?obs:Obs.t -> Portland.Fabric.t -> t
   (** Subscribe to the fabric's journal and run one full baseline pass.
-      [obs] (default the fabric's own registry) receives
-      [verify/delta_classes] and [verify/incremental_ns] histograms per
-      refresh and the [verify/full_equiv_checks] counter. Raises
+      The session owns two distributions, filled on every refresh, and
+      an equivalence-check count; it registers the probe ["verify"] on
+      [obs] (default the fabric's own registry), which exports them as
+      the [verify/delta_classes] and [verify/incremental_ns] histograms
+      and the [verify/full_equiv_checks] counter. A later session
+      replaces the probe. Raises
       [Invalid_argument] while another session is attached to the same
       fabric ({!Portland.Fabric.set_journal}); {!detach} it first. *)
 

@@ -394,14 +394,6 @@ let test_prng_float_exponential () =
 
 (* ---------------- Stats ---------------- *)
 
-let test_counter () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c;
-  Stats.Counter.add c 4;
-  Testutil.check_int "value" 5 (Stats.Counter.value c);
-  Stats.Counter.reset c;
-  Testutil.check_int "reset" 0 (Stats.Counter.value c)
-
 let test_distribution () =
   let d = Stats.Distribution.create () in
   List.iter (Stats.Distribution.add d) [ 1.0; 2.0; 3.0; 4.0 ];
@@ -549,8 +541,7 @@ let () =
           prop_prng_int_in;
           prop_prng_shuffle_permutes ] );
       ( "stats",
-        [ Alcotest.test_case "counter" `Quick test_counter;
-          Alcotest.test_case "distribution" `Quick test_distribution;
+        [ Alcotest.test_case "distribution" `Quick test_distribution;
           Alcotest.test_case "empty distribution" `Quick test_distribution_empty;
           Alcotest.test_case "percentile edge cases" `Quick test_distribution_percentile_edges;
           Alcotest.test_case "series" `Quick test_series;

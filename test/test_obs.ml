@@ -1,6 +1,7 @@
-(* Unit coverage for the unified observability layer: instrument
-   registration/dedup, the null capability, probes, spans, snapshot
-   determinism and the JSON/CSV exports. *)
+(* Unit coverage for the unified observability layer: label
+   canonicalisation, probes and their replacement by name, distribution
+   summaries, the null capability, snapshot determinism, the JSON/CSV
+   exports, and the one-reader-per-name rule on whole fabrics. *)
 
 let check_int = Testutil.check_int
 let check_string = Testutil.check_string
@@ -12,49 +13,42 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* ---------------- instruments ---------------- *)
-
-let test_counter_dedup () =
+(* a registry whose one probe reports [samples] *)
+let with_samples samples =
   let o = Obs.create () in
-  let a = Obs.counter o ~subsystem:"s" ~name:"c" ~labels:[ ("sw", "3"); ("pod", "1") ] () in
-  (* same key, labels in a different order: must be the same instrument *)
-  let b = Obs.counter o ~subsystem:"s" ~name:"c" ~labels:[ ("pod", "1"); ("sw", "3") ] () in
-  Obs.Counter.incr a;
-  Obs.Counter.add b 2;
-  check_int "shared count" 3 (Obs.Counter.value a);
-  check_int "shared count (alias)" 3 (Obs.Counter.value b);
-  (* a different label set is a different instrument *)
-  let c = Obs.counter o ~subsystem:"s" ~name:"c" ~labels:[ ("sw", "4") ] () in
-  check_int "distinct instrument" 0 (Obs.Counter.value c);
-  check_int "snapshot has both" 2 (List.length (Obs.snapshot o))
+  Obs.add_probe o ~name:"p" (fun () -> samples);
+  o
 
-let test_kind_mismatch () =
-  let o = Obs.create () in
-  ignore (Obs.counter o ~subsystem:"s" ~name:"x" ());
-  (try
-     ignore (Obs.gauge o ~subsystem:"s" ~name:"x" ());
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Obs.histogram o ~subsystem:"s" ~name:"x" ());
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
+(* ---------------- labels ---------------- *)
 
-let test_gauge () =
-  let o = Obs.create () in
-  let g = Obs.gauge o ~subsystem:"s" ~name:"level" () in
-  Obs.Gauge.set g 1.5;
-  Obs.Gauge.set g 2.5;
-  check_float_eps "last write wins" ~eps:1e-9 2.5 (Obs.Gauge.value g);
-  match Obs.find o ~subsystem:"s" ~name:"level" () with
-  | Some (Obs.Value v) -> check_float_eps "find" ~eps:1e-9 2.5 v
-  | _ -> Alcotest.fail "gauge not found"
+let test_label_order () =
+  let a = Obs.sample ~subsystem:"s" ~name:"c" ~labels:[ ("sw", "3"); ("pod", "1") ] (Obs.Count 3) in
+  let b = Obs.sample ~subsystem:"s" ~name:"c" ~labels:[ ("pod", "1"); ("sw", "3") ] (Obs.Count 3) in
+  check_string "canonical key" "s/c{pod=1,sw=3}" (Obs.sample_key a);
+  check_bool "label order never distinguishes" true (Obs.sample_key a = Obs.sample_key b);
+  let o =
+    with_samples [ a; Obs.sample ~subsystem:"s" ~name:"c" ~labels:[ ("sw", "4") ] (Obs.Count 0) ]
+  in
+  check_int "a different label set is a different metric" 2 (List.length (Obs.snapshot o));
+  check_bool "find with labels in either order" true
+    (Obs.find o ~subsystem:"s" ~name:"c" ~labels:[ ("sw", "3"); ("pod", "1") ] ()
+     = Some (Obs.Count 3))
 
-let test_histogram_summary () =
+(* ---------------- summaries ---------------- *)
+
+let test_distribution_summary () =
+  let d = Eventsim.Stats.Distribution.create () in
   let o = Obs.create () in
-  let h = Obs.histogram o ~subsystem:"s" ~name:"lat" () in
-  List.iter (Obs.Histogram.observe h) [ 1.0; 2.0; 3.0; 4.0 ];
-  check_int "count" 4 (Obs.Histogram.count h);
+  Obs.add_probe o ~name:"p" (fun () ->
+      [ Obs.sample ~subsystem:"s" ~name:"lat" (Obs.summary_of_dist d) ]);
+  (match Obs.find o ~subsystem:"s" ~name:"lat" () with
+   | Some (Obs.Summary s) ->
+     check_int "empty n" 0 s.Obs.n;
+     check_float_eps "empty mean" ~eps:0.0 0.0 s.Obs.mean;
+     check_float_eps "empty min" ~eps:0.0 0.0 s.Obs.vmin
+   | _ -> Alcotest.fail "summary not found");
+  (* the probe reads the distribution at snapshot time *)
+  List.iter (Eventsim.Stats.Distribution.add d) [ 1.0; 2.0; 3.0; 4.0 ];
   match Obs.find o ~subsystem:"s" ~name:"lat" () with
   | Some (Obs.Summary s) ->
     check_int "n" 4 s.Obs.n;
@@ -62,25 +56,18 @@ let test_histogram_summary () =
     check_float_eps "min" ~eps:1e-9 1.0 s.Obs.vmin;
     check_float_eps "max" ~eps:1e-9 4.0 s.Obs.vmax;
     check_float_eps "p50" ~eps:1e-9 2.0 s.Obs.p50
-  | _ -> Alcotest.fail "histogram not found"
+  | _ -> Alcotest.fail "summary not found"
 
 (* ---------------- the null capability ---------------- *)
 
 let test_null () =
   let o = Obs.null in
   check_bool "disabled" false (Obs.enabled o);
-  let c = Obs.counter o ~subsystem:"s" ~name:"c" () in
-  Obs.Counter.incr c;
-  check_int "dummy counter still counts locally" 1 (Obs.Counter.value c);
   Obs.add_probe o ~name:"p" (fun () -> Alcotest.fail "probe must never run");
   Obs.event o ~time:0 ~subsystem:"s" "dropped";
-  let sp = Obs.span o ~time:0 ~subsystem:"s" ~name:"op" () in
-  Obs.finish sp ~time:5;
   check_int "snapshot empty" 0 (List.length (Obs.snapshot o));
   check_bool "find empty" true (Obs.find o ~subsystem:"s" ~name:"c" () = None);
-  (* registration on null hands back fresh dummies every time *)
-  let c2 = Obs.counter o ~subsystem:"s" ~name:"c" () in
-  check_int "fresh dummy" 0 (Obs.Counter.value c2)
+  check_int "no trace" 0 (Eventsim.Trace.count (Obs.trace o))
 
 let test_null_enabled_create () =
   check_bool "live registry is enabled" true (Obs.enabled (Obs.create ()))
@@ -105,9 +92,11 @@ let test_probe_replacement () =
 let test_snapshot_deterministic () =
   let build order =
     let o = Obs.create () in
-    List.iter (fun (sub, name) -> ignore (Obs.counter o ~subsystem:sub ~name ())) order;
-    Obs.add_probe o ~name:"p" (fun () ->
-        [ Obs.sample ~subsystem:"zz" ~name:"probe" (Obs.Count 0) ]);
+    List.iter
+      (fun (sub, name) ->
+        Obs.add_probe o ~name:(sub ^ "/" ^ name) (fun () ->
+            [ Obs.sample ~subsystem:sub ~name (Obs.Count 0) ]))
+      order;
     List.map Obs.sample_key (Obs.snapshot o)
   in
   let keys1 = build [ ("b", "x"); ("a", "y"); ("a", "x") ] in
@@ -115,35 +104,21 @@ let test_snapshot_deterministic () =
   check_bool "order independent of registration" true (keys1 = keys2);
   check_bool "sorted" true (keys1 = List.sort compare keys1)
 
-(* ---------------- spans ---------------- *)
-
-let test_span () =
-  let trace = Eventsim.Trace.create ~min_level:Eventsim.Trace.Debug () in
-  let o = Obs.create ~trace () in
-  let sp = Obs.span o ~time:(Eventsim.Time.ms 10) ~subsystem:"fabric" ~name:"conv" () in
-  Obs.finish sp ~time:(Eventsim.Time.ms 35);
-  (match Obs.find o ~subsystem:"fabric" ~name:"conv_ms" () with
-   | Some (Obs.Summary s) ->
-     check_int "one observation" 1 s.Obs.n;
-     check_float_eps "duration ms" ~eps:1e-6 25.0 s.Obs.mean
-   | _ -> Alcotest.fail "span histogram missing");
-  check_int "begin+end events" 2 (Eventsim.Trace.count trace)
-
 (* ---------------- export ---------------- *)
 
 let test_to_json () =
-  let o = Obs.create () in
-  let c = Obs.counter o ~subsystem:"ldp" ~name:"ldm_tx" ~labels:[ ("sw", "3") ] () in
-  Obs.Counter.add c 7;
+  let o = with_samples [ Obs.sample ~subsystem:"ldp" ~name:"ldm_tx" ~labels:[ ("sw", "3") ] (Obs.Count 7) ] in
   let s = Obs.Json.to_string (Obs.to_json o) in
   check_bool "has key" true (contains ~sub:"\"ldp/ldm_tx{sw=3}\"" s);
   check_bool "has type" true (contains ~sub:"\"counter\"" s);
   check_bool "has value" true (contains ~sub:"7" s)
 
 let test_to_csv () =
-  let o = Obs.create () in
-  Obs.Counter.incr (Obs.counter o ~subsystem:"a" ~name:"c" ());
-  Obs.Gauge.set (Obs.gauge o ~subsystem:"b" ~name:"g" ()) 1.5;
+  let o =
+    with_samples
+      [ Obs.sample ~subsystem:"b" ~name:"g" (Obs.Value 1.5);
+        Obs.sample ~subsystem:"a" ~name:"c" (Obs.Count 1) ]
+  in
   let lines = String.split_on_char '\n' (String.trim (Obs.to_csv o)) in
   match lines with
   | [ header; row1; row2 ] ->
@@ -155,11 +130,14 @@ let test_to_csv () =
 (* a key with two labels holds a comma: quoted, its row still has the
    header's nine columns *)
 let test_csv_columns () =
-  let o = Obs.create () in
-  Obs.Counter.incr (Obs.counter o ~subsystem:"s" ~name:"c" ~labels:[ ("sw", "3"); ("pod", "1") ] ());
-  Obs.Gauge.set (Obs.gauge o ~subsystem:"s" ~name:"g" ~labels:[ ("a", "x\"y"); ("b", "2") ] ()) 1.0;
-  ignore (Obs.histogram o ~subsystem:"s" ~name:"h" ~labels:[ ("sw", "1"); ("k", "4") ] ());
-  Obs.Counter.incr (Obs.counter o ~subsystem:"s" ~name:"plain" ());
+  let o =
+    with_samples
+      [ Obs.sample ~subsystem:"s" ~name:"c" ~labels:[ ("sw", "3"); ("pod", "1") ] (Obs.Count 1);
+        Obs.sample ~subsystem:"s" ~name:"g" ~labels:[ ("a", "x\"y"); ("b", "2") ] (Obs.Value 1.0);
+        Obs.sample ~subsystem:"s" ~name:"h" ~labels:[ ("sw", "1"); ("k", "4") ]
+          (Obs.summary_of_dist (Eventsim.Stats.Distribution.create ()));
+        Obs.sample ~subsystem:"s" ~name:"plain" (Obs.Count 1) ]
+  in
   (* RFC 4180 field count: commas outside quoted fields, plus one *)
   let columns row =
     let quoted = ref false and n = ref 1 in
@@ -184,22 +162,67 @@ let test_json_scalars () =
   check_string "nan is null" "null" (to_string (Float nan));
   check_string "nested" "{\"a\":[1,true]}" (to_string (Obj [ ("a", List [ Int 1; Bool true ]) ]))
 
+(* ---------------- whole fabrics ---------------- *)
+
+module F = Portland.Fabric
+
+let converge fab = check_bool "converged" true (F.await_convergence fab)
+
+(* A second fabric built on the registry of a first reports exactly what
+   it reports on a fresh registry: every probe name it registers replaces
+   the first fabric's reader, so nothing is summed across the two. *)
+let test_second_fabric () =
+  (* the JSON export, one string per metric *)
+  let second obs =
+    let fab = F.create (F.Config.fattree ~obs ~seed:7 ~k:4 ()) in
+    converge fab;
+    F.run_for fab (Eventsim.Time.sec 1);
+    match Obs.to_json obs with
+    | Obs.Json.Obj [ ("metrics", Obs.Json.List ms) ] -> List.map Obs.Json.to_string ms
+    | _ -> Alcotest.fail "unexpected export shape"
+  in
+  let shared = Obs.create () in
+  converge (F.create (F.Config.fattree ~obs:shared ~seed:7 ~k:4 ()));
+  let fresh = second (Obs.create ()) in
+  let on_shared = second shared in
+  check_bool "ldp counted" true
+    (List.exists (contains ~sub:"\"ldp/ldm_tx{sw=16}\"") fresh);
+  check_int "metrics" (List.length fresh) (List.length on_shared);
+  List.iter2 (check_string "shared registry = fresh registry") fresh on_shared
+
+(* [fm/ctrl_msgs] is the control network's own count of messages handed
+   to the fabric manager, which spans a restart *)
+let test_ctrl_msgs_across_restart () =
+  let obs = Obs.create () in
+  let fab = F.create (F.Config.fattree ~obs ~seed:3 ~k:4 ()) in
+  let agree what =
+    match Obs.find obs ~subsystem:"fm" ~name:"ctrl_msgs" () with
+    | Some (Obs.Count n) -> check_int what (Portland.Ctrl.to_fm_count (F.ctrl fab)) n
+    | _ -> Alcotest.fail "fm/ctrl_msgs missing"
+  in
+  converge fab;
+  agree "after boot";
+  let before = Portland.Ctrl.to_fm_count (F.ctrl fab) in
+  F.restart_fabric_manager fab;
+  converge fab;
+  agree "after restart";
+  check_bool "the count spans the restart" true (Portland.Ctrl.to_fm_count (F.ctrl fab) > before)
+
 let () =
   Alcotest.run "obs"
-    [ ( "instruments",
-        [ Alcotest.test_case "counter dedup & label order" `Quick test_counter_dedup;
-          Alcotest.test_case "kind mismatch rejected" `Quick test_kind_mismatch;
-          Alcotest.test_case "gauge" `Quick test_gauge;
-          Alcotest.test_case "histogram summary" `Quick test_histogram_summary ] );
+    [ ("labels", [ Alcotest.test_case "canonical order" `Quick test_label_order ]);
       ( "null",
         [ Alcotest.test_case "all operations are no-ops" `Quick test_null;
           Alcotest.test_case "live registry is enabled" `Quick test_null_enabled_create ] );
       ( "probes",
         [ Alcotest.test_case "replacement by name" `Quick test_probe_replacement;
-          Alcotest.test_case "snapshot deterministic" `Quick test_snapshot_deterministic ] );
-      ("spans", [ Alcotest.test_case "span feeds histogram" `Quick test_span ]);
+          Alcotest.test_case "snapshot deterministic" `Quick test_snapshot_deterministic;
+          Alcotest.test_case "histogram summary" `Quick test_distribution_summary ] );
       ( "export",
         [ Alcotest.test_case "to_json" `Quick test_to_json;
           Alcotest.test_case "to_csv" `Quick test_to_csv;
           Alcotest.test_case "csv rows match the header" `Quick test_csv_columns;
-          Alcotest.test_case "json scalars" `Quick test_json_scalars ] ) ]
+          Alcotest.test_case "json scalars" `Quick test_json_scalars ] );
+      ( "fabric",
+        [ Alcotest.test_case "second fabric on one registry" `Quick test_second_fabric;
+          Alcotest.test_case "ctrl msgs across fm restart" `Quick test_ctrl_msgs_across_restart ] ) ]

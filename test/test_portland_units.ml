@@ -151,6 +151,7 @@ let make_ldp ?(nports = 4) engine =
   let events = ref [] in
   let ldp =
     Ldp.create engine Config.default ~switch_id:1 ~nports
+      ~wiring:Topology.Multirooted.Stripes
       ~send:(fun ~port msg -> sent := (port, msg) :: !sent)
       ~notify:(fun ev -> events := ev :: !events) ()
   in
@@ -205,6 +206,13 @@ let test_ldp_liveness () =
        (function Ldp.Port_recovered { neighbor_id = 10; _ } -> true | _ -> false)
        !events);
   Testutil.check_int "no dead ports" 0 (List.length (Ldp.dead_ports ldp));
+  let c = Ldp.counters ldp in
+  Testutil.check_int "ldm_rx" 2 c.Ldp.ldm_rx;
+  Testutil.check_int "port_dead" 1 c.Ldp.port_dead;
+  Testutil.check_int "port_recovered" 1 c.Ldp.port_recovered;
+  (* a cold restart wipes the port view, not the counts *)
+  Ldp.reset ldp;
+  Testutil.check_int "counts survive reset" 2 (Ldp.counters ldp).Ldp.ldm_rx;
   Ldp.stop ldp
 
 let test_ldp_beaconing () =
@@ -217,7 +225,8 @@ let test_ldp_beaconing () =
   Ldp.stop ldp;
   let n = List.length !sent in
   Eventsim.Engine.run ~until:(Eventsim.Time.ms 100) engine;
-  Testutil.check_int "stopped" n (List.length !sent)
+  Testutil.check_int "stopped" n (List.length !sent);
+  Testutil.check_int "one ldm_tx per beacon" n (Ldp.counters ldp).Ldp.ldm_tx
 
 let test_ldp_coords_in_ldm () =
   let engine = Eventsim.Engine.create () in
