@@ -3,7 +3,8 @@
    Part 1 — Bechamel micro-benchmarks of the hot paths that the paper's
    scalability arguments rest on: fabric-manager ARP service (the
    CPU-requirements figure), flow-table lookup (per-hop forwarding cost),
-   PMAC and frame codecs, the event engine, and topology construction.
+   the switch-agent table recompute, PMAC and frame codecs, the event
+   engine, and topology construction.
 
    Part 2 — the full experiment suite: one scenario per paper table and
    figure (see DESIGN.md's experiment index), printed as rows/series.
@@ -125,6 +126,19 @@ let policy_fixture =
     (let fab, _, _, _ = Lazy.force verify_fixture in
      (fab, Portland_policy.Policy.compile_exn (Portland_policy.Policy.baseline fab)))
 
+(* the switch-agent recompute on the same k=16 fabric, split as the
+   recompute is: building a converged edge's clause list, and installing
+   that list onto the edge's own table (a replace that keeps every
+   entry). A different edge from the verify fixture's, so the two
+   micros' table edits do not interleave. *)
+let agent_fixture =
+  lazy
+    (let fab, _, _, _ = Lazy.force verify_fixture in
+     let edges = (Portland.Fabric.tree fab).Topology.Multirooted.edges in
+     let last = edges.(Array.length edges - 1) in
+     let agent = Portland.Fabric.agent fab last.(Array.length last - 1) in
+     (agent, Portland.Switch_agent.program agent))
+
 (* ---------------- micro-benchmarks (one per measured table/figure
    constant, plus substrate hot paths) ---------------- *)
 
@@ -190,6 +204,15 @@ let tests =
       (Staged.stage (fun () ->
            let fab, compiled = Lazy.force policy_fixture in
            ignore (Portland_policy.Policy.Check.differential fab compiled)));
+    Test.make ~name:"agent/program_edge_k16"
+      (Staged.stage (fun () ->
+           let agent, _ = Lazy.force agent_fixture in
+           ignore (Portland.Switch_agent.program agent)));
+    Test.make ~name:"agent/install_edge_k16"
+      (Staged.stage (fun () ->
+           let agent, program = Lazy.force agent_fixture in
+           ignore
+             (Switchfab.Policy_lang.install_program (Portland.Switch_agent.table agent) program)));
     Test.make ~name:"engine/schedule_and_run"
       (Staged.stage
          (let engine = Eventsim.Engine.create () in
@@ -211,6 +234,7 @@ let run_micro ~quick =
   ignore (Lazy.force sample_frame);
   ignore (Lazy.force verify_fixture);
   ignore (Lazy.force policy_fixture);
+  ignore (Lazy.force agent_fixture);
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
   let instances = Instance.[ monotonic_clock ] in
   (* the 2 s quota keeps the OLS estimates stable on noisy VMs; the smoke

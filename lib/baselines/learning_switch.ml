@@ -9,14 +9,12 @@ type t = {
   vlans : int option array option; (* per-port access VLAN; None entry = trunk *)
   link_up : bool array; (* last observed carrier per port *)
   mutable carrier_timer : Eventsim.Timer.t option;
-  mutable frames : int;
   mutable floods : int;
 }
 
 let device t = t.device
 let mac_table t = t.table
 let stp t = t.stp
-let frames_handled t = t.frames
 let floods t = t.floods
 
 let may_forward t port =
@@ -59,7 +57,6 @@ let flood t ~except ~vlan frame =
   done
 
 let handle t in_port (frame : Eth.t) =
-  t.frames <- t.frames + 1;
   match frame.Eth.payload with
   | Eth.Bpdu b -> Option.iter (fun s -> Stp.on_bpdu s ~port:in_port b) t.stp
   | Eth.Arp _ | Eth.Ipv4 _ | Eth.Ldp _ | Eth.Raw _ ->
@@ -103,7 +100,7 @@ let attach engine net ~device ?(stp = true) ?vlans () =
   in
   let t =
     { net; device; nports; table; stp = stp_inst; vlans; link_up = Array.make nports true;
-      carrier_timer = None; frames = 0; floods = 0 }
+      carrier_timer = None; floods = 0 }
   in
   Switchfab.Net.set_handler dev (fun in_port frame -> handle t in_port frame);
   let check_carrier () =

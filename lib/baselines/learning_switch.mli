@@ -29,5 +29,4 @@ val stop : t -> unit
 val device : t -> int
 val mac_table : t -> Mac_table.t
 val stp : t -> Stp.t option
-val frames_handled : t -> int
 val floods : t -> int

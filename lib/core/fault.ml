@@ -28,7 +28,10 @@ module Set = struct
   let create () = { tbl = Hashtbl.create 16; hook = None }
   let set_hook t h = t.hook <- h
   let fire t f present = match t.hook with None -> () | Some h -> h f present
-  let mem t f = Hashtbl.mem t.tbl f
+  (* an empty set (every recompute during a boot) answers without
+     hashing the fault *)
+  let is_empty t = Hashtbl.length t.tbl = 0
+  let mem t f = (not (is_empty t)) && Hashtbl.mem t.tbl f
 
   let add t f =
     if not (mem t f) then begin
@@ -57,8 +60,12 @@ module Set = struct
      fired (subscribers treat the enclosing operation as a full reset) *)
   let clear t = Hashtbl.reset t.tbl
 
-  let edge_agg_down t ~pod ~edge_pos ~stripe = mem t (Edge_agg { pod; edge_pos; stripe })
-  let agg_core_down t ~pod ~stripe ~member = mem t (Agg_core { pod; stripe; member })
+  (* [mem], with the fault built only when the set is not empty *)
+  let edge_agg_down t ~pod ~edge_pos ~stripe =
+    (not (is_empty t)) && Hashtbl.mem t.tbl (Edge_agg { pod; edge_pos; stripe })
+
+  let agg_core_down t ~pod ~stripe ~member =
+    (not (is_empty t)) && Hashtbl.mem t.tbl (Agg_core { pod; stripe; member })
 
   let stripe_reaches_pod t ~members ~src_pod ~stripe ~dst_pod =
     let alive m pod = not (agg_core_down t ~pod ~stripe ~member:m) in

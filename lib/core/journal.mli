@@ -17,7 +17,7 @@ type update =
   | Flow of { switch : int; change : Switchfab.Flow_table.update }
       (** A switch's flow table changed; [change] carries the trie-prefix
           provenance of the affected entry. A table recompute
-          ({!Switchfab.Flow_table.rebuild}) journals only the entries
+          ({!Switchfab.Flow_table.replace}) journals only the entries
           and groups that differ from the old contents, so these updates
           are the whole flow-table delta: no subscriber needs a copy of
           the table to find what changed. [Cleared] comes only from a

@@ -16,6 +16,7 @@ type agent_counters = {
   mutable trap_hits : int;
   mutable corrective_arps : int;
   mutable table_recomputes : int;
+  mutable tables_changed : int;
   mutable faults_reported : int;
   mutable recoveries_reported : int;
   mutable fault_updates_skipped : int;
@@ -120,16 +121,18 @@ let gid_ovr p e = 30_000 + (p * 256) + e
 (* ---------------- table programming ---------------- *)
 
 (* What an edge switch's up port leads to: an aggregation switch (named
-   by its stripe label, from its LDMs) or — flat wiring — a core directly
-   (named by its (row, member) label). *)
-type upref = Via_agg of int | Via_core of int * int
+   by its stripe label, from its LDMs, with the cores that stripe fronts,
+   looked up once per program rather than once per destination) or —
+   flat wiring — a core directly (named by its (row, member) label). *)
+type upref = Via_agg of { stripe : int; cores : (int * int) list } | Via_core of int * int
 
 (* local up-port map at an edge, from neighbor LDMs *)
 let edge_up_ports t =
   List.filter_map
     (fun (port, (n : Ldp.neighbor)) ->
       match (n.Ldp.nbr_level, n.Ldp.nbr_pod, n.Ldp.nbr_position) with
-      | Some Ldp_msg.Aggregation, _, Some stripe -> Some (Via_agg stripe, port)
+      | Some Ldp_msg.Aggregation, _, Some stripe ->
+        Some (Via_agg { stripe; cores = Spec.stripe_cores t.spec ~stripe }, port)
       | Some Ldp_msg.Core, Some s, Some m -> Some (Via_core (s, m), port)
       | _ -> None)
     (Ldp.switch_ports (get_ldp t))
@@ -145,9 +148,9 @@ let core_bridges t ~pod ~dst_pod (s, m) =
    cores [C(stripe)] (Spec.stripe_cores), whatever its pod's type. *)
 let up_reaches_pod t ~pod ~position ~dst_pod up =
   match up with
-  | Via_agg stripe ->
+  | Via_agg { stripe; cores } ->
     (not (Fault.Set.edge_agg_down t.faults ~pod ~edge_pos:position ~stripe))
-    && List.exists (core_bridges t ~pod ~dst_pod) (Spec.stripe_cores t.spec ~stripe)
+    && List.exists (core_bridges t ~pod ~dst_pod) cores
   | Via_core (s, m) -> core_bridges t ~pod ~dst_pod (s, m)
 
 (* Stronger per-edge test for override entries: the landing agg in the
@@ -166,16 +169,18 @@ let up_reaches_edge t ~pod ~position ~dst_pod ~dst_edge up =
             (Spec.stripes_covering t.spec ~row:s ~member:m))
   in
   match up with
-  | Via_agg stripe ->
+  | Via_agg { stripe; cores } ->
     (not (Fault.Set.edge_agg_down t.faults ~pod ~edge_pos:position ~stripe))
-    && List.exists core_ok (Spec.stripe_cores t.spec ~stripe)
+    && List.exists core_ok cores
   | Via_core (s, m) -> core_ok (s, m)
 
 (* ---------------- the forwarding program ----------------
 
    One constructor per entry kind. The recompute path installs these
-   clauses in one [Lang.install_program] rebuild and never formats a
-   span: [Portland_policy.Policy.baseline] attaches spans when it audits. *)
+   clauses in one [Lang.install_program] and never formats a span:
+   [Portland_policy.Policy.baseline] attaches spans when it audits. Entry
+   names are built by concatenation, not [Printf]: a recompute builds
+   every one of them. *)
 
 let clause name prio pred acts = { Lang.span = ""; name; prio; pred; acts }
 let exact v = Lang.Dst_mac { FT.value = v; mask = 0xFFFFFFFFFFFF }
@@ -184,28 +189,34 @@ let exact v = Lang.Dst_mac { FT.value = v; mask = 0xFFFFFFFFFFFF }
 let bcast_clause = clause "bcast" 150 (exact (Mac_addr.to_int Mac_addr.broadcast)) [ Lang.Punt_fm ]
 
 let samepod_clause ~pod e' members =
-  clause (Printf.sprintf "samepod:%d" e') 80
+  clause ("samepod:" ^ string_of_int e') 80
     (Lang.Dst_mac (Pmac.position_prefix ~pod ~position:e'))
     [ Lang.Via_group { gid = gid_same e'; members } ]
 
+let pod_name p = "pod:" ^ string_of_int p
+
 let pod_clause p' members =
-  clause (Printf.sprintf "pod:%d" p') 70
+  clause (pod_name p') 70
     (Lang.Dst_mac (Pmac.pod_prefix ~pod:p'))
     [ Lang.Via_group { gid = gid_pod p'; members } ]
 
 let ovr_clause p' e' members =
-  clause (Printf.sprintf "ovr:%d:%d" p' e') 75
+  clause ("ovr:" ^ string_of_int p' ^ ":" ^ string_of_int e') 75
     (Lang.Dst_mac (Pmac.position_prefix ~pod:p' ~position:e'))
     [ Lang.Via_group { gid = gid_ovr p' e'; members } ]
+
+let host_name pmac_int = "host:" ^ string_of_int pmac_int
+let trap_name stale_pmac_int = "trap:" ^ string_of_int stale_pmac_int
+let mcast_name group = "mcast:" ^ string_of_int (Ipv4_addr.to_int group)
 
 (* delivery to a local host: rewrite PMAC -> AMAC, then out its port *)
 let host_clause (h : host_entry) =
   let pmac_int = Mac_addr.to_int (Pmac.to_mac h.h_pmac) in
-  clause (Printf.sprintf "host:%d" pmac_int) 90 (exact pmac_int)
+  clause (host_name pmac_int) 90 (exact pmac_int)
     [ Lang.Rewrite_dst h.h_amac; Lang.Forward h.h_port ]
 
 let trap_clause stale_pmac_int =
-  clause (Printf.sprintf "trap:%d" stale_pmac_int) 90 (exact stale_pmac_int) [ Lang.Punt_fm ]
+  clause (trap_name stale_pmac_int) 90 (exact stale_pmac_int) [ Lang.Punt_fm ]
 
 let mcast_clause group ports =
   (* the limited-broadcast "group" matches the Ethernet broadcast address
@@ -214,17 +225,17 @@ let mcast_clause group ports =
     if Ipv4_addr.is_broadcast group then (Mac_addr.broadcast, 160)
     else (Mac_addr.multicast_of_group (Ipv4_addr.multicast_group group), 85)
   in
-  clause (Printf.sprintf "mcast:%d" (Ipv4_addr.to_int group)) prio
+  clause (mcast_name group) prio
     (exact (Mac_addr.to_int mac))
     [ Lang.Multiport ports ]
 
 let down_clause ~pod e' port =
-  clause (Printf.sprintf "down:%d" e') 80
+  clause ("down:" ^ string_of_int e') 80
     (Lang.Dst_mac (Pmac.position_prefix ~pod ~position:e'))
     [ Lang.Forward port ]
 
 let core_pod_clause p port =
-  clause (Printf.sprintf "pod:%d" p) 70 (Lang.Dst_mac (Pmac.pod_prefix ~pod:p)) [ Lang.Forward port ]
+  clause (pod_name p) 70 (Lang.Dst_mac (Pmac.pod_prefix ~pod:p)) [ Lang.Forward port ]
 
 (* [f] over [h]'s bindings, in Hashtbl.iter order. Install order fixes
    same-priority tie order and the table journal stream. *)
@@ -256,7 +267,7 @@ let edge_program t ~pod ~position =
           ecmp (samepod_clause ~pod e')
             (ports_where
                (function
-                 | Via_agg stripe ->
+                 | Via_agg { stripe; _ } ->
                    (not (Fault.Set.edge_agg_down t.faults ~pod ~edge_pos:position ~stripe))
                    && not (Fault.Set.edge_agg_down t.faults ~pod ~edge_pos:e' ~stripe)
                  | Via_core _ -> false)
@@ -334,7 +345,8 @@ let program t =
 let recompute_tables t =
   if t.coords <> None then begin
     t.c.table_recomputes <- t.c.table_recomputes + 1;
-    Lang.install_program t.table (program t);
+    if Lang.install_program t.table (program t) then
+      t.c.tables_changed <- t.c.tables_changed + 1;
     t.installed_stamp <- FT.stamp t.table;
     t.operational <- true
   end
@@ -561,7 +573,7 @@ let on_invalidate t ~ip ~old_pmac ~new_pmac =
    | Some h ->
      Hashtbl.remove t.amac_to_host h.h_amac;
      Hashtbl.remove t.pmac_to_host old_int;
-     FT.remove t.table (Printf.sprintf "host:%d" old_int)
+     FT.remove t.table (host_name old_int)
    | None -> ());
   (match Hashtbl.find_opt t.ip_to_pmac ip with
    | Some p when Pmac.equal p old_pmac -> Hashtbl.remove t.ip_to_pmac ip
@@ -572,7 +584,7 @@ let on_invalidate t ~ip ~old_pmac ~new_pmac =
   ignore
     (Engine.schedule t.engine ~delay:(2 * t.config.Config.arp_cache_timeout) (fun () ->
          Hashtbl.remove t.traps old_int;
-         FT.remove t.table (Printf.sprintf "trap:%d" old_int)))
+         FT.remove t.table (trap_name old_int)))
 
 (* Replay of a host binding from the fabric manager after a reboot:
    rebuild the AMAC/PMAC/IP tables and the per-port vmid counter without
@@ -625,8 +637,8 @@ let on_ctrl_msg t (msg : Msg.to_switch) =
        and multicast groups. Coordinate and view changes recompute
        already, and host, trap and multicast edits write the table and
        move its stamp. So with the same faults and an unmoved stamp the
-       rebuild would reinstall the same entries, in the same tie order,
-       with the same groups; only its zeroing of the hit counters would
+       replace would keep the same entries, in the same tie order, with
+       the same groups; only its zeroing of the hit counters would
        show. *)
     t.c.fault_updates_skipped <- t.c.fault_updates_skipped + 1;
     FT.zero_hits t.table
@@ -667,7 +679,7 @@ let on_ctrl_msg t (msg : Msg.to_switch) =
   | Msg.Mcast_program { group; out_ports } ->
     if out_ports = [] then begin
       Hashtbl.remove t.mcast group;
-      FT.remove t.table (Printf.sprintf "mcast:%d" (Ipv4_addr.to_int group))
+      FT.remove t.table (mcast_name group)
     end
     else begin
       Hashtbl.replace t.mcast group out_ports;
@@ -759,7 +771,8 @@ let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) () =
       report_scheduled = false;
       c =
         { arps_proxied = 0; arps_answered = 0; arp_cache_hits = 0; hosts_learned = 0;
-          trap_hits = 0; corrective_arps = 0; table_recomputes = 0; faults_reported = 0;
+          trap_hits = 0; corrective_arps = 0; table_recomputes = 0; tables_changed = 0;
+          faults_reported = 0;
           recoveries_reported = 0; fault_updates_skipped = 0; ingress_rewrites = 0 };
       journal = None }
   in
@@ -792,6 +805,7 @@ let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) () =
         s "trap_hits" t.c.trap_hits;
         s "corrective_arps" t.c.corrective_arps;
         s "table_recomputes" t.c.table_recomputes;
+        s "tables_changed" t.c.tables_changed;
         s "faults_reported" t.c.faults_reported;
         s "recoveries_reported" t.c.recoveries_reported;
         s "fault_updates_skipped" t.c.fault_updates_skipped;

@@ -40,13 +40,17 @@ type agent_counters = private {
   mutable trap_hits : int;           (** frames caught on a stale PMAC *)
   mutable corrective_arps : int;
   mutable table_recomputes : int;
+  mutable tables_changed : int;
+      (** recomputes whose install changed the table: its entries (in
+          lookup order) or its groups differ from before. At most
+          [table_recomputes]. *)
   mutable faults_reported : int;
   mutable recoveries_reported : int;
   mutable fault_updates_skipped : int;
       (** [Msg.Fault_update]s that carried the fault matrix the switch
           already held while its table still held what the last
-          recompute installed: the rebuild was skipped (only the hit
-          counters were zeroed, as the rebuild would have) and
+          recompute installed: the recompute was skipped (only the hit
+          counters were zeroed, as its install would have) and
           [table_recomputes] did not move *)
   mutable ingress_rewrites : int;
       (** host frames whose source AMAC was rewritten to its PMAC *)
@@ -119,8 +123,8 @@ val program : t -> Switchfab.Policy_lang.clause list
     traps; for an aggregation switch, downward and per-pod ECMP entries;
     for a core, per-pod entries; then multicast on every level. Empty
     before coordinates arrive. Spans are left empty. This is the only
-    derivation of the switch's tables: every recompute rebuilds the
-    table from these clauses with
+    derivation of the switch's tables: every recompute replaces the
+    table's contents with these clauses with
     {!Switchfab.Policy_lang.install_program}, and the incremental edits
     (host learning and restore, traps, multicast programming) install
     single clauses built by the same constructors. *)

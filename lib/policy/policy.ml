@@ -14,14 +14,13 @@ let install fab c =
     (fun sw ->
       let ct = Option.get (table c sw) in
       let live = SA.table (Fabric.agent fab sw) in
-      FT.rebuild live (fun () ->
-          List.iter
-            (fun (gid, members) -> FT.set_group live gid members)
-            (List.sort (fun (a, _) (b, _) -> compare (a : int) b) (FT.groups ct));
-          (* FT.entries is lookup order (ties: later insertion first);
-             reinstall oldest-first so the rebuilt table has the same tie
-             order *)
-          List.iter (FT.install live) (List.rev (FT.entries ct))))
+      (* FT.entries is lookup order (ties: later insertion first);
+         reinstall oldest-first so the replaced table has the same tie
+         order *)
+      ignore
+        (FT.replace live
+           ~groups:(List.sort (fun (a, _) (b, _) -> compare (a : int) b) (FT.groups ct))
+           (List.rev (FT.entries ct))))
     (switches c)
 
 (* ---------------- the baseline PortLand policy ---------------- *)

@@ -8,7 +8,7 @@
     each switch's clause list, installed one clause at a time. {!baseline}
     gathers those clauses, located and given source spans, into one
     fabric-wide policy. Compiled tables are installed by the same
-    {!Switchfab.Flow_table.rebuild} a switch recompute uses, so
+    {!Switchfab.Flow_table.replace} a switch recompute uses, so
     {!Portland_verify.Verify.Incremental} sessions run unchanged off the
     journalled difference between the compiled and the live tables.
 
@@ -31,7 +31,7 @@ end
 val install : Portland.Fabric.t -> compiled -> unit
 (** Replace each programmed switch's {e live} table contents (entries
     and groups) with the compiled ones, in one
-    {!Switchfab.Flow_table.rebuild} per switch. The table journals only
+    {!Switchfab.Flow_table.replace} per switch. The table journals only
     the entries and groups that differ, with prefix provenance, so an
     attached {!Portland_verify.Verify.Incremental} session re-walks only
     the classes a difference can affect — none when the compiled tables

@@ -47,14 +47,19 @@ type entry = { name : string; priority : int; mtch : mtch; actions : action list
    semantically identical to the reference linear scan over all
    entries. *)
 
-type indexed = { e : entry; tie : int; mutable hits : int }
+(* [tie] orders same-priority entries (later install wins); {!replace}
+   renumbers it in place for an entry it keeps *)
+type indexed = { e : entry; mutable tie : int; mutable hits : int }
 
 (* Path-compressed (PATRICIA-style) binary trie over 48-bit keys. A node
    stands for the prefix formed by the top [depth] bits of [key]; edges
    may swallow whole runs of non-branching bits, so a lookup visits one
-   node per *branch point* rather than one per bit. Single-child chains
-   are only ever created explicitly by edge splits in [trie_insert];
-   removal leaves structure in place (see [trie_remove]). *)
+   node per *branch point* rather than one per bit. Every node but the
+   root holds entries or has two children: [trie_insert] creates a node
+   only to anchor an entry or to split an edge, and [trie_remove] splices
+   out the nodes a removal leaves without that reason. So the trie's
+   shape depends only on the live prefixes, never on the history of
+   installs and removals. *)
 type node = {
   depth : int; (* bits of [key] this node's prefix covers *)
   key : int; (* a key whose top [depth] bits define the path *)
@@ -143,17 +148,24 @@ let trie_insert root ~key ~len ix =
   in
   ins root
 
-let trie_remove root ~key ~len name =
-  (* dead branches are left in place: tables are small and churn is
-     control-plane-rate, so reclaiming empty nodes is not worth the code *)
+(* Remove [ix] from the node its prefix ends at, then splice out every
+   node the removal left with no entries and at most one child, cascading
+   up to (not including) the root. *)
+let trie_remove root ~key ~len ix =
   let rec rem n =
-    if n.depth = len then n.here <- List.filter (fun ix -> ix.e.name <> name) n.here
-    else
-      match (if bit_at key n.depth = 0 then n.zero else n.one) with
+    if n.depth = len then n.here <- List.filter (fun x -> x != ix) n.here
+    else begin
+      let bit = bit_at key n.depth in
+      match (if bit = 0 then n.zero else n.one) with
       | Some c when c.depth <= len && (key lxor c.key) lsr (mac_bits - c.depth) land mac_mask = 0
         ->
-        rem c
+        rem c;
+        (match (c.here, c.zero, c.one) with
+         | [], None, None -> if bit = 0 then n.zero <- None else n.one <- None
+         | [], Some g, None | [], None, Some g -> set_child n bit g
+         | _ -> ())
       | _ -> () (* no node covers this exact prefix: nothing to remove *)
+    end
   in
   rem root
 
@@ -166,7 +178,7 @@ type update =
 type t = {
   mutable entries : entry list; (* kept sorted: priority desc, insertion order for ties *)
   mutable next_tie : int;
-  groups : (int, int array) Hashtbl.t;
+  mutable groups : (int, int array) Hashtbl.t;
   by_name : (string, indexed) Hashtbl.t; (* name -> live indexed record (hit counters) *)
   mutable salt : int;
   mutable root : node; (* dst-prefix index over the indexable entries *)
@@ -189,10 +201,10 @@ let emit t u = match t.journal with None -> () | Some f -> f u
 
 let set_hash_salt t salt = t.salt <- salt
 
-let deindex t entry =
-  match indexable_prefix entry.mtch with
-  | Some (key, len) -> trie_remove t.root ~key ~len entry.name
-  | None -> t.residual <- List.filter (fun ix -> ix.e.name <> entry.name) t.residual
+let deindex t ix =
+  match indexable_prefix ix.e.mtch with
+  | Some (key, len) -> trie_remove t.root ~key ~len ix
+  | None -> t.residual <- List.filter (fun x -> x != ix) t.residual
 
 (* a freshly installed entry always carries the largest tie, so keeping
    the (priority desc, tie desc) order is a single sorted insertion —
@@ -214,35 +226,36 @@ let index t ix =
 
 let install t entry =
   touch t;
-  let old = List.find_opt (fun e -> e.name = entry.name) t.entries in
-  (match old with Some o -> deindex t o | None -> ());
-  t.entries <- List.filter (fun e -> e.name <> entry.name) t.entries;
+  let old = Hashtbl.find_opt t.by_name entry.name in
+  (match old with
+   | Some o ->
+     deindex t o;
+     t.entries <- List.filter (fun e -> e.name <> entry.name) t.entries
+   | None -> ());
   let tie = t.next_tie in
   t.next_tie <- t.next_tie + 1;
   t.entries <- insert_entry_sorted entry t.entries;
   (* hit counters survive a same-name reinstall, like real switch stats *)
-  let hits =
-    match Hashtbl.find_opt t.by_name entry.name with Some old -> old.hits | None -> 0
-  in
+  let hits = match old with Some o -> o.hits | None -> 0 in
   let ix = { e = entry; tie; hits } in
   Hashtbl.replace t.by_name entry.name ix;
   index t ix;
   (* a replacement that moved to a new prefix vacates the old one too *)
   (match old with
-   | Some o when indexable_prefix o.mtch <> indexable_prefix entry.mtch ->
-     emit t (Removed { name = entry.name; prefix = indexable_prefix o.mtch })
+   | Some o when indexable_prefix o.e.mtch <> indexable_prefix entry.mtch ->
+     emit t (Removed { name = entry.name; prefix = indexable_prefix o.e.mtch })
    | Some _ | None -> ());
   emit t (Installed { name = entry.name; prefix = indexable_prefix entry.mtch })
 
 let remove t name =
-  match List.find_opt (fun e -> e.name = name) t.entries with
+  match Hashtbl.find_opt t.by_name name with
   | None -> ()
   | Some old ->
     touch t;
     deindex t old;
     t.entries <- List.filter (fun e -> e.name <> name) t.entries;
     Hashtbl.remove t.by_name name;
-    emit t (Removed { name; prefix = indexable_prefix old.mtch })
+    emit t (Removed { name; prefix = indexable_prefix old.e.mtch })
 
 let clear t =
   touch t;
@@ -253,44 +266,119 @@ let clear t =
   t.residual <- [];
   emit t Cleared
 
-let rebuild t f =
-  match t.journal with
-  | None ->
-    clear t;
-    f ()
-  | Some j ->
-    let old_entries = t.entries and old_groups = Hashtbl.copy t.groups in
-    t.journal <- None;
-    clear t;
-    f ();
-    t.journal <- Some j;
-    (* journal the difference: new or changed entries in lookup order,
-       then vanished ones, then groups whose members differ, by id *)
-    let old_by_name = Hashtbl.create 32 in
-    List.iter (fun e -> Hashtbl.replace old_by_name e.name e) old_entries;
-    List.iter
-      (fun e ->
-        let prefix = indexable_prefix e.mtch in
-        match Hashtbl.find_opt old_by_name e.name with
-        | Some o when o = e -> ()
-        | Some o when indexable_prefix o.mtch <> prefix ->
-          j (Removed { name = e.name; prefix = indexable_prefix o.mtch });
-          j (Installed { name = e.name; prefix })
-        | Some _ | None -> j (Installed { name = e.name; prefix }))
-      t.entries;
-    List.iter
-      (fun o ->
-        if not (Hashtbl.mem t.by_name o.name) then
-          j (Removed { name = o.name; prefix = indexable_prefix o.mtch }))
-      old_entries;
+(* lookup order: priority desc, then tie desc (the later install wins) *)
+let ix_order a b =
+  if a.e.priority <> b.e.priority then Int.compare b.e.priority a.e.priority
+  else Int.compare b.tie a.tie
+
+(* The groups [clear] + [set_group] in list order would leave, in a fresh
+   Hashtbl filled in that order, so iteration order ([pp], [groups])
+   matches too. A member array equal to the old one is reused, so a
+   group changed iff its array is not physically the old one. Returns
+   the changed ids (defined, redefined or dropped), unsorted. *)
+let replace_groups t groups =
+  let old = t.groups in
+  let fresh = Hashtbl.create 8 in
+  let all_reused = ref true in
+  List.iter
+    (fun (g, m) ->
+      Hashtbl.replace fresh g
+        (match Hashtbl.find_opt old g with
+         | Some o when o = m -> o
+         | _ ->
+           all_reused := false;
+           Array.copy m))
+    groups;
+  t.groups <- fresh;
+  (* every group kept its old array and none was dropped: the usual case *)
+  if !all_reused && Hashtbl.length fresh = Hashtbl.length old then []
+  else
     let changed =
       Hashtbl.fold
-        (fun g m acc -> if Hashtbl.find_opt old_groups g = Some m then acc else g :: acc)
-        t.groups []
+        (fun g m acc ->
+          match Hashtbl.find_opt old g with Some o when o == m -> acc | _ -> g :: acc)
+        fresh []
     in
-    Hashtbl.fold (fun g _ acc -> if Hashtbl.mem t.groups g then acc else g :: acc) old_groups changed
-    |> List.sort compare
-    |> List.iter (fun group -> j (Group_changed { group }))
+    Hashtbl.fold (fun g _ acc -> if Hashtbl.mem fresh g then acc else g :: acc) old changed
+
+let replace t ~groups entries =
+  touch t;
+  let base = t.next_tie in
+  let old_entries = t.entries and old_count = Hashtbl.length t.by_name in
+  (* The last install of a name wins, so settle each name at its last
+     occurrence: walk the program backwards, giving each entry the tie
+     its install would get. Every tie handed out before this call is
+     below [base], so a record with a tie at or above it is already
+     settled and an earlier occurrence of its name is superseded. *)
+  let settled = ref [] and touched = ref [] and matched = ref 0 in
+  let settle tie e =
+    match Hashtbl.find_opt t.by_name e.name with
+    | Some ix when ix.tie >= base -> ()
+    | Some ix when ix.e == e || ix.e = e ->
+      (* kept: same trie slot, new tie, hits zeroed as a clear would *)
+      ix.tie <- tie;
+      ix.hits <- 0;
+      incr matched;
+      settled := ix :: !settled
+    | old ->
+      if Option.is_some old then incr matched;
+      Option.iter (deindex t) old;
+      let ix = { e; tie; hits = 0 } in
+      Hashtbl.replace t.by_name e.name ix;
+      (match indexable_prefix e.mtch with
+       | Some (key, len) -> trie_insert t.root ~key ~len ix
+       | None -> t.residual <- ix :: t.residual);
+      settled := ix :: !settled;
+      touched := (ix, Option.map (fun o -> o.e) old) :: !touched
+  in
+  let rec walk i = function
+    | [] -> i
+    | e :: rest ->
+      let n = walk (i + 1) rest in
+      settle (base + i) e;
+      n
+  in
+  t.next_tie <- base + walk 0 entries;
+  (* names the program no longer installs, in old lookup order; none when
+     it settled every old name *)
+  let vanished =
+    if !matched = old_count then []
+    else
+      List.filter
+        (fun o ->
+          match Hashtbl.find_opt t.by_name o.name with
+          | Some ix when ix.tie < base ->
+            deindex t ix;
+            Hashtbl.remove t.by_name o.name;
+            true
+          | Some _ | None -> false)
+        old_entries
+  in
+  t.entries <- List.map (fun ix -> ix.e) (List.sort ix_order !settled);
+  if t.residual <> [] then t.residual <- List.sort ix_order t.residual;
+  let groups_changed = replace_groups t groups in
+  (* the kept entries are the old records, so an unchanged table has the
+     very same entries in the same order *)
+  let changed =
+    groups_changed <> [] || not (List.equal ( == ) old_entries t.entries)
+  in
+  (match t.journal with
+   | None -> ()
+   | Some j ->
+     (* new or changed entries in lookup order, then vanished ones, then
+        changed groups by id *)
+     List.iter
+       (fun (ix, old) ->
+         let prefix = indexable_prefix ix.e.mtch in
+         (match old with
+          | Some o when indexable_prefix o.mtch <> prefix ->
+            j (Removed { name = o.name; prefix = indexable_prefix o.mtch })
+          | Some _ | None -> ());
+         j (Installed { name = ix.e.name; prefix }))
+       (List.sort (fun (a, _) (b, _) -> ix_order a b) !touched);
+     List.iter (fun o -> j (Removed { name = o.name; prefix = indexable_prefix o.mtch })) vanished;
+     List.iter (fun group -> j (Group_changed { group })) (List.sort Int.compare groups_changed));
+  changed
 
 let size t = List.length t.entries
 let entry_names t = List.map (fun e -> e.name) t.entries
@@ -436,7 +524,7 @@ let flow_hash (frame : Eth.t) =
   abs h
 
 let entries t = t.entries
-let find_entry t name = List.find_opt (fun e -> e.name = name) t.entries
+let find_entry t name = Option.map (fun ix -> ix.e) (Hashtbl.find_opt t.by_name name)
 let groups t = Hashtbl.fold (fun id members acc -> (id, Array.copy members) :: acc) t.groups []
 
 let dst_only_matches e dst =

@@ -14,7 +14,10 @@
     per-prefix-length priority tiers, so a lookup visits one node per
     branch point of the installed prefixes — a handful of nodes in a
     converged table — instead of scanning every entry; entries the trie
-    cannot express fall back to a residual linear list.
+    cannot express fall back to a residual linear list. Every trie node
+    but the root anchors entries or branches: a removal splices out the
+    nodes it leaves with neither, so the trie's shape (and size) depends
+    only on the live prefixes, however long the table has churned.
     {!lookup_linear} and {!lookup_dst_linear} keep the plain scan as the
     reference implementation — the differential test suite asserts the
     two agree on arbitrary tables. *)
@@ -69,28 +72,40 @@ val remove : t -> string -> unit
 
 val clear : t -> unit
 
-val rebuild : t -> (unit -> unit) -> unit
-(** [rebuild t f] clears [t] and runs [f] to fill it again — how a
-    switch recomputes its tables. The resulting state (entries, tie
-    order, groups, hit counters) is exactly that of {!clear} followed by
-    [f ()]. A journal subscriber hears only the difference from the old
-    contents: [Installed] for entries that appeared or changed (preceded
-    by [Removed] when the change moved the entry's prefix), [Removed]
-    for entries that vanished, and [Group_changed] for groups whose
-    members differ, by ascending id — never [Cleared] or the unchanged
-    reinstalls. A rebuild to identical contents journals nothing. *)
+val replace : t -> groups:(int * int array) list -> entry list -> bool
+(** [replace t ~groups entries] makes [entries] and [groups] the table's
+    whole contents — how a switch recomputes its tables. It leaves
+    exactly the state that {!clear}, then {!set_group} for each group in
+    order, then {!install} for each entry in order would leave: the same
+    entries, tie order (the later of two installs of one name wins, and
+    the tie counter advances by the number of installs), groups and
+    zeroed hit counters. It gets there touching only what differs: an
+    entry that comes back under its name structurally equal keeps its
+    trie slot (only its tie is renumbered and its hits zeroed), and only
+    new, changed and vanished names are indexed or deindexed.
+
+    A journal subscriber hears only the difference from the old
+    contents: [Installed] for entries that appeared or changed, in the
+    new lookup order (preceded by [Removed] when the change moved the
+    entry's prefix), then [Removed] for entries that vanished, in the old
+    lookup order, then [Group_changed] for groups whose members differ,
+    by ascending id — never [Cleared] or the unchanged entries. A replace
+    with identical contents journals nothing.
+
+    Returns [true] iff the entries (in lookup order) or the groups differ
+    from the old contents. *)
 
 val stamp : t -> int
 (** Mutation stamp: a counter that {!install}, {!remove} (of an installed
-    name), {!clear} and {!set_group} bump, so {!rebuild} bumps it too.
-    Lookups and {!zero_hits} leave it alone. A caller that recorded the
-    stamp right after rebuilding the table knows, while the stamp still
-    reads the same, that the table holds exactly what that rebuild left. *)
+    name), {!clear}, {!set_group} and {!replace} bump. Lookups and
+    {!zero_hits} leave it alone. A caller that recorded the stamp right
+    after a {!replace} knows, while the stamp still reads the same, that
+    the table holds exactly what that replace left. *)
 
 val zero_hits : t -> unit
-(** Reset every entry's hit counter to 0 — the one thing a {!rebuild} to
-    identical contents changes. A caller that skips such a rebuild calls
-    this instead. *)
+(** Reset every entry's hit counter to 0 — the one thing a {!replace}
+    with identical contents changes. A caller that skips such a replace
+    calls this instead. *)
 
 val size : t -> int
 (** Number of installed entries — the "switch state" metric in the state

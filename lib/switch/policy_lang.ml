@@ -182,15 +182,19 @@ let lower_act = function
   | Punt_fm -> FT.Punt
   | Deny -> FT.Drop
 
-(* the one place a clause reaches a table: the groups its actions
-   define, then its entry *)
+(* what a clause lowers to: the groups its actions define, in action
+   order, and its entry *)
+let clause_groups c =
+  List.filter_map
+    (function Via_group { gid; members } -> Some (gid, Array.of_list members) | _ -> None)
+    c.acts
+
+let clause_entry ~name c mtch =
+  { FT.name; priority = c.prio; mtch; actions = List.map lower_act c.acts }
+
 let install_entry tbl ~name c mtch =
-  List.iter
-    (function
-      | Via_group { gid; members } -> FT.set_group tbl gid (Array.of_list members)
-      | _ -> ())
-    c.acts;
-  FT.install tbl { FT.name; priority = c.prio; mtch; actions = List.map lower_act c.acts }
+  List.iter (fun (gid, members) -> FT.set_group tbl gid members) (clause_groups c);
+  FT.install tbl (clause_entry ~name c mtch)
 
 (* a switch-local header predicate as one conjunction, built left to
    right without DNF; None = contradiction *)
@@ -211,7 +215,17 @@ let install_clause tbl c =
   | Some conj -> install_entry tbl ~name:c.name c (mtch_of conj)
 
 let install_program tbl clauses =
-  FT.rebuild tbl (fun () -> List.iter (install_clause tbl) clauses)
+  let groups, entries =
+    List.fold_left
+      (fun (groups, entries) c ->
+        match header_conj ~name:c.name conj_true c.pred with
+        | None -> (groups, entries)
+        | Some conj ->
+          ( List.rev_append (clause_groups c) groups,
+            clause_entry ~name:c.name c (mtch_of conj) :: entries ))
+      ([], []) clauses
+  in
+  FT.replace tbl ~groups:(List.rev groups) (List.rev entries)
 
 (* a normalized, located clause and the entry name it lowers to *)
 type nclause = { n_switch : int; n_name : string; n_mtch : FT.mtch; n_clause : clause }

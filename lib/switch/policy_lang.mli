@@ -104,11 +104,12 @@ val install_clause : Flow_table.t -> clause -> unit
     @raise Invalid_argument if the predicate names a location ([At_switch],
     [In_port]), needs more than one row ([Or]) or negates. *)
 
-val install_program : Flow_table.t -> clause list -> unit
-(** Replace the table's contents with the clauses, lowered in order by
-    {!install_clause} inside one {!Flow_table.rebuild}: a journal
-    subscriber hears only the entries and groups that differ from the
-    old contents. *)
+val install_program : Flow_table.t -> clause list -> bool
+(** Replace the table's contents with the clauses: lower each one as
+    {!install_clause} would, in order, and hand the groups and entries to
+    one {!Flow_table.replace}. A journal subscriber hears only the
+    entries and groups that differ from the old contents. Returns
+    whether the table changed ({!Flow_table.replace}'s result). *)
 
 (** {1 Compiling a policy} *)
 

@@ -667,7 +667,7 @@ module Incremental = struct
      from. The fabric's update journal marks records dirty; [refresh]
      re-walks only the dirty ones. Flow-table churn arrives as journalled
      deltas with prefix provenance: a table recompute is one
-     [Flow_table.rebuild], which journals only the entries and groups that
+     [Flow_table.replace], which journals only the entries and groups that
      differ, so each switch's pending delta is usually empty or tiny and
      dirties only the classes whose PMAC a changed prefix covers. *)
 

@@ -142,7 +142,7 @@ val class_universe : Portland.Fabric.t -> Netcore.Ipv4_addr.t list
     maintains per-class verdicts plus their device dependency sets. A
     {!Incremental.refresh} maps the queued updates to the delta —
     flow-table changes, as the tables journal them with their trie
-    prefixes (a {!Switchfab.Flow_table.rebuild} journals only what
+    prefixes (a {!Switchfab.Flow_table.replace} journals only what
     differs; the session keeps no table copies), to the classes whose
     PMAC falls under a changed prefix (on switches the class's last walk
     visited), link/device/

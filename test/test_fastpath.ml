@@ -302,7 +302,9 @@ let fill table (groups, entries) () =
   List.iter (fun (g, m) -> FT.set_group table g m) groups;
   List.iter (FT.install table) entries
 
-(* a rebuild journals only what differs from the old contents, and leaves
+let replace table (groups, entries) () = ignore (FT.replace table ~groups entries)
+
+(* a replace journals only what differs from the old contents, and leaves
    exactly the table a clear + reinstall leaves, subscribed or not *)
 let test_journal_rebuild () =
   let v = 0x001F07030001 in
@@ -314,14 +316,13 @@ let test_journal_rebuild () =
   let table = FT.create () in
   fill table (program ()) ();
   expect "identical contents journal nothing"
-    (with_journal table (fun () -> FT.rebuild table (fill table (program ()))))
+    (with_journal table (replace table (program ())))
     [];
   expect "one changed entry journals only its prefix"
-    (with_journal table (fun () -> FT.rebuild table (fill table (program ~host_out:1 ()))))
+    (with_journal table (replace table (program ~host_out:1 ())))
     [ FT.Installed { name = "host"; prefix = Some (v, 48) } ];
   expect "changed group members journal the group"
-    (with_journal table (fun () ->
-         FT.rebuild table (fill table (program ~members:[| 2 |] ~host_out:1 ()))))
+    (with_journal table (replace table (program ~members:[| 2 |] ~host_out:1 ())))
     [ FT.Group_changed { group = 3 } ];
   let groups, entries = program () in
   let moved = prefix_entry ~name:"host" ~len:32 v in
@@ -332,8 +333,7 @@ let test_journal_rebuild () =
       entries
   in
   expect "moved, vanished, and new and deleted groups"
-    (with_journal table (fun () ->
-         FT.rebuild table (fill table ((5, [| 1 |]) :: List.tl groups, entries'))))
+    (with_journal table (replace table ((5, [| 1 |]) :: List.tl groups, entries')))
     [ FT.Removed { name = "host"; prefix = Some (v, 48) };
       FT.Installed { name = "host"; prefix = Some (v land prefix_mask 32, 32) };
       FT.Removed { name = "resid"; prefix = None };
@@ -356,13 +356,123 @@ let test_journal_rebuild () =
       let t = FT.create () in
       history t;
       if subscribed then FT.set_journal t (Some ignore);
-      FT.rebuild t (fill t (program ~host_out:1 ()));
+      replace t (program ~host_out:1 ()) ();
       FT.set_journal t None;
       ignore (FT.lookup t frame);
       if render t <> render reference then
-        Alcotest.failf "rebuild (subscribed=%b) differs from clear + reinstall:@.%a@.vs@.%a"
+        Alcotest.failf "replace (subscribed=%b) differs from clear + reinstall:@.%a@.vs@.%a"
           subscribed FT.pp t FT.pp reference)
     [ false; true ]
+
+(* one random program: entries drawn from a small name pool (so names
+   repeat within a program, and between programs with a new match, a new
+   priority or the same entry), same-priority ties, residual entries,
+   and groups that come, change and go *)
+let random_program p ~old =
+  let groups =
+    List.filter_map
+      (fun g ->
+        if Prng.int p 4 = 0 then None
+        else Some (g, Array.init (Prng.int p 4) (fun i -> 24 + ((g + i) mod 6))))
+      [ 1000; 1001; 1002; 1003 ]
+  in
+  let groups = if Prng.int p 5 = 0 then groups @ [ (1000, [| 30 |]) ] else groups in
+  let gids = List.map fst groups in
+  let entries =
+    List.init (Prng.int p 14) (fun _ ->
+        match old with
+        | _ :: _ when Prng.int p 3 = 0 ->
+          (* an old entry again, unchanged or moved to a new prefix *)
+          let e = Prng.pick p (Array.of_list old) in
+          if Prng.int p 3 = 0 then
+            { e with FT.mtch = (random_entry p ~name:e.FT.name ~groups:gids).FT.mtch }
+          else e
+        | _ -> random_entry p ~name:(Printf.sprintf "n%d" (Prng.int p 12)) ~groups:gids)
+  in
+  (groups, entries)
+
+(* everything observable about a table, hits included, plus the lookup
+   answers on random and boundary destinations (which count hits, so the
+   dump is taken again after them) *)
+let observe p t =
+  let dsts = adversarial_dsts t @ List.init 24 (fun _ -> Prng.int p (1 lsl 48)) in
+  let frames = List.map (frame_for p) dsts in
+  let dump () = Format.asprintf "%a" FT.pp t in
+  let before = dump () in
+  let dst_answers = List.map (fun d -> name_of (FT.lookup_dst t d)) dsts in
+  let frame_answers = List.map (fun f -> name_of (FT.lookup t f)) frames in
+  (FT.entries t, FT.canonical_lines t, before, dst_answers, frame_answers, dump ())
+
+(* [replace] leaves exactly what clear + set_group + install leaves, over
+   seeded random program sequences with direct installs, removals and
+   lookups in between, with and without a journal subscriber *)
+let replace_equivalence_run ~seed ~subscribed =
+  let p = Prng.create seed in
+  let t = FT.create () and reference = FT.create () in
+  if subscribed then FT.set_journal t (Some ignore);
+  let both f =
+    f t;
+    f reference
+  in
+  for round = 1 to 40 do
+    let groups, entries = random_program p ~old:(FT.entries t) in
+    let before = FT.canonical_lines t and before_entries = FT.entries t in
+    let changed = FT.replace t ~groups entries in
+    FT.clear reference;
+    fill reference (groups, entries) ();
+    let probe_seed = Prng.int p 1_000_000 in
+    if observe (Prng.create probe_seed) t <> observe (Prng.create probe_seed) reference then
+      Alcotest.failf
+        "seed %d round %d (subscribed=%b): replace differs from clear + reinstall:@.%a@.vs@.%a"
+        seed round subscribed FT.pp t FT.pp reference;
+    (* a change is different contents or a different lookup order *)
+    let really_changed =
+      before <> FT.canonical_lines t
+      || List.map (fun (e : FT.entry) -> e.FT.name) before_entries <> FT.entry_names t
+    in
+    if changed <> really_changed then
+      Alcotest.failf "seed %d round %d: replace reported changed=%b" seed round changed;
+    (* direct edits between two replaces *)
+    if Prng.int p 2 = 0 then
+      both (fun tb -> FT.install tb (random_entry (Prng.create round) ~name:"direct" ~groups:[]));
+    if Prng.int p 4 = 0 then begin
+      let victim = Printf.sprintf "n%d" (Prng.int p 12) in
+      both (fun tb -> FT.remove tb victim)
+    end;
+    if Prng.int p 4 = 0 then both (fun tb -> FT.set_group tb 1003 [| 40 |])
+  done
+
+let prop_replace_equivalence =
+  Testutil.prop "replace = clear + reinstall (random programs)" ~count:40
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      replace_equivalence_run ~seed ~subscribed:false;
+      replace_equivalence_run ~seed ~subscribed:true;
+      true)
+
+(* churn through a few hundred distinct host prefixes: a table that
+   replaced and removed its way there is word-for-word the size of a
+   fresh one holding the same live entries, so removals leave no dead
+   trie nodes behind *)
+let test_trie_stays_bounded () =
+  let host i =
+    prefix_entry ~name:(Printf.sprintf "host:%d" i) ~len:48 ~out:(i mod 8)
+      (0x00010000_0000 lor (i * 0x9E3779B1 land 0xFFFFFFFF))
+  in
+  let pods =
+    List.init 4 (fun p ->
+        prefix_entry ~name:(Printf.sprintf "pod:%d" p) ~priority:70 ~len:16 (p lsl 32))
+  in
+  let t = FT.create () in
+  for round = 0 to 29 do
+    let hosts = List.init 12 (fun i -> host ((round * 10) + i)) in
+    ignore (FT.replace t ~groups:[] (pods @ hosts));
+    FT.remove t (Printf.sprintf "host:%d" ((round * 10) + 11))
+  done;
+  let fresh = FT.create () in
+  List.iter (FT.install fresh) (List.rev (FT.entries t));
+  Testutil.check_int "churned table = fresh table (words)" (Obj.reachable_words (Obj.repr fresh))
+    (Obj.reachable_words (Obj.repr t))
 
 (* ---------------- codec differential fuzz ---------------- *)
 
@@ -674,7 +784,10 @@ let () =
         [ Alcotest.test_case "mutations journal with prefix provenance" `Quick
             test_journal_hooks;
           Alcotest.test_case "rebuild journals only the difference" `Quick
-            test_journal_rebuild ] );
+            test_journal_rebuild;
+          prop_replace_equivalence;
+          Alcotest.test_case "replace and remove keep the trie bounded" `Quick
+            test_trie_stays_bounded ] );
       ( "codec differential",
         [ prop_fast_encode_identical;
           prop_fast_roundtrip;

@@ -323,7 +323,7 @@ let test_install_drives_incremental () =
   let r = VI.refresh inc in
   if not (Verify.ok r) then
     Alcotest.failf "incremental after compiled install:@.%a" Verify.pp_report r;
-  (* the compiled tables equal the live ones, so the rebuild journals
+  (* the compiled tables equal the live ones, so the replace journals
      nothing and no class is re-walked *)
   Testutil.check_int "classes re-walked after installing identical tables" 0
     (VI.delta_classes inc);

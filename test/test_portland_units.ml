@@ -537,7 +537,7 @@ let test_stamp_moves_on_every_mutation () =
   moves "set_group" (fun () -> FT.set_group t 1 [| 2; 3 |]);
   moves "remove" (fun () -> FT.remove t "a");
   moves "clear" (fun () -> FT.clear t);
-  moves "rebuild" (fun () -> FT.rebuild t ignore);
+  moves "replace" (fun () -> ignore (FT.replace t ~groups:[] []));
   FT.install t (entry "b");
   let frame =
     Eth.make ~dst:Mac_addr.broadcast ~src:Mac_addr.zero (Eth.Raw { ethertype = 1; len = 10 })
@@ -588,7 +588,9 @@ let test_duplicate_fault_update_is_exact () =
   Testutil.check_int "no recompute ran" recomputes0 (recomputes fab);
   Testutil.check_bool "hit counters were zeroed" true (before <> after);
   List.iter
-    (fun ag -> Switchfab.Policy_lang.install_program (SA.table ag) (SA.program ag))
+    (fun ag ->
+      Testutil.check_bool "forcing the skipped install changes nothing" false
+        (Switchfab.Policy_lang.install_program (SA.table ag) (SA.program ag)))
     (Fabric.agents fab);
   List.iter2
     (fun skip forced -> Testutil.check_string "skip = forced install_program" forced skip)
@@ -608,6 +610,46 @@ let test_duplicate_after_direct_install_rebuilds () =
   Testutil.check_int "rebuilt" (c0.SA.table_recomputes + 1) c1.SA.table_recomputes;
   Testutil.check_bool "the rebuild dropped the direct entry" true
     (FT.find_entry (SA.table ag) "host:direct" = None)
+
+(* ---------------- recompute accounting ---------------- *)
+
+module Lang = Switchfab.Policy_lang
+
+let test_install_program_reports_change () =
+  let t = FT.create () in
+  let pod p members =
+    { Lang.span = ""; name = "pod:" ^ string_of_int p; prio = 70;
+      pred = Lang.Dst_mac (Pmac.pod_prefix ~pod:p);
+      acts = [ Lang.Via_group { gid = 20_000 + p; members } ] }
+  in
+  let program = [ pod 1 [ 2; 3 ]; pod 2 [ 2; 3 ] ] in
+  Testutil.check_bool "first install changes the empty table" true
+    (Lang.install_program t program);
+  Testutil.check_bool "the same clauses again change nothing" false
+    (Lang.install_program t program);
+  Testutil.check_bool "new group members are a change" true
+    (Lang.install_program t [ pod 1 [ 2 ]; pod 2 [ 2; 3 ] ]);
+  Testutil.check_bool "a dropped clause is a change" true
+    (Lang.install_program t [ pod 1 [ 2 ] ]);
+  Testutil.check_bool "and repeating it is not" false (Lang.install_program t [ pod 1 [ 2 ] ])
+
+let test_tables_changed_per_recompute () =
+  let fab = Testutil.converged_fabric ~k:4 () in
+  let mt = Fabric.tree fab in
+  let module MR = Topology.Multirooted in
+  ignore (Fabric.fail_link_between fab ~a:mt.MR.edges.(0).(0) ~b:mt.MR.aggs.(0).(0));
+  Fabric.run_for fab (Eventsim.Time.ms 300);
+  ignore (Fabric.recover_link_between fab ~a:mt.MR.edges.(0).(0) ~b:mt.MR.aggs.(0).(0));
+  Fabric.run_for fab (Eventsim.Time.ms 300);
+  List.iter
+    (fun ag ->
+      let c = SA.counters ag in
+      if c.SA.tables_changed > c.SA.table_recomputes then
+        Alcotest.failf "switch %d: %d tables changed > %d recomputes" (SA.switch_id ag)
+          c.SA.tables_changed c.SA.table_recomputes;
+      Testutil.check_bool "every switch's first recompute changed its table" true
+        (c.SA.tables_changed > 0))
+    (Fabric.agents fab)
 
 let () =
   Alcotest.run "portland-units"
@@ -651,4 +693,9 @@ let () =
           Alcotest.test_case "skipped rebuild equals a forced one" `Quick
             test_duplicate_fault_update_is_exact;
           Alcotest.test_case "a direct install forces the rebuild" `Quick
-            test_duplicate_after_direct_install_rebuilds ] ) ]
+            test_duplicate_after_direct_install_rebuilds ] );
+      ( "recompute",
+        [ Alcotest.test_case "install_program reports a change" `Quick
+            test_install_program_reports_change;
+          Alcotest.test_case "tables changed per recompute" `Quick
+            test_tables_changed_per_recompute ] ) ]
