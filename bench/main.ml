@@ -364,7 +364,7 @@ type obs_cost_row = {
 }
 
 (* what instrumentation costs: the same plain fat-tree boot with a live
-   registry (every counter registered, every probe and trace event kept)
+   registry (every component's probe registered)
    and with the disabled capability. The runs alternate, so host noise
    hits both sides alike; the row records both medians and their ratio. *)
 let run_obs_cost ~quick =

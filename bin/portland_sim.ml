@@ -131,11 +131,34 @@ let write_metrics obs = function
 
 (* ---------------- scenarios ---------------- *)
 
+(* the fabric's history for the CLI: the last [n] journal updates, each
+   stamped with the sim time it was emitted at *)
+let journal_tail fab ~n =
+  let q = Queue.create () in
+  let (_unsubscribe : unit -> unit) =
+    Portland.Journal.subscribe (Portland.Fabric.journal fab) (fun u ->
+        Queue.push (Portland.Fabric.now fab, u) q;
+        if Queue.length q > n then ignore (Queue.pop q))
+  in
+  q
+
+let print_journal_tail q ~n =
+  let skip = Queue.length q - n in
+  Seq.iteri
+    (fun i (time, u) ->
+      (* an h box keeps each update on one line *)
+      if i >= skip then
+        Format.printf "  [%a] @[<h>%a@]@." Eventsim.Time.pp time Portland.Journal.pp u)
+    (Queue.to_seq q)
+
 let run_scenario ({ k; verbose; _ } as c) ~duration_ms ~scenario ~pcap_file ~dot_file
     ~metrics_out =
   let open Eventsim in
   let obs = Obs.create () in
-  let fab = create_fabric ~obs c in
+  (* migrate needs a free port to land the VM on: pod 1's first slot *)
+  let spare_slots = if scenario = "migrate" then [ (1, 0, 0) ] else [] in
+  let fab = create_fabric ~obs ~spare_slots c in
+  let tail = journal_tail fab ~n:10 in
   (match dot_file with
    | Some path ->
      let oc = open_out path in
@@ -169,11 +192,6 @@ let run_scenario ({ k; verbose; _ } as c) ~duration_ms ~scenario ~pcap_file ~dot
      Portland.Fabric.run_for fab (Time.ms duration_ms);
      Printf.printf "ping-all: %d sent, %d received\n" sent !received
    | "migrate" ->
-     (* needs a spare slot: rebuild the fabric with one; its probes
-        supersede the first fabric's under the same obs *)
-     Printf.printf "(migrate scenario uses its own fabric with a spare slot in pod 1)\n";
-     let fab = create_fabric ~obs ~spare_slots:[ (1, 0, 0) ] c in
-     assert (Portland.Fabric.await_convergence fab);
      let client = Portland.Fabric.host fab ~pod:0 ~edge:0 ~slot:0 in
      let vm = Portland.Fabric.host fab ~pod:(k - 1) ~edge:0 ~slot:1 in
      let m_client = Transport.Port_mux.attach client in
@@ -188,12 +206,8 @@ let run_scenario ({ k; verbose; _ } as c) ~duration_ms ~scenario ~pcap_file ~dot
      Printf.printf "delivered %.1f MB; %d retransmission timeout(s)\n"
        (float_of_int s.Transport.Tcp.bytes_delivered /. 1e6)
        s.Transport.Tcp.timeouts;
-     Format.printf "trace tail:@.";
-     List.iter
-       (fun e -> Format.printf "  %a@." Eventsim.Trace.pp_entry e)
-       (let es = Eventsim.Trace.entries (Portland.Fabric.trace fab) in
-        let n = List.length es in
-        List.filteri (fun i _ -> i >= n - 5) es)
+     print_endline "journal tail:";
+     print_journal_tail tail ~n:5
    | "fm-restart" ->
      Portland.Fabric.restart_fabric_manager fab;
      Printf.printf "fabric manager restarted; resyncing...\n";
@@ -245,12 +259,8 @@ let run_scenario ({ k; verbose; _ } as c) ~duration_ms ~scenario ~pcap_file ~dot
       fc.Portland.Fabric_manager.reports fc.Portland.Fabric_manager.arp_queries
       fc.Portland.Fabric_manager.arp_hits fc.Portland.Fabric_manager.host_announces
       fc.Portland.Fabric_manager.fault_notices;
-    Format.printf "trace (last 10 entries):@.";
-    (let es = Eventsim.Trace.entries (Portland.Fabric.trace fab) in
-     let n = List.length es in
-     List.iteri
-       (fun i e -> if i >= n - 10 then Format.printf "  %a@." Eventsim.Trace.pp_entry e)
-       es);
+    print_endline "journal (last 10 updates):";
+    print_journal_tail tail ~n:10;
     dump_switch_state fab
   end
 

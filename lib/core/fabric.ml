@@ -49,19 +49,10 @@ type t = {
   mutable fm : Fabric_manager.t;
   switch_agents : (int, Switch_agent.t) Hashtbl.t;
   host_slots : (int, host_slot) Hashtbl.t; (* device id -> slot *)
-  mutable journal : Journal.hook option;
+  journal : Journal.t;
   convergence : Stats.Distribution.t; (* ms from each await_convergence call to settled *)
   mutable converged_at : Time.t option; (* when the last one settled *)
 }
-
-let jemit t u = match t.journal with None -> () | Some f -> f u
-
-let set_journal t hook =
-  if Option.is_some t.journal && Option.is_some hook then
-    invalid_arg "Fabric.set_journal: a subscriber is already attached";
-  t.journal <- hook;
-  Fabric_manager.set_journal t.fm hook;
-  Hashtbl.iter (fun _ a -> Switch_agent.set_journal a hook) t.switch_agents
 
 let host_ip ~pod ~edge ~slot = Ipv4_addr.of_octets 10 pod edge (slot + 2)
 
@@ -69,7 +60,7 @@ let host_amac device = Mac_addr.of_int (0x020000000000 lor device)
 
 let engine t = t.engine
 let obs t = t.obs
-let trace t = Obs.trace t.obs
+let journal t = t.journal
 let net t = t.net
 let ctrl t = t.ctrl
 let fabric_manager t = t.fm
@@ -129,11 +120,7 @@ let await_convergence ?(timeout = Time.sec 5) t =
       t.converged_at <- Some (now t);
       true
     end
-    else if now t >= deadline then begin
-      Obs.eventf t.obs ~time:(now t) ~level:Eventsim.Trace.Warn ~subsystem:"fabric"
-        "convergence timed out after %s" (Time.to_string timeout);
-      false
-    end
+    else if now t >= deadline then false
     else begin
       run_until t (min deadline (now t + Time.ms 10));
       go ()
@@ -144,10 +131,8 @@ let await_convergence ?(timeout = Time.sec 5) t =
 let fail_link_between t ~a ~b =
   match SNet.link_between t.net a b with
   | Some l ->
-    Obs.eventf t.obs ~time:(now t) ~level:Eventsim.Trace.Warn ~subsystem:"fabric"
-      "link %d <-> %d failed" a b;
     SNet.fail_link t.net l;
-    jemit t (Journal.Link_state { a; b; up = false });
+    Journal.emit t.journal (Journal.Link_state { a; b; up = false });
     true
   | None -> false
 
@@ -155,7 +140,7 @@ let recover_link_between t ~a ~b =
   match SNet.link_between t.net a b with
   | Some l ->
     SNet.recover_link t.net l;
-    jemit t (Journal.Link_state { a; b; up = true });
+    Journal.emit t.journal (Journal.Link_state { a; b; up = true });
     true
   | None -> false
 
@@ -163,47 +148,38 @@ let restart_fabric_manager t =
   (* the old instance is simply abandoned: a fresh one registers itself on
      the control network (displacing the old handler) and asks every
      switch to resync — reconstructing all soft state. Its "fm" probe
-     replaces the abandoned instance's in the registry. *)
-  Obs.event t.obs ~time:(now t) ~level:Eventsim.Trace.Warn ~subsystem:"fabric"
-    "fabric manager restarted; resync requested";
+     replaces the abandoned instance's in the registry, it journals on
+     the same sink, and subscribers learn that every piece of soft state
+     they cached is stale. *)
   t.fm <-
-    Fabric_manager.create ~obs:t.obs t.engine t.config.Config.proto t.ctrl ~spec:t.spec;
-  (* the fresh instance must inherit the journal subscription, and the
-     subscriber must know every piece of soft state it cached is stale *)
-  Fabric_manager.set_journal t.fm t.journal;
-  jemit t Journal.Fm_restarted
+    Fabric_manager.create ~obs:t.obs ~journal:t.journal t.engine t.config.Config.proto t.ctrl
+      ~spec:t.spec;
+  Journal.emit t.journal Journal.Fm_restarted
 
 let failover_fm_shard t ~pod =
   if pod < 0 || pod >= t.spec.MR.num_pods then
     invalid_arg "Fabric.failover_fm_shard: pod out of range";
-  Obs.eventf t.obs ~time:(now t) ~level:Eventsim.Trace.Warn ~subsystem:"fabric"
-    "fm failed over for pod %d (serving index rebuilt)" pod;
   Fabric_manager.failover t.fm ~pod
 
 let fail_switch t device =
-  Obs.eventf t.obs ~time:(now t) ~level:Eventsim.Trace.Warn ~subsystem:"fabric"
-    "switch %d failed" device;
-  (match Hashtbl.find_opt t.switch_agents device with
-   | Some a -> Switch_agent.stop a
-   | None -> ());
-  SNet.fail_device t.net device;
-  jemit t (Journal.Device_state { device; up = false })
+  match Hashtbl.find_opt t.switch_agents device with
+  | Some a ->
+    Switch_agent.stop a;
+    SNet.fail_device t.net device;
+    Journal.emit t.journal (Journal.Device_state { device; up = false })
+  | None -> invalid_arg (Printf.sprintf "Fabric.fail_switch: device %d is not a switch" device)
 
 let recover_switch t device =
-  Obs.eventf t.obs ~time:(now t) ~subsystem:"fabric" "switch %d recovered (cold reboot)" device;
-  (match Hashtbl.find_opt t.switch_agents device with
-   | Some a ->
-     SNet.recover_device t.net device;
-     jemit t (Journal.Device_state { device; up = true });
-     Switch_agent.restart a
-   | None -> invalid_arg (Printf.sprintf "Fabric.recover_switch: device %d is not a switch" device))
+  match Hashtbl.find_opt t.switch_agents device with
+  | Some a ->
+    SNet.recover_device t.net device;
+    Journal.emit t.journal (Journal.Device_state { device; up = true });
+    Switch_agent.restart a
+  | None -> invalid_arg (Printf.sprintf "Fabric.recover_switch: device %d is not a switch" device)
 
 let set_link_loss_between t ~a ~b rate =
   match SNet.link_between t.net a b with
   | Some l ->
-    if rate > 0.0 then
-      Obs.eventf t.obs ~time:(now t) ~subsystem:"fabric" "link %d <-> %d loss set to %.3f" a b
-        rate;
     SNet.set_link_loss t.net l rate;
     true
   | None -> false
@@ -290,10 +266,6 @@ let trace_route t ~src ~dst_ip payload =
 (* ---------------- migration ---------------- *)
 
 let migrate t ~vm ~to_:(pod, edge, slot) ~downtime ?on_complete () =
-  Obs.eventf t.obs ~time:(now t) ~subsystem:"fabric"
-    "migrating VM %s to (%d,%d,%d), downtime %s"
-    (Netcore.Ipv4_addr.to_string (Host_agent.ip vm))
-    pod edge slot (Time.to_string downtime);
   let s = t.spec in
   if pod < 0 || pod >= s.MR.num_pods || edge < 0 || edge >= s.MR.edges_per_pod || slot < 0
      || slot >= s.MR.hosts_per_edge
@@ -306,11 +278,11 @@ let migrate t ~vm ~to_:(pod, edge, slot) ~downtime ?on_complete () =
   let old_edge = SNet.peer_of t.net ~node:device ~port:0 in
   SNet.unplug t.net ~node:device ~port:0;
   (match old_edge with
-   | Some (e, _) -> jemit t (Journal.Wiring { device = e })
+   | Some (e, _) -> Journal.emit t.journal (Journal.Wiring { device = e })
    | None -> ());
   let replug () =
     ignore (SNet.plug t.net ~a:(device, 0) ~b:(target_edge, slot));
-    jemit t (Journal.Wiring { device = target_edge });
+    Journal.emit t.journal (Journal.Wiring { device = target_edge });
     Host_agent.announce vm;
     match on_complete with Some f -> f () | None -> ()
   in
@@ -383,12 +355,13 @@ let create (cfg : Config.t) =
   in
   let net = SNet.create ?params:cfg.Config.link_params engine mt.MR.topo in
   let ctrl = Ctrl.create engine ~latency:proto.Proto.ctrl_latency in
-  let fm = Fabric_manager.create ~obs engine proto ctrl ~spec in
+  let journal = Journal.create () in
+  let fm = Fabric_manager.create ~obs ~journal engine proto ctrl ~spec in
   let t =
     { config = cfg; engine; obs; spec; mt; net; ctrl; fm;
       switch_agents = Hashtbl.create 64;
       host_slots = Hashtbl.create 256;
-      journal = None;
+      journal;
       convergence = Stats.Distribution.create ();
       converged_at = None }
   in
@@ -400,7 +373,7 @@ let create (cfg : Config.t) =
         let device = n.Topology.Topo.id in
         let a =
           Switch_agent.create engine proto ctrl net ~spec ~device
-            ~seed:cfg.Config.seed ~obs ()
+            ~seed:cfg.Config.seed ~obs ~journal ()
         in
         Hashtbl.replace t.switch_agents device a;
         boot (fun () -> Switch_agent.start a)

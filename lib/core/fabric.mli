@@ -6,7 +6,13 @@
     drive time, inject failures, migrate VMs and inspect state.
 
     Hosts are addressed [10.pod.edge.(slot+2)] and carry
-    locally-administered AMACs derived from their device id. *)
+    locally-administered AMACs derived from their device id.
+
+    The deployment has one event stream, its {!journal}: every
+    control-plane change — flow-table and fault-matrix deltas, binding
+    writes, coordinate grants, and the link, device, wiring and
+    fabric-manager-restart events injected through this module — is one
+    {!Journal.update} on that sink. It is the fabric's only history. *)
 
 type t
 
@@ -82,12 +88,17 @@ val obs : t -> Obs.t
 (** The deployment's observability registry; snapshot/export with
     {!Obs.snapshot}, {!Obs.to_json}, {!Obs.write_json}. *)
 
-val trace : t -> Eventsim.Trace.t
-(** The deployment's event trace ([Obs.trace (obs t)]): coordinate
-    assignments, fault-matrix changes, migrations, multicast re-rooting,
-    FM restarts. A ring buffer of the most recent 8192 entries unless a
-    custom registry was passed at creation; dump with
-    [Eventsim.Trace.dump]. *)
+val journal : t -> Journal.t
+(** The deployment's one update sink, made by {!create} and handed to the
+    fabric manager and every switch agent as they are built: flow-table
+    deltas from every switch agent, coordinate grants, fault-matrix and
+    binding deltas from the fabric manager, plus the link, device, wiring
+    and FM-restart events injected through this module's failure and
+    migration API. It outlives {!restart_fabric_manager}: the fresh
+    instance emits on the same sink, after an
+    {!Journal.update.Fm_restarted} marker. Any number of observers
+    {!Journal.subscribe}; subscribe right after {!create} to hear the
+    boot. *)
 
 val net : t -> Switchfab.Net.t
 val ctrl : t -> Ctrl.t
@@ -140,7 +151,8 @@ val fail_link_between : t -> a:int -> b:int -> bool
 val recover_link_between : t -> a:int -> b:int -> bool
 val fail_switch : t -> int -> unit
 (** Stop the agent and silence the device (all its links appear dead to
-    neighbours). *)
+    neighbours). Raises [Invalid_argument] for non-switch devices, before
+    touching the network or the journal. *)
 
 val recover_switch : t -> int -> unit
 (** Cold reboot after {!fail_switch}: un-silence the device and restart
@@ -213,18 +225,3 @@ val control_digest : t -> string
     fabrics in the same logical state produce equal digests — the
     golden-digest tests pin this (and the {!Portland_verify.Verify}
     report digest) per family. *)
-
-(** {1 Update journal} *)
-
-val set_journal : t -> Journal.hook option -> unit
-(** Subscribe one observer to the deployment's complete control-plane
-    update stream ({!Journal.update}): flow-table deltas from every
-    switch agent, fault-matrix and binding deltas from the fabric
-    manager, plus the link/device/wiring/FM-restart events injected
-    through this module's failure API. The subscription survives
-    {!restart_fabric_manager} (the fresh instance is re-hooked and an
-    {!Journal.update.Fm_restarted} marker is emitted). [None]
-    unsubscribes everywhere. At most one subscriber at a time — the
-    incremental dataplane verifier ({!Portland_verify}): subscribing
-    while another subscriber is attached raises [Invalid_argument]
-    instead of silently taking its updates. *)

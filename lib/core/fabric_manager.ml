@@ -36,7 +36,7 @@ type t = {
   engine : Eventsim.Engine.t;
   config : Config.t;
   ctrl : Ctrl.t;
-  obs : Obs.t;
+  journal : Journal.t;
   spec : Topology.Multirooted.spec;
   switches : (int, sw_info) Hashtbl.t;
   pod_uf : Uf.t;
@@ -63,27 +63,12 @@ type t = {
          the fault set. A broadcast tree built at the current generation
          is still exact, so [recompute_broadcast] skips it. *)
   c : counters;
-  mutable journal : Journal.hook option;
 }
 
 (* Host IPs are 10.pod.edge.slot (see Fabric), so the pod is a pure
    function of the address — which is what lets a failover drop the
    pending ARPs of one pod. *)
 let pod_of_ip ip = (Ipv4_addr.to_int ip lsr 16) land 0xff
-
-let jemit t u = match t.journal with None -> () | Some f -> f u
-
-let set_journal t hook =
-  t.journal <- hook;
-  (* fault-matrix deltas flow out of the set itself, so translate_fault /
-     recovery handling stays oblivious to journalling *)
-  Fault.Set.set_hook t.faults
-    (match hook with
-     | None -> None
-     | Some f -> Some (fun fault active -> f (Journal.Fault_delta { fault; active })))
-
-let tracef t level fmt =
-  Obs.eventf t.obs ~time:(Eventsim.Engine.now t.engine) ~level ~subsystem:"fm" fmt
 
 let counters t = { t.c with arp_queries = t.c.arp_queries }
 
@@ -172,7 +157,7 @@ let lookup_binding t ip = Hashtbl.find_opt t.bindings ip
 let write_binding t (b : Msg.host_binding) =
   Hashtbl.replace t.bindings b.Msg.ip b;
   index_set t (index_key b.Msg.ip) (pmac_pack b.Msg.pmac);
-  jemit t (Journal.Binding { ip = b.Msg.ip })
+  Journal.emit t.journal (Journal.Binding { ip = b.Msg.ip })
 
 let insert_binding_for_test = write_binding
 
@@ -233,7 +218,6 @@ let bump_tree_gen t = t.tree_gen <- t.tree_gen + 1
 let assign_coords t sw coords =
   sw.coords <- Some coords;
   bump_tree_gen t;
-  tracef t Eventsim.Trace.Info "assigned %a to switch %d" Coords.pp coords sw.sw_id;
   Ctrl.send_to_switch t.ctrl sw.sw_id (Msg.Assign_coords coords)
 
 (* Stripe labelling must wait until the whole stripe component has been
@@ -725,11 +709,6 @@ let recompute_group t group =
   t.c.mcast_recomputes <- t.c.mcast_recomputes + 1;
   let g = group_state t group in
   let core, targets = tree_targets t group in
-  (match (g.core_sw, core) with
-   | Some prev, Some c when prev <> c ->
-     tracef t Eventsim.Trace.Info "multicast group %a re-rooted: core %d -> %d" Ipv4_addr.pp group
-       prev c
-   | _ -> ());
   g.core_sw <- core;
   g.built_gen <- t.tree_gen;
   send_programs t group targets g
@@ -779,8 +758,6 @@ let translate_fault t a b =
 
 let broadcast_faults t =
   t.c.fault_broadcasts <- t.c.fault_broadcasts + 1;
-  tracef t Eventsim.Trace.Warn "fault matrix now %d entries; broadcasting"
-    (Fault.Set.cardinal t.faults);
   Ctrl.broadcast_to_switches t.ctrl (Msg.Fault_update { faults = Fault.Set.elements t.faults })
 
 let on_fault_notice t ~switch_id ~neighbor =
@@ -819,8 +796,6 @@ let on_recovery_notice t ~switch_id ~neighbor =
 let on_coords_request t ~switch_id =
   match Hashtbl.find_opt t.switches switch_id with
   | Some { coords = Some c; _ } ->
-    tracef t Eventsim.Trace.Info "switch %d rebooted; replaying state for %a" switch_id Coords.pp
-      c;
     Ctrl.send_to_switch t.ctrl switch_id (Msg.Assign_coords c);
     Ctrl.send_to_switch t.ctrl switch_id
       (Msg.Fault_update { faults = Fault.Set.elements t.faults });
@@ -911,8 +886,6 @@ let on_host_announce t (b : Msg.host_binding) =
         the ARP generation so every edge-cached answer fabric-wide goes
         stale and re-resolves. *)
      t.c.migrations <- t.c.migrations + 1;
-     tracef t Eventsim.Trace.Info "migration: %a moved %a -> %a" Ipv4_addr.pp b.Msg.ip Pmac.pp
-       old.Msg.pmac Pmac.pp b.Msg.pmac;
      Ctrl.send_to_switch t.ctrl old.Msg.edge_switch
        (Msg.Invalidate_pmac { ip = b.Msg.ip; old_pmac = old.Msg.pmac; new_pmac = b.Msg.pmac });
      t.arp_gen <- t.arp_gen + 1;
@@ -1006,7 +979,6 @@ let integrity t =
    rebuilt index passes the integrity pack. *)
 let failover t ~pod =
   t.c.shard_failovers <- t.c.shard_failovers + 1;
-  tracef t Eventsim.Trace.Warn "fm failover (pod %d): rebuilding the serving index" pod;
   let stale =
     Hashtbl.fold (fun ip w acc -> if pod_of_ip ip = pod then (ip, w) :: acc else acc) t.pending []
   in
@@ -1018,9 +990,9 @@ let failover t ~pod =
   index_rebuild t;
   integrity t = []
 
-let create ?(obs = Obs.null) engine config ctrl ~spec =
+let create ?(obs = Obs.null) ?(journal = Journal.create ()) engine config ctrl ~spec =
   let t =
-    { engine; config; ctrl; obs;
+    { engine; config; ctrl; journal;
       spec;
       switches = Hashtbl.create 128;
       pod_uf = Uf.create ();
@@ -1038,12 +1010,15 @@ let create ?(obs = Obs.null) engine config ctrl ~spec =
       faults = Fault.Set.create ();
       groups = Hashtbl.create 16;
       tree_gen = 0;
-      journal = None;
       c =
         { arp_queries = 0; arp_hits = 0; arp_misses = 0; host_announces = 0; migrations = 0;
           fault_notices = 0; fault_broadcasts = 0; mcast_recomputes = 0; reports = 0;
           pending_dropped = 0; shard_failovers = 0 } }
   in
+  (* fault-matrix deltas flow out of the set itself, so translate_fault /
+     recovery handling stays oblivious to journalling *)
+  Fault.Set.set_hook t.faults
+    (Some (fun fault active -> Journal.emit journal (Journal.Fault_delta { fault; active })));
   Obs.add_probe obs ~name:"fm" (fun () ->
       let c name v = Obs.sample ~subsystem:"fm" ~name (Obs.Count v) in
       let g name v = Obs.sample ~subsystem:"fm" ~name (Obs.Value (float_of_int v)) in

@@ -66,12 +66,14 @@ type counters = private {
 }
 
 val create :
-  ?obs:Obs.t -> Eventsim.Engine.t -> Config.t -> Ctrl.t ->
+  ?obs:Obs.t -> ?journal:Journal.t -> Eventsim.Engine.t -> Config.t -> Ctrl.t ->
   spec:Topology.Multirooted.spec -> t
-(** Registers itself as the control network's fabric manager. Significant
-    events (coordinate grants, fault-matrix changes, migrations,
-    multicast re-rooting) are traced through [obs] when a live registry is
-    given; the FM exports its {!counters}, soft-state levels
+(** Registers itself as the control network's fabric manager. Every
+    host-binding write ({!Journal.update.Binding}) and fault-matrix
+    change ({!Journal.update.Fault_delta}, from the fault set's change
+    hook) is emitted on [journal]: the fabric's one sink, which
+    {!Fabric.create} and {!Fabric.restart_fabric_manager} pass in
+    (default a fresh sink nobody subscribes to). The FM exports its {!counters}, soft-state levels
     ([fm/bindings], [fm/known_switches], [fm/faults], [fm/pending_arps])
     and [fm/ctrl_msgs] (the control network's {!Ctrl.to_fm_count}, which
     spans restarts) under the probe name ["fm"] — a restarted FM
@@ -131,13 +133,6 @@ val group_core : t -> Netcore.Ipv4_addr.t -> int option
 val broadcast_current : t -> bool
 (** The programmed broadcast tree (core and per-switch port sets) equals
     a fresh computation from the FM's current state, i.e. recomputing it
-    would send nothing. Sends nothing, counts nothing and traces nothing.
+    would send nothing. Sends nothing, counts nothing and journals nothing.
     Holds after every handled message; it is what makes skipping an
     unchanged broadcast tree safe, and the mc invariant pack checks it. *)
-
-val set_journal : t -> Journal.hook option -> unit
-(** Subscribe to the fabric manager's state deltas: host-binding writes
-    ({!Journal.update.Binding}) and fault-matrix changes
-    ({!Journal.update.Fault_delta}, via the fault set's change hook).
-    Normally installed through {!Fabric.set_journal}, which re-hooks a
-    fresh instance after {!Fabric.restart_fabric_manager}. *)

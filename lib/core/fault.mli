@@ -7,7 +7,11 @@
     every switch needs to recompute its own forwarding state locally,
     because reachability of a remote pod depends on *which stripe* and
     *which member* of that stripe lost a link, and stripe/member labels
-    are global. *)
+    are global.
+
+    The fabric manager's set reports each change through its one change
+    hook ({!Set.set_hook}), wired at construction to the fabric's journal
+    ({!Journal}); there is no other record of fault-matrix history. *)
 
 type t =
   | Edge_agg of { pod : int; edge_pos : int; stripe : int }
@@ -52,8 +56,10 @@ module Set : sig
   (** Observe membership changes: the hook fires as [hook fault present]
       whenever {!add} inserts a fault that was absent ([present = true])
       or {!remove} deletes one that was present ([false]). No-op
-      adds/removes do not fire. At most one subscriber; used by the
-      incremental dataplane verifier to journal fault-matrix deltas. *)
+      adds/removes do not fire. At most one hook: the fabric manager sets
+      it once, at construction, to emit each delta on the fabric's
+      journal as a {!Journal.update.Fault_delta}, where every subscriber
+      hears it. *)
 
   val edge_agg_down : t -> pod:int -> edge_pos:int -> stripe:int -> bool
   val agg_core_down : t -> pod:int -> stripe:int -> member:int -> bool

@@ -1,5 +1,6 @@
 (* The control-plane update journal: every dataplane-relevant mutation of
-   a running deployment, as one typed record. See journal.mli. *)
+   a running deployment, as one typed record, delivered to every
+   subscriber of the fabric's one sink. See journal.mli. *)
 
 type update =
   | Flow of { switch : int; change : Switchfab.Flow_table.update }
@@ -12,6 +13,21 @@ type update =
   | Fm_restarted
 
 type hook = update -> unit
+
+(* one box per subscription, so an unsubscribe removes exactly its own
+   entry even when the same closure is subscribed twice *)
+type sub = { hook : hook }
+
+type t = { mutable subs : sub list (* subscription order *) }
+
+let create () = { subs = [] }
+
+let emit t u = List.iter (fun s -> s.hook u) t.subs
+
+let subscribe t hook =
+  let s = { hook } in
+  t.subs <- t.subs @ [ s ];
+  fun () -> t.subs <- List.filter (fun x -> x != s) t.subs
 
 let pp fmt = function
   | Flow { switch; change } ->

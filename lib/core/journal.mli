@@ -1,17 +1,23 @@
-(** The control-plane update journal.
+(** The control-plane update journal: the fabric's one event stream.
 
     Every mutation that can change what the static dataplane verifier
     ({!Portland_verify}) would conclude — a flow-table delta, a
     fault-matrix delta, a host-binding change, a coordinate grant, a
     link/device liveness flip, a rewiring, a fabric-manager restart — is
-    reported as one typed {!update}. {!Fabric.set_journal} aggregates the
-    per-component streams ({!Switchfab.Flow_table.set_journal},
-    {!Fault.Set.set_hook}, fabric-manager and switch-agent hooks) into a
-    single subscriber, which is how the incremental verifier maps each
-    update to the destination equivalence classes it can affect and
-    re-walks only those. An FM failover ({!Fabric.failover_fm_shard})
-    rebuilds only the FM's serving index from its binding table, which
-    no verdict reads, so it is not an update. *)
+    reported as one typed {!update} on one sink ({!t}). {!Fabric.create}
+    makes the sink and hands it to the fabric manager and to every switch
+    agent as it builds them, so each flow table's journal and the fault
+    matrix's change hook are wired once, at construction; a restarted
+    fabric manager receives the same sink. Any number of observers
+    subscribe: the incremental verifier maps each update to the
+    destination equivalence classes it can affect and re-walks only
+    those, and the CLI keeps the last few updates as the run's history.
+    An FM failover ({!Fabric.failover_fm_shard}) rebuilds only the FM's
+    serving index from its binding table, which no verdict reads, so it
+    is not an update.
+
+    Nothing here is synchronised: a sink belongs to the one domain that
+    runs its fabric. *)
 
 type update =
   | Flow of { switch : int; change : Switchfab.Flow_table.update }
@@ -43,5 +49,20 @@ type update =
           bindings, fault matrix, coordinate grants — is rebuilding. *)
 
 type hook = update -> unit
+
+type t
+(** A sink: the ordered list of current subscribers. *)
+
+val create : unit -> t
+(** A sink nobody subscribes to yet. *)
+
+val emit : t -> update -> unit
+(** Deliver one update to every current subscriber, synchronously and in
+    subscription order. Cheap with no subscribers. *)
+
+val subscribe : t -> hook -> unit -> unit
+(** Append a subscriber; the result is that subscription's own
+    unsubscribe function. Calling it again, or after other subscriptions
+    came and went, removes nothing else. *)
 
 val pp : Format.formatter -> update -> unit

@@ -38,7 +38,6 @@ type t = {
   send : port:int -> Ldp_msg.t -> unit;
   notify : event -> unit;
   ports : port_state array;
-  obs : Obs.t;
   c : counters;
   mutable self_level : Ldp_msg.level option;
   mutable self_coords : Coords.t option;
@@ -50,7 +49,6 @@ let create engine config ~switch_id ~nports ~wiring ~send ~notify ?(obs = Obs.nu
   let t =
     { engine; config; switch_id; nports; wiring; send; notify;
       ports = Array.make nports Unknown;
-      obs;
       c = { ldm_tx = 0; ldm_rx = 0; port_dead = 0; port_recovered = 0 };
       self_level = None; self_coords = None; beacon = None; checker = None }
   in
@@ -219,8 +217,6 @@ let on_ldm t ~port (msg : Ldp_msg.t) =
     (match prev with
      | Dead_port old ->
        t.c.port_recovered <- t.c.port_recovered + 1;
-       Obs.eventf t.obs ~time:now ~subsystem:"ldp" "sw %d port %d: neighbor %d recovered"
-         t.switch_id port old.switch_id;
        t.notify (Port_recovered { port; neighbor_id = old.switch_id })
      | Unknown | Host_port | Switch_port _ -> ());
     infer_level t;
@@ -248,8 +244,6 @@ let check_liveness t =
     | Switch_port n when now - n.last_heard > t.config.Config.ldm_timeout ->
       t.ports.(p) <- Dead_port n;
       t.c.port_dead <- t.c.port_dead + 1;
-      Obs.eventf t.obs ~time:now ~level:Eventsim.Trace.Warn ~subsystem:"ldp"
-        "sw %d port %d: neighbor %d timed out" t.switch_id p n.switch_id;
       t.notify (Port_dead { port = p; neighbor_id = n.switch_id })
     | Switch_port _ | Unknown | Host_port | Dead_port _ -> ()
   done

@@ -66,8 +66,7 @@ val create :
 (** [wiring] selects the level-inference rules — see the module comment.
     [obs] (default {!Obs.null}) gets the probe ["ldp:<switch_id>"], which
     exports {!counters} as [ldp/ldm_tx], [ldp/ldm_rx], [ldp/port_dead]
-    and [ldp/port_recovered] (labelled [sw=switch_id]), plus trace events
-    on fault detection and recovery. *)
+    and [ldp/port_recovered] (labelled [sw=switch_id]). *)
 
 val counters : t -> counters
 (** A copy, so a caller can keep it and diff it against a later one.

@@ -56,19 +56,8 @@ type t = {
   mutable proposal_outstanding : bool;
   mutable report_scheduled : bool;
   c : agent_counters;
-  mutable journal : Journal.hook option;
+  journal : Journal.t;
 }
-
-let jemit t u = match t.journal with None -> () | Some f -> f u
-
-let set_journal t hook =
-  t.journal <- hook;
-  (* the flow table outlives stop/restart cycles, so wiring its journal
-     once here covers the whole agent lifetime *)
-  FT.set_journal t.table
-    (match hook with
-     | None -> None
-     | Some f -> Some (fun change -> f (Journal.Flow { switch = t.sw_id; change })))
 
 let switch_id t = t.sw_id
 let coords t = t.coords
@@ -609,7 +598,7 @@ let on_ctrl_msg t (msg : Msg.to_switch) =
   | Msg.Assign_coords c ->
     t.proposal_outstanding <- false;
     t.coords <- Some c;
-    jemit t (Journal.Coords_assigned { switch = t.sw_id });
+    Journal.emit t.journal (Journal.Coords_assigned { switch = t.sw_id });
     Ldp.set_coords (get_ldp t) c;
     flush_pending_learn t;
     recompute_tables t
@@ -748,7 +737,7 @@ let handle_frame t in_port (frame : Eth.t) =
 
 (* ---------------- lifecycle ---------------- *)
 
-let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) () =
+let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) ~journal () =
   let dev = Switchfab.Net.device net device in
   let prng = Prng.create (seed lxor (device * 7919)) in
   let t =
@@ -774,10 +763,14 @@ let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) () =
           trap_hits = 0; corrective_arps = 0; table_recomputes = 0; tables_changed = 0;
           faults_reported = 0;
           recoveries_reported = 0; fault_updates_skipped = 0; ingress_rewrites = 0 };
-      journal = None }
+      journal }
   in
   t.position_candidate <- Prng.int t.prng spec.Spec.edges_per_pod;
   FT.set_hash_salt t.table (device * 0x85EBCA6B);
+  (* the flow table outlives stop/restart cycles, so wiring its journal
+     once here covers the whole agent lifetime *)
+  FT.set_journal t.table
+    (Some (fun change -> Journal.emit journal (Journal.Flow { switch = device; change })));
   let dp =
     Switchfab.Dataplane.attach net ~device ~table:t.table ~miss:Switchfab.Dataplane.Miss_drop
       ~on_punt:(fun ~in_port frame -> on_punt t ~in_port frame)

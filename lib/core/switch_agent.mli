@@ -58,11 +58,17 @@ type agent_counters = private {
 
 val create :
   Eventsim.Engine.t -> Config.t -> Ctrl.t -> Switchfab.Net.t ->
-  spec:Topology.Multirooted.spec -> device:int -> seed:int -> ?obs:Obs.t -> unit -> t
+  spec:Topology.Multirooted.spec -> device:int -> seed:int -> ?obs:Obs.t ->
+  journal:Journal.t -> unit -> t
 (** Attach an agent to a switch device. Call {!start} to begin discovery.
     [obs] (default {!Obs.null}) is handed down to the agent's {!Ldp} and
     {!Switchfab.Dataplane}; the agent's probe ["sw:<device>"] exports
-    {!agent_counters} as [switch/*] samples, all labelled [sw=device]. *)
+    {!agent_counters} as [switch/*] samples, all labelled [sw=device].
+    Every flow-table mutation (forwarded from the agent's
+    {!Switchfab.Flow_table} with prefix provenance, as
+    {!Journal.update.Flow}) and every coordinate grant is emitted on
+    [journal], the fabric's one sink. The table's journal is wired here,
+    once, and survives {!stop}/{!restart} cycles. *)
 
 val start : t -> unit
 val stop : t -> unit
@@ -128,10 +134,3 @@ val program : t -> Switchfab.Policy_lang.clause list
     {!Switchfab.Policy_lang.install_program}, and the incremental edits
     (host learning and restore, traps, multicast programming) install
     single clauses built by the same constructors. *)
-
-val set_journal : t -> Journal.hook option -> unit
-(** Subscribe to this agent's control-plane updates: every flow-table
-    mutation (forwarded from the agent's {!Switchfab.Flow_table} with
-    prefix provenance) and every coordinate grant. The subscription is
-    wired to the table once and survives {!stop}/{!restart} cycles.
-    Normally installed fleet-wide through {!Fabric.set_journal}. *)

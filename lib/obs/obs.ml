@@ -78,7 +78,6 @@ type sample = { subsystem : string; name : string; labels : labels; value : valu
 
 type t = {
   enabled : bool;
-  tr : Trace.t;
   mutable probes : (string * (unit -> sample list)) list; (* newest first, unique names *)
 }
 
@@ -93,22 +92,11 @@ let key_of ~subsystem ~name labels =
     ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
     ^ "}"
 
-let create ?trace () =
-  let tr = match trace with Some tr -> tr | None -> Trace.create ~capacity:8192 () in
-  { enabled = true; tr; probes = [] }
+let create () = { enabled = true; probes = [] }
 
-let null = { enabled = false; tr = Trace.null; probes = [] }
+let null = { enabled = false; probes = [] }
 
 let enabled t = t.enabled
-let trace t = t.tr
-
-(* ---------------- events ---------------- *)
-
-let event t ~time ?(level = Trace.Info) ~subsystem msg =
-  Trace.record t.tr ~time level ~subsystem msg
-
-let eventf t ~time ?(level = Trace.Info) ~subsystem fmt =
-  Trace.recordf t.tr ~time level ~subsystem fmt
 
 (* ---------------- probes ---------------- *)
 

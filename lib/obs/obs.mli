@@ -2,8 +2,9 @@
 
     One capability value ({!t}) carries everything a component needs to
     be measured: named pull probes, keyed by [subsystem/name] plus typed
-    labels like [sw=3], and structured trace events on the
-    {!Eventsim.Trace} ring buffer.
+    labels like [sw=3]. It counts; it keeps no history. What happened,
+    and in what order, is the fabric's update journal
+    ({!Portland.Journal}), its one event stream.
 
     There is one way to count. A component keeps its counts, levels and
     {!Eventsim.Stats.Distribution}s in state it already owns, and
@@ -54,28 +55,15 @@ module Label : sig
   (** Host primary IP. *)
 end
 
-val create : ?trace:Eventsim.Trace.t -> unit -> t
-(** A live registry. [trace] is the event sink {!event} writes to
-    (default: a fresh 8192-entry ring). *)
+val create : unit -> t
+(** A live registry. *)
 
 val null : t
 (** The disabled capability (shared, contractually immutable): probes
-    and events are dropped, {!snapshot} is [[]] and {!trace} is
-    {!Eventsim.Trace.null}. *)
+    are dropped and {!snapshot} is [[]]. *)
 
 val enabled : t -> bool
 (** [false] exactly for {!null}. *)
-
-val trace : t -> Eventsim.Trace.t
-
-(** {1 Structured trace events} *)
-
-val event :
-  t -> time:Eventsim.Time.t -> ?level:Eventsim.Trace.level -> subsystem:string -> string -> unit
-
-val eventf :
-  t -> time:Eventsim.Time.t -> ?level:Eventsim.Trace.level -> subsystem:string ->
-  ('a, Format.formatter, unit, unit) format4 -> 'a
 
 (** {1 Pull probes} *)
 

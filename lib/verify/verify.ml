@@ -694,7 +694,7 @@ module Incremental = struct
     mutable fault_viols : violation list;
     mutable faults_checked : int;
     pending : Journal.update Queue.t;
-    mutable attached : bool; (* this session holds the fabric's journal *)
+    unsubscribe : unit -> unit; (* this session's own journal subscription *)
     mutable full_dirty : bool;
     dirty_classes : (Ipv4_addr.t, unit) Hashtbl.t;
     deltas : (int, delta) Hashtbl.t;      (* per switch: flow-table changes since last refresh *)
@@ -902,10 +902,8 @@ module Incremental = struct
 
   let attach ?obs fab =
     let o = match obs with Some o -> o | None -> Fabric.obs fab in
-    (* subscribe first: a second session on one fabric raises here,
-       before it registers anything *)
     let pending = Queue.create () in
-    Fabric.set_journal fab (Some (fun u -> Queue.push u pending));
+    let unsubscribe = Journal.subscribe (Fabric.journal fab) (fun u -> Queue.push u pending) in
     let t =
       { fab;
         snap = None;
@@ -914,7 +912,7 @@ module Incremental = struct
         fault_viols = [];
         faults_checked = 0;
         pending;
-        attached = true;
+        unsubscribe;
         full_dirty = true;
         dirty_classes = Hashtbl.create 64;
         deltas = Hashtbl.create 64;
@@ -934,11 +932,7 @@ module Incremental = struct
     ignore (refresh t);
     t
 
-  let detach t =
-    if t.attached then begin
-      t.attached <- false;
-      Fabric.set_journal t.fab None
-    end
+  let detach t = t.unsubscribe ()
 
   let delta_classes t = t.last_delta
   let digest t = digest_of_report (report t)

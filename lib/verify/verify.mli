@@ -138,7 +138,7 @@ val class_universe : Portland.Fabric.t -> Netcore.Ipv4_addr.t list
 
     A persistent verifier session (Veriflow-style). Where {!run} re-walks
     every destination class on every call, an attached session subscribes
-    to the fabric's update journal ({!Portland.Fabric.set_journal}) and
+    to the fabric's update journal ({!Portland.Fabric.journal}) and
     maintains per-class verdicts plus their device dependency sets. A
     {!Incremental.refresh} maps the queued updates to the delta —
     flow-table changes, as the tables journal them with their trie
@@ -162,14 +162,14 @@ module Incremental : sig
       [obs] (default the fabric's own registry), which exports them as
       the [verify/delta_classes] and [verify/incremental_ns] histograms
       and the [verify/full_equiv_checks] counter. A later session
-      replaces the probe. Raises
-      [Invalid_argument] while another session is attached to the same
-      fabric ({!Portland.Fabric.set_journal}); {!detach} it first. *)
+      replaces the probe. Any number of sessions may ride one fabric's
+      journal at once; each queues every update for itself. *)
 
   val detach : t -> unit
-  (** Unsubscribe. The session's caches stay readable but no longer
-      track the fabric. A no-op on a session already detached, so it
-      never unsubscribes a later session. *)
+  (** Unsubscribe, through the unsubscribe function {!attach} got from
+      {!Portland.Journal.subscribe}. The session's caches stay readable
+      but no longer track the fabric. A no-op on a session already
+      detached, so it never unsubscribes another session. *)
 
   val refresh : t -> report
   (** Drain queued updates, re-verify the affected classes/audits only,

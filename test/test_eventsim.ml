@@ -452,52 +452,6 @@ let test_series_rate () =
     Testutil.check_float_eps "rate2" ~eps:1e-9 2.0 r2
   | other -> Alcotest.failf "unexpected buckets (%d)" (List.length other)
 
-(* ---------------- Trace ---------------- *)
-
-let test_trace_basic () =
-  let t = Trace.create ~capacity:10 ~min_level:Trace.Debug () in
-  Trace.record t ~time:1 Trace.Info ~subsystem:"x" "one";
-  Trace.recordf t ~time:2 Trace.Warn ~subsystem:"y" "two %d" 2;
-  Testutil.check_int "count" 2 (Trace.count t);
-  (match Trace.entries t with
-   | [ e1; e2 ] ->
-     Testutil.check_string "msg1" "one" e1.Trace.message;
-     Testutil.check_string "msg2" "two 2" e2.Trace.message
-   | _ -> Alcotest.fail "entries");
-  Trace.clear t;
-  Testutil.check_int "cleared" 0 (Trace.count t)
-
-let test_trace_ring () =
-  let t = Trace.create ~capacity:3 ~min_level:Trace.Debug () in
-  for i = 1 to 5 do
-    Trace.record t ~time:i Trace.Info ~subsystem:"r" (string_of_int i)
-  done;
-  match Trace.entries t with
-  | [ a; b; c ] ->
-    Testutil.check_string "oldest kept" "3" a.Trace.message;
-    Testutil.check_string "mid" "4" b.Trace.message;
-    Testutil.check_string "newest" "5" c.Trace.message
-  | l -> Alcotest.failf "ring size %d" (List.length l)
-
-let test_trace_level_filter () =
-  let t = Trace.create ~min_level:Trace.Warn () in
-  Trace.record t ~time:1 Trace.Debug ~subsystem:"f" "nope";
-  Trace.record t ~time:1 Trace.Info ~subsystem:"f" "nope";
-  Trace.record t ~time:1 Trace.Error ~subsystem:"f" "yes";
-  Testutil.check_int "filtered" 1 (Trace.count t)
-
-let test_trace_null () =
-  let t = Trace.null in
-  Trace.record t ~time:1 Trace.Error ~subsystem:"n" "dropped";
-  Testutil.check_int "record dropped" 0 (Trace.count t);
-  (* the null sink is contractually immutable: level changes are no-ops *)
-  Trace.set_min_level t Trace.Debug;
-  Trace.record t ~time:2 Trace.Debug ~subsystem:"n" "still dropped";
-  Testutil.check_int "still empty" 0 (Trace.count t);
-  Testutil.check_int "no entries" 0 (List.length (Trace.entries t));
-  Trace.clear t;
-  Testutil.check_int "clear is a no-op" 0 (Trace.count t)
-
 let () =
   Alcotest.run "eventsim"
     [ ( "heap",
@@ -545,9 +499,4 @@ let () =
           Alcotest.test_case "empty distribution" `Quick test_distribution_empty;
           Alcotest.test_case "percentile edge cases" `Quick test_distribution_percentile_edges;
           Alcotest.test_case "series" `Quick test_series;
-          Alcotest.test_case "series rate buckets" `Quick test_series_rate ] );
-      ( "trace",
-        [ Alcotest.test_case "record & entries" `Quick test_trace_basic;
-          Alcotest.test_case "ring buffer wraps" `Quick test_trace_ring;
-          Alcotest.test_case "level filter" `Quick test_trace_level_filter;
-          Alcotest.test_case "null sink contract" `Quick test_trace_null ] ) ]
+          Alcotest.test_case "series rate buckets" `Quick test_series_rate ] ) ]

@@ -15,11 +15,11 @@
       truncated frames must be rejected by both decode paths alike.
 
    3. Engine determinism regression: a fixed-seed k=4 failure/recovery
-      scenario produces an identical event trace, event count, final
-      clock and switch tables across two runs — the heap/engine hot-loop
+      scenario produces an identical journal, event count, final clock
+      and switch tables across two runs — the heap/engine hot-loop
       rework must not perturb same-instant FIFO semantics anywhere — and
-      every family's boot and fail/recover streams (trace, journal,
-      frame deliveries) match golden digests. *)
+      every family's boot and fail/recover streams (journal, frame
+      deliveries) match golden digests. *)
 
 open Eventsim
 module FT = Switchfab.Flow_table
@@ -606,11 +606,23 @@ let test_decode_agreement_on_garbage () =
 
 open Portland
 
-(* fingerprint of everything observable about a run: the full trace (times
-   + order + text), event count, final clock, and every switch's table
-   dump (including hit counters) *)
+(* every journal update from here on, one line each, stamped with the sim
+   time it was emitted at *)
+let record_journal fab =
+  let buf = Buffer.create (1 lsl 16) in
+  let (_unsubscribe : unit -> unit) =
+    Journal.subscribe (Fabric.journal fab) (fun u ->
+        Buffer.add_string buf (Format.asprintf "%d %a\n" (Fabric.now fab) Journal.pp u))
+  in
+  buf
+
+(* fingerprint of everything observable about a run: the full journal
+   from boot (times + order + text), event count, final clock, and every
+   switch's table dump (including hit counters) *)
 let scenario_fingerprint () =
-  let fab = Testutil.converged_fabric ~k:4 ~seed:42 () in
+  let fab = Fabric.create @@ Fabric.Config.fattree ~seed:42 ~k:4 () in
+  let journal = record_journal fab in
+  if not (Fabric.await_convergence fab) then Alcotest.fail "fabric failed to converge";
   let mt = Fabric.tree fab in
   let cycle a b =
     ignore (Fabric.fail_link_between fab ~a ~b);
@@ -620,14 +632,13 @@ let scenario_fingerprint () =
   in
   cycle mt.MR.edges.(0).(0) mt.MR.aggs.(0).(0);
   cycle mt.MR.aggs.(1).(0) mt.MR.cores.(0);
-  let trace = Format.asprintf "%a" Trace.dump (Fabric.trace fab) in
   let tables =
     String.concat "\n---\n"
       (List.map
          (fun ag -> Format.asprintf "%a" Switchfab.Flow_table.pp (Switch_agent.table ag))
          (Fabric.agents fab))
   in
-  ( trace,
+  ( Buffer.contents journal,
     tables,
     Engine.events_processed (Fabric.engine fab),
     Engine.pending_count (Fabric.engine fab),
@@ -636,16 +647,16 @@ let scenario_fingerprint () =
 let test_trace_determinism () =
   let t1, tb1, ev1, pend1, now1 = scenario_fingerprint () in
   let t2, tb2, ev2, pend2, now2 = scenario_fingerprint () in
-  Testutil.check_string "event trace byte-identical" t1 t2;
+  Testutil.check_string "journal byte-identical" t1 t2;
   Testutil.check_string "switch tables byte-identical" tb1 tb2;
   Testutil.check_int "events processed" ev1 ev2;
   Testutil.check_int "pending events" pend1 pend2;
   Testutil.check_int "final clock" now1 now2
 
 (* Golden event streams: a k=4 boot and one edge-uplink fail/recover
-   cycle on every family, digested as the Trace dump, the journal stream
-   (stamped with the sim time) and every frame delivery in the order the
-   devices received it. The digests were recorded before same-instant
+   cycle on every family, digested as the journal stream (stamped with
+   the sim time) and every frame delivery in the order the devices
+   received it. The digests were recorded before same-instant
    deliveries were folded into one engine event; a fold that reordered
    any delivery, or a skipped rebuild that changed any table write,
    changes them. *)
@@ -659,11 +670,7 @@ let golden_stream family =
           Buffer.add_string buf
             (Format.asprintf "rx %d %d.%d %a\n" (Fabric.now fab) dev port Eth.pp frame))
   done;
-  let journal = Buffer.create (1 lsl 16) in
-  Fabric.set_journal fab
-    (Some
-       (fun u ->
-         Buffer.add_string journal (Format.asprintf "%d %a\n" (Fabric.now fab) Journal.pp u)));
+  let journal = record_journal fab in
   if not (Fabric.await_convergence fab) then Alcotest.fail "fabric failed to converge";
   let mt = Fabric.tree fab in
   let a = mt.MR.edges.(0).(0) in
@@ -672,25 +679,19 @@ let golden_stream family =
   Fabric.run_for fab (Time.ms 300);
   ignore (Fabric.recover_link_between fab ~a ~b);
   Fabric.run_for fab (Time.ms 300);
-  let trace = Format.asprintf "%a" Trace.dump (Fabric.trace fab) in
-  ( Digest.to_hex (Digest.string trace),
-    Digest.to_hex (Digest.string (Buffer.contents journal)),
+  ( Digest.to_hex (Digest.string (Buffer.contents journal)),
     Digest.to_hex (Digest.string (Buffer.contents buf)) )
 
 let golden_streams =
-  [ ("plain", ("473e44647bb90244fd4b0b2859b45a3d", "479df186867c833ff17c0287bb852550",
-                "346febf840bf1794ba035c8c9060125a"));
-    ("ab", ("32103b7ffb3da21dd710903cc388f18b", "57a6d66496c7b8678d87a5a5dd6b36ba",
-             "b7eb20876a7fe73ef05430a6be8a355e"));
-    ("two-layer", ("58f01f969aac9a8ca8b970c01ee112f7", "d509a754954b04f2e66d037f3bc7d052",
-                    "9a577f79501eb435d9549c4c38c44db9")) ]
+  [ ("plain", ("479df186867c833ff17c0287bb852550", "346febf840bf1794ba035c8c9060125a"));
+    ("ab", ("57a6d66496c7b8678d87a5a5dd6b36ba", "b7eb20876a7fe73ef05430a6be8a355e"));
+    ("two-layer", ("d509a754954b04f2e66d037f3bc7d052", "9a577f79501eb435d9549c4c38c44db9")) ]
 
 let test_golden_streams () =
   List.iter
-    (fun (name, (trace, journal, rx)) ->
+    (fun (name, (journal, rx)) ->
       let family = Topology.Topo.Family.of_string ~k:4 name |> Result.get_ok in
-      let t, j, r = golden_stream family in
-      Testutil.check_string (name ^ ": trace") trace t;
+      let j, r = golden_stream family in
       Testutil.check_string (name ^ ": journal") journal j;
       Testutil.check_string (name ^ ": deliveries") rx r)
     golden_streams

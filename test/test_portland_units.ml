@@ -107,6 +107,28 @@ let test_uf () =
   Testutil.check_bool "separate" false (Uf.same u 1 5);
   Testutil.check_int "members" 3 (List.length (Uf.members u 1))
 
+(* ---------------- Journal sink ---------------- *)
+
+let test_journal_subscribers () =
+  let j = Journal.create () in
+  let heard = ref [] in
+  let sub name = Journal.subscribe j (fun u -> heard := (name, u) :: !heard) in
+  Journal.emit j Journal.Fm_restarted;
+  Testutil.check_int "no subscriber, nothing heard" 0 (List.length !heard);
+  let unsub_a = sub "a" in
+  let unsub_b = sub "b" in
+  let _unsub_c : unit -> unit = sub "c" in
+  Journal.emit j (Journal.Wiring { device = 1 });
+  Alcotest.(check (list string)) "subscription order" [ "a"; "b"; "c" ]
+    (List.rev_map fst !heard);
+  heard := [];
+  unsub_b ();
+  unsub_b ();
+  unsub_a ();
+  Journal.emit j (Journal.Wiring { device = 2 });
+  Alcotest.(check (list string)) "each unsubscribe drops only its own" [ "c" ]
+    (List.rev_map fst !heard)
+
 (* ---------------- Ctrl ---------------- *)
 
 let test_ctrl_latency_and_routing () =
@@ -664,6 +686,9 @@ let () =
         [ Alcotest.test_case "set operations" `Quick test_fault_set;
           Alcotest.test_case "stripe reachability" `Quick test_stripe_reaches_pod ] );
       ("union-find", [ Alcotest.test_case "basics" `Quick test_uf ]);
+      ( "journal",
+        [ Alcotest.test_case "subscribers in order, own unsubscribe" `Quick
+            test_journal_subscribers ] );
       ( "control network",
         [ Alcotest.test_case "latency & routing" `Quick test_ctrl_latency_and_routing;
           Alcotest.test_case "broadcast" `Quick test_ctrl_broadcast ] );

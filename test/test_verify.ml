@@ -277,30 +277,43 @@ let test_incremental_localized_invalidation () =
   check_agrees ~msg:"after repair" inc fab;
   VI.detach inc
 
-(* One journal, one session: a second attach on the same fabric must
-   fail loudly instead of stealing the first session's updates, and a
-   stale detach must not unsubscribe the session that replaced it. *)
-let test_one_session_per_fabric () =
+(* One journal, many sessions: a second attach on the same fabric rides
+   the same stream, both see the same corruption with the same verdict as
+   a full run, and a stale detach must not unsubscribe a live session. *)
+let test_two_sessions_on_one_journal () =
   let fab = Testutil.converged_fabric () in
   let a = VI.attach fab in
-  (match VI.attach fab with
-   | _ -> Alcotest.fail "a second attach on one fabric succeeded"
-   | exception Invalid_argument _ -> ());
-  VI.detach a;
   let b = VI.attach fab in
-  VI.detach a;
   let h = binding_of fab ~pod:0 ~edge:0 ~slot:0 in
   let table = Switch_agent.table (Fabric.agent fab h.Msg.edge_switch) in
   let name = Printf.sprintf "host:%d" (Netcore.Mac_addr.to_int (Pmac.to_mac h.Msg.pmac)) in
-  (match FT.find_entry table name with
-   | Some e ->
-     FT.install table
-       { e with
-         FT.actions = [ FT.Set_dst_mac h.Msg.amac; FT.Output ((h.Msg.pmac.Pmac.port + 1) mod 2) ] }
-   | None -> Alcotest.fail "host entry missing from its edge table");
-  Testutil.check_bool "the live session still sees the corruption" false
-    (Verify.ok (VI.refresh b));
-  VI.detach b
+  let orig =
+    match FT.find_entry table name with
+    | Some e -> e
+    | None -> Alcotest.fail "host entry missing from its edge table"
+  in
+  FT.install table
+    { orig with
+      FT.actions = [ FT.Set_dst_mac h.Msg.amac; FT.Output ((h.Msg.pmac.Pmac.port + 1) mod 2) ] };
+  let full = Verify.digest_of_report (Verify.run fab) in
+  List.iter
+    (fun (what, inc) ->
+      let r = VI.refresh inc in
+      Testutil.check_bool (what ^ " sees the corruption") false (Verify.ok r);
+      Testutil.check_string (what ^ " digest = full run") full (Verify.digest_of_report r))
+    [ ("first session", a); ("second session", b) ];
+  (* a stale detach of [a] after a newer session attached drops nothing
+     but [a] *)
+  VI.detach a;
+  let c = VI.attach fab in
+  VI.detach a;
+  FT.install table orig;
+  List.iter
+    (fun (what, inc) ->
+      Testutil.check_bool (what ^ " still sees the repair") true (Verify.ok (VI.refresh inc)))
+    [ ("second session", b); ("newest session", c) ];
+  VI.detach b;
+  VI.detach c
 
 let test_dead_edge_is_note_not_blackhole () =
   let fab = Testutil.converged_fabric () in
@@ -636,7 +649,7 @@ let () =
             test_incremental_matches_full_when_clean;
           Alcotest.test_case "localized invalidation catches corruption" `Quick
             test_incremental_localized_invalidation;
-          Alcotest.test_case "one session per fabric" `Quick test_one_session_per_fabric;
+          Alcotest.test_case "two sessions on one journal" `Quick test_two_sessions_on_one_journal;
           Alcotest.test_case "dead edge is a note, not a blackhole" `Quick
             test_dead_edge_is_note_not_blackhole;
           Alcotest.test_case "scripted failure/recovery differential" `Slow
