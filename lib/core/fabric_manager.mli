@@ -52,12 +52,15 @@ type counters = private {
   mutable fault_notices : int;
   mutable fault_broadcasts : int;
   mutable mcast_recomputes : int;
-      (** multicast and broadcast trees actually computed. Membership
-          changes and fault-matrix changes always compute; a neighbor
-          report or position proposal computes the broadcast tree only
-          when it changed one of the tree's inputs (coordinates, the
-          neighbours or host ports of a switch holding coordinates, the
-          fault set) since the tree was last built. *)
+      (** multicast and broadcast trees actually computed. A membership
+          change computes its group's tree. Every other trigger computes
+          only the trees built before the last change to a tree input
+          (coordinates, the neighbours or host ports of a switch holding
+          coordinates, the fault set): a neighbor report or position
+          proposal the broadcast tree, a fault or recovery notice every
+          group. A notice for a fault already recorded (or, for a
+          recovery, never recorded) changes no input and computes
+          nothing. *)
   mutable reports : int;
   mutable pending_dropped : int;
       (** pending ARP entries discarded because the asking switch died or
@@ -132,7 +135,21 @@ val group_core : t -> Netcore.Ipv4_addr.t -> int option
 
 val broadcast_current : t -> bool
 (** The programmed broadcast tree (core and per-switch port sets) equals
-    a fresh computation from the FM's current state, i.e. recomputing it
-    would send nothing. Sends nothing, counts nothing and journals nothing.
-    Holds after every handled message; it is what makes skipping an
-    unchanged broadcast tree safe, and the mc invariant pack checks it. *)
+    the tree derived from scratch: the transit map, core order and
+    receivers rebuilt from the switch table, with none of the tables or
+    per-pod shares the report path maintains. This derivation runs only
+    here, as the oracle for the maintained one. Sends nothing, counts
+    nothing and journals nothing. Holds after every report, position
+    proposal and fault or recovery notice (a reclaim changes tree inputs
+    and leaves the rebuild to the next report); it is what makes skipping
+    an unchanged broadcast tree safe, and the mc invariant pack checks
+    it. *)
+
+val derived_current : t -> string list
+(** The tables the report path maintains instead of rescanning the
+    switch table — the transit map, the broadcast receivers and their
+    pods, the coordinated edges and cores, and each core's receiver-pod
+    coverage — equal a rebuild from the switch table, and no labelling
+    pass could grant a coordinate unless one is already due. Empty iff
+    so; each entry names a table that differs. Sends, counts and
+    journals nothing. *)
