@@ -146,9 +146,7 @@ let print_journal_tail q ~n =
   let skip = Queue.length q - n in
   Seq.iteri
     (fun i (time, u) ->
-      (* an h box keeps each update on one line *)
-      if i >= skip then
-        Format.printf "  [%a] @[<h>%a@]@." Eventsim.Time.pp time Portland.Journal.pp u)
+      if i >= skip then Format.printf "  [%a] %a@." Eventsim.Time.pp time Portland.Journal.pp u)
     (Queue.to_seq q)
 
 let run_scenario ({ k; verbose; _ } as c) ~duration_ms ~scenario ~pcap_file ~dot_file

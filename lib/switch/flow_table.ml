@@ -604,8 +604,8 @@ let pp_update fmt u =
     | Some (v, len) -> Format.fprintf fmt "%012x/%d" v len
   in
   match u with
-  | Installed { name; prefix } -> Format.fprintf fmt "install %s @ %a" name pp_prefix prefix
-  | Removed { name; prefix } -> Format.fprintf fmt "remove %s @ %a" name pp_prefix prefix
+  | Installed { name; prefix } -> Format.fprintf fmt "install %s @@ %a" name pp_prefix prefix
+  | Removed { name; prefix } -> Format.fprintf fmt "remove %s @@ %a" name pp_prefix prefix
   | Group_changed { group } -> Format.fprintf fmt "group %d changed" group
   | Cleared -> Format.pp_print_string fmt "cleared"
 
