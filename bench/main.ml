@@ -343,7 +343,7 @@ let run_scalability ~quick =
       (if ok then "" else "  (DID NOT CONVERGE)");
     row
   in
-  let plain_ks = if quick then [ 4; 8 ] else [ 4; 8; 12; 16; 20; 24 ] in
+  let plain_ks = if quick then [ 4; 8 ] else [ 4; 8; 12; 16; 20; 24; 32 ] in
   let alt_ks = if quick then [ 4 ] else [ 4; 8; 16 ] in
   let plain_rows = List.map (one "plain") plain_ks in
   let ab_rows = List.map (one "ab") alt_ks in
