@@ -24,12 +24,11 @@ type t = {
   queue : event Heap.t;
 }
 
-let leq_event (a : event) (b : event) =
-  a.time < b.time || (a.time = b.time && a.seq <= b.seq)
+let no_event = { time = 0; seq = -1; tag = None; thunk = ignore; state = Cancelled }
 
 let create ?(now = 0) () =
   { clock = now; next_seq = 0; fired = 0; live = 0; interceptor = None;
-    queue = Heap.create ~leq:leq_event () }
+    queue = Heap.create ~dummy:no_event () }
 
 let now t = t.clock
 
@@ -43,7 +42,7 @@ let enqueue t ~time ~tag thunk =
   let ev = { time; seq = t.next_seq; tag; thunk; state = Pending } in
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
-  Heap.push t.queue ev;
+  Heap.push t.queue ~key:time ~tie:ev.seq ev;
   ev
 
 let schedule_at t ~time thunk = enqueue t ~time ~tag:None thunk
@@ -71,8 +70,11 @@ let schedule_tagged t ~delay ~tag thunk =
 (* [h] fires at (time, seq) and nothing was enqueued after it, so an event
    for the same instant scheduled now would take seq + 1 and fire right
    after it: running [f] at the end of [h]'s thunk is the same order. *)
-let extend t h ~time f =
+let extendable t h ~time =
   h.state = Pending && h.tag = None && h.seq = t.next_seq - 1 && h.time = time
+
+let extend t h ~time f =
+  extendable t h ~time
   && begin
     let g = h.thunk in
     h.thunk <- (fun () -> g (); f ());

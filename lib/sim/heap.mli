@@ -1,23 +1,28 @@
-(** Resizable binary min-heap.
+(** Resizable binary min-heap ordered by a pair of ints.
 
-    Generic over the element type; ordering is supplied at creation time.
-    Used by {!Engine} for the pending-event queue, and reusable by any
-    component that needs a priority queue (e.g. path search in
-    [topology]). *)
+    Every element is pushed with a [key] and a [tie]; elements pop in
+    increasing [key], and elements with equal keys in increasing [tie].
+    The heap keeps the order in ints beside the elements, not behind an
+    ordering function, and moves only those ints: a sift compares and
+    copies ints in place, and an element stays in one slot from push to
+    pop. Used by
+    {!Engine} for the pending-event queue (key = time, tie = sequence
+    number). *)
 
 type 'a t
 
-val create : ?capacity:int -> leq:('a -> 'a -> bool) -> unit -> 'a t
-(** [create ~leq ()] is an empty heap ordered by [leq] (a total preorder;
-    [leq a b] means [a] sorts at or before [b]). *)
+val create : dummy:'a -> unit -> 'a t
+(** An empty heap. [dummy] fills the slots that hold no element, so the
+    heap keeps no popped element alive. *)
 
 val length : 'a t -> int
 (** Number of elements currently stored. *)
 
 val is_empty : 'a t -> bool
 
-val push : 'a t -> 'a -> unit
-(** [push h x] inserts [x]. Amortized O(log n). *)
+val push : 'a t -> key:int -> tie:int -> 'a -> unit
+(** [push h ~key ~tie x] inserts [x]. Amortized O(log n). Elements with
+    equal [key] and [tie] pop in an unspecified order. *)
 
 val peek : 'a t -> 'a option
 (** [peek h] is the minimum element without removing it. *)

@@ -3,11 +3,11 @@ open Eventsim
 (* ---------------- Heap ---------------- *)
 
 let test_heap_basic () =
-  let h = Heap.create ~leq:( <= ) () in
+  let h = Heap.create ~dummy:0 () in
   Testutil.check_bool "empty" true (Heap.is_empty h);
-  Heap.push h 5;
-  Heap.push h 1;
-  Heap.push h 3;
+  Heap.push h ~key:5 ~tie:0 5;
+  Heap.push h ~key:1 ~tie:1 1;
+  Heap.push h ~key:3 ~tie:2 3;
   Testutil.check_int "length" 3 (Heap.length h);
   Testutil.check_int "peek" 1 (match Heap.peek h with Some v -> v | None -> -1);
   Testutil.check_int "pop1" 1 (Heap.pop_exn h);
@@ -16,14 +16,14 @@ let test_heap_basic () =
   Testutil.check_bool "empty again" true (Heap.is_empty h)
 
 let test_heap_pop_empty () =
-  let h = Heap.create ~leq:( <= ) () in
+  let h = Heap.create ~dummy:0 () in
   Testutil.check_bool "pop empty" true (Heap.pop h = None);
   Alcotest.check_raises "pop_exn empty" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
       ignore (Heap.pop_exn h))
 
 let test_heap_clear_iter () =
-  let h = Heap.create ~leq:( <= ) () in
-  List.iter (Heap.push h) [ 4; 2; 9 ];
+  let h = Heap.create ~dummy:0 () in
+  List.iter (fun x -> Heap.push h ~key:x ~tie:0 x) [ 4; 2; 9 ];
   let seen = ref 0 in
   Heap.iter h (fun _ -> incr seen);
   Testutil.check_int "iter count" 3 !seen;
@@ -34,8 +34,8 @@ let prop_heap_sorts =
   Testutil.prop "heap pops in sorted order"
     QCheck2.Gen.(list_size (int_bound 200) int)
     (fun xs ->
-      let h = Heap.create ~leq:( <= ) () in
-      List.iter (Heap.push h) xs;
+      let h = Heap.create ~dummy:0 () in
+      List.iteri (fun i x -> Heap.push h ~key:x ~tie:i x) xs;
       let out = ref [] in
       let rec drain () =
         match Heap.pop h with
