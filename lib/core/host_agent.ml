@@ -210,8 +210,9 @@ let create engine config net ~device ~amac ~ip ?(obs = Obs.null) () =
 let start t =
   if not t.started then begin
     t.started <- true;
-    Switchfab.Net.set_handler (Switchfab.Net.device t.net t.device) (fun in_port frame ->
-        handle_frame t in_port frame);
+    Switchfab.Net.set_handler (Switchfab.Net.device t.net t.device)
+      ~on_ldm:(fun _ _ -> ())
+      (fun in_port frame -> handle_frame t in_port frame);
     let stagger = Time.us (t.device * 37 mod 5000) in
     (* real stacks emit several gratuitous ARPs at boot so a single lost
        frame cannot leave the host unannounced *)

@@ -61,9 +61,13 @@ type counters = private {
 val create :
   Eventsim.Engine.t -> Config.t -> switch_id:int -> nports:int ->
   wiring:Topology.Multirooted.wiring ->
-  send:(port:int -> Netcore.Ldp_msg.t -> unit) -> notify:(event -> unit) ->
+  send:(port:int -> repeat:bool -> Netcore.Ldp_msg.t -> unit) -> notify:(event -> unit) ->
   ?obs:Obs.t -> unit -> t
 (** [wiring] selects the level-inference rules — see the module comment.
+    [send ~port ~repeat msg] transmits a beacon; [repeat] is true when
+    [msg] is the very record last sent on that port, its content
+    unchanged, so the transport may send it as a quiet keepalive
+    ({!Switchfab.Net.transmit_ldm}).
     [obs] (default {!Obs.null}) gets the probe ["ldp:<switch_id>"], which
     exports {!counters} as [ldp/ldm_tx], [ldp/ldm_rx], [ldp/port_dead]
     and [ldp/port_recovered] (labelled [sw=switch_id]). *)

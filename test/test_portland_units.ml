@@ -174,7 +174,7 @@ let make_ldp ?(nports = 4) engine =
   let ldp =
     Ldp.create engine Config.default ~switch_id:1 ~nports
       ~wiring:Topology.Multirooted.Stripes
-      ~send:(fun ~port msg -> sent := (port, msg) :: !sent)
+      ~send:(fun ~port ~repeat:_ msg -> sent := (port, msg) :: !sent)
       ~notify:(fun ev -> events := ev :: !events) ()
   in
   (ldp, sent, events)
