@@ -78,7 +78,9 @@ type sample = { subsystem : string; name : string; labels : labels; value : valu
 
 type t = {
   enabled : bool;
-  mutable probes : (string * (unit -> sample list)) list; (* newest first, unique names *)
+  probes : (string, int * (unit -> sample list)) Hashtbl.t;
+      (* name -> (registration sequence, reader) *)
+  mutable registered : int;
 }
 
 let canon_labels labels =
@@ -92,9 +94,9 @@ let key_of ~subsystem ~name labels =
     ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
     ^ "}"
 
-let create () = { enabled = true; probes = [] }
+let create () = { enabled = true; probes = Hashtbl.create 64; registered = 0 }
 
-let null = { enabled = false; probes = [] }
+let null = { enabled = false; probes = Hashtbl.create 1; registered = 0 }
 
 let enabled t = t.enabled
 
@@ -103,8 +105,14 @@ let enabled t = t.enabled
 let sample ~subsystem ~name ?(labels = []) value =
   { subsystem; name; labels = canon_labels labels; value }
 
+(* a replacement keeps the name's first registration sequence *)
 let add_probe t ~name f =
-  if t.enabled then t.probes <- (name, f) :: List.remove_assoc name t.probes
+  if t.enabled then
+    match Hashtbl.find_opt t.probes name with
+    | Some (seq, _) -> Hashtbl.replace t.probes name (seq, f)
+    | None ->
+      Hashtbl.replace t.probes name (t.registered, f);
+      t.registered <- t.registered + 1
 
 (* ---------------- snapshot & export ---------------- *)
 
@@ -123,7 +131,9 @@ let summary_of_dist d =
 let sample_key s = key_of ~subsystem:s.subsystem ~name:s.name s.labels
 
 let snapshot t =
-  List.concat_map (fun (_, f) -> f ()) (List.rev t.probes)
+  Hashtbl.fold (fun _ probe acc -> probe :: acc) t.probes []
+  |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
+  |> List.concat_map (fun (_, f) -> f ())
   |> List.sort (fun a b -> compare (sample_key a) (sample_key b))
 
 let find t ~subsystem ~name ?(labels = []) () =

@@ -84,17 +84,19 @@ val summary_of_dist : Eventsim.Stats.Distribution.t -> value
 
 val add_probe : t -> name:string -> (unit -> sample list) -> unit
 (** Register (or {e replace} — same [name] wins) a callback evaluated at
-    every {!snapshot}. Components register under a stable name
+    every {!snapshot}, in O(1). Components register under a stable name
     ("fm", "sw:3", "ldp:3", …) so rebuilding a component — or building a
     second fabric against the same registry — supersedes the old reader
-    instead of double-reporting. *)
+    instead of double-reporting. A replacement keeps the place of the
+    name's first registration. *)
 
 (** {1 Snapshot & export} *)
 
 val snapshot : t -> sample list
 (** The output of every registered probe, sorted by {!sample_key} — the
     order is deterministic for a given set of keys, independent of
-    registration order. *)
+    registration order. Samples with equal keys keep the registration
+    order of their probes. *)
 
 val sample_key : sample -> string
 (** Canonical identity, e.g. ["ldp/ldm_tx{sw=3}"] or ["fm/arp_queries"]. *)
