@@ -396,7 +396,7 @@ let run_obs_cost ~quick =
       (row.o_live_s /. row.o_null_s);
     row
   in
-  let rows = List.map one (if quick then [ 8 ] else [ 8; 16 ]) in
+  let rows = List.map one (if quick then [ 8 ] else [ 8; 16; 24 ]) in
   print_newline ();
   rows
 
