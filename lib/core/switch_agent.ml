@@ -772,7 +772,7 @@ let create engine config ctrl net ~spec ~device ~seed ?(obs = Obs.null) ~journal
   FT.set_journal t.table
     (Some (fun change -> Journal.emit journal (Journal.Flow { switch = device; change })));
   let dp =
-    Switchfab.Dataplane.attach net ~device ~table:t.table ~miss:Switchfab.Dataplane.Miss_drop
+    Switchfab.Dataplane.attach net ~device ~table:t.table
       ~on_punt:(fun ~in_port frame -> on_punt t ~in_port frame)
       ~obs ()
   in

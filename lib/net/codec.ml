@@ -1,20 +1,8 @@
 (* Byte-level writer/reader helpers. All multi-byte integers are
    big-endian (network order). *)
 
-module W = struct
-  include Wire.Writer
-
-  (* append raw pre-built bytes into the frame body *)
-  let add_bytes t b = bytes t b
-end
-
-module S = Wire.Scratch
-
-module R = struct
-  include Wire.Reader
-
-  exception Short = Wire.Reader.Short
-end
+module W = Wire.Writer
+module R = Wire.Reader
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)              *)
@@ -36,138 +24,6 @@ let crc32 buf off len =
   done;
   !c lxor 0xFFFFFFFF
 
-(* Slicing-by-8: eight derived tables let the hot loop fold 8 input bytes
-   per iteration instead of 1. table k maps a byte to its CRC contribution
-   k positions further down the stream, so the 8 partial folds combine
-   with xor. Identical output to the bytewise loop (differentially
-   tested); ~5x fewer table lookups-and-shifts per byte. *)
-(* the 8 tables live flattened in one array (table k at offset k*256) so
-   the hot loop indexes with proven-in-range offsets via unsafe_get *)
-let crc_tables8 =
-  lazy
-    (let t0 = Lazy.force crc_table in
-     let t = Array.make (8 * 256) 0 in
-     Array.blit t0 0 t 0 256;
-     for k = 1 to 7 do
-       for i = 0 to 255 do
-         let c = t.(((k - 1) * 256) + i) in
-         t.((k * 256) + i) <- t.(c land 0xff) lxor (c lsr 8)
-       done
-     done;
-     t)
-
-(* Advancing the CRC state across a zero byte is the GF(2)-linear map
-   [c -> t0.(c land 0xff) lxor (c lsr 8)] (CRC tables are linear:
-   t0.(a lxor b) = t0.(a) lxor t0.(b)). Represent it as a 32x32 bit
-   matrix and square repeatedly: mats.(p) advances the state across
-   2^p zero bytes, so a run of n zeros folds in O(log n) matrix-vector
-   products instead of n table steps. Same trick as zlib's
-   crc32_combine. *)
-let gf2_times mat vec =
-  let sum = ref 0 in
-  let v = ref vec in
-  let i = ref 0 in
-  while !v <> 0 do
-    if !v land 1 = 1 then sum := !sum lxor Array.unsafe_get mat !i;
-    v := !v lsr 1;
-    incr i
-  done;
-  !sum
-
-let crc_zero_mats =
-  lazy
-    (let t0 = Lazy.force crc_table in
-     let m1 =
-       Array.init 32 (fun j ->
-           let c = 1 lsl j in
-           t0.(c land 0xff) lxor (c lsr 8))
-     in
-     let square m = Array.init 32 (fun j -> gf2_times m m.(j)) in
-     let mats = Array.make 22 m1 in
-     for p = 1 to 21 do
-       mats.(p) <- square mats.(p - 1)
-     done;
-     mats)
-
-(* fold [n] zero bytes into the (conditioned) CRC state [c] *)
-let crc32_zeros c n =
-  if n <= 0 then c
-  else begin
-    let mats = Lazy.force crc_zero_mats in
-    let c = ref c in
-    let n = ref n in
-    let p = ref 0 in
-    while !n <> 0 do
-      if !n land 1 = 1 then begin
-        (* powers beyond the precomputed 2^21 repeat the largest matrix *)
-        let reps = if !p <= 21 then 1 else 1 lsl (!p - 21) in
-        let m = mats.(min !p 21) in
-        for _ = 1 to reps do
-          c := gf2_times m !c
-        done
-      end;
-      n := !n lsr 1;
-      incr p
-    done;
-    !c
-  end
-
-let crc32_fast buf off len =
-  let t = Lazy.force crc_tables8 in
-  let c = ref 0xFFFFFFFF in
-  let i = ref off in
-  let stop = off + len in
-  if off < 0 || len < 0 || stop > Bytes.length buf then invalid_arg "Codec.crc32_fast";
-  (* frames end in a long zero run (modelled payloads and minimum-size
-     padding): detect it from the back and fold it in O(log n) *)
-  let z = ref stop in
-  while
-    !z - 32 >= off
-    && Int64.equal
-         (Int64.logor
-            (Int64.logor (Bytes.get_int64_ne buf (!z - 8)) (Bytes.get_int64_ne buf (!z - 16)))
-            (Int64.logor
-               (Bytes.get_int64_ne buf (!z - 24))
-               (Bytes.get_int64_ne buf (!z - 32))))
-         0L
-  do
-    z := !z - 32
-  done;
-  while !z - 8 >= off && Int64.equal (Bytes.get_int64_ne buf (!z - 8)) 0L do
-    z := !z - 8
-  done;
-  while !z > off && Char.code (Bytes.unsafe_get buf (!z - 1)) = 0 do
-    decr z
-  done;
-  let zero_run = stop - !z in
-  let stop = !z in
-  (* every table index below is masked to [0,255] (and [x lsr 24] is
-     bounded because [x] < 2^32), so the unsafe reads are in range *)
-  while stop - !i >= 8 do
-    let p = !i in
-    let byte k = Char.code (Bytes.unsafe_get buf (p + k)) in
-    let x =
-      !c lxor (byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24))
-    in
-    c :=
-      Array.unsafe_get t ((7 * 256) + (x land 0xff))
-      lxor Array.unsafe_get t ((6 * 256) + ((x lsr 8) land 0xff))
-      lxor Array.unsafe_get t ((5 * 256) + ((x lsr 16) land 0xff))
-      lxor Array.unsafe_get t ((4 * 256) + (x lsr 24))
-      lxor Array.unsafe_get t ((3 * 256) + byte 4)
-      lxor Array.unsafe_get t ((2 * 256) + byte 5)
-      lxor Array.unsafe_get t (256 + byte 6)
-      lxor Array.unsafe_get t (byte 7);
-    i := p + 8
-  done;
-  while !i < stop do
-    c :=
-      Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get buf !i)) land 0xff)
-      lxor (!c lsr 8);
-    incr i
-  done;
-  crc32_zeros !c zero_run lxor 0xFFFFFFFF
-
 (* RFC 1071 ones'-complement checksum *)
 let ipv4_checksum buf off len =
   let sum = ref 0 in
@@ -184,9 +40,7 @@ let ipv4_checksum buf off len =
   lnot !sum land 0xFFFF
 
 (* ------------------------------------------------------------------ *)
-(* Reference encoders (Buffer-based; the original implementation, kept
-   as the oracle the zero-allocation fast path is differentially tested
-   against)                                                            *)
+(* Encoders                                                            *)
 
 let encode_arp w (a : Arp.t) =
   W.u16 w 1 (* htype: ethernet *);
@@ -265,7 +119,7 @@ let encode_ipv4 w (p : Ipv4_pkt.t) =
   let csum = ipv4_checksum hbytes 0 Ipv4_pkt.header_len in
   Bytes.set hbytes 10 (Char.chr (csum lsr 8));
   Bytes.set hbytes 11 (Char.chr (csum land 0xff));
-  W.add_bytes w hbytes;
+  W.bytes w hbytes;
   match p.payload with
   | Ipv4_pkt.Udp u -> encode_udp w u
   | Ipv4_pkt.Tcp s -> encode_tcp w s
@@ -298,7 +152,7 @@ let encode_bpdu w (b : Bpdu.t) =
   W.u16 w b.port;
   W.zeros w 21
 
-let encode_ref (f : Eth.t) =
+let encode (f : Eth.t) =
   let w = W.create () in
   W.mac w f.dst;
   W.mac w f.src;
@@ -327,137 +181,6 @@ let encode_ref (f : Eth.t) =
   Bytes.set out (Bytes.length body + 2) (Char.chr ((fcs lsr 8) land 0xff));
   Bytes.set out (Bytes.length body + 3) (Char.chr (fcs land 0xff));
   out
-
-(* ------------------------------------------------------------------ *)
-(* Fast-path encoder: one long-lived scratch buffer, fields written in
-   place (MACs as 48-bit integers, no sub-writer for the IPv4 header —
-   its checksum is backfilled over the scratch bytes), CRC computed over
-   the scratch region with slicing-by-8, FCS appended, and only the
-   final exact-size frame copied out. Byte-identical to {!encode_ref}.  *)
-
-let fast_arp s (a : Arp.t) =
-  S.u16 s 1;
-  S.u16 s 0x0800;
-  S.u8 s 6;
-  S.u8 s 4;
-  S.u16 s (match a.op with Arp.Request -> 1 | Arp.Reply -> 2);
-  S.mac s a.sender_mac;
-  S.ip s a.sender_ip;
-  S.mac s a.target_mac;
-  S.ip s a.target_ip
-
-let fast_udp s (u : Udp.t) =
-  S.u16 s u.src_port;
-  S.u16 s u.dst_port;
-  S.u16 s (Udp.wire_len u);
-  S.u16 s 0;
-  S.u32 s u.flow_id;
-  S.u64 s u.app_seq;
-  S.zeros s (u.payload_len - Udp.meta_len)
-
-let fast_tcp s (seg : Tcp_seg.t) =
-  S.u16 s seg.src_port;
-  S.u16 s seg.dst_port;
-  S.u32 s (seg.seq land 0xFFFFFFFF);
-  S.u32 s (seg.ack_num land 0xFFFFFFFF);
-  S.u8 s 0x50;
-  S.u8 s (tcp_flag_bits seg.flags);
-  S.u16 s seg.window;
-  S.u16 s 0;
-  S.u16 s 0;
-  S.zeros s seg.payload_len
-
-let fast_icmp s (m : Icmp.t) =
-  match m with
-  | Icmp.Echo_request { ident; seq; payload_len } ->
-    S.u8 s 8;
-    S.u8 s 0;
-    S.u16 s 0;
-    S.u16 s ident;
-    S.u16 s seq;
-    S.zeros s payload_len
-  | Icmp.Echo_reply { ident; seq; payload_len } ->
-    S.u8 s 0;
-    S.u8 s 0;
-    S.u16 s 0;
-    S.u16 s ident;
-    S.u16 s seq;
-    S.zeros s payload_len
-
-let fast_igmp s (m : Igmp.t) =
-  S.u8 s (match m.op with Igmp.Join -> 0x16 | Igmp.Leave -> 0x17);
-  S.u8 s 0;
-  S.u16 s 0;
-  S.ip s m.group
-
-let fast_ipv4 s (p : Ipv4_pkt.t) =
-  let hstart = S.length s in
-  S.u8 s 0x45;
-  S.u8 s 0;
-  S.u16 s (Ipv4_pkt.wire_len p);
-  S.u16 s 0 (* id *);
-  S.u16 s 0x4000 (* DF *);
-  S.u8 s p.ttl;
-  S.u8 s (Ipv4_pkt.proto_number p.payload);
-  S.u16 s 0 (* checksum placeholder *);
-  S.ip s p.src;
-  S.ip s p.dst;
-  S.set_u16 s ~off:(hstart + 10) (ipv4_checksum (S.raw s) hstart Ipv4_pkt.header_len);
-  match p.payload with
-  | Ipv4_pkt.Udp u -> fast_udp s u
-  | Ipv4_pkt.Tcp seg -> fast_tcp s seg
-  | Ipv4_pkt.Igmp m -> fast_igmp s m
-  | Ipv4_pkt.Icmp m -> fast_icmp s m
-  | Ipv4_pkt.Raw { len; _ } -> S.zeros s len
-
-let fast_ldp s (l : Ldp_msg.t) =
-  S.u32 s l.switch_id;
-  S.u8 s
-    (match l.level with
-     | None -> 0xff
-     | Some Ldp_msg.Edge -> 0
-     | Some Ldp_msg.Aggregation -> 1
-     | Some Ldp_msg.Core -> 2);
-  S.u16 s (match l.pod with None -> 0xffff | Some p -> p);
-  S.u8 s (match l.position with None -> 0xff | Some p -> p);
-  S.u8 s (match l.dir with Ldp_msg.Unknown_dir -> 0 | Ldp_msg.Up -> 1 | Ldp_msg.Down -> 2);
-  S.u8 s l.out_port;
-  S.zeros s 6
-
-let fast_bpdu s (b : Bpdu.t) =
-  S.u32 s b.root_id;
-  S.u32 s b.root_cost;
-  S.u32 s b.bridge_id;
-  S.u16 s b.port;
-  S.zeros s 21
-
-(* one scratch per codec; the simulator is single-threaded per run *)
-let enc_scratch = S.create ~capacity:2048 ()
-
-let encode (f : Eth.t) =
-  let s = enc_scratch in
-  S.reset s;
-  S.mac s f.dst;
-  S.mac s f.src;
-  (match f.vlan with
-   | Some vid ->
-     S.u16 s 0x8100 (* 802.1Q TPID *);
-     S.u16 s (vid land 0x0FFF) (* TCI: pcp/dei 0 *)
-   | None -> ());
-  S.u16 s (Eth.ethertype f.payload);
-  (match f.payload with
-   | Eth.Arp a -> fast_arp s a
-   | Eth.Ipv4 p -> fast_ipv4 s p
-   | Eth.Ldp l -> fast_ldp s l
-   | Eth.Bpdu b -> fast_bpdu s b
-   | Eth.Raw { len; _ } -> S.zeros s len);
-  let body_min = Eth.min_frame_len - Eth.fcs_len in
-  let pad = max 0 (body_min - S.length s) in
-  if pad > 0 then S.zeros s pad;
-  let body_len = S.length s in
-  let fcs = crc32_fast (S.raw s) 0 body_len in
-  S.u32 s fcs;
-  S.contents s
 
 (* ------------------------------------------------------------------ *)
 (* Decoders                                                            *)
@@ -598,7 +321,7 @@ let decode_bpdu r =
   R.skip r 21;
   { Bpdu.root_id; root_cost; bridge_id; port }
 
-let decode_gen ~crc buf =
+let decode buf =
   try
     let total = Bytes.length buf in
     if total < Eth.min_frame_len then failwith "frame below Ethernet minimum";
@@ -609,7 +332,7 @@ let decode_gen ~crc buf =
       lor (Char.code (Bytes.get buf (body_len + 2)) lsl 8)
       lor Char.code (Bytes.get buf (body_len + 3))
     in
-    if crc buf 0 body_len <> fcs_stored then failwith "FCS mismatch";
+    if crc32 buf 0 body_len <> fcs_stored then failwith "FCS mismatch";
     let r = R.create ~len:body_len buf in
     let dst = R.mac r in
     let src = R.mac r in
@@ -633,6 +356,3 @@ let decode_gen ~crc buf =
   | Failure msg -> Error msg
   | R.Short -> Error "truncated frame"
   | Invalid_argument msg -> Error msg
-
-let decode buf = decode_gen ~crc:crc32_fast buf
-let decode_ref buf = decode_gen ~crc:crc32 buf

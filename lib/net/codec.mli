@@ -20,36 +20,16 @@
 
 val encode : Eth.t -> bytes
 (** Encode a frame, including padding and FCS. The result's length equals
-    [Eth.wire_len].
-
-    This is the fast path: fields are written into one long-lived
-    {!Wire.Scratch} buffer (MACs as integers, IPv4 checksum backfilled in
-    place, no intermediate buffers), the FCS is computed over the scratch
-    bytes with slicing-by-8 CRC-32, and only the final frame is copied
-    out. Byte-identical to {!encode_ref}; not re-entrant across domains
-    (the simulator is single-threaded per run). *)
-
-val encode_ref : Eth.t -> bytes
-(** Reference encoder (the original [Buffer]-based implementation with
-    bytewise CRC). The codec fuzz suite asserts
-    [encode f = encode_ref f] for arbitrary frames. *)
+    [Eth.wire_len]. *)
 
 val decode : bytes -> (Eth.t, string) result
-(** Decode and verify (length consistency, IPv4 header checksum, FCS —
-    checked with the slicing-by-8 CRC). Unknown ethertypes and IP
-    protocols decode to the corresponding [Raw] constructors. *)
-
-val decode_ref : bytes -> (Eth.t, string) result
-(** {!decode} with the bytewise reference CRC — same parser, so accepts
-    and rejects exactly the same inputs; kept for differential tests. *)
+(** Decode and verify (length consistency, IPv4 header checksum, FCS).
+    Unknown ethertypes and IP protocols decode to the corresponding [Raw]
+    constructors. *)
 
 val crc32 : bytes -> int -> int -> int
-(** [crc32 buf off len] — IEEE 802.3 CRC-32 of the given slice, bytewise
-    reference implementation, exposed for tests. *)
-
-val crc32_fast : bytes -> int -> int -> int
-(** Slicing-by-8 CRC-32; equal to {!crc32} on every input (differentially
-    tested). Used by {!encode}/{!decode}. *)
+(** [crc32 buf off len] — IEEE 802.3 CRC-32 of the given slice (bytewise,
+    table-driven), exposed for tests. *)
 
 val ipv4_checksum : bytes -> int -> int -> int
 (** [ipv4_checksum buf off len] — RFC 1071 ones'-complement checksum of

@@ -4,11 +4,9 @@ type t = { mutable records : record list; mutable count : int }
 
 let create () = { records = []; count = 0 }
 
-let add_raw t ~time_ns data =
-  t.records <- { time_ns; data } :: t.records;
+let add_frame t ~time_ns frame =
+  t.records <- { time_ns; data = Codec.encode frame } :: t.records;
   t.count <- t.count + 1
-
-let add_frame t ~time_ns frame = add_raw t ~time_ns (Codec.encode frame)
 
 let frame_count t = t.count
 

@@ -14,9 +14,6 @@ val create : unit -> t
 val add_frame : t -> time_ns:int -> Eth.t -> unit
 (** Append a frame stamped with simulated time. *)
 
-val add_raw : t -> time_ns:int -> bytes -> unit
-(** Append pre-encoded frame bytes. *)
-
 val frame_count : t -> int
 
 val contents : t -> bytes

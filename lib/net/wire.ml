@@ -22,75 +22,6 @@ module Writer = struct
   let bytes t b = Buffer.add_bytes t.buf b
   let contents t = Buffer.to_bytes t.buf
   let length t = Buffer.length t.buf
-  let buffer t = t.buf
-end
-
-module Scratch = struct
-  type t = { mutable buf : bytes; mutable pos : int }
-
-  let create ?(capacity = 2048) () = { buf = Bytes.create (max 16 capacity); pos = 0 }
-  let reset t = t.pos <- 0
-  let length t = t.pos
-  let raw t = t.buf
-
-  let ensure t n =
-    let need = t.pos + n in
-    let cap = Bytes.length t.buf in
-    if need > cap then begin
-      let ncap = ref (cap * 2) in
-      while need > !ncap do
-        ncap := !ncap * 2
-      done;
-      let nbuf = Bytes.create !ncap in
-      Bytes.blit t.buf 0 nbuf 0 t.pos;
-      t.buf <- nbuf
-    end
-
-  let u8 t v =
-    ensure t 1;
-    Bytes.unsafe_set t.buf t.pos (Char.unsafe_chr (v land 0xff));
-    t.pos <- t.pos + 1
-
-  let u16 t v =
-    ensure t 2;
-    let p = t.pos in
-    Bytes.unsafe_set t.buf p (Char.unsafe_chr ((v lsr 8) land 0xff));
-    Bytes.unsafe_set t.buf (p + 1) (Char.unsafe_chr (v land 0xff));
-    t.pos <- p + 2
-
-  let u32 t v =
-    u16 t (v lsr 16);
-    u16 t v
-
-  let u64 t v =
-    u32 t (v lsr 32);
-    u32 t v
-
-  (* 48-bit big-endian — a MAC address as an integer, no string detour *)
-  let u48 t v =
-    u16 t (v lsr 32);
-    u32 t v
-
-  let mac t m = u48 t (Mac_addr.to_int m)
-  let ip t a = u32 t (Ipv4_addr.to_int a)
-
-  let zeros t n =
-    ensure t n;
-    Bytes.fill t.buf t.pos n '\000';
-    t.pos <- t.pos + n
-
-  let bytes t b =
-    let n = Bytes.length b in
-    ensure t n;
-    Bytes.blit b 0 t.buf t.pos n;
-    t.pos <- t.pos + n
-
-  (* patch an already-written big-endian u16 (checksum backfill) *)
-  let set_u16 t ~off v =
-    Bytes.set t.buf off (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set t.buf (off + 1) (Char.chr (v land 0xff))
-
-  let contents t = Bytes.sub t.buf 0 t.pos
 end
 
 module Reader = struct

@@ -15,48 +15,6 @@ module Writer : sig
   val bytes : t -> bytes -> unit
   val contents : t -> bytes
   val length : t -> int
-  val buffer : t -> Buffer.t
-end
-
-module Scratch : sig
-  (** Reusable preallocated write buffer — the allocation-free counterpart
-      of {!Writer} for hot paths. A caller keeps one [Scratch.t], calls
-      {!reset} per frame, writes fields in place (the buffer grows
-      geometrically and then stabilizes), and either checksums/copies out
-      of {!raw} or snapshots via {!contents}. *)
-
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** Fresh scratch buffer (default capacity 2048 bytes — one full
-      Ethernet frame with headroom). *)
-
-  val reset : t -> unit
-  (** Rewind to empty without releasing the buffer. *)
-
-  val u8 : t -> int -> unit
-  val u16 : t -> int -> unit
-  val u32 : t -> int -> unit
-  val u48 : t -> int -> unit
-  val u64 : t -> int -> unit
-  val mac : t -> Mac_addr.t -> unit
-  val ip : t -> Ipv4_addr.t -> unit
-  val zeros : t -> int -> unit
-  val bytes : t -> bytes -> unit
-
-  val set_u16 : t -> off:int -> int -> unit
-  (** Patch an already-written big-endian u16 in place (checksum
-      backfill). *)
-
-  val length : t -> int
-
-  val raw : t -> bytes
-  (** The underlying buffer; only the first {!length} bytes are
-      meaningful, and the reference is invalidated by further writes
-      (growth may reallocate). *)
-
-  val contents : t -> bytes
-  (** Fresh copy of the written region. *)
 end
 
 module Reader : sig

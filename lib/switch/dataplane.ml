@@ -1,5 +1,3 @@
-type miss_policy = Miss_drop | Miss_punt | Miss_flood
-
 type stats = {
   mutable matched : int;
   mutable missed : int;
@@ -11,7 +9,6 @@ type t = {
   net : Net.t;
   device : int;
   table : Flow_table.t;
-  miss : miss_policy;
   on_punt : in_port:int -> Netcore.Eth.t -> unit;
   stats : stats;
 }
@@ -64,14 +61,11 @@ let handle t in_port frame =
     run_actions t ~in_port frame entry.Flow_table.actions
   | None ->
     t.stats.missed <- t.stats.missed + 1;
-    (match t.miss with
-     | Miss_drop -> t.stats.dropped <- t.stats.dropped + 1
-     | Miss_punt -> punt t ~in_port frame
-     | Miss_flood -> Net.flood t.net ~node:t.device ~except:in_port frame)
+    t.stats.dropped <- t.stats.dropped + 1
 
-let attach net ~device ~table ~miss ?(on_punt = fun ~in_port:_ _ -> ()) ?(obs = Obs.null) () =
+let attach net ~device ~table ?(on_punt = fun ~in_port:_ _ -> ()) ?(obs = Obs.null) () =
   let t =
-    { net; device; table; miss; on_punt;
+    { net; device; table; on_punt;
       stats = { matched = 0; missed = 0; punts = 0; dropped = 0 } }
   in
   let s = t.stats in

@@ -4,9 +4,8 @@
     order; MAC rewrites affect the frame seen by subsequent actions, so
     "rewrite then output" (PortLand's egress PMAC→AMAC step) composes
     naturally. Control planes attach via the punt callback — frames a
-    table entry (or the miss policy) directs to the control agent. *)
-
-type miss_policy = Miss_drop | Miss_punt | Miss_flood
+    table entry directs to the control agent. A frame no entry matches
+    is dropped. *)
 
 (** The pipeline's own counter record, updated in place; [private], so
     callers read it but never write or build one. *)
@@ -20,7 +19,7 @@ type stats = private {
 type t
 
 val attach :
-  Net.t -> device:int -> table:Flow_table.t -> miss:miss_policy ->
+  Net.t -> device:int -> table:Flow_table.t ->
   ?on_punt:(in_port:int -> Netcore.Eth.t -> unit) -> ?obs:Obs.t -> unit -> t
 (** Install the pipeline as the device's receive handler. The punt
     callback defaults to dropping. When a live [obs] registry is given, a

@@ -68,7 +68,6 @@ type t = {
   engine : Engine.t;
   topo : Topology.Topo.t;
   devices : device array;
-  topo_links : link option array;
   mutable tagger : (src:int -> dst:int -> Netcore.Eth.t -> string option) option;
   mutable last_rx : Engine.handle; (* the latest untagged delivery event *)
   mutable batch : batch option; (* the batch [last_rx] ends with, if any *)
@@ -110,24 +109,20 @@ let create ?(params = default_link_params) ?(loss_seed = 7) engine topo =
           counters = zero_counters () })
       (Topology.Topo.nodes topo)
   in
-  let topo_links =
-    Array.map
-      (fun (l : Topology.Topo.link) ->
-        let link =
-          { link_up = true;
-            params;
-            loss_override = None;
-            end_a = (l.Topology.Topo.a.Topology.Topo.node, l.Topology.Topo.a.Topology.Topo.port);
-            end_b = (l.Topology.Topo.b.Topology.Topo.node, l.Topology.Topo.b.Topology.Topo.port) }
-        in
-        let da, pa = link.end_a and db, pb = link.end_b in
-        devices.(da).ports.(pa).attached <- Some link;
-        devices.(db).ports.(pb).attached <- Some link;
-        Some link)
-      (Topology.Topo.links topo)
-  in
-  { engine; topo; devices; topo_links; tagger = None; last_rx = no_delivery; batch = None;
-    quiet = 0 }
+  Array.iter
+    (fun (l : Topology.Topo.link) ->
+      let link =
+        { link_up = true;
+          params;
+          loss_override = None;
+          end_a = (l.Topology.Topo.a.Topology.Topo.node, l.Topology.Topo.a.Topology.Topo.port);
+          end_b = (l.Topology.Topo.b.Topology.Topo.node, l.Topology.Topo.b.Topology.Topo.port) }
+      in
+      let da, pa = link.end_a and db, pb = link.end_b in
+      devices.(da).ports.(pa).attached <- Some link;
+      devices.(db).ports.(pb).attached <- Some link)
+    (Topology.Topo.links topo);
+  { engine; topo; devices; tagger = None; last_rx = no_delivery; batch = None; quiet = 0 }
 
 let set_delivery_tagger t f = t.tagger <- f
 let engine t = t.engine
@@ -151,13 +146,6 @@ let set_handler ?on_ldm d f =
 
 let fail_device t i = (device t i).up <- false
 let recover_device t i = (device t i).up <- true
-
-let link_of_topo t i =
-  if i < 0 || i >= Array.length t.topo_links then
-    invalid_arg "Net.link_of_topo: index out of range";
-  match t.topo_links.(i) with
-  | Some l -> l
-  | None -> invalid_arg "Net.link_of_topo: link was unplugged"
 
 let peer_endpoint link (dev, port) =
   let da, pa = link.end_a and db, pb = link.end_b in
@@ -201,10 +189,8 @@ let unplug t ~node ~port =
     let da, pa = l.end_a and db, pb = l.end_b in
     t.devices.(da).ports.(pa).attached <- None;
     t.devices.(db).ports.(pb).attached <- None;
-    (* retire from the topo index if it was an original link *)
-    Array.iteri
-      (fun i lo -> match lo with Some l' when l' == l -> t.topo_links.(i) <- None | _ -> ())
-      t.topo_links
+    (* a frame or keepalive still in flight on the cable dies with it *)
+    l.link_up <- false
 
 let plug ?(params = default_link_params) t ~a ~b =
   let check (dev, port) =

@@ -73,10 +73,6 @@ val recover_device : t -> int -> unit
 
 (** {1 Links} *)
 
-val link_of_topo : t -> int -> link
-(** Runtime link for a topology link index. Raises [Invalid_argument] if
-    that wiring was removed by {!unplug}. *)
-
 val link_between : t -> int -> int -> link option
 (** The first current link, in the port order of the first device,
     directly connecting two device ids. *)
@@ -84,10 +80,6 @@ val link_between : t -> int -> int -> link option
 val link_is_up : link -> bool
 val fail_link : t -> link -> unit
 val recover_link : t -> link -> unit
-
-val link_loss : link -> float
-(** Effective per-frame loss probability: the runtime override when one is
-    set, else the link's construction-time [loss_rate]. *)
 
 val set_link_loss : t -> link -> float -> unit
 (** Override the link's loss probability at runtime (both directions) —
@@ -98,8 +90,9 @@ val clear_link_loss : t -> link -> unit
 (** Drop the override, restoring the construction-time rate. *)
 
 val unplug : t -> node:int -> port:int -> unit
-(** Remove the cable at a port (both ends become unwired). No-op when the
-    port is already empty. *)
+(** Remove the cable at a port (both ends become unwired). A frame or
+    keepalive in flight on it is not delivered. No-op when the port is
+    already empty. *)
 
 val plug : ?params:link_params -> t -> a:int * int -> b:int * int -> link
 (** Wire two free ports together with a fresh cable. Raises
