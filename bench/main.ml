@@ -52,9 +52,7 @@ let edge_table_fixture =
        Switchfab.Flow_table.install table
          { Switchfab.Flow_table.name = Printf.sprintf "pod:%d" p;
            priority = 70;
-           mtch =
-             { Switchfab.Flow_table.match_any with
-               Switchfab.Flow_table.dst_mac = Some (Portland.Pmac.pod_prefix ~pod:p) };
+           mtch = Portland.Pmac.pod_prefix ~pod:p;
            actions = [ Switchfab.Flow_table.Group (20_000 + p) ] }
      done;
      for h = 0 to 23 do
@@ -62,9 +60,7 @@ let edge_table_fixture =
        Switchfab.Flow_table.install table
          { Switchfab.Flow_table.name = Printf.sprintf "host:%d" h;
            priority = 90;
-           mtch =
-             { Switchfab.Flow_table.match_any with
-               Switchfab.Flow_table.dst_mac = Some (Portland.Pmac.exact pmac) };
+           mtch = Portland.Pmac.exact pmac;
            actions =
              [ Switchfab.Flow_table.Set_dst_mac (Netcore.Mac_addr.of_int (0x020000000000 lor h));
                Switchfab.Flow_table.Output h ] }
@@ -125,7 +121,7 @@ let verify_fixture =
 let policy_fixture =
   lazy
     (let fab, _, _, _ = Lazy.force verify_fixture in
-     (fab, Portland_policy.Policy.compile_exn (Portland_policy.Policy.baseline fab)))
+     (fab, Portland_policy.Policy.compile (Portland_policy.Policy.baseline fab)))
 
 (* the switch-agent recompute on the same k=16 fabric, split as the
    recompute is: building a converged edge's clause list, and installing
@@ -158,7 +154,9 @@ let tests =
     Test.make ~name:"flow_table/lookup_edge_k48_linear"
       (Staged.stage (fun () ->
            let table, frame = Lazy.force edge_table_fixture in
-           ignore (Switchfab.Flow_table.lookup_linear table frame)));
+           ignore
+             (Switchfab.Flow_table.lookup_dst_linear table
+                (Netcore.Mac_addr.to_int frame.Netcore.Eth.dst))));
     Test.make ~name:"flow_table/flow_hash"
       (Staged.stage (fun () ->
            ignore (Switchfab.Flow_table.flow_hash (Lazy.force sample_frame))));
@@ -194,7 +192,7 @@ let tests =
     Test.make ~name:"policy/compile_k16"
       (Staged.stage (fun () ->
            let fab, _ = Lazy.force policy_fixture in
-           ignore (Portland_policy.Policy.compile_exn (Portland_policy.Policy.baseline fab))));
+           ignore (Portland_policy.Policy.compile (Portland_policy.Policy.baseline fab))));
     Test.make ~name:"policy/check_k16"
       (Staged.stage (fun () ->
            let fab, compiled = Lazy.force policy_fixture in

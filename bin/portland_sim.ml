@@ -325,9 +325,9 @@ let run_verify ({ k; verbose; _ } as c) ~inject ~corrupt ~json_out =
       exit 2
   in
   let exact_match (b : Portland.Msg.host_binding) =
-    FT.match_dst_prefix
+    FT.dst_prefix
       ~value:(Netcore.Mac_addr.to_int (Portland.Pmac.to_mac b.Portland.Msg.pmac))
-      ~mask:0xFFFFFFFFFFFF
+      ~len:48
   in
   let faults =
     match corrupt with
@@ -422,33 +422,29 @@ let run_policy ({ verbose; _ } as c) ~check ~corrupt ~json_out =
          Printf.eprintf "unknown corruption %s (wrong-prefix | drop-ecmp)\n" kind;
          exit 2)
   in
-  match P.compile pol with
-  | Error e ->
-    Format.eprintf "policy does not compile: %a@." P.pp_error e;
-    exit 2
-  | Ok compiled ->
-    Printf.printf "compiled baseline policy: %d switches, %d entries, %d groups\n%!"
-      (List.length (P.switches compiled))
-      (P.entry_count compiled) (P.group_count compiled);
-    if verbose then
-      List.iter
-        (fun sw ->
-          match P.table compiled sw with
-          | Some t ->
-            Printf.printf "  switch %d: %d entries, digest %s\n" sw
-              (Switchfab.Flow_table.size t) (P.Check.table_digest t)
-          | None -> ())
-        (P.switches compiled);
-    if not (check || corrupted || json_out <> None) then exit 0;
-    let report = P.Check.differential fab compiled in
-    Format.printf "%a@." P.Check.pp_report report;
-    if not (P.Check.ok report) then begin
-      let spans = P.spans (P.Check.shrink fab pol) in
-      Printf.printf "shrunk reproducer: %d clause(s)\n" (List.length spans);
-      List.iter (fun s -> Printf.printf "  %s\n" s) spans
-    end;
-    write_json_report json_out ~what:"policy differential report" P.Check.report_to_json report;
-    exit (if P.Check.ok report then 0 else 1)
+  let compiled = P.compile pol in
+  Printf.printf "compiled baseline policy: %d switches, %d entries, %d groups\n%!"
+    (List.length (P.switches compiled))
+    (P.entry_count compiled) (P.group_count compiled);
+  if verbose then
+    List.iter
+      (fun sw ->
+        match P.table compiled sw with
+        | Some t ->
+          Printf.printf "  switch %d: %d entries, digest %s\n" sw
+            (Switchfab.Flow_table.size t) (P.Check.table_digest t)
+        | None -> ())
+      (P.switches compiled);
+  if not (check || corrupted || json_out <> None) then exit 0;
+  let report = P.Check.differential fab compiled in
+  Format.printf "%a@." P.Check.pp_report report;
+  if not (P.Check.ok report) then begin
+    let spans = P.spans (P.Check.shrink fab pol) in
+    Printf.printf "shrunk reproducer: %d clause(s)\n" (List.length spans);
+    List.iter (fun s -> Printf.printf "  %s\n" s) spans
+  end;
+  write_json_report json_out ~what:"policy differential report" P.Check.report_to_json report;
+  exit (if P.Check.ok report then 0 else 1)
 
 (* ---------------- chaos campaigns ---------------- *)
 
@@ -712,9 +708,9 @@ let chaos_cmd =
 let policy_check_arg =
   let doc =
     "Run the static differential check: compare the compiled tables with the live ones, \
-     per-switch canonical digests plus class-by-class symbolic comparison. Proves the \
-     compiler lowers the agents' clauses as the agents do and that no live table is \
-     stale. Implied by --corrupt and --json."
+     per-switch canonical digests plus class-by-class symbolic comparison. Proves that \
+     each live table equals a fresh per-clause installation of its agent's clauses, so \
+     no live table is stale. Implied by --corrupt and --json."
   in
   Arg.(value & flag & info [ "check" ] ~doc)
 
@@ -734,7 +730,7 @@ let policy_json_arg =
 
 let policy_cmd =
   let doc =
-    "compile the NetCore-style baseline forwarding policy (every switch agent's own \
+    "compile the baseline forwarding policy (every switch agent's own destination-prefix \
      clauses) for the fabric's current control-plane state and, with --check, compare \
      the compiled flow tables with the live ones; divergences come with typed \
      counterexamples (switch, PMAC class, entry, policy source span) and a ddmin-shrunk \

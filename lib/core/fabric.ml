@@ -248,8 +248,7 @@ let trace_route t ~src ~dst_ip payload =
                        if !port = None then
                          port := FT.select_member table ~group:g ~hash:(FT.flow_hash !frame)
                      | FT.Set_dst_mac m -> frame := { !frame with Eth.dst = m }
-                     | FT.Set_src_mac m -> frame := { !frame with Eth.src = m }
-                     | FT.Multi _ | FT.Flood | FT.Punt | FT.Drop -> ())
+                     | FT.Multi _ | FT.Punt -> ())
                    entry.FT.actions;
                  (match !port with
                   | Some p ->

@@ -27,17 +27,17 @@ let is_pmac mac =
   let first_octet = Mac_addr.to_int mac lsr 40 in
   first_octet land 0x03 = 0
 
-let pod_prefix ~pod = { Switchfab.Flow_table.value = pod lsl 32; mask = 0xFFFF00000000 }
+let pod_prefix ~pod = Switchfab.Flow_table.dst_prefix ~value:(pod lsl 32) ~len:16
 
 let position_prefix ~pod ~position =
-  { Switchfab.Flow_table.value = (pod lsl 32) lor (position lsl 24); mask = 0xFFFFFF000000 }
+  Switchfab.Flow_table.dst_prefix ~value:((pod lsl 32) lor (position lsl 24)) ~len:24
 
 let port_prefix ~pod ~position ~port =
-  { Switchfab.Flow_table.value = (pod lsl 32) lor (position lsl 24) lor (port lsl 16);
-    mask = 0xFFFFFFFF0000 }
+  Switchfab.Flow_table.dst_prefix
+    ~value:((pod lsl 32) lor (position lsl 24) lor (port lsl 16))
+    ~len:32
 
-let exact t =
-  { Switchfab.Flow_table.value = Mac_addr.to_int (to_mac t); mask = 0xFFFFFFFFFFFF }
+let exact t = Switchfab.Flow_table.dst_prefix ~value:(Mac_addr.to_int (to_mac t)) ~len:48
 
 let equal a b = a = b
 let compare = Stdlib.compare

@@ -30,18 +30,18 @@ val is_pmac : Netcore.Mac_addr.t -> bool
 (** True when the address lies in the PMAC space (first octet's group and
     local bits clear), i.e. cannot be one of this simulator's AMACs. *)
 
-(** {1 Prefix masks for flow-table matches} *)
+(** {1 Destination prefixes for flow-table matches} *)
 
-val pod_prefix : pod:int -> Switchfab.Flow_table.mask_match
+val pod_prefix : pod:int -> Switchfab.Flow_table.mtch
 (** Matches every PMAC in a pod (mask [ffff:0000:0000]). *)
 
-val position_prefix : pod:int -> position:int -> Switchfab.Flow_table.mask_match
+val position_prefix : pod:int -> position:int -> Switchfab.Flow_table.mtch
 (** Matches every PMAC behind one edge switch (mask [ffff:ff00:0000]). *)
 
-val port_prefix : pod:int -> position:int -> port:int -> Switchfab.Flow_table.mask_match
+val port_prefix : pod:int -> position:int -> port:int -> Switchfab.Flow_table.mtch
 (** Matches every VM on one physical port (mask [ffff:ffff:0000]). *)
 
-val exact : t -> Switchfab.Flow_table.mask_match
+val exact : t -> Switchfab.Flow_table.mtch
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

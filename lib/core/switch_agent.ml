@@ -171,27 +171,27 @@ let up_reaches_edge t ~pod ~position ~dst_pod ~dst_edge up =
    names are built by concatenation, not [Printf]: a recompute builds
    every one of them. *)
 
-let clause name prio pred acts = { Lang.span = ""; name; prio; pred; acts }
-let exact v = Lang.Dst_mac { FT.value = v; mask = 0xFFFFFFFFFFFF }
+let clause name prio dst acts = { Lang.span = ""; name; prio; dst; acts }
+let exact v = FT.dst_prefix ~value:v ~len:48
 
 (* broadcast frames go to the agent (which drops non-ARP broadcast) *)
 let bcast_clause = clause "bcast" 150 (exact (Mac_addr.to_int Mac_addr.broadcast)) [ Lang.Punt_fm ]
 
 let samepod_clause ~pod e' members =
   clause ("samepod:" ^ string_of_int e') 80
-    (Lang.Dst_mac (Pmac.position_prefix ~pod ~position:e'))
+    (Pmac.position_prefix ~pod ~position:e')
     [ Lang.Via_group { gid = gid_same e'; members } ]
 
 let pod_name p = "pod:" ^ string_of_int p
 
 let pod_clause p' members =
   clause (pod_name p') 70
-    (Lang.Dst_mac (Pmac.pod_prefix ~pod:p'))
+    (Pmac.pod_prefix ~pod:p')
     [ Lang.Via_group { gid = gid_pod p'; members } ]
 
 let ovr_clause p' e' members =
   clause ("ovr:" ^ string_of_int p' ^ ":" ^ string_of_int e') 75
-    (Lang.Dst_mac (Pmac.position_prefix ~pod:p' ~position:e'))
+    (Pmac.position_prefix ~pod:p' ~position:e')
     [ Lang.Via_group { gid = gid_ovr p' e'; members } ]
 
 let host_name pmac_int = "host:" ^ string_of_int pmac_int
@@ -220,11 +220,11 @@ let mcast_clause group ports =
 
 let down_clause ~pod e' port =
   clause ("down:" ^ string_of_int e') 80
-    (Lang.Dst_mac (Pmac.position_prefix ~pod ~position:e'))
+    (Pmac.position_prefix ~pod ~position:e')
     [ Lang.Forward port ]
 
 let core_pod_clause p port =
-  clause (pod_name p) 70 (Lang.Dst_mac (Pmac.pod_prefix ~pod:p)) [ Lang.Forward port ]
+  clause (pod_name p) 70 (Pmac.pod_prefix ~pod:p) [ Lang.Forward port ]
 
 (* [f] over [h]'s bindings, in Hashtbl.iter order. Install order fixes
    same-priority tie order and the table journal stream. *)

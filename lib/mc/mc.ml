@@ -256,7 +256,7 @@ let apply_corruption fab = function
        FT.install table
          { FT.name = Printf.sprintf "mc-wrong-port:%d" pmac_int;
            priority = 200;
-           mtch = FT.match_dst_prefix ~value:pmac_int ~mask:0xFFFFFFFFFFFF;
+           mtch = FT.dst_prefix ~value:pmac_int ~len:48;
            actions = [ FT.Output first_uplink ] })
 
 (* ---------------- one controlled run ---------------- *)

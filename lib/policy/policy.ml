@@ -9,20 +9,6 @@ module V = Portland_verify.Verify
 
 include Switchfab.Policy_lang
 
-let install fab c =
-  List.iter
-    (fun sw ->
-      let ct = Option.get (table c sw) in
-      let live = SA.table (Fabric.agent fab sw) in
-      (* FT.entries is lookup order (ties: later insertion first);
-         reinstall oldest-first so the replaced table has the same tie
-         order *)
-      ignore
-        (FT.replace live
-           ~groups:(List.sort (fun (a, _) (b, _) -> compare (a : int) b) (FT.groups ct))
-           (List.rev (FT.entries ct))))
-    (switches c)
-
 (* ---------------- the baseline PortLand policy ---------------- *)
 
 (* operational, device-up, placed switches, by id: what baseline covers
@@ -37,22 +23,21 @@ let audited_agents fab =
   |> List.sort (fun a b -> compare (SA.switch_id a) (SA.switch_id b))
 
 let baseline fab =
-  union
-    (List.map
-       (fun a ->
-         let sw = SA.switch_id a in
-         let role =
-           match Option.get (SA.coords a) with
-           | Coords.Edge { pod; position } -> Printf.sprintf "edge%d.%d" pod position
-           | Coords.Agg { pod; stripe } -> Printf.sprintf "agg%d.%d" pod stripe
-           | Coords.Core { stripe; member } -> Printf.sprintf "core%d.%d" stripe member
-         in
-         let located (c : clause) =
-           let scope = if String.starts_with ~prefix:"mcast:" c.name then "mcast" else role in
-           Rule { c with span = Printf.sprintf "sw%d/%s/%s" sw scope c.name }
-         in
-         restrict (union (List.map located (SA.program a))) (At_switch sw))
-       (audited_agents fab))
+  List.concat_map
+    (fun a ->
+      let sw = SA.switch_id a in
+      let role =
+        match Option.get (SA.coords a) with
+        | Coords.Edge { pod; position } -> Printf.sprintf "edge%d.%d" pod position
+        | Coords.Agg { pod; stripe } -> Printf.sprintf "agg%d.%d" pod stripe
+        | Coords.Core { stripe; member } -> Printf.sprintf "core%d.%d" stripe member
+      in
+      List.map
+        (fun (c : clause) ->
+          let scope = if String.starts_with ~prefix:"mcast:" c.name then "mcast" else role in
+          (sw, { c with span = Printf.sprintf "sw%d/%s/%s" sw scope c.name }))
+        (SA.program a))
+    (audited_agents fab)
 
 (* ---------------- seeded corruptions ---------------- *)
 
@@ -67,73 +52,49 @@ let corruption_to_string = function
   | Wrong_prefix_len -> "wrong-prefix"
   | Drop_ecmp_branch -> "drop-ecmp"
 
-let pod_prefix_mask = (Pmac.pod_prefix ~pod:0).FT.mask
-let position_prefix_mask = (Pmac.position_prefix ~pod:0 ~position:0).FT.mask
+let pod_prefix_len = (Pmac.pod_prefix ~pod:0).FT.len
+let position_prefix_len = (Pmac.position_prefix ~pod:0 ~position:0).FT.len
 
-let corrupt which p =
-  let done_ = ref false in
-  let rec pred_widen = function
-    | Dst_mac mm when (not !done_) && mm.FT.mask = pod_prefix_mask ->
-      done_ := true;
-      Dst_mac { mm with FT.mask = position_prefix_mask }
-    | And (a, b) ->
-      let a' = pred_widen a in
-      And (a', if !done_ then b else pred_widen b)
-    | Or (a, b) ->
-      let a' = pred_widen a in
-      Or (a', if !done_ then b else pred_widen b)
-    | Not a -> Not (pred_widen a)
-    | p -> p
-  in
-  let clause_fix c =
-    match which with
-    | Wrong_prefix_len -> if !done_ then c else { c with pred = pred_widen c.pred }
-    | Drop_ecmp_branch ->
-      if !done_ then c
-      else
-        let acts =
-          List.map
-            (fun a ->
-              match a with
-              | Via_group { gid; members } when (not !done_) && List.length members >= 2 ->
-                done_ := true;
-                Via_group
-                  { gid; members = List.filteri (fun i _ -> i < List.length members - 1) members }
-              | a -> a)
-            c.acts
-        in
-        { c with acts }
-  in
+(* [edit] applied to the first clause it accepts ([Some]); the policy is
+   unchanged when it accepts none *)
+let corrupt_first edit p =
   let rec go = function
-    | Nothing -> Nothing
-    | Rule c -> Rule (clause_fix c)
-    | Union (a, b) ->
-      let a' = go a in
-      Union (a', if !done_ then b else go b)
-    | Seq (a, b) ->
-      let a' = go a in
-      Seq (a', if !done_ then b else go b)
-    | Restrict (a, pr) -> Restrict (go a, pr)
+    | [] -> []
+    | (sw, c) :: rest -> (
+      match edit c with Some c' -> (sw, c') :: rest | None -> (sw, c) :: go rest)
   in
   go p
 
+let corrupt which p =
+  match which with
+  | Wrong_prefix_len ->
+    corrupt_first
+      (fun c ->
+        if c.dst.FT.len <> pod_prefix_len then None
+        else Some { c with dst = FT.dst_prefix ~value:c.dst.FT.value ~len:position_prefix_len })
+      p
+  | Drop_ecmp_branch ->
+    (* the first group of two or more members loses its last one *)
+    let rec drop = function
+      | [] -> None
+      | Via_group { gid; members } :: rest when List.length members >= 2 ->
+        Some
+          (Via_group { gid; members = List.filteri (fun i _ -> i < List.length members - 1) members }
+          :: rest)
+      | a :: rest -> Option.map (fun rest -> a :: rest) (drop rest)
+    in
+    corrupt_first (fun c -> Option.map (fun acts -> { c with acts }) (drop c.acts)) p
+
 let spans p =
-  (* reversed onto one accumulator: linear in the union spine's length *)
-  let rec clauses acc = function
-    | Nothing -> acc
-    | Rule c -> c :: acc
-    | Union (a, b) | Seq (a, b) -> clauses (clauses acc a) b
-    | Restrict (a, _) -> clauses acc a
-  in
   let seen = Hashtbl.create 16 in
   List.filter_map
-    (fun c ->
+    (fun (_, c) ->
       if Hashtbl.mem seen c.span then None
       else begin
         Hashtbl.add seen c.span ();
         Some c.span
       end)
-    (List.rev (clauses [] p))
+    p
 
 (* ---------------- the static differential checker ---------------- *)
 
@@ -187,13 +148,13 @@ module Check = struct
       (Some e.FT.name, FT.render_entry e ^ String.concat "" groups)
 
   (* structural table equality: the same entries by name and the same
-     groups by id. Equal tables render equal canonical lines, so the
-     digests are only computed when this fails *)
+     groups (listed by id). Equal tables render equal canonical lines, so
+     the digests are only computed when this fails *)
   let same_table ct lt =
     let by_name t =
       List.sort (fun (a : FT.entry) b -> String.compare a.FT.name b.FT.name) (FT.entries t)
-    and by_id t = List.sort (fun (a, _) (b, _) -> Int.compare a b) (FT.groups t) in
-    FT.size ct = FT.size lt && by_name ct = by_name lt && by_id ct = by_id lt
+    in
+    FT.size ct = FT.size lt && by_name ct = by_name lt && FT.groups ct = FT.groups lt
 
   (* equal entries whose groups resolve to equal members render the same
      [decision]; [false] only sends the pair on to the rendered test *)
@@ -339,39 +300,28 @@ module Check = struct
       ck_digest_mismatches = !n_mismatch;
       ck_counterexamples = List.rev_append !cxs class_cxs }
 
-  let run fab = differential fab (compile_exn (baseline fab))
+  let run fab = differential fab (compile (baseline fab))
 
   (* -------- ddmin policy shrinking -------- *)
 
   (* does the sub-policy still diverge, judged only on the entries and
      groups it compiles (scoped comparison)? *)
   let diverges fab p =
-    match compile p with
-    | Error _ -> false
-    | Ok comp ->
-      List.exists
-        (fun sw ->
-          let ct = Option.get (table comp sw) in
-          let live = SA.table (Fabric.agent fab sw) in
-          List.exists
-            (fun (e : FT.entry) ->
-              match FT.find_entry live e.FT.name with
-              | None -> true
-              | Some le -> FT.render_entry e <> FT.render_entry le)
-            (FT.entries ct)
-          || List.exists
-               (fun (gid, ms) -> FT.group_members live gid <> Some ms)
-               (FT.groups ct))
-        (switches comp)
-
-  (* atomic shrink units: Rules and Seqs, with enclosing restrictions
-     pushed in *)
-  let rec units = function
-    | Nothing -> []
-    | Rule _ as p -> [ p ]
-    | Seq _ as p -> [ p ]
-    | Union (a, b) -> units a @ units b
-    | Restrict (p, pr) -> List.map (fun u -> Restrict (u, pr)) (units p)
+    let comp = compile p in
+    List.exists
+      (fun sw ->
+        let ct = Option.get (table comp sw) in
+        let live = SA.table (Fabric.agent fab sw) in
+        List.exists
+          (fun (e : FT.entry) ->
+            match FT.find_entry live e.FT.name with
+            | None -> true
+            | Some le -> FT.render_entry e <> FT.render_entry le)
+          (FT.entries ct)
+        || List.exists
+             (fun (gid, ms) -> FT.group_members live gid <> Some ms)
+             (FT.groups ct))
+      (switches comp)
 
   let ddmin test xs =
     let split n l =
@@ -401,9 +351,8 @@ module Check = struct
     go xs 2
 
   let shrink fab p =
-    let us = units p in
-    let test sub = sub <> [] && diverges fab (union sub) in
-    if not (test us) then p else union (ddmin test us)
+    let test sub = sub <> [] && diverges fab sub in
+    if not (test p) then p else ddmin test p
 
   (* -------- rendering & serialization -------- *)
 

@@ -1,52 +1,43 @@
-(** Policy-as-program: PortLand's forwarding program as a NetCore-style
-    declarative policy, compiled to the per-switch PATRICIA flow tables
-    and checked against the live ones.
+(** Policy-as-program: PortLand's forwarding program as a list of
+    located destination-prefix clauses, compiled to the per-switch
+    PATRICIA flow tables and checked against the live ones.
 
-    The language and its compiler live in {!Switchfab.Policy_lang} and
+    The clauses and their compiler live in {!Switchfab.Policy_lang} and
     are re-exported here with equal types. Switch agents build their
-    tables from the same language: {!Portland.Switch_agent.program} is
-    each switch's clause list, installed one clause at a time. {!baseline}
-    gathers those clauses, located and given source spans, into one
-    fabric-wide policy. Compiled tables are installed by the same
-    {!Switchfab.Flow_table.replace} a switch recompute uses, so
-    {!Portland_verify.Verify.Incremental} sessions run unchanged off the
-    journalled difference between the compiled and the live tables.
+    tables from the same clauses: {!Portland.Switch_agent.program} is
+    each switch's clause list, installed in one
+    {!Switchfab.Flow_table.replace}. {!baseline} gathers those clauses,
+    located and given source spans, into one fabric-wide policy.
 
     {!Check} is the static safety net. It compiles {!baseline} and
     compares the result with the live tables — per-switch canonical
     table digests plus a class-by-class comparison over the verifier's
     PMAC equivalence classes — with typed counterexamples (switch,
     class, diverging entry, policy source span) and ddmin-style policy
-    shrinking on mismatch. Because both sides come from the agents'
-    clauses, it proves two things: the general compiler (restrict, DNF,
-    naming) lowers a clause exactly as the agents' per-clause
-    installation does, and each live table equals a fresh derivation
-    from its agent's current state — a missed recompute or a stale
-    incremental edit shows up as a divergence. *)
+    shrinking on mismatch. The compiler lowers each clause by
+    {!Switchfab.Policy_lang.install_clause}, one
+    {!Switchfab.Flow_table.install} per clause into a fresh table, while
+    an agent installs its whole program through
+    {!Switchfab.Flow_table.replace}; so the check proves that the
+    agents' incremental [replace] path leaves what plain installs leave,
+    and that each live table equals a fresh derivation from its agent's
+    current state — a missed recompute or a stale incremental edit shows
+    up as a divergence. *)
 
 include module type of struct
   include Switchfab.Policy_lang
 end
-
-val install : Portland.Fabric.t -> compiled -> unit
-(** Replace each programmed switch's {e live} table contents (entries
-    and groups) with the compiled ones, in one
-    {!Switchfab.Flow_table.replace} per switch. The table journals only
-    the entries and groups that differ, with prefix provenance, so an
-    attached {!Portland_verify.Verify.Incremental} session re-walks only
-    the classes a difference can affect — none when the compiled tables
-    equal the live ones. *)
 
 (** {1 The baseline policy} *)
 
 val baseline : Portland.Fabric.t -> t
 (** The full PortLand forwarding program for the fabric's {e current}
     control-plane state: for every operational, device-up switch with
-    coordinates (any {!Topology.Topo.Family} member), the switch's own
-    {!Portland.Switch_agent.program} restricted to [At_switch sw], each
-    clause given the span [sw<id>/<role><a>.<b>/<name>] (role [edge],
-    [agg] or [core]) or [sw<id>/mcast/<name>]. It builds no clause of
-    its own. *)
+    coordinates (any {!Topology.Topo.Family} member), in switch-id order,
+    the switch's own {!Portland.Switch_agent.program} located at the
+    switch, each clause given the span [sw<id>/<role><a>.<b>/<name>]
+    (role [edge], [agg] or [core]) or [sw<id>/mcast/<name>]. It builds no
+    clause of its own. *)
 
 type corruption =
   | Wrong_prefix_len
@@ -61,8 +52,8 @@ val corrupt : corruption -> t -> t
 (** Seed the bug into the policy (identity if no site qualifies). *)
 
 val spans : t -> string list
-(** The distinct source spans of the policy's clauses, in declaration
-    order — what a shrunk reproducer prints. *)
+(** The distinct source spans of the policy's clauses, in order — what a
+    shrunk reproducer prints. *)
 
 (** {1 The static differential checker} *)
 
@@ -120,8 +111,8 @@ module Check : sig
       switch) order. *)
 
   val run : Portland.Fabric.t -> report
-  (** [differential fab (compile_exn (baseline fab))] — the check the
-      chaos engine re-runs at every quiescent point. *)
+  (** [differential fab (compile (baseline fab))] — the check the chaos
+      engine re-runs at every quiescent point. *)
 
   val shrink : Portland.Fabric.t -> t -> t
   (** ddmin the policy to a minimal sub-policy that still diverges from

@@ -27,31 +27,26 @@ let via_group t frame g =
   | Some port -> Net.transmit t.net ~node:t.device ~port frame
   | None -> t.stats.dropped <- t.stats.dropped + 1
 
-let rec run_actions t ~in_port frame actions =
-  (* The per-hop loop: the forwarding shapes PortLand installs — plain
-     output, ECMP group, and rewrite-then-forward at the edges — are
-     dispatched directly, without the mutable-frame accumulator the
-     general tail needs. *)
-  match (actions : Flow_table.action list) with
+(* The per-hop loop: a rewrite changes the frame every later action
+   sends. *)
+let rec run_actions t ~in_port frame (actions : Flow_table.action list) =
+  match actions with
   | [] -> ()
-  | [ Flow_table.Output port ] -> Net.transmit t.net ~node:t.device ~port frame
-  | [ Flow_table.Group g ] -> via_group t frame g
   | Flow_table.Set_dst_mac mac :: rest ->
     run_actions t ~in_port { frame with Netcore.Eth.dst = mac } rest
-  | Flow_table.Set_src_mac mac :: rest ->
-    run_actions t ~in_port { frame with Netcore.Eth.src = mac } rest
-  | action :: rest ->
-    (match action with
-     | Flow_table.Output port -> Net.transmit t.net ~node:t.device ~port frame
-     | Flow_table.Group g -> via_group t frame g
-     | Flow_table.Multi ports ->
-       List.iter
-         (fun port -> if port <> in_port then Net.transmit t.net ~node:t.device ~port frame)
-         ports
-     | Flow_table.Flood -> Net.flood t.net ~node:t.device ~except:in_port frame
-     | Flow_table.Set_dst_mac _ | Flow_table.Set_src_mac _ -> assert false
-     | Flow_table.Punt -> punt t ~in_port frame
-     | Flow_table.Drop -> t.stats.dropped <- t.stats.dropped + 1);
+  | Flow_table.Output port :: rest ->
+    Net.transmit t.net ~node:t.device ~port frame;
+    run_actions t ~in_port frame rest
+  | Flow_table.Group g :: rest ->
+    via_group t frame g;
+    run_actions t ~in_port frame rest
+  | Flow_table.Multi ports :: rest ->
+    List.iter
+      (fun port -> if port <> in_port then Net.transmit t.net ~node:t.device ~port frame)
+      ports;
+    run_actions t ~in_port frame rest
+  | Flow_table.Punt :: rest ->
+    punt t ~in_port frame;
     run_actions t ~in_port frame rest
 
 let handle t in_port frame =

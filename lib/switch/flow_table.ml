@@ -1,51 +1,43 @@
 open Netcore
 
-type mask_match = { value : int; mask : int }
+let mac_bits = 48
+let mac_mask = 0xFFFFFFFFFFFF
 
-type mtch = {
-  dst_mac : mask_match option;
-  src_mac : mask_match option;
-  ethertype : int option;
-  ip_dst : mask_match option;
-  ip_proto : int option;
-}
+type mtch = { value : int; len : int }
 
-let match_any = { dst_mac = None; src_mac = None; ethertype = None; ip_dst = None; ip_proto = None }
+let mask_of_len len = (mac_mask lsl (mac_bits - len)) land mac_mask
 
-let match_dst_prefix ~value ~mask = { match_any with dst_mac = Some { value; mask } }
+let dst_prefix ~value ~len =
+  if len < 0 || len > mac_bits then
+    invalid_arg (Printf.sprintf "Flow_table.dst_prefix: prefix length %d" len);
+  { value = value land mask_of_len len; len }
+
+let match_any = { value = 0; len = 0 }
+let matches m dst = dst land mask_of_len m.len = m.value
 
 type action =
   | Output of int
   | Group of int
   | Multi of int list
-  | Flood
   | Set_dst_mac of Mac_addr.t
-  | Set_src_mac of Mac_addr.t
   | Punt
-  | Drop
 
 type entry = { name : string; priority : int; mtch : mtch; actions : action list }
 
 (* ------------------------------------------------------------------ *)
-(* Destination-prefix trie (the fast path).
+(* Destination-prefix trie.
 
-   PortLand's unicast forwarding state is entirely destination-PMAC
-   prefix matches (pod /16, position /24, port /32, exact /48, plus the
-   odd fully-wildcarded or broadcast entry), so the hot lookup is
-   longest-prefix-match-with-priorities over the 48-bit destination. The
-   trie indexes every entry that matches {e only} on a dst-MAC prefix
-   (other fields wildcarded, mask a contiguous run of high bits), with
-   entries anchored at the node their prefix ends on — the
+   PortLand's forwarding state is entirely destination-PMAC prefix
+   matches (pod /16, position /24, port /32, exact /48, plus the odd
+   fully-wildcarded or broadcast entry), so a lookup is
+   longest-prefix-match-with-priorities over the 48-bit destination.
+   Every entry is anchored at the trie node its prefix ends on — the
    per-prefix-length priority tiers. The trie is path-compressed
    (PATRICIA): an edge swallows whole runs of non-branching bits, so a
    lookup visits one node per branch point — in a converged PortLand
    table that is a handful of nodes, not 48 — verifying the skipped bits
    with a single xor/shift per node and keeping the best
-   (priority, insertion-tie) candidate seen. Entries the trie cannot
-   express (non-prefix masks, src/ethertype/IP constraints) live in a
-   short residual list that is scanned linearly, so the union is
-   semantically identical to the reference linear scan over all
-   entries. *)
+   (priority, insertion-tie) candidate seen. *)
 
 (* [tie] orders same-priority entries (later install wins); {!replace}
    renumbers it in place for an entry it keeps *)
@@ -70,9 +62,6 @@ type node = {
 
 let new_node () = { depth = 0; key = 0; zero = None; one = None; here = [] }
 
-let mac_bits = 48
-let mac_mask = 0xFFFFFFFFFFFF
-
 (* length of the common prefix of two 48-bit keys *)
 let common_prefix_len a b =
   let x = (a lxor b) land mac_mask in
@@ -88,40 +77,11 @@ let common_prefix_len a b =
     mac_bits - !l
   end
 
-(* [Some len] when [mask] restricted to 48 bits is a contiguous run of
-   [len] high bits (and has no bits above bit 47) *)
-let prefix_len_of_mask mask =
-  if mask land lnot mac_mask <> 0 then None
-  else begin
-    let inv = mask lxor mac_mask in
-    (* inv must be 2^k - 1 *)
-    if inv land (inv + 1) <> 0 then None
-    else begin
-      let len = ref mac_bits and v = ref inv in
-      while !v <> 0 do
-        decr len;
-        v := !v lsr 1
-      done;
-      Some !len
-    end
-  end
-
-(* trie-indexable iff only a dst prefix is constrained *)
-let indexable_prefix m =
-  if m.src_mac <> None || m.ethertype <> None || m.ip_dst <> None || m.ip_proto <> None then
-    None
-  else
-    match m.dst_mac with
-    | None -> Some (0, 0)
-    | Some { value; mask } ->
-      (match prefix_len_of_mask mask with
-       | Some len -> Some (value land mask, len)
-       | None -> None)
-
 let bit_at key depth = (key lsr (mac_bits - 1 - depth)) land 1
 let set_child n bit c = if bit = 0 then n.zero <- Some c else n.one <- Some c
 
-let trie_insert root ~key ~len ix =
+let trie_insert root ix =
+  let { value = key; len } = ix.e.mtch in
   let rec ins n =
     (* invariant: the top [n.depth] bits of [key] equal [n.key]'s, and
        [n.depth <= len] *)
@@ -151,7 +111,8 @@ let trie_insert root ~key ~len ix =
 (* Remove [ix] from the node its prefix ends at, then splice out every
    node the removal left with no entries and at most one child, cascading
    up to (not including) the root. *)
-let trie_remove root ~key ~len ix =
+let trie_remove root ix =
+  let { value = key; len } = ix.e.mtch in
   let rec rem n =
     if n.depth = len then n.here <- List.filter (fun x -> x != ix) n.here
     else begin
@@ -170,26 +131,27 @@ let trie_remove root ~key ~len ix =
   rem root
 
 type update =
-  | Installed of { name : string; prefix : (int * int) option }
-  | Removed of { name : string; prefix : (int * int) option }
+  | Installed of { name : string; prefix : mtch }
+  | Removed of { name : string; prefix : mtch }
   | Group_changed of { group : int }
   | Cleared
+
+module Int_map = Map.Make (Int)
 
 type t = {
   mutable entries : entry list; (* kept sorted: priority desc, insertion order for ties *)
   mutable next_tie : int;
-  mutable groups : (int, int array) Hashtbl.t;
+  mutable groups : int array Int_map.t;
   by_name : (string, indexed) Hashtbl.t; (* name -> live indexed record (hit counters) *)
   mutable salt : int;
-  mutable root : node; (* dst-prefix index over the indexable entries *)
-  mutable residual : indexed list; (* non-indexable entries, lookup order *)
+  mutable root : node; (* dst-prefix index over every entry *)
   mutable journal : (update -> unit) option;
   mutable stamp : int; (* bumped by every mutation of entries or groups *)
 }
 
 let create () =
-  { entries = []; next_tie = 0; groups = Hashtbl.create 8;
-    by_name = Hashtbl.create 16; salt = 0; root = new_node (); residual = [];
+  { entries = []; next_tie = 0; groups = Int_map.empty;
+    by_name = Hashtbl.create 16; salt = 0; root = new_node ();
     journal = None; stamp = 0 }
 
 let stamp t = t.stamp
@@ -201,11 +163,6 @@ let emit t u = match t.journal with None -> () | Some f -> f u
 
 let set_hash_salt t salt = t.salt <- salt
 
-let deindex t ix =
-  match indexable_prefix ix.e.mtch with
-  | Some (key, len) -> trie_remove t.root ~key ~len ix
-  | None -> t.residual <- List.filter (fun x -> x != ix) t.residual
-
 (* a freshly installed entry always carries the largest tie, so keeping
    the (priority desc, tie desc) order is a single sorted insertion —
    the entry goes in front of its priority class *)
@@ -214,22 +171,12 @@ let rec insert_entry_sorted entry entries =
   | x :: rest when x.priority > entry.priority -> x :: insert_entry_sorted entry rest
   | rest -> entry :: rest
 
-let rec insert_ix_sorted ix residual =
-  match residual with
-  | x :: rest when x.e.priority > ix.e.priority -> x :: insert_ix_sorted ix rest
-  | rest -> ix :: rest
-
-let index t ix =
-  match indexable_prefix ix.e.mtch with
-  | Some (key, len) -> trie_insert t.root ~key ~len ix
-  | None -> t.residual <- insert_ix_sorted ix t.residual
-
 let install t entry =
   touch t;
   let old = Hashtbl.find_opt t.by_name entry.name in
   (match old with
    | Some o ->
-     deindex t o;
+     trie_remove t.root o;
      t.entries <- List.filter (fun e -> e.name <> entry.name) t.entries
    | None -> ());
   let tie = t.next_tie in
@@ -239,31 +186,30 @@ let install t entry =
   let hits = match old with Some o -> o.hits | None -> 0 in
   let ix = { e = entry; tie; hits } in
   Hashtbl.replace t.by_name entry.name ix;
-  index t ix;
+  trie_insert t.root ix;
   (* a replacement that moved to a new prefix vacates the old one too *)
   (match old with
-   | Some o when indexable_prefix o.e.mtch <> indexable_prefix entry.mtch ->
-     emit t (Removed { name = entry.name; prefix = indexable_prefix o.e.mtch })
+   | Some o when o.e.mtch <> entry.mtch ->
+     emit t (Removed { name = entry.name; prefix = o.e.mtch })
    | Some _ | None -> ());
-  emit t (Installed { name = entry.name; prefix = indexable_prefix entry.mtch })
+  emit t (Installed { name = entry.name; prefix = entry.mtch })
 
 let remove t name =
   match Hashtbl.find_opt t.by_name name with
   | None -> ()
   | Some old ->
     touch t;
-    deindex t old;
+    trie_remove t.root old;
     t.entries <- List.filter (fun e -> e.name <> name) t.entries;
     Hashtbl.remove t.by_name name;
-    emit t (Removed { name; prefix = indexable_prefix old.e.mtch })
+    emit t (Removed { name; prefix = old.e.mtch })
 
 let clear t =
   touch t;
   t.entries <- [];
-  Hashtbl.reset t.groups;
+  t.groups <- Int_map.empty;
   Hashtbl.reset t.by_name;
   t.root <- new_node ();
-  t.residual <- [];
   emit t Cleared
 
 (* lookup order: priority desc, then tie desc (the later install wins) *)
@@ -271,35 +217,24 @@ let ix_order a b =
   if a.e.priority <> b.e.priority then Int.compare b.e.priority a.e.priority
   else Int.compare b.tie a.tie
 
-(* The groups [clear] + [set_group] in list order would leave, in a fresh
-   Hashtbl filled in that order, so iteration order ([pp], [groups])
-   matches too. A member array equal to the old one is reused, so a
-   group changed iff its array is not physically the old one. Returns
-   the changed ids (defined, redefined or dropped), unsorted. *)
+(* The groups [clear] + [set_group] in list order would leave. A member
+   array equal to the old one is reused, so a group changed iff its array
+   is not physically the old one. Returns the changed ids (defined,
+   redefined or dropped), ascending. *)
 let replace_groups t groups =
   let old = t.groups in
-  let fresh = Hashtbl.create 8 in
-  let all_reused = ref true in
-  List.iter
-    (fun (g, m) ->
-      Hashtbl.replace fresh g
-        (match Hashtbl.find_opt old g with
-         | Some o when o = m -> o
-         | _ ->
-           all_reused := false;
-           Array.copy m))
-    groups;
-  t.groups <- fresh;
-  (* every group kept its old array and none was dropped: the usual case *)
-  if !all_reused && Hashtbl.length fresh = Hashtbl.length old then []
-  else
-    let changed =
-      Hashtbl.fold
-        (fun g m acc ->
-          match Hashtbl.find_opt old g with Some o when o == m -> acc | _ -> g :: acc)
-        fresh []
-    in
-    Hashtbl.fold (fun g _ acc -> if Hashtbl.mem fresh g then acc else g :: acc) old changed
+  t.groups <-
+    List.fold_left
+      (fun acc (g, m) ->
+        Int_map.add g
+          (match Int_map.find_opt g old with Some o when o = m -> o | _ -> Array.copy m)
+          acc)
+      Int_map.empty groups;
+  Int_map.merge
+    (fun _ o n ->
+      match (o, n) with Some o, Some n when o == n -> None | None, None -> None | _ -> Some ())
+    old t.groups
+  |> Int_map.bindings |> List.map fst
 
 let replace t ~groups entries =
   touch t;
@@ -322,12 +257,10 @@ let replace t ~groups entries =
       settled := ix :: !settled
     | old ->
       if Option.is_some old then incr matched;
-      Option.iter (deindex t) old;
+      Option.iter (trie_remove t.root) old;
       let ix = { e; tie; hits = 0 } in
       Hashtbl.replace t.by_name e.name ix;
-      (match indexable_prefix e.mtch with
-       | Some (key, len) -> trie_insert t.root ~key ~len ix
-       | None -> t.residual <- ix :: t.residual);
+      trie_insert t.root ix;
       settled := ix :: !settled;
       touched := (ix, Option.map (fun o -> o.e) old) :: !touched
   in
@@ -348,14 +281,13 @@ let replace t ~groups entries =
         (fun o ->
           match Hashtbl.find_opt t.by_name o.name with
           | Some ix when ix.tie < base ->
-            deindex t ix;
+            trie_remove t.root ix;
             Hashtbl.remove t.by_name o.name;
             true
           | Some _ | None -> false)
         old_entries
   in
   t.entries <- List.map (fun ix -> ix.e) (List.sort ix_order !settled);
-  if t.residual <> [] then t.residual <- List.sort ix_order t.residual;
   let groups_changed = replace_groups t groups in
   (* the kept entries are the old records, so an unchanged table has the
      very same entries in the same order *)
@@ -369,15 +301,13 @@ let replace t ~groups entries =
         changed groups by id *)
      List.iter
        (fun (ix, old) ->
-         let prefix = indexable_prefix ix.e.mtch in
          (match old with
-          | Some o when indexable_prefix o.mtch <> prefix ->
-            j (Removed { name = o.name; prefix = indexable_prefix o.mtch })
+          | Some o when o.mtch <> ix.e.mtch -> j (Removed { name = o.name; prefix = o.mtch })
           | Some _ | None -> ());
-         j (Installed { name = ix.e.name; prefix }))
+         j (Installed { name = ix.e.name; prefix = ix.e.mtch }))
        (List.sort (fun (a, _) (b, _) -> ix_order a b) !touched);
-     List.iter (fun o -> j (Removed { name = o.name; prefix = indexable_prefix o.mtch })) vanished;
-     List.iter (fun group -> j (Group_changed { group })) (List.sort Int.compare groups_changed));
+     List.iter (fun o -> j (Removed { name = o.name; prefix = o.mtch })) vanished;
+     List.iter (fun group -> j (Group_changed { group })) groups_changed);
   changed
 
 let size t = List.length t.entries
@@ -385,37 +315,9 @@ let entry_names t = List.map (fun e -> e.name) t.entries
 
 let set_group t id members =
   touch t;
-  Hashtbl.replace t.groups id (Array.copy members);
+  t.groups <- Int_map.add id (Array.copy members) t.groups;
   emit t (Group_changed { group = id })
-let group_members t id = Option.map Array.copy (Hashtbl.find_opt t.groups id)
-
-let mask_ok mm field = field land mm.mask = mm.value land mm.mask
-
-let ip_fields (frame : Eth.t) =
-  match frame.payload with
-  | Eth.Ipv4 p ->
-    Some (Ipv4_addr.to_int p.Ipv4_pkt.src, Ipv4_addr.to_int p.Ipv4_pkt.dst,
-          Ipv4_pkt.proto_number p.Ipv4_pkt.payload)
-  | _ -> None
-
-let matches m (frame : Eth.t) =
-  let dst = Mac_addr.to_int frame.dst and src = Mac_addr.to_int frame.src in
-  let et = Eth.ethertype frame.payload in
-  let dst_ok = match m.dst_mac with None -> true | Some mm -> mask_ok mm dst in
-  let src_ok = match m.src_mac with None -> true | Some mm -> mask_ok mm src in
-  let et_ok = match m.ethertype with None -> true | Some e -> e = et in
-  let ip = ip_fields frame in
-  let ip_dst_ok =
-    match m.ip_dst with
-    | None -> true
-    | Some mm -> (match ip with Some (_, d, _) -> mask_ok mm d | None -> false)
-  in
-  let proto_ok =
-    match m.ip_proto with
-    | None -> true
-    | Some p -> (match ip with Some (_, _, pr) -> p = pr | None -> false)
-  in
-  dst_ok && src_ok && et_ok && ip_dst_ok && proto_ok
+let group_members t id = Option.map Array.copy (Int_map.find_opt id t.groups)
 
 (* best (priority, tie) of [best] and the entries anchored at one node *)
 let rec fold_here best here =
@@ -451,39 +353,18 @@ let trie_best t dst =
   in
   go t.root None
 
-(* first residual entry (residual is kept in lookup order) beating [cand];
-   specialized per match kind so the hot path allocates no closure *)
-let rec merge_residual_frame cand frame residual =
-  match residual with
-  | [] -> cand
-  | ix :: rest ->
-    (match cand with
-     | Some b
-       when b.e.priority > ix.e.priority || (b.e.priority = ix.e.priority && b.tie > ix.tie)
-       ->
-       (* residual is sorted, so nothing further can beat the candidate *)
-       cand
-     | _ ->
-       if matches ix.e.mtch frame then Some ix else merge_residual_frame cand frame rest)
-
 let lookup t frame =
-  let cand = trie_best t (Mac_addr.to_int frame.Eth.dst) in
-  let best =
-    match t.residual with [] -> cand | r -> merge_residual_frame cand frame r
-  in
-  match best with
+  match trie_best t (Mac_addr.to_int frame.Eth.dst) with
   | Some ix ->
     ix.hits <- ix.hits + 1;
     Some ix.e
   | None -> None
 
-let lookup_linear t frame = List.find_opt (fun e -> matches e.mtch frame) t.entries
-
 let hit_count t name =
   match Hashtbl.find_opt t.by_name name with Some ix -> ix.hits | None -> 0
 
 let select_member t ~group ~hash =
-  match Hashtbl.find_opt t.groups group with
+  match Int_map.find_opt group t.groups with
   | None -> None
   | Some members when Array.length members = 0 -> None
   | Some members ->
@@ -501,6 +382,13 @@ let fnv_prime = 0x100000001b3
 let fnv_offset = 0x3bf29ce484222325 (* FNV offset basis truncated to 62 bits *)
 
 let fnv acc v = (acc lxor v) * fnv_prime land max_int
+
+let ip_fields (frame : Eth.t) =
+  match frame.payload with
+  | Eth.Ipv4 p ->
+    Some (Ipv4_addr.to_int p.Ipv4_pkt.src, Ipv4_addr.to_int p.Ipv4_pkt.dst,
+          Ipv4_pkt.proto_number p.Ipv4_pkt.payload)
+  | _ -> None
 
 let ports_of (frame : Eth.t) =
   match frame.payload with
@@ -525,89 +413,34 @@ let flow_hash (frame : Eth.t) =
 
 let entries t = t.entries
 let find_entry t name = Option.map (fun ix -> ix.e) (Hashtbl.find_opt t.by_name name)
-let groups t = Hashtbl.fold (fun id members acc -> (id, Array.copy members) :: acc) t.groups []
 
-let dst_only_matches e dst =
-  (match e.mtch.dst_mac with None -> true | Some mm -> mask_ok mm dst)
-  && e.mtch.src_mac = None && e.mtch.ethertype = None && e.mtch.ip_dst = None
-  && e.mtch.ip_proto = None
+let groups t = List.map (fun (id, members) -> (id, Array.copy members)) (Int_map.bindings t.groups)
 
-let rec merge_residual_dst cand dst residual =
-  match residual with
-  | [] -> cand
-  | ix :: rest ->
-    (match cand with
-     | Some b
-       when b.e.priority > ix.e.priority || (b.e.priority = ix.e.priority && b.tie > ix.tie)
-       ->
-       cand
-     | _ -> if dst_only_matches ix.e dst then Some ix else merge_residual_dst cand dst rest)
-
-let lookup_dst t dst =
-  let cand = trie_best t dst in
-  let best = match t.residual with [] -> cand | r -> merge_residual_dst cand dst r in
-  match best with Some ix -> Some ix.e | None -> None
-
-let lookup_dst_linear t dst = List.find_opt (fun e -> dst_only_matches e dst) t.entries
-
-let pp_mask_match fmt (mm : mask_match) =
-  if mm.mask = 0xFFFFFFFFFFFF then Format.fprintf fmt "=%012x" mm.value
-  else Format.fprintf fmt "%012x/%012x" mm.value mm.mask
+let lookup_dst t dst = match trie_best t dst with Some ix -> Some ix.e | None -> None
+let lookup_dst_linear t dst = List.find_opt (fun e -> matches e.mtch dst) t.entries
 
 let pp_mtch fmt m =
-  let started = ref false in
-  let sep () =
-    if !started then Format.pp_print_string fmt ",";
-    started := true
-  in
-  (match m.dst_mac with
-   | Some mm ->
-     sep ();
-     Format.fprintf fmt "dst:%a" pp_mask_match mm
-   | None -> ());
-  (match m.src_mac with
-   | Some mm ->
-     sep ();
-     Format.fprintf fmt "src:%a" pp_mask_match mm
-   | None -> ());
-  (match m.ethertype with
-   | Some e ->
-     sep ();
-     Format.fprintf fmt "type:0x%04x" e
-   | None -> ());
-  (match m.ip_dst with
-   | Some mm ->
-     sep ();
-     Format.fprintf fmt "ip_dst:%a" pp_mask_match mm
-   | None -> ());
-  (match m.ip_proto with
-   | Some p ->
-     sep ();
-     Format.fprintf fmt "proto:%d" p
-   | None -> ());
-  if not !started then Format.pp_print_string fmt "any"
+  if m.len = 0 then Format.pp_print_string fmt "any"
+  else if m.len = mac_bits then Format.fprintf fmt "dst:=%012x" m.value
+  else Format.fprintf fmt "dst:%012x/%012x" m.value (mask_of_len m.len)
 
 let pp_action fmt = function
   | Output p -> Format.fprintf fmt "out:%d" p
   | Group g -> Format.fprintf fmt "group:%d" g
   | Multi ports ->
     Format.fprintf fmt "multi:[%s]" (String.concat ";" (List.map string_of_int ports))
-  | Flood -> Format.pp_print_string fmt "flood"
   | Set_dst_mac m -> Format.fprintf fmt "set_dst:%a" Mac_addr.pp m
-  | Set_src_mac m -> Format.fprintf fmt "set_src:%a" Mac_addr.pp m
   | Punt -> Format.pp_print_string fmt "punt"
-  | Drop -> Format.pp_print_string fmt "drop"
 
 let pp_update fmt u =
-  let pp_prefix fmt = function
-    | None -> Format.pp_print_string fmt "residual"
-    | Some (v, len) -> Format.fprintf fmt "%012x/%d" v len
-  in
+  let pp_prefix fmt m = Format.fprintf fmt "%012x/%d" m.value m.len in
   match u with
   | Installed { name; prefix } -> Format.fprintf fmt "install %s @@ %a" name pp_prefix prefix
   | Removed { name; prefix } -> Format.fprintf fmt "remove %s @@ %a" name pp_prefix prefix
   | Group_changed { group } -> Format.fprintf fmt "group %d changed" group
   | Cleared -> Format.pp_print_string fmt "cleared"
+
+let pp_members members = String.concat ";" (List.map string_of_int (Array.to_list members))
 
 let pp fmt t =
   List.iter
@@ -617,10 +450,7 @@ let pp fmt t =
         (String.concat "; " (List.map (Format.asprintf "%a" pp_action) e.actions))
         (hit_count t e.name))
     t.entries;
-  Hashtbl.iter
-    (fun gid members ->
-      Format.fprintf fmt "group %d -> [%s]@." gid
-        (String.concat ";" (List.map string_of_int (Array.to_list members))))
+  Int_map.iter (fun gid members -> Format.fprintf fmt "group %d -> [%s]@." gid (pp_members members))
     t.groups
 
 (* ---------------- canonical rendering ---------------- *)
@@ -632,11 +462,8 @@ let render_entry e =
 let canonical_lines t =
   let entry_lines = List.sort String.compare (List.map render_entry t.entries) in
   let group_lines =
-    Hashtbl.fold
-      (fun gid members acc ->
-        Printf.sprintf "group %d [%s]" gid
-          (String.concat ";" (List.map string_of_int (Array.to_list members)))
-        :: acc)
+    Int_map.fold
+      (fun gid members acc -> Printf.sprintf "group %d [%s]" gid (pp_members members) :: acc)
       t.groups []
     |> List.sort String.compare
   in

@@ -1,43 +1,39 @@
 (** Priority match/action flow tables — the switch dataplane abstraction
     PortLand programs (the paper targets OpenFlow switches).
 
-    A table holds prioritized entries whose matches may wildcard or
-    mask-match individual fields (masked destination-MAC matching is how
-    PMAC prefix forwarding is expressed), plus ECMP *select groups*: an
-    action may defer the output-port choice to a group, which picks a live
-    member by flow hash so that a flow sticks to one path but flows spread
-    across all members.
+    A table holds prioritized entries, each matching one destination-MAC
+    prefix (PMAC prefix forwarding is all PortLand installs), plus ECMP
+    *select groups*: an action may defer the output-port choice to a
+    group, which picks a live member by flow hash so that a flow sticks
+    to one path but flows spread across all members.
 
-    Lookups run on a destination-prefix trie: entries that match only a
-    contiguous dst-MAC prefix (all of PortLand's unicast forwarding
-    state) are indexed by a path-compressed (PATRICIA) binary trie with
-    per-prefix-length priority tiers, so a lookup visits one node per
-    branch point of the installed prefixes — a handful of nodes in a
-    converged table — instead of scanning every entry; entries the trie
-    cannot express fall back to a residual linear list. Every trie node
-    but the root anchors entries or branches: a removal splices out the
-    nodes it leaves with neither, so the trie's shape (and size) depends
-    only on the live prefixes, however long the table has churned.
-    {!lookup_linear} and {!lookup_dst_linear} keep the plain scan as the
-    reference implementation — the differential test suite asserts the
-    two agree on arbitrary tables. *)
+    Lookups run on a destination-prefix trie: every entry is indexed by a
+    path-compressed (PATRICIA) binary trie with per-prefix-length
+    priority tiers, so a lookup visits one node per branch point of the
+    installed prefixes — a handful of nodes in a converged table —
+    instead of scanning every entry. Every trie node but the root anchors
+    entries or branches: a removal splices out the nodes it leaves with
+    neither, so the trie's shape (and size) depends only on the live
+    prefixes, however long the table has churned. {!lookup_dst_linear}
+    keeps the plain scan as the reference implementation — the
+    differential test suite asserts the two agree on arbitrary tables. *)
 
-type mask_match = { value : int; mask : int }
-(** Field matches when [field land mask = value land mask]. *)
+type mtch = private { value : int; len : int }
+(** A destination-MAC prefix: a destination matches when its top [len]
+    bits equal [value]'s. [len] runs from 0 (every frame) to 48 (one
+    address), and [value] has no bits set below the prefix. A record of
+    value and length cannot hold a non-contiguous mask. *)
 
-type mtch = {
-  dst_mac : mask_match option;
-  src_mac : mask_match option;
-  ethertype : int option;
-  ip_dst : mask_match option;
-  ip_proto : int option;
-}
+val dst_prefix : value:int -> len:int -> mtch
+(** The prefix of length [len] that [value] starts with (the bits below
+    it are cleared).
+    @raise Invalid_argument unless [0 <= len <= 48]. *)
 
 val match_any : mtch
-(** Matches every frame. *)
+(** The empty prefix: matches every frame. *)
 
-val match_dst_prefix : value:int -> mask:int -> mtch
-(** Destination-MAC mask match, everything else wildcarded. *)
+val matches : mtch -> int -> bool
+(** [matches m dst]: the 48-bit destination MAC [dst] lies under [m]. *)
 
 type action =
   | Output of int            (** forward out of the given port *)
@@ -47,11 +43,8 @@ type action =
           tree semantics, which keeps a switch on both the up- and
           down-path of a tree from bouncing a packet back where it came
           from *)
-  | Flood                    (** all ports except ingress *)
   | Set_dst_mac of Netcore.Mac_addr.t  (** rewrite before subsequent output *)
-  | Set_src_mac of Netcore.Mac_addr.t
   | Punt                     (** send to the local control agent *)
-  | Drop
 
 type entry = {
   name : string;    (** unique handle for update/removal *)
@@ -127,14 +120,9 @@ val set_group : t -> int -> int array -> unit
 val group_members : t -> int -> int array option
 
 val lookup : t -> Netcore.Eth.t -> entry option
-(** Highest-priority matching entry (trie fast path). Increments the
-    entry's hit counter. *)
-
-val lookup_linear : t -> Netcore.Eth.t -> entry option
-(** Reference implementation of {!lookup}: first match in the sorted
-    entry list. Side-effect-free (no hit-counter update); exists so the
-    trie fast path can be differentially tested and benchmarked against
-    it. *)
+(** Highest-priority entry whose prefix covers the frame's destination
+    (the trie walk of {!lookup_dst}). Increments the entry's hit
+    counter. *)
 
 val hit_count : t -> string -> int
 (** Times the named entry matched (0 for unknown names; counters survive
@@ -142,7 +130,8 @@ val hit_count : t -> string -> int
 
 val pp : Format.formatter -> t -> unit
 (** Operator-style dump: one line per entry (priority, name, match
-    summary, actions, hits), highest priority first, then the groups. *)
+    summary, actions, hits), highest priority first, then the groups by
+    ascending id. *)
 
 val select_member : t -> group:int -> hash:int -> int option
 (** Deterministic member choice: [members.(hash mod length)]. *)
@@ -151,9 +140,6 @@ val flow_hash : Netcore.Eth.t -> int
 (** Non-negative hash over (src IP, dst IP, protocol, ports) for IP
     frames; over (src MAC, dst MAC, ethertype) otherwise. Flows hash
     stably; distinct flows spread. *)
-
-val matches : mtch -> Netcore.Eth.t -> bool
-(** Exposed for tests. *)
 
 (** {1 Static introspection}
 
@@ -168,19 +154,17 @@ val entries : t -> entry list
 val find_entry : t -> string -> entry option
 
 val groups : t -> (int * int array) list
-(** Every select group as [(id, members)], in unspecified order. *)
+(** Every select group as [(id, members)], by ascending id. *)
 
 val lookup_dst : t -> int -> entry option
-(** The entry that decides the fate of the {e whole} destination class
-    [dst]: the highest-priority entry whose [dst_mac] match accepts the
-    value and whose other fields are fully wildcarded. Entries that also
-    constrain source/ethertype/IP fields match only a subset of the class
-    and are skipped (the PortLand layer installs none for unicast
-    forwarding). Served by the trie fast path. *)
+(** The entry that decides the fate of destination [dst]: the
+    highest-priority entry whose prefix covers it, ties to the later
+    install. Served by the trie; no hit counter moves. *)
 
 val lookup_dst_linear : t -> int -> entry option
-(** Reference implementation of {!lookup_dst} (linear scan), for
-    differential testing. *)
+(** Reference implementation of {!lookup_dst}: the first entry in lookup
+    order whose prefix covers [dst], by a linear scan — what the trie is
+    differentially tested and benchmarked against. *)
 
 val render_entry : entry -> string
 (** One-line canonical rendering of an entry (priority, name, match,
@@ -203,26 +187,18 @@ val canonical_lines : t -> string list
     equivalence classes it can affect. *)
 
 type update =
-  | Installed of { name : string; prefix : (int * int) option }
-      (** Entry inserted or replaced. [prefix] is the
-          [(value, prefix_len)] the trie indexes it under, [None] for
-          residual (non-prefix) entries. A replacement whose match moved
-          to a different prefix is journalled as [Removed] (old prefix)
-          followed by [Installed] (new prefix). *)
-  | Removed of { name : string; prefix : (int * int) option }
+  | Installed of { name : string; prefix : mtch }
+      (** Entry inserted or replaced, with the prefix it matches. A
+          replacement whose match moved to a different prefix is
+          journalled as [Removed] (old prefix) followed by [Installed]
+          (new prefix). *)
+  | Removed of { name : string; prefix : mtch }
       (** Entry removed. Never emitted for names that were not
           installed. *)
   | Group_changed of { group : int }
       (** Select-group member list defined or replaced. *)
   | Cleared
       (** The whole table (entries and groups) was wiped. *)
-
-val indexable_prefix : mtch -> (int * int) option
-(** The [(value, prefix_len)] destination prefix the trie would index
-    this match under: [Some] iff only a contiguous dst-MAC prefix is
-    constrained ([Some (0, 0)] for a full wildcard), [None] for matches
-    that fall to the residual list. This is the prefix provenance the
-    update journal reports. *)
 
 val set_journal : t -> (update -> unit) option -> unit
 (** Subscribe to (or with [None], unsubscribe from) the table's update

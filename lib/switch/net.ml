@@ -230,7 +230,7 @@ let tx_time params bytes =
 
 let tagging t = t.tagger <> None && Engine.intercepting t.engine
 
-(* a burst (a beacon or flood on every port) lands at one instant: fold
+(* a burst (a frame sent on every port at once) lands at one instant: fold
    each delivery into the previous one's event while nothing else has
    been scheduled in between *)
 let schedule_delivery t ~time deliver =
@@ -366,12 +366,6 @@ let transmit_ldm t ~node ~port ~repeat msg =
     | Some _ | None -> transmit t ~node ~port (ldm_frame msg)
 
 let quiet_deliveries t = t.quiet
-
-let flood t ~node ~except frame =
-  let d = device t node in
-  Array.iteri
-    (fun i p -> if i <> except && p.attached <> None then transmit t ~node ~port:i frame)
-    d.ports
 
 let add_tap t ~device:dev tap =
   let d = device t dev in

@@ -132,9 +132,6 @@ val quiet_deliveries : t -> int
 (** Keepalives delivered to an [on_ldm] callback without a frame so
     far. *)
 
-val flood : t -> node:int -> except:int -> Netcore.Eth.t -> unit
-(** Transmit on every wired port except [except] (pass [-1] to use all). *)
-
 (** {1 Taps} *)
 
 type direction = Rx | Tx

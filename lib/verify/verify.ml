@@ -231,8 +231,7 @@ let audit_switch s fault_set id agent ~sink =
                        | Some _ | None -> ()
                      end)
                  members)
-          | FT.Output _ | FT.Multi _ | FT.Flood | FT.Set_dst_mac _ | FT.Set_src_mac _
-          | FT.Punt | FT.Drop -> ())
+          | FT.Output _ | FT.Multi _ | FT.Set_dst_mac _ | FT.Punt -> ())
         e.FT.actions)
     (FT.entries table);
   !groups_checked
@@ -346,10 +345,8 @@ let plan_of s dev table (e : FT.entry) =
              reason (Printf.sprintf "ECMP group %d selects nothing; matches drop" g)
            | Some members -> Array.iter out members)
         | FT.Set_dst_mac m -> set_dst := Mac_addr.to_int m
-        | FT.Set_src_mac _ -> ()
         | FT.Punt -> reason "in-fabric unicast punted to the control agent"
-        | FT.Drop -> reason "explicit drop"
-        | FT.Flood | FT.Multi _ -> reason "non-unicast action on a unicast class")
+        | FT.Multi _ -> reason "non-unicast action on a unicast class")
       e.FT.actions;
     if e.FT.actions = [] then reason "entry has no actions";
     let p = { reasons = List.rev !reasons; outs = Array.of_list (List.rev !outs) } in
@@ -681,8 +678,8 @@ module Incremental = struct
   type audit = { a_viols : violation list; a_groups : int }
 
   type delta = {
-    mutable d_prefixes : (int * int) list; (* (value, len) of changed entries *)
-    mutable d_residual : bool;             (* a non-prefix entry changed, or a wipe *)
+    mutable d_prefixes : FT.mtch list;     (* prefixes of changed entries *)
+    mutable d_cleared : bool;              (* the table was wiped *)
     mutable d_groups : bool;               (* a select group changed *)
   }
 
@@ -707,14 +704,10 @@ module Incremental = struct
     mutable equiv_checks : int;
   }
 
-  let mac_bits = 48
-
-  let prefix_matches pm (v, len) = (pm lxor v) lsr (mac_bits - len) = 0
-
   let class_affected d (c : cls) =
-    d.d_residual || d.d_groups
+    d.d_cleared || d.d_groups
     || (let pm = Mac_addr.to_int (Pmac.to_mac c.c_binding.Msg.pmac) in
-        List.exists (prefix_matches pm) d.d_prefixes)
+        List.exists (fun p -> FT.matches p pm) d.d_prefixes)
 
   let dirty_deps t dev =
     Hashtbl.iter
@@ -726,15 +719,13 @@ module Incremental = struct
       match Hashtbl.find_opt t.deltas sw with
       | Some d -> d
       | None ->
-        let d = { d_prefixes = []; d_residual = false; d_groups = false } in
+        let d = { d_prefixes = []; d_cleared = false; d_groups = false } in
         Hashtbl.replace t.deltas sw d;
         d
     in
     match change with
-    | FT.Installed { prefix = Some p; _ } | FT.Removed { prefix = Some p; _ } ->
-      d.d_prefixes <- p :: d.d_prefixes
-    | FT.Installed { prefix = None; _ } | FT.Removed { prefix = None; _ } | FT.Cleared ->
-      d.d_residual <- true
+    | FT.Installed { prefix; _ } | FT.Removed { prefix; _ } -> d.d_prefixes <- prefix :: d.d_prefixes
+    | FT.Cleared -> d.d_cleared <- true
     | FT.Group_changed _ -> d.d_groups <- true
 
   let apply_update t s (u : Journal.update) =

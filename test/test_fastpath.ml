@@ -2,10 +2,9 @@
 
    1. Differential flow-table properties: the destination-prefix trie
       (Flow_table.lookup / lookup_dst) must agree with the linear
-      reference scan (lookup_linear / lookup_dst_linear) on arbitrary
-      tables — host exacts, pod/position/port prefixes, broadcast
-      entries, wildcards, non-prefix masks, other-field matches, ECMP
-      groups, colliding priorities — across install/remove/replace
+      reference scan (lookup_dst_linear) on arbitrary tables — host
+      exacts, pod/position/port prefixes, broadcast entries, wildcards,
+      ECMP groups, colliding priorities — across install/remove/replace
       sequences, probed with random and adversarial (prefix-boundary)
       destinations.
 
@@ -38,25 +37,16 @@ let prefix_mask len = if len = 0 then 0 else mac_mask lsl (48 - len) land mac_ma
 let random_entry p ~name ~groups =
   let v = Prng.int p (1 lsl 48) in
   let priority = Prng.pick p [| 10; 50; 50; 70; 90; 90; 200 |] in
-  let kind = Prng.int p 10 in
+  let kind = Prng.int p 7 in
   let mtch =
     if kind < 5 then begin
       (* PortLand-shaped prefixes, including the adversarial boundary
          lengths 47 and 1 *)
       let len = Prng.pick p [| 0; 1; 8; 16; 16; 24; 32; 47; 48; 48 |] in
-      FT.match_dst_prefix ~value:v ~mask:(prefix_mask len)
+      FT.dst_prefix ~value:v ~len
     end
-    else if kind = 5 then { FT.match_any with FT.dst_mac = None } (* full wildcard *)
-    else if kind = 6 then
-      (* broadcast-style exact match *)
-      FT.match_dst_prefix ~value:mac_mask ~mask:mac_mask
-    else if kind = 7 then
-      (* non-prefix mask: must fall back to the residual path *)
-      FT.match_dst_prefix ~value:v ~mask:(Prng.int p (1 lsl 48))
-    else if kind = 8 then
-      (* dst prefix plus another field: residual *)
-      { (FT.match_dst_prefix ~value:v ~mask:(prefix_mask 16)) with FT.ethertype = Some 0x0800 }
-    else { FT.match_any with FT.ip_proto = Some (Prng.pick p [| 6; 17 |]) }
+    else if kind = 5 then FT.match_any (* full wildcard *)
+    else (* broadcast-style exact match *) FT.dst_prefix ~value:mac_mask ~len:48
   in
   let actions =
     if Prng.int p 4 = 0 && groups <> [] then [ FT.Group (Prng.pick p (Array.of_list groups)) ]
@@ -68,15 +58,12 @@ let random_entry p ~name ~groups =
 let adversarial_dsts table =
   List.concat_map
     (fun (e : FT.entry) ->
-      match e.FT.mtch.FT.dst_mac with
-      | None -> [ 0; mac_mask ]
-      | Some { FT.value; mask } ->
-        let base = value land mask in
-        let inv = lnot mask land mac_mask in
-        [ value; base; base lor inv; (* inside: lowest and highest of the class *)
-          value lxor 1; (* flip the last bit *)
-          (base lxor (inv + 1)) land mac_mask; (* flip the lowest masked bit: outside *)
-          (base + inv + 1) land mac_mask (* the next prefix over *) ])
+      let { FT.value = base; len } = e.FT.mtch in
+      let inv = lnot (prefix_mask len) land mac_mask in
+      [ base; base lor inv; (* inside: lowest and highest of the class *)
+        base lxor 1; (* flip the last bit *)
+        (base lxor (inv + 1)) land mac_mask; (* flip the lowest masked bit: outside *)
+        (base + inv + 1) land mac_mask (* the next prefix over *) ])
     (FT.entries table)
 
 let frame_for p dst =
@@ -108,7 +95,7 @@ let check_dst_agreement table dst =
       (name_of slow)
 
 let check_frame_agreement table frame =
-  let slow = FT.lookup_linear table frame in
+  let slow = FT.lookup_dst_linear table (Netcore.Mac_addr.to_int frame.Netcore.Eth.dst) in
   let fast = FT.lookup table frame in
   if name_of fast <> name_of slow then
     Alcotest.failf "lookup disagrees on %a: trie=%s linear=%s" Netcore.Mac_addr.pp
@@ -177,10 +164,10 @@ let test_trie_tie_break () =
   let table = FT.create () in
   let pmac = 0x001F07030001 in
   FT.install table
-    { FT.name = "a"; priority = 70; mtch = FT.match_dst_prefix ~value:pmac ~mask:(prefix_mask 16);
+    { FT.name = "a"; priority = 70; mtch = FT.dst_prefix ~value:pmac ~len:16;
       actions = [ FT.Output 1 ] };
   FT.install table
-    { FT.name = "b"; priority = 70; mtch = FT.match_dst_prefix ~value:pmac ~mask:(prefix_mask 16);
+    { FT.name = "b"; priority = 70; mtch = FT.dst_prefix ~value:pmac ~len:16;
       actions = [ FT.Output 2 ] };
   Testutil.check_string "later insertion wins" "b" (name_of (FT.lookup_dst table pmac));
   check_dst_agreement table pmac;
@@ -188,13 +175,13 @@ let test_trie_tie_break () =
      higher priority *)
   FT.install table
     { FT.name = "long-low"; priority = 10;
-      mtch = FT.match_dst_prefix ~value:pmac ~mask:mac_mask; actions = [ FT.Output 3 ] };
+      mtch = FT.dst_prefix ~value:pmac ~len:48; actions = [ FT.Output 3 ] };
   Testutil.check_string "priority beats prefix length" "b"
     (name_of (FT.lookup_dst table pmac));
   check_dst_agreement table pmac;
   FT.install table
     { FT.name = "long-high"; priority = 90;
-      mtch = FT.match_dst_prefix ~value:pmac ~mask:mac_mask; actions = [ FT.Output 4 ] };
+      mtch = FT.dst_prefix ~value:pmac ~len:48; actions = [ FT.Output 4 ] };
   Testutil.check_string "higher priority wins" "long-high"
     (name_of (FT.lookup_dst table pmac));
   check_dst_agreement table pmac
@@ -204,13 +191,13 @@ let test_trie_hit_counters () =
   let pmac = 0x002A00010001 in
   FT.install table
     { FT.name = "host"; priority = 90;
-      mtch = FT.match_dst_prefix ~value:pmac ~mask:mac_mask; actions = [ FT.Output 0 ] };
+      mtch = FT.dst_prefix ~value:pmac ~len:48; actions = [ FT.Output 0 ] };
   let p = Prng.create 1 in
   let frame = frame_for p pmac in
   ignore (FT.lookup table frame);
   ignore (FT.lookup table frame);
   Testutil.check_int "fast path maintains hit counters" 2 (FT.hit_count table "host");
-  ignore (FT.lookup_linear table frame);
+  ignore (FT.lookup_dst_linear table pmac);
   Testutil.check_int "reference lookup is pure" 2 (FT.hit_count table "host")
 
 (* ---------------- update journal ---------------- *)
@@ -228,15 +215,17 @@ let show_updates us = String.concat "; " (List.map (Format.asprintf "%a" FT.pp_u
 
 (* an update prints on one line: a literal "@", not a Format break hint *)
 let test_pp_update_one_line () =
-  Testutil.check_string "install" "install host @ 001f07030000/40 ; remove host @ residual"
+  Testutil.check_string "install" "install host @ 001f07030000/40 ; remove host @ 000000000000/0"
     (String.concat " ; "
        (List.map (Format.asprintf "%a" FT.pp_update)
-          [ FT.Installed { name = "host"; prefix = Some (0x001F07030000, 40) };
-            FT.Removed { name = "host"; prefix = None } ]))
+          [ FT.Installed { name = "host"; prefix = FT.dst_prefix ~value:0x001F07030000 ~len:40 };
+            FT.Removed { name = "host"; prefix = FT.match_any } ]))
+
+(* the [len]-bit prefix of [v] *)
+let pfx len v = FT.dst_prefix ~value:v ~len
 
 let prefix_entry ?(name = "host") ?(priority = 90) ?(out = 0) ~len v =
-  { FT.name; priority; mtch = FT.match_dst_prefix ~value:v ~mask:(prefix_mask len);
-    actions = [ FT.Output out ] }
+  { FT.name; priority; mtch = pfx len v; actions = [ FT.Output out ] }
 
 (* every mutation journals exactly the updates the incremental verifier
    keys its class invalidation on, with masked-prefix provenance *)
@@ -250,34 +239,25 @@ let test_journal_hooks () =
   in
   expect "fresh install carries its exact prefix"
     (with_journal table (fun () -> FT.install table (prefix_entry ~len:48 v)))
-    [ FT.Installed { name = "host"; prefix = Some (v, 48) } ];
+    [ FT.Installed { name = "host"; prefix = pfx 48 v } ];
   expect "same-prefix replacement is one install, no remove"
     (with_journal table (fun () -> FT.install table (prefix_entry ~len:48 ~out:1 v)))
-    [ FT.Installed { name = "host"; prefix = Some (v, 48) } ];
+    [ FT.Installed { name = "host"; prefix = pfx 48 v } ];
   expect "replacement that moved prefixes vacates the old one first"
     (with_journal table (fun () -> FT.install table (prefix_entry ~len:16 v)))
-    [ FT.Removed { name = "host"; prefix = Some (v, 48) };
-      FT.Installed { name = "host"; prefix = Some (v land prefix_mask 16, 16) } ];
+    [ FT.Removed { name = "host"; prefix = pfx 48 v };
+      FT.Installed { name = "host"; prefix = pfx 16 v } ];
   expect "removal reports the vacated prefix"
     (with_journal table (fun () -> FT.remove table "host"))
-    [ FT.Removed { name = "host"; prefix = Some (v land prefix_mask 16, 16) } ];
+    [ FT.Removed { name = "host"; prefix = pfx 16 v } ];
   expect "removing an absent name is silent"
     (with_journal table (fun () -> FT.remove table "ghost"))
     [];
-  expect "non-prefix matches are journalled as residual"
-    (with_journal table (fun () ->
-         FT.install table
-           { FT.name = "resid"; priority = 50;
-             mtch =
-               { (FT.match_dst_prefix ~value:v ~mask:(prefix_mask 16)) with
-                 FT.ethertype = Some 0x0800 };
-             actions = [ FT.Output 2 ] }))
-    [ FT.Installed { name = "resid"; prefix = None } ];
   expect "a full wildcard indexes at the trie root"
     (with_journal table (fun () ->
          FT.install table
-           { FT.name = "default"; priority = 1; mtch = FT.match_any; actions = [ FT.Drop ] }))
-    [ FT.Installed { name = "default"; prefix = Some (0, 0) } ];
+           { FT.name = "default"; priority = 1; mtch = FT.match_any; actions = [ FT.Punt ] }))
+    [ FT.Installed { name = "default"; prefix = pfx 0 0 } ];
   expect "group edits journal the group id"
     (with_journal table (fun () -> FT.set_group table 7 [| 1; 2 |]))
     [ FT.Group_changed { group = 7 } ];
@@ -290,21 +270,17 @@ let test_journal_hooks () =
   FT.install table (prefix_entry ~len:48 v)
 
 (* a small switch program: two ECMP groups, prefix entries at several
-   lengths (two tied in priority, so tie order is observable) and a
-   residual entry *)
+   lengths (two tied in priority, so tie order is observable) *)
 let program ?(members = [| 1; 2 |]) ?(host_out = 0) () =
   let v = 0x001F07030001 in
   let groups = [ (3, members); (4, [| 2; 3 |]) ] in
   let entries =
-    [ { FT.name = "bcast"; priority = 150; mtch = FT.match_dst_prefix ~value:mac_mask ~mask:mac_mask;
-        actions = [ FT.Punt ] };
+    [ { FT.name = "bcast"; priority = 150; mtch = pfx 48 mac_mask; actions = [ FT.Punt ] };
       prefix_entry ~name:"pod-a" ~priority:70 ~len:16 ~out:1 v;
       prefix_entry ~name:"pod-b" ~priority:70 ~len:16 ~out:2 (v lxor 0x000100000000);
       { FT.name = "up"; priority = 10; mtch = FT.match_any; actions = [ FT.Group 3 ] };
       prefix_entry ~name:"host" ~len:48 ~out:host_out v;
-      { FT.name = "resid"; priority = 50;
-        mtch = { (FT.match_dst_prefix ~value:v ~mask:(prefix_mask 24)) with FT.ethertype = Some 0x0800 };
-        actions = [ FT.Group 4 ] } ]
+      { FT.name = "pos"; priority = 50; mtch = pfx 24 v; actions = [ FT.Group 4 ] } ]
   in
   (groups, entries)
 
@@ -330,7 +306,7 @@ let test_journal_rebuild () =
     [];
   expect "one changed entry journals only its prefix"
     (with_journal table (replace table (program ~host_out:1 ())))
-    [ FT.Installed { name = "host"; prefix = Some (v, 48) } ];
+    [ FT.Installed { name = "host"; prefix = pfx 48 v } ];
   expect "changed group members journal the group"
     (with_journal table (replace table (program ~members:[| 2 |] ~host_out:1 ())))
     [ FT.Group_changed { group = 3 } ];
@@ -339,14 +315,14 @@ let test_journal_rebuild () =
   let entries' =
     List.filter_map
       (fun (e : FT.entry) ->
-        match e.FT.name with "host" -> Some moved | "resid" -> None | _ -> Some e)
+        match e.FT.name with "host" -> Some moved | "pos" -> None | _ -> Some e)
       entries
   in
   expect "moved, vanished, and new and deleted groups"
     (with_journal table (replace table ((5, [| 1 |]) :: List.tl groups, entries')))
-    [ FT.Removed { name = "host"; prefix = Some (v, 48) };
-      FT.Installed { name = "host"; prefix = Some (v land prefix_mask 32, 32) };
-      FT.Removed { name = "resid"; prefix = None };
+    [ FT.Removed { name = "host"; prefix = pfx 48 v };
+      FT.Installed { name = "host"; prefix = pfx 32 v };
+      FT.Removed { name = "pos"; prefix = pfx 24 v };
       FT.Group_changed { group = 3 };
       FT.Group_changed { group = 5 } ];
   (* state equality against clear + reinstall, from the same history *)
@@ -376,8 +352,8 @@ let test_journal_rebuild () =
 
 (* one random program: entries drawn from a small name pool (so names
    repeat within a program, and between programs with a new match, a new
-   priority or the same entry), same-priority ties, residual entries,
-   and groups that come, change and go *)
+   priority or the same entry), same-priority ties, and groups that
+   come, change and go *)
 let random_program p ~old =
   let groups =
     List.filter_map

@@ -28,10 +28,7 @@ let test_pmac_validation () =
 
 let test_pmac_prefixes () =
   let p = Pmac.make ~pod:5 ~position:2 ~port:1 ~vmid:9 in
-  let frame =
-    Eth.make ~dst:(Pmac.to_mac p) ~src:(Mac_addr.of_int 1) (Eth.Raw { ethertype = 0x0800; len = 0 })
-  in
-  let hits mm = FT.matches { FT.match_any with FT.dst_mac = Some mm } frame in
+  let hits m = FT.matches m (Mac_addr.to_int (Pmac.to_mac p)) in
   Testutil.check_bool "pod prefix" true (hits (Pmac.pod_prefix ~pod:5));
   Testutil.check_bool "wrong pod" false (hits (Pmac.pod_prefix ~pod:6));
   Testutil.check_bool "position prefix" true (hits (Pmac.position_prefix ~pod:5 ~position:2));
@@ -543,7 +540,7 @@ module SA = Switch_agent
 
 let test_stamp_moves_on_every_mutation () =
   let t = FT.create () in
-  let entry name = { FT.name; priority = 10; mtch = FT.match_any; actions = [ FT.Drop ] } in
+  let entry name = { FT.name; priority = 10; mtch = FT.match_any; actions = [ FT.Punt ] } in
   let moves what f =
     let before = FT.stamp t in
     f ();
@@ -623,7 +620,7 @@ let test_duplicate_after_direct_install_rebuilds () =
   let ag = Fabric.agent fab (Fabric.tree fab).Topology.Multirooted.edges.(1).(0) in
   FT.install (SA.table ag)
     { FT.name = "host:direct"; priority = 90;
-      mtch = FT.match_dst_prefix ~value:0x0001_0203_0405 ~mask:0xFFFFFFFFFFFF;
+      mtch = FT.dst_prefix ~value:0x0001_0203_0405 ~len:48;
       actions = [ FT.Output 0 ] };
   let c0 = SA.counters ag in
   resend_faults fab [ ag ];
@@ -641,7 +638,7 @@ let test_install_program_reports_change () =
   let t = FT.create () in
   let pod p members =
     { Lang.span = ""; name = "pod:" ^ string_of_int p; prio = 70;
-      pred = Lang.Dst_mac (Pmac.pod_prefix ~pod:p);
+      dst = Pmac.pod_prefix ~pod:p;
       acts = [ Lang.Via_group { gid = 20_000 + p; members } ] }
   in
   let program = [ pod 1 [ 2; 3 ]; pod 2 [ 2; 3 ] ] in

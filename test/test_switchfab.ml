@@ -15,7 +15,7 @@ let udp_frame ?(dst = mac 0x111111) ?(src = mac 0x222222) ?(sport = 1000) ?(dpor
 let test_ft_install_lookup () =
   let t = FT.create () in
   FT.install t
-    { FT.name = "a"; priority = 10; mtch = FT.match_dst_prefix ~value:0x111111 ~mask:0xFFFFFF;
+    { FT.name = "a"; priority = 10; mtch = FT.dst_prefix ~value:0x111111 ~len:48;
       actions = [ FT.Output 1 ] };
   Testutil.check_int "size" 1 (FT.size t);
   (match FT.lookup t (udp_frame ()) with
@@ -26,21 +26,21 @@ let test_ft_install_lookup () =
 
 let test_ft_priority () =
   let t = FT.create () in
-  FT.install t { FT.name = "low"; priority = 1; mtch = FT.match_any; actions = [ FT.Drop ] };
+  FT.install t { FT.name = "low"; priority = 1; mtch = FT.match_any; actions = [ FT.Punt ] };
   FT.install t
     { FT.name = "high"; priority = 9; mtch = FT.match_any; actions = [ FT.Output 0 ] };
   (match FT.lookup t (udp_frame ()) with
    | Some e -> Testutil.check_string "high wins" "high" e.FT.name
    | None -> Alcotest.fail "no match");
   (* equal priority: later install wins *)
-  FT.install t { FT.name = "newer"; priority = 9; mtch = FT.match_any; actions = [ FT.Drop ] };
+  FT.install t { FT.name = "newer"; priority = 9; mtch = FT.match_any; actions = [ FT.Punt ] };
   match FT.lookup t (udp_frame ()) with
   | Some e -> Testutil.check_string "later wins ties" "newer" e.FT.name
   | None -> Alcotest.fail "no match"
 
 let test_ft_replace_remove () =
   let t = FT.create () in
-  FT.install t { FT.name = "x"; priority = 1; mtch = FT.match_any; actions = [ FT.Drop ] };
+  FT.install t { FT.name = "x"; priority = 1; mtch = FT.match_any; actions = [ FT.Punt ] };
   FT.install t { FT.name = "x"; priority = 2; mtch = FT.match_any; actions = [ FT.Output 3 ] };
   Testutil.check_int "replaced not duplicated" 1 (FT.size t);
   (match FT.lookup t (udp_frame ()) with
@@ -50,29 +50,11 @@ let test_ft_replace_remove () =
   Testutil.check_int "removed" 0 (FT.size t);
   FT.remove t "x" (* idempotent *)
 
-let test_ft_field_matching () =
-  let m_et = { FT.match_any with FT.ethertype = Some 0x0800 } in
-  Testutil.check_bool "ethertype match" true (FT.matches m_et (udp_frame ()));
-  let arp = Eth.make ~dst:(mac 1) ~src:(mac 2)
-      (Eth.Arp (Arp.request ~sender_mac:(mac 2) ~sender_ip:(ip 1) ~target_ip:(ip 2)))
-  in
-  Testutil.check_bool "ethertype mismatch" false (FT.matches m_et arp);
-  let m_proto = { FT.match_any with FT.ip_proto = Some 17 } in
-  Testutil.check_bool "proto udp" true (FT.matches m_proto (udp_frame ()));
-  Testutil.check_bool "proto on arp" false (FT.matches m_proto arp);
-  let m_ipdst = { FT.match_any with FT.ip_dst = Some { FT.value = 2; mask = 0xFFFFFFFF } } in
-  Testutil.check_bool "ip dst" true (FT.matches m_ipdst (udp_frame ()));
-  Testutil.check_bool "ip dst other" false (FT.matches m_ipdst (udp_frame ~ip_dst:(ip 9) ()));
-  let m_src = { FT.match_any with FT.src_mac = Some { FT.value = 0x222222; mask = 0xFFFFFF } } in
-  Testutil.check_bool "src mac" true (FT.matches m_src (udp_frame ()))
-
 let test_ft_mask_semantics () =
   (* pod-style prefix: top 16 bits of 48 *)
-  let m = FT.match_dst_prefix ~value:(3 lsl 32) ~mask:0xFFFF00000000 in
-  Testutil.check_bool "prefix hit" true
-    (FT.matches m (udp_frame ~dst:(mac ((3 lsl 32) lor 0xABCDEF)) ()));
-  Testutil.check_bool "prefix miss" false
-    (FT.matches m (udp_frame ~dst:(mac ((4 lsl 32) lor 0xABCDEF)) ()))
+  let m = FT.dst_prefix ~value:(3 lsl 32) ~len:16 in
+  Testutil.check_bool "prefix hit" true (FT.matches m ((3 lsl 32) lor 0xABCDEF));
+  Testutil.check_bool "prefix miss" false (FT.matches m ((4 lsl 32) lor 0xABCDEF))
 
 let test_ft_groups () =
   let t = FT.create () in
@@ -96,12 +78,25 @@ let test_ft_groups () =
   FT.set_group t 7 [||];
   Testutil.check_bool "empty group selects none" true (FT.select_member t ~group:7 ~hash:5 = None)
 
+(* groups list and print by id, whatever order they were defined in *)
+let test_ft_group_order () =
+  let defs = [ (9, [| 1 |]); (2, [| 3; 4 |]); (10, [||]) ] in
+  let a = FT.create () and b = FT.create () and c = FT.create () in
+  List.iter (fun (g, m) -> FT.set_group a g m) defs;
+  List.iter (fun (g, m) -> FT.set_group b g m) (List.rev defs);
+  ignore (FT.replace c ~groups:(List.tl defs @ [ List.hd defs ]) []);
+  let dump t = Format.asprintf "%a" FT.pp t in
+  Testutil.check_string "set_group orders print alike" (dump a) (dump b);
+  Testutil.check_string "replace prints alike" (dump a) (dump c);
+  Testutil.check_string "id order" "group 2 -> [3;4]\ngroup 9 -> [1]\ngroup 10 -> []\n" (dump a);
+  Alcotest.(check (list int)) "groups by id" [ 2; 9; 10 ] (List.map fst (FT.groups b))
+
 let test_ft_hit_counters_and_pp () =
   let t = FT.create () in
   FT.install t
-    { FT.name = "a"; priority = 10; mtch = FT.match_dst_prefix ~value:0x111111 ~mask:0xFFFFFF;
+    { FT.name = "a"; priority = 10; mtch = FT.dst_prefix ~value:0x111111 ~len:48;
       actions = [ FT.Output 1 ] };
-  FT.install t { FT.name = "fall"; priority = 1; mtch = FT.match_any; actions = [ FT.Drop ] };
+  FT.install t { FT.name = "fall"; priority = 1; mtch = FT.match_any; actions = [ FT.Punt ] };
   Testutil.check_int "no hits yet" 0 (FT.hit_count t "a");
   ignore (FT.lookup t (udp_frame ()));
   ignore (FT.lookup t (udp_frame ()));
@@ -273,21 +268,11 @@ let test_net_peer_link () =
   Testutil.check_bool "unwired" true (Net.peer_link net ~node:1 ~port:1 = None);
   Testutil.check_bool "unplugged link gone" true (Net.link_between net 1 2 = None)
 
-let test_net_flood () =
-  let engine, net = three_node_net () in
-  let got0 = ref 0 and got2 = ref 0 in
-  Net.set_handler (Net.device net 0) (fun _ _ -> incr got0);
-  Net.set_handler (Net.device net 2) (fun _ _ -> incr got2);
-  (* flood from the switch, excluding port 0 *)
-  Net.flood net ~node:1 ~except:0 (udp_frame ());
-  Eventsim.Engine.run engine;
-  Testutil.check_int "excluded port silent" 0 !got0;
-  Testutil.check_int "other port got it" 1 !got2
-
 (* ---------------- Net: same-instant bursts ---------------- *)
 
 (* hub (device 0, [n] ports) whose port [i] is wired to port 0 of leaf
-   [i + 1]: a flood from the hub lands on every leaf at one instant *)
+   [i + 1]: a frame sent on every hub port lands on every leaf at one
+   instant *)
 let star_net ?params n =
   let nodes =
     { Topology.Topo.id = 0; kind = Topology.Topo.Edge_switch; name = "hub"; nports = n }
@@ -303,6 +288,13 @@ let star_net ?params n =
   let engine = Eventsim.Engine.create () in
   (engine, Net.create ?params engine (Topology.Topo.create ~nodes ~links))
 
+(* the hub sends one frame on each of its [n] ports, in port order *)
+let burst net n =
+  let frame = udp_frame () in
+  for port = 0 to n - 1 do
+    Net.transmit net ~node:0 ~port frame
+  done
+
 (* every leaf logs the hub port it hangs off when its handler runs *)
 let log_leaves net n log =
   for i = 0 to n - 1 do
@@ -313,7 +305,7 @@ let test_net_burst_port_order () =
   let engine, net = star_net 4 in
   let log = ref [] in
   log_leaves net 4 log;
-  Net.flood net ~node:0 ~except:(-1) (udp_frame ());
+  burst net 4;
   Eventsim.Engine.run engine;
   Alcotest.(check (list string)) "delivered in port order" [ "rx0"; "rx1"; "rx2"; "rx3" ]
     (List.rev !log);
@@ -328,7 +320,7 @@ let test_net_burst_reads_link_at_delivery () =
   Net.set_handler (Net.device net 2) (fun _ _ ->
       log := "rx1" :: !log;
       Net.fail_link net l2);
-  Net.flood net ~node:0 ~except:(-1) (udp_frame ());
+  burst net 4;
   Eventsim.Engine.run engine;
   Alcotest.(check (list string)) "port 2's frame is lost to the failure" [ "rx0"; "rx1"; "rx3" ]
     (List.rev !log)
@@ -341,7 +333,7 @@ let test_net_burst_taps () =
     Net.add_tap net ~device:(i + 1) (fun dir ~port:_ _ ->
         if dir = Net.Rx then log := Printf.sprintf "tap%d" i :: !log)
   done;
-  Net.flood net ~node:0 ~except:(-1) (udp_frame ());
+  burst net 3;
   Eventsim.Engine.run engine;
   Alcotest.(check (list string)) "each tap runs right before its handler"
     [ "tap0"; "rx0"; "tap1"; "rx1"; "tap2"; "rx2" ] (List.rev !log)
@@ -361,7 +353,7 @@ let burst_with_tagger ~tagged =
     (Some
        (fun ~src:_ ~dst _ ->
          if List.mem dst tagged then Some (Printf.sprintf "to%d" dst) else None));
-  Net.flood net ~node:0 ~except:(-1) (udp_frame ());
+  burst net 4;
   Eventsim.Engine.run engine;
   Alcotest.(check (list string)) "port order holds" [ "rx0"; "rx1"; "rx2"; "rx3" ]
     (List.rev !log);
@@ -568,7 +560,7 @@ let test_dp_pipeline () =
   let table = FT.create () in
   FT.install table
     { FT.name = "rewrite+out"; priority = 5;
-      mtch = FT.match_dst_prefix ~value:0x111111 ~mask:0xFFFFFFFFFFFF;
+      mtch = FT.dst_prefix ~value:0x111111 ~len:48;
       actions = [ FT.Set_dst_mac (mac 0xAAAAAA); FT.Output 1 ] };
   let _dp = Dataplane.attach net ~device:1 ~table () in
   let seen = ref None in
@@ -613,7 +605,7 @@ let test_dp_group_and_multi () =
   let table = FT.create () in
   FT.set_group table 1 [| 1 |];
   FT.install table
-    { FT.name = "grp"; priority = 5; mtch = { FT.match_any with FT.ethertype = Some 0x0800 };
+    { FT.name = "grp"; priority = 5; mtch = FT.match_any;
       actions = [ FT.Group 1 ] };
   let _dp = Dataplane.attach net ~device:1 ~table () in
   let got = ref 0 in
@@ -721,9 +713,9 @@ let () =
         [ Alcotest.test_case "install & lookup" `Quick test_ft_install_lookup;
           Alcotest.test_case "priorities & ties" `Quick test_ft_priority;
           Alcotest.test_case "replace & remove" `Quick test_ft_replace_remove;
-          Alcotest.test_case "field matching" `Quick test_ft_field_matching;
           Alcotest.test_case "mask semantics" `Quick test_ft_mask_semantics;
           Alcotest.test_case "select groups" `Quick test_ft_groups;
+          Alcotest.test_case "groups print in id order" `Quick test_ft_group_order;
           Alcotest.test_case "hit counters & dump" `Quick test_ft_hit_counters_and_pp;
           Alcotest.test_case "flow hash" `Quick test_flow_hash;
           Alcotest.test_case "clear & names" `Quick test_ft_clear_names ] );
@@ -737,7 +729,6 @@ let () =
           Alcotest.test_case "unplug & plug" `Quick test_net_unplug_plug;
           Alcotest.test_case "unplug drops in flight" `Quick test_net_unplug_in_flight;
           Alcotest.test_case "peer link" `Quick test_net_peer_link;
-          Alcotest.test_case "flood" `Quick test_net_flood;
           Alcotest.test_case "random loss" `Quick test_net_random_loss;
           Alcotest.test_case "burst: port order, one event" `Quick test_net_burst_port_order;
           Alcotest.test_case "burst: link state read at delivery" `Quick

@@ -17,9 +17,7 @@ let binding_of fab ~pod ~edge ~slot =
   | None -> Alcotest.fail "host not registered at the fabric manager"
 
 let exact_match_of (b : Msg.host_binding) =
-  FT.match_dst_prefix
-    ~value:(Netcore.Mac_addr.to_int (Pmac.to_mac b.Msg.pmac))
-    ~mask:0xFFFFFFFFFFFF
+  FT.dst_prefix ~value:(Netcore.Mac_addr.to_int (Pmac.to_mac b.Msg.pmac)) ~len:48
 
 (* ---------------- clean fabrics ---------------- *)
 
