@@ -51,6 +51,33 @@ module Set = struct
      and JSON reports, which must be byte-identical across runs *)
   let elements t = List.sort compare (Hashtbl.fold (fun f () acc -> f :: acc) t.tbl [])
 
+  (* Make the set hold exactly [fs] (sorted by [compare], as [elements]
+     returns it) by adding and removing only what differs; the faults
+     added or removed, in sorted order. *)
+  let sync t fs =
+    let rec go delta old nw =
+      match (old, nw) with
+      | [], [] -> List.rev delta
+      | o :: old', [] ->
+        remove t o;
+        go (o :: delta) old' []
+      | [], n :: nw' ->
+        add t n;
+        go (n :: delta) [] nw'
+      | o :: old', n :: nw' ->
+        let c = compare o n in
+        if c = 0 then go delta old' nw'
+        else if c < 0 then begin
+          remove t o;
+          go (o :: delta) old' nw
+        end
+        else begin
+          add t n;
+          go (n :: delta) old nw'
+        end
+    in
+    go [] (elements t) fs
+
   let of_list fs =
     let t = create () in
     List.iter (add t) fs;

@@ -46,6 +46,12 @@ module Set : sig
       ([Msg.Fault_update]) and reports are deterministic byte-for-byte. *)
   val elements : t -> fault list
 
+  val sync : t -> fault list -> fault list
+  (** [sync t fs] makes [t] hold exactly the faults of [fs], which must be
+      sorted by [compare] (as {!elements} and [Msg.Fault_update] give
+      them), through {!add} and {!remove} of the faults that differ. It
+      returns those faults — the delta, added and removed alike — sorted. *)
+
   val of_list : fault list -> t
   val clear : t -> unit
   (** Wholesale reset. Unlike {!add}/{!remove} it does {e not} fire the

@@ -47,9 +47,10 @@ type agent_counters = private {
   mutable faults_reported : int;
   mutable recoveries_reported : int;
   mutable fault_updates_skipped : int;
-      (** [Msg.Fault_update]s that carried the fault matrix the switch
-          already held while its table still held what the last
-          recompute installed: the recompute was skipped (only the hit
+      (** [Msg.Fault_update]s that left the table as it was: the table
+          still held what the last recompute installed, and every clause
+          the matrix's change can reach ({!fault_delta_holds}) was
+          already in it. The recompute was skipped (only the hit
           counters were zeroed, as its install would have) and
           [table_recomputes] did not move *)
   mutable ingress_rewrites : int;
@@ -134,3 +135,19 @@ val program : t -> Switchfab.Policy_lang.clause list
     {!Switchfab.Policy_lang.install_program}, and the incremental edits
     (host learning and restore, traps, multicast programming) install
     single clauses built by the same constructors. *)
+
+val fault_delta_holds : t -> Fault.t list -> bool
+(** [fault_delta_holds t delta]: does the table already hold every
+    clause that a change of [delta]'s faults can reach, as {!program}
+    builds it from the switch's current state? A fault in pod [r] is
+    read by the switch's clauses toward [r] — [pod:r], and at an edge
+    [ovr:r:e'] for the edges [e'] the delta names, or for every edge of
+    [r] with an override when the delta moves a core link of [r] — and
+    by every clause of a switch in pod [r]. So the answer is [false] for
+    a switch in a pod the delta names, or without coordinates; otherwise
+    only the clauses toward the named pods are built, by the builders
+    {!program} uses, and compared by name with the table's entries and
+    groups (a clause the program leaves out must be absent). This is the
+    check a [Msg.Fault_update] runs after applying its delta, while the
+    table's stamp shows nothing else wrote it since the last install:
+    when it holds, the update skips the recompute. *)

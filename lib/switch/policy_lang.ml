@@ -35,6 +35,12 @@ let install_clause tbl c =
   List.iter (fun (gid, members) -> FT.set_group tbl gid members) (clause_groups c);
   FT.install tbl (clause_entry c)
 
+let holds tbl c =
+  FT.find_entry tbl c.name = Some (clause_entry c)
+  && List.for_all
+       (fun (gid, members) -> FT.group_members tbl gid = Some members)
+       (clause_groups c)
+
 let install_program tbl clauses =
   let groups, entries =
     List.fold_left

@@ -38,6 +38,12 @@ val install_clause : Flow_table.t -> clause -> unit
     [Via_group] actions name (in action order), then install one entry
     with the clause's name, priority and prefix. *)
 
+val holds : Flow_table.t -> clause -> bool
+(** Does the table hold what {!install_clause} would leave for the
+    clause: an entry of its name equal to the lowered one, and every
+    group its [Via_group] actions name with exactly those members? Hit
+    counters are not compared. *)
+
 val install_program : Flow_table.t -> clause list -> bool
 (** Replace the table's contents with the clauses: lower each one as
     {!install_clause} would, in order, and hand the groups and entries to
