@@ -235,7 +235,8 @@ let trace_route t ~src ~dst_ip payload =
             | None -> result := Some (Error (Printf.sprintf "device %d is not a switch" next))
             | Some a ->
               let table = Switch_agent.table a in
-              (match FT.lookup table !frame with
+              (* an inspection: the lookup counts no hit *)
+              (match FT.lookup_dst table (Mac_addr.to_int !frame.Eth.dst) with
                | None ->
                  result := Some (Error (Printf.sprintf "table miss at device %d" next))
                | Some entry ->

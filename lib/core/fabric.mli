@@ -194,7 +194,8 @@ val trace_route :
   t -> src:Host_agent.t -> dst_ip:Netcore.Ipv4_addr.t -> Netcore.Ipv4_pkt.payload ->
   (int list, string) result
 (** Walk the switches' current tables (including ECMP hash decisions) for
-    a hypothetical packet, without transmitting anything. Returns the
+    a hypothetical packet, without transmitting anything or counting a
+    hit ({!Switchfab.Flow_table.lookup_dst}). Returns the
     device-id path from the source host to the destination host. Errors on
     unresolved ARP state, table misses, or (impossibly, see the loop-
     freedom property tests) a forwarding loop. *)

@@ -190,6 +190,33 @@ let test_loop_freedom_sampled () =
     | Error e -> Alcotest.failf "trace failed: %s" e
   done
 
+(* an inspection leaves the tables as it found them: the summed hit
+   counts of a converged fabric stay 0 through a trace between every pair
+   of hosts *)
+let test_trace_route_counts_no_hits () =
+  let fab = Testutil.converged_fabric () in
+  let hits () =
+    List.fold_left
+      (fun acc ag ->
+        let t = Switch_agent.table ag in
+        List.fold_left (fun acc name -> acc + Switchfab.Flow_table.hit_count t name) acc
+          (Switchfab.Flow_table.entry_names t))
+      0 (Fabric.agents fab)
+  in
+  Testutil.check_int "a converged fabric has counted no hit" 0 (hits ());
+  let hosts = Fabric.hosts fab in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dst ->
+          if dst != src then
+            match Fabric.trace_route fab ~src ~dst_ip:(Host_agent.ip dst) (udp 0) with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e)
+        hosts)
+    hosts;
+  Testutil.check_int "tracing every pair counted no hit" 0 (hits ())
+
 let test_ecmp_uses_multiple_cores () =
   let fab = Testutil.converged_fabric () in
   let mt = Fabric.tree fab in
@@ -966,7 +993,9 @@ let () =
           Alcotest.test_case "path lengths" `Quick test_path_lengths;
           Alcotest.test_case "loop freedom (sampled)" `Quick test_loop_freedom_sampled;
           Alcotest.test_case "ECMP spreads over cores" `Quick test_ecmp_uses_multiple_cores;
-          Alcotest.test_case "source rewritten to PMAC" `Quick test_src_rewritten_to_pmac ] );
+          Alcotest.test_case "source rewritten to PMAC" `Quick test_src_rewritten_to_pmac;
+          Alcotest.test_case "trace_route counts no hits" `Quick
+            test_trace_route_counts_no_hits ] );
       ( "fault tolerance",
         [ Alcotest.test_case "single-failure convergence" `Quick test_single_failure_convergence;
           Alcotest.test_case "recovery restores paths" `Quick test_link_recovery_restores_paths;
