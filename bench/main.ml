@@ -136,6 +136,25 @@ let agent_fixture =
      let agent = Portland.Fabric.agent fab last.(Array.length last - 1) in
      (agent, Portland.Switch_agent.program agent))
 
+(* the check a fault update runs before it skips the recompute, at the
+   same edge, for a core-link fault in another pod: it builds the edge's
+   entry toward that pod and compares it with the table. The fault is
+   never applied, so every call finds the entry unchanged. *)
+let scoped_fixture =
+  lazy
+    (let agent, _ = Lazy.force agent_fixture in
+     let fab, _, _, _ = Lazy.force verify_fixture in
+     let pods = (Portland.Fabric.spec fab).Topology.Multirooted.num_pods in
+     let other =
+       match Portland.Switch_agent.coords agent with
+       | Some (Portland.Coords.Edge { pod; _ }) -> (pod + 1) mod pods
+       | _ -> failwith "bench: the agent fixture is not an edge"
+     in
+     let delta = [ Portland.Fault.Agg_core { pod = other; stripe = 0; member = 0 } ] in
+     if not (Portland.Switch_agent.fault_delta_holds agent delta) then
+       failwith "bench: a core-link fault in another pod moves the edge's table";
+     (agent, delta))
+
 (* ---------------- micro-benchmarks (one per measured table/figure
    constant, plus substrate hot paths) ---------------- *)
 
@@ -206,6 +225,10 @@ let tests =
            let agent, program = Lazy.force agent_fixture in
            ignore
              (Switchfab.Policy_lang.install_program (Portland.Switch_agent.table agent) program)));
+    Test.make ~name:"agent/fault_update_scoped_edge_k16"
+      (Staged.stage (fun () ->
+           let agent, delta = Lazy.force scoped_fixture in
+           ignore (Portland.Switch_agent.fault_delta_holds agent delta)));
     Test.make ~name:"engine/schedule_and_run"
       (Staged.stage
          (let engine = Eventsim.Engine.create () in
@@ -228,6 +251,7 @@ let run_micro ~quick =
   ignore (Lazy.force verify_fixture);
   ignore (Lazy.force policy_fixture);
   ignore (Lazy.force agent_fixture);
+  ignore (Lazy.force scoped_fixture);
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
   let instances = Instance.[ monotonic_clock ] in
   (* the 2 s quota keeps the OLS estimates stable on noisy VMs; the smoke
