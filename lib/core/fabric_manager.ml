@@ -715,8 +715,7 @@ let on_report t ~switch_id ~level ~neighbors ~host_ports =
         | Some Ldp_msg.Core, Some Ldp_msg.Aggregation ->
           union_stripes t switch_id nbr
         | _, _ -> ())
-      neighbors;
-  label_if_due t
+      neighbors
 
 (* a switch re-registers coordinates granted by a previous fabric-manager
    incarnation: adopt its labels verbatim and advance the allocators so
@@ -785,16 +784,8 @@ let on_propose_position t ~switch_id ~position =
        | Some owner when owner <> switch_id -> deny ()
        | Some _ | None ->
          Hashtbl.replace taken position switch_id;
-         assign_coords t sw (Coords.Edge { pod; position });
-         (* an edge joining a pod may unblock aggregation/core labelling *)
-         label_if_due t)
+         assign_coords t sw (Coords.Edge { pod; position }))
   end
-
-(* Whether a labelling pass is owed that is not already due: true iff no
-   labelling pass is pending and a full pass would still grant something. *)
-let labelling_owes t =
-  (not t.labelling_due)
-  && match try_assign_all t ~dry:true with () -> false | exception Would_grant -> true
 
 (* ---------------- multicast ---------------- *)
 
@@ -810,23 +801,12 @@ let group_state t group =
    the old tuple order without polymorphic comparisons on the port lists *)
 let by_switch_id (a, _) (b, _) = int_compare a b
 
+(* a leave removes a receiver with its last port, so no port set is empty *)
 let receiver_list (g : group_state) =
   Hashtbl.fold
-    (fun sw ports acc ->
-      let ps = Hashtbl.fold (fun p () acc -> p :: acc) ports [] in
-      if ps = [] then acc else (sw, List.sort int_compare ps) :: acc)
+    (fun sw ports acc -> (sw, List.sort int_compare (Hashtbl.fold (fun p () l -> p :: l) ports [])) :: acc)
     g.receivers []
   |> List.sort by_switch_id
-
-(* What a tree is built from besides its receivers: the coordinated
-   cores in probe order, the transit agg of a (core, pod), the pods where
-   a core has a transit agg, and the coordinated edges. *)
-type tree_inputs = {
-  core_order : (int * int * sw_info) array;
-  transit_agg : int -> int -> sw_info option;
-  transit_pods : int -> int list;
-  coord_edges : sw_info list;
-}
 
 let chosen_agg t = function
   | Some ((agg, _) :: _) -> Hashtbl.find_opt t.switches agg
@@ -835,20 +815,6 @@ let chosen_agg t = function
 let maintained_transit_agg t core pod = chosen_agg t (Hashtbl.find_opt t.transit (core, pod))
 
 let core_array cores = Array.of_list (List.map (fun ((s, m, _), sw) -> (s, m, sw)) cores)
-
-(* the inputs as the report path maintains them *)
-let maintained_inputs t () =
-  { core_order = core_array (Core_map.bindings t.cores);
-    transit_agg = maintained_transit_agg t;
-    transit_pods =
-      (fun core ->
-        Hashtbl.fold
-          (fun pod cores acc -> if Hashtbl.mem cores core then pod :: acc else acc)
-          t.pod_cores []);
-    coord_edges =
-      Hashtbl.fold
-        (fun _ edges acc -> Hashtbl.fold (fun _ sw acc -> sw :: acc) edges acc)
-        t.pod_edges [] }
 
 (* the transit candidates rebuilt from every switch's view, in the
    maintained table's shape *)
@@ -872,15 +838,6 @@ let sorted_cores t =
       | _ -> acc)
     t.switches []
   |> List.sort (fun (a, _) (b, _) -> Core_key.compare a b)
-
-(* the inputs rebuilt from the switch table, for [broadcast_current] *)
-let scratch_inputs t () =
-  let transit = build_transit t in
-  { core_order = core_array (sorted_cores t);
-    transit_agg = (fun core pod -> chosen_agg t (Hashtbl.find_opt transit (core, pod)));
-    transit_pods =
-      (fun core -> Hashtbl.fold (fun (c, pod) _ acc -> if c = core then pod :: acc else acc) transit []);
-    coord_edges = edges_of t }
 
 let core_viable t transit_agg ~core_sw_id ~stripe ~member ~receiver_coords =
   List.for_all
@@ -1000,16 +957,18 @@ let pod_entries t core_sw ~agg ~edges ~recv ~local acc =
 
 let find_list tbl key = try Hashtbl.find tbl key with Not_found -> []
 
-(* The tree for [receivers] (sorted by switch id): the chosen core switch
-   ([None] without receivers or a viable core) and the per-switch
-   out-port sets, sorted by switch id. Pure — it reads only the inputs
-   whose every change bumps [tree_gen] (coordinates, the neighbours and
-   host ports of switches holding coordinates, the fault set) and the
-   spec. *)
-let tree_walk t group receivers inputs =
+(* The tree for [receivers] (sorted by switch id), derived from the switch
+   table alone: the chosen core switch ([None] without receivers or a
+   viable core) and the per-switch out-port sets, sorted by switch id.
+   Pure — it reads only the inputs whose every change bumps [tree_gen]
+   (coordinates, the neighbours and host ports of switches holding
+   coordinates, the fault set) and the spec. It builds joined groups'
+   trees and is [broadcast_current]'s oracle for the maintained one. *)
+let tree_walk t group receivers =
   if receivers = [] then (None, [])
   else begin
-    let inputs = inputs () in
+    let transit = build_transit t in
+    let transit_agg core pod = chosen_agg t (Hashtbl.find_opt transit (core, pod)) in
     let edge_receivers =
       List.filter_map
         (fun (sw, _) ->
@@ -1020,12 +979,12 @@ let tree_walk t group receivers inputs =
     in
     let receiver_coords = List.map snd edge_receivers in
     let viable ~stripe ~member (sw : sw_info) =
-      core_viable t inputs.transit_agg ~core_sw_id:sw.sw_id ~stripe ~member ~receiver_coords
+      core_viable t transit_agg ~core_sw_id:sw.sw_id ~stripe ~member ~receiver_coords
     in
-    match choose_core group inputs.core_order ~viable with
+    match choose_core group (core_array (sorted_cores t)) ~viable with
     | None -> (None, [])
     | Some core_sw ->
-      let transit_agg pod = inputs.transit_agg core_sw.sw_id pod in
+      let transit_agg = transit_agg core_sw.sw_id in
       (* receiver edges and coordinated edges grouped by pod, so the
          per-pod entries stay linear in the tree *)
       let recv_by_pod = Hashtbl.create 16 and recv_ports = Hashtbl.create 64 in
@@ -1040,9 +999,14 @@ let tree_walk t group receivers inputs =
           | Some (Coords.Edge e) ->
             Hashtbl.replace edges_by_pod e.pod (sw :: find_list edges_by_pod e.pod)
           | _ -> ())
-        inputs.coord_edges;
+        (edges_of t);
+      let transit_pods =
+        Hashtbl.fold
+          (fun (c, pod) _ acc -> if c = core_sw.sw_id then pod :: acc else acc)
+          transit []
+      in
       let pods =
-        Hashtbl.fold (fun pod _ acc -> pod :: acc) edges_by_pod (inputs.transit_pods core_sw.sw_id)
+        Hashtbl.fold (fun pod _ acc -> pod :: acc) edges_by_pod transit_pods
         |> List.sort_uniq int_compare
       in
       let receiver_pods = List.sort_uniq int_compare (List.map fst receiver_coords) in
@@ -1132,44 +1096,40 @@ let broadcast_targets t =
       (Some core_sw.sw_id, List.sort by_switch_id acc)
   end
 
-(* The tree a group should have now, from the maintained inputs. *)
-let tree_targets t group =
-  if Ipv4_addr.is_broadcast group then broadcast_targets t
-  else
-    let receivers = match Hashtbl.find_opt t.groups group with Some g -> receiver_list g | None -> [] in
-    tree_walk t group receivers (maintained_inputs t)
+(* Broadcast is the special multicast group spanning every host (paper
+   §3.4): its receiver set is derived from the reported host ports of all
+   edge switches rather than from joins, its tree from the maintained
+   inputs, and it rides the same installation machinery. [create] makes
+   its group, which is never dropped. *)
+let broadcast_group t = Hashtbl.find t.groups Ipv4_addr.broadcast
 
-let recompute_group t group =
+let recompute_group t group g =
   t.c.mcast_recomputes <- t.c.mcast_recomputes + 1;
-  let g = group_state t group in
-  let core, targets = tree_targets t group in
+  let core, targets =
+    if Ipv4_addr.is_broadcast group then broadcast_targets t
+    else tree_walk t group (receiver_list g)
+  in
   g.core_sw <- core;
   g.built_gen <- t.tree_gen;
   send_programs t group targets g
 
 (* A tree built at the current [tree_gen] is kept: recomputing it would
    send nothing, because [send_programs] only sends the diff against what
-   is programmed. Membership changes recompute their group directly. *)
+   is programmed. A joined group whose last receiver left is dropped once
+   its clears are sent, so the table holds only groups with receivers
+   (and broadcast). A recompute never reads the table, so it may run
+   while the table is filtered. *)
 let recompute_stale_groups t =
-  Hashtbl.iter (fun group g -> if g.built_gen <> t.tree_gen then recompute_group t group) t.groups
-
-(* Broadcast is the special multicast group spanning every host (paper
-   §3.4): its receiver set is derived from the reported host ports of all
-   edge switches rather than from joins, and it rides the same tree
-   computation and installation machinery. Most reports and proposals
-   change none of the tree's inputs, so its tree is usually current. *)
-let recompute_broadcast t =
-  match Hashtbl.find_opt t.groups Ipv4_addr.broadcast with
-  | Some g when g.built_gen = t.tree_gen -> ()
-  | Some _ | None -> recompute_group t Ipv4_addr.broadcast
+  Hashtbl.filter_map_inplace
+    (fun group g ->
+      if g.built_gen <> t.tree_gen then recompute_group t group g;
+      if Hashtbl.length g.receivers = 0 && not (Ipv4_addr.is_broadcast group) then None else Some g)
+    t.groups
 
 let broadcast_current t =
-  let core, targets =
-    tree_walk t Ipv4_addr.broadcast (broadcast_receivers t) (scratch_inputs t)
-  in
-  match Hashtbl.find_opt t.groups Ipv4_addr.broadcast with
-  | Some g -> g.core_sw = core && g.programmed = targets
-  | None -> core = None && targets = []
+  let core, targets = tree_walk t Ipv4_addr.broadcast (broadcast_receivers t) in
+  let g = broadcast_group t in
+  g.core_sw = core && g.programmed = targets
 
 let sorted_bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 
@@ -1200,8 +1160,8 @@ let derived_current t =
   in
   (* every pod share that would be reused now equals a rebuild *)
   let pod_trees_fresh =
-    match Hashtbl.find_opt t.groups Ipv4_addr.broadcast with
-    | Some { core_sw = Some core; _ } ->
+    match (broadcast_group t).core_sw with
+    | Some core ->
       let core_sw = Hashtbl.find t.switches core in
       Hashtbl.fold
         (fun pod pt ok ->
@@ -1220,7 +1180,7 @@ let derived_current t =
                     = List.sort by_switch_id
                         (pod_entries t core_sw ~agg ~edges ~recv ~local:(receiver_ports t) [])))
         t.pod_trees true
-    | Some _ | None -> true
+    | None -> true
   in
   let checks =
     [ ("transit", sorted_bindings transit = sorted_bindings t.transit);
@@ -1231,7 +1191,7 @@ let derived_current t =
       ("core coverage", sorted_bindings covered = sorted_bindings t.covered);
       ("coverage counts", sorted_bindings coverage = sorted_bindings t.coverage);
       ("pod trees", pod_trees_fresh);
-      ("labelling", not (labelling_owes t)) ]
+      ("labelling", match try_assign_all t ~dry:true with () -> true | exception Would_grant -> false) ]
   in
   List.filter_map (fun (name, ok) -> if ok then None else Some (name ^ " differs from a rebuild")) checks
 
@@ -1268,8 +1228,7 @@ let on_fault_notice t ~switch_id ~neighbor =
   | Some f when not (Fault.Set.mem t.faults f) ->
     Fault.Set.add t.faults f;
     bump_tree_gen t;
-    broadcast_faults t;
-    recompute_stale_groups t
+    broadcast_faults t
   | Some _ | None -> ()
 
 let on_recovery_notice t ~switch_id ~neighbor =
@@ -1285,8 +1244,7 @@ let on_recovery_notice t ~switch_id ~neighbor =
       Fault.Set.remove t.faults f;
       bump_tree_gen t
     end;
-    broadcast_faults t;
-    recompute_stale_groups t
+    broadcast_faults t
   | None -> ()
 
 (* A rebooted switch lost its RAM but kept its place in the wiring:
@@ -1410,42 +1368,46 @@ let on_host_announce t (b : Msg.host_binding) =
 
 (* ---------------- dispatch ---------------- *)
 
+(* Handlers only record what a message changes. The tail, and nothing
+   else, brings what the FM derives current after every message: first
+   the labelling pass, whose grants are tree inputs, then every stale tree. *)
 let handle t ~from:_ (msg : Msg.to_fm) =
-  match msg with
-  | Msg.Neighbor_report { switch_id; level; neighbors; host_ports } ->
-    on_report t ~switch_id ~level ~neighbors ~host_ports;
-    recompute_broadcast t
-  | Msg.Propose_position { switch_id; position } ->
-    on_propose_position t ~switch_id ~position;
-    (* a granted position may complete the broadcast tree's receiver set *)
-    recompute_broadcast t
-  | Msg.Arp_query { switch_id; requester_ip; requester_pmac; requester_port; target_ip } ->
-    on_arp_query t ~from_sw:switch_id ~requester_ip ~requester_pmac ~requester_port ~target_ip
-  | Msg.Host_announce b -> on_host_announce t b
-  | Msg.Fault_notice { switch_id; neighbor; _ } -> on_fault_notice t ~switch_id ~neighbor
-  | Msg.Recovery_notice { switch_id; neighbor; _ } -> on_recovery_notice t ~switch_id ~neighbor
-  | Msg.Mcast_join { switch_id; group; port } ->
-    let g = group_state t group in
-    let ports =
-      match Hashtbl.find_opt g.receivers switch_id with
-      | Some ports -> ports
-      | None ->
-        let ports = Hashtbl.create 4 in
-        Hashtbl.replace g.receivers switch_id ports;
-        ports
-    in
-    Hashtbl.replace ports port ();
-    recompute_group t group
-  | Msg.Reclaim_coords { switch_id; coords } -> on_reclaim t ~switch_id coords
-  | Msg.Coords_request { switch_id } -> on_coords_request t ~switch_id
-  | Msg.Mcast_leave { switch_id; group; port } ->
-    let g = group_state t group in
-    (match Hashtbl.find_opt g.receivers switch_id with
-     | Some ports ->
-       Hashtbl.remove ports port;
-       if Hashtbl.length ports = 0 then Hashtbl.remove g.receivers switch_id
-     | None -> ());
-    recompute_group t group
+  (match msg with
+   | Msg.Neighbor_report { switch_id; level; neighbors; host_ports } ->
+     on_report t ~switch_id ~level ~neighbors ~host_ports
+   | Msg.Propose_position { switch_id; position } -> on_propose_position t ~switch_id ~position
+   | Msg.Arp_query { switch_id; requester_ip; requester_pmac; requester_port; target_ip } ->
+     on_arp_query t ~from_sw:switch_id ~requester_ip ~requester_pmac ~requester_port ~target_ip
+   | Msg.Host_announce b -> on_host_announce t b
+   | Msg.Fault_notice { switch_id; neighbor; _ } -> on_fault_notice t ~switch_id ~neighbor
+   | Msg.Recovery_notice { switch_id; neighbor; _ } -> on_recovery_notice t ~switch_id ~neighbor
+   | Msg.Mcast_join { switch_id; group; port } ->
+     let g = group_state t group in
+     let ports =
+       match Hashtbl.find_opt g.receivers switch_id with
+       | Some ports -> ports
+       | None ->
+         let ports = Hashtbl.create 4 in
+         Hashtbl.replace g.receivers switch_id ports;
+         ports
+     in
+     Hashtbl.replace ports port ();
+     g.built_gen <- -1
+   | Msg.Reclaim_coords { switch_id; coords } -> on_reclaim t ~switch_id coords
+   | Msg.Coords_request { switch_id } -> on_coords_request t ~switch_id
+   | Msg.Mcast_leave { switch_id; group; port } -> (
+     (* a leave for a group the FM never saw changes nothing *)
+     match Hashtbl.find_opt t.groups group with
+     | Some g ->
+       (match Hashtbl.find_opt g.receivers switch_id with
+        | Some ports ->
+          Hashtbl.remove ports port;
+          if Hashtbl.length ports = 0 then Hashtbl.remove g.receivers switch_id
+        | None -> ());
+       g.built_gen <- -1
+     | None -> ()));
+  label_if_due t;
+  recompute_stale_groups t
 
 (* ---------------- failover & integrity ---------------- *)
 
@@ -1530,6 +1492,7 @@ let create ?(obs = Obs.null) ?(journal = Journal.create ()) engine config ctrl ~
           fault_notices = 0; fault_broadcasts = 0; mcast_recomputes = 0; reports = 0;
           pending_dropped = 0; shard_failovers = 0 } }
   in
+  ignore (group_state t Ipv4_addr.broadcast);
   (* fault-matrix deltas flow out of the set itself, so translate_fault /
      recovery handling stays oblivious to journalling *)
   Fault.Set.set_hook t.faults

@@ -33,6 +33,11 @@
     ({!Fabric.restart_fabric_manager}) rebuilds everything else from the
     switches.
 
+    {b One rebuild point.} A handler records what its message changes;
+    then one tail runs the labelling pass and rebuilds every stale tree,
+    so the derived state is current after every message. The group table
+    holds broadcast and the joined groups that have receivers.
+
     {b ARP generations.} Every VM migration advances a fabric-wide ARP
     generation, broadcast to all switches and stamped on every ARP
     answer; edge switches serve cached answers only at the current
@@ -52,15 +57,14 @@ type counters = private {
   mutable fault_notices : int;
   mutable fault_broadcasts : int;
   mutable mcast_recomputes : int;
-      (** multicast and broadcast trees actually computed. A membership
-          change computes its group's tree. Every other trigger computes
-          only the trees built before the last change to a tree input
-          (coordinates, the neighbours or host ports of a switch holding
-          coordinates, the fault set): a neighbor report or position
-          proposal the broadcast tree, a fault or recovery notice every
-          group. A notice for a fault already recorded (or, for a
-          recovery, never recorded) changes no input and computes
-          nothing. *)
+      (** multicast and broadcast trees actually computed. After every
+          message the FM computes each tree that is stale: its group's
+          membership changed, or a tree input (coordinates, the
+          neighbours or host ports of a switch holding coordinates, the
+          fault set) changed since it was built. A message that changes
+          neither — an ARP query, an announce, a notice for a fault
+          already recorded (or, for a recovery, never recorded) —
+          computes nothing. *)
   mutable reports : int;
   mutable pending_dropped : int;
       (** pending ARP entries discarded because the asking switch died or
@@ -137,19 +141,18 @@ val broadcast_current : t -> bool
 (** The programmed broadcast tree (core and per-switch port sets) equals
     the tree derived from scratch: the transit map, core order and
     receivers rebuilt from the switch table, with none of the tables or
-    per-pod shares the report path maintains. This derivation runs only
-    here, as the oracle for the maintained one. Sends nothing, counts
-    nothing and journals nothing. Holds after every report, position
-    proposal and fault or recovery notice (a reclaim changes tree inputs
-    and leaves the rebuild to the next report); it is what makes skipping
-    an unchanged broadcast tree safe, and the mc invariant pack checks
-    it. *)
+    per-pod shares the report path maintains. This derivation (which
+    also builds joined groups' trees) is the oracle for the maintained
+    one. Sends nothing, counts nothing and journals nothing. Holds after
+    every message the FM handles; it is what makes skipping an unchanged
+    broadcast tree safe, and mc checks it at every delivery inside its
+    window and at quiescence (invariant 6). *)
 
 val derived_current : t -> string list
 (** The tables the report path maintains instead of rescanning the
     switch table — the transit map, the broadcast receivers and their
     pods, the coordinated edges and cores, and each core's receiver-pod
     coverage — equal a rebuild from the switch table, and no labelling
-    pass could grant a coordinate unless one is already due. Empty iff
-    so; each entry names a table that differs. Sends, counts and
-    journals nothing. *)
+    pass could grant a coordinate. Empty iff so; each entry names a
+    table that differs. Sends, counts and journals nothing. Holds after
+    every message the FM handles. *)
