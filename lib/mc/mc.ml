@@ -284,6 +284,7 @@ let run_schedule ?cache p sched =
   let cap = window_cap_of p in
   let decisions = ref [] and n_decisions = ref 0 in
   let window = ref [] and n_window = ref 0 in
+  let stale = ref None in
   let interceptor =
     { Engine.on_schedule =
         (fun ~tag ~now:_ ~due ->
@@ -300,6 +301,10 @@ let run_schedule ?cache p sched =
           end);
       on_fire =
         (fun ~tag ~time ->
+          (* invariant 6 inside the window: every earlier delivery, to the
+             FM included, has completed by this fire *)
+          if !window_open && !stale = None && not (FM.broadcast_current (F.fabric_manager fab))
+          then stale := Some ("broadcast tree stale at " ^ Time.to_string time ^ ", inside the window");
           if !window_open && !n_window < cap then begin
             incr n_window;
             window := (tag, time) :: !window;
@@ -374,6 +379,7 @@ let run_schedule ?cache p sched =
            vs)
     end
   in
+  let violations = Option.to_list !stale @ violations in
   Verify.Incremental.detach inc;
   { run_schedule = Array.copy sched;
     run_decisions = List.rev !decisions;

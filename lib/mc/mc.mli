@@ -36,8 +36,11 @@
     coordinate (pod/position) uniqueness; FM↔edge agreement on IP→PMAC
     and host bindings (both inclusions); fault-matrix symmetry (every
     operational switch's local matrix equals the FM's); convergence
-    idempotence (extra settle time changes nothing); and the full
-    {!Portland_verify.Verify.run} dataplane check.
+    idempotence (extra settle time changes nothing); the full
+    {!Portland_verify.Verify.run} dataplane check; and a current
+    broadcast tree ({!Portland.Fabric_manager.broadcast_current}), which
+    is also checked at every delivery inside the window, so a stale tree
+    between two FM messages is a violation even if quiescence heals it.
 
     {b Counterexamples.} A violating schedule is shrunk (greedy ddmin
     over delay steps) to a minimal reordering and printed as a
