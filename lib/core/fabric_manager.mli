@@ -2,39 +2,36 @@
 
     A logically centralized process connected to every switch over the
     out-of-band control network. All of its state is soft — rebuilt from
-    switch reports and host announcements:
+    switch reports and host announcements — and comes in four kinds, one
+    module each:
 
-    - {b Topology view & coordinate assignment.} Neighbor reports drive
-      two union-finds: edge–agg adjacency components become pods,
-      agg–core adjacency components become stripes. Edge switches propose
-      positions which the FM grants iff unique within the pod; agg and
-      core switches are assigned coordinates as soon as their components
-      are labelled.
-    - {b Proxy ARP.} IP → PMAC resolution for edge switches, with a
-      broadcast fallback on miss and queued answers once the target
-      announces.
-    - {b Migration.} A host announcing an already-known IP from a new
-      location updates the mapping and sends an invalidation to the
-      previous edge switch.
-    - {b Fault matrix.} Fault/recovery notices are translated to
-      coordinate faults ({!Fault.t}) and the full matrix is re-broadcast
-      on every change.
-    - {b Multicast.} Group membership from edge switches; the FM maps
-      each group to a viable core, computes the distribution tree and
-      programs per-switch port sets, recomputing on membership or fault
-      changes.
+    - {!Fm_labels}, the topology view and coordinate assignment: neighbor
+      reports drive two union-finds, edge–agg components become pods and
+      agg–core components become stripes. Edges propose positions, granted
+      iff unique in the pod; aggs and cores get coordinates once their
+      components are labelled.
+    - {!Fm_hosts}, the IP → PMAC mappings: proxy ARP, with a broadcast
+      fallback on a miss and queued answers once the target announces. A
+      host announcing a known IP from a new location is a migration: the
+      mapping moves and the previous edge switch gets an invalidation.
+    - {!Fm_faults}, the fault matrix: notices become coordinate faults
+      ({!Fault.t}), and the whole matrix is re-broadcast on every change.
+    - {!Fm_trees}, multicast: each group maps to a viable core, and its
+      distribution tree is programmed as per-switch port sets.
 
-    {b State layout.} One copy of each piece of state: one binding table
-    (the records behind {!lookup_binding}, the FM's durable record of
-    hosts), one pending-ARP table, the fault set, the multicast groups,
-    and one flat serving index that {!resolve} reads. Every binding
-    write updates the index in place; the index is volatile and
-    {!failover} rebuilds it from the binding table. A cold restart
+    {b State layout.} Every field lives in exactly one of the four modules,
+    behind its abstract type; this module holds only the four. Host state
+    is one binding table (the records behind {!lookup_binding}, the FM's
+    durable record of hosts) and one flat serving index that {!resolve}
+    reads, updated in place on every binding write; {!failover} rebuilds
+    the volatile index from the table. A cold restart
     ({!Fabric.restart_fabric_manager}) rebuilds everything else from the
     switches.
 
-    {b One rebuild point.} A handler records what its message changes;
-    then one tail runs the labelling pass and rebuilds every stale tree,
+    {b One rebuild point.} A handler only records what its message
+    changes; then one tail, at the end of dispatch, runs the labelling
+    pass ({!Fm_labels.label_if_due}, granting through {!Fm_trees.grant})
+    and rebuilds every stale tree ({!Fm_trees.recompute_stale_groups}),
     so the derived state is current after every message. The group table
     holds broadcast and the joined groups that have receivers.
 
@@ -46,17 +43,17 @@
 
 type t
 
-(** The fabric manager's own counter record, updated in place;
-    [private], so callers read it but never write or build one. *)
+(** The fabric manager's counters, assembled from the counts its four
+    modules keep; [private], so callers read it but never build one. *)
 type counters = private {
-  mutable arp_queries : int;
-  mutable arp_hits : int;
-  mutable arp_misses : int;
-  mutable host_announces : int;
-  mutable migrations : int;       (** announces that moved an existing IP *)
-  mutable fault_notices : int;
-  mutable fault_broadcasts : int;
-  mutable mcast_recomputes : int;
+  arp_queries : int;
+  arp_hits : int;
+  arp_misses : int;
+  host_announces : int;
+  migrations : int;       (** announces that moved an existing IP *)
+  fault_notices : int;
+  fault_broadcasts : int;
+  mcast_recomputes : int;
       (** multicast and broadcast trees actually computed. After every
           message the FM computes each tree that is stale: its group's
           membership changed, or a tree input (coordinates, the
@@ -65,11 +62,11 @@ type counters = private {
           neither — an ARP query, an announce, a notice for a fault
           already recorded (or, for a recovery, never recorded) —
           computes nothing. *)
-  mutable reports : int;
-  mutable pending_dropped : int;
+  reports : int;
+  pending_dropped : int;
       (** pending ARP entries discarded because the asking switch died or
           cold-rebooted, or a {!failover} dropped the target pod's waiters *)
-  mutable shard_failovers : int;  (** {!failover} calls *)
+  shard_failovers : int;  (** {!failover} calls *)
 }
 
 val create :
@@ -93,7 +90,6 @@ val counters : t -> counters
 val switch_coords : t -> int -> Coords.t option
 (** Coordinates the FM has granted to a switch id, if any. *)
 
-val known_switches : t -> int list
 val fault_set : t -> Fault.t list
 val binding_count : t -> int
 
@@ -149,10 +145,12 @@ val broadcast_current : t -> bool
     window and at quiescence (invariant 6). *)
 
 val derived_current : t -> string list
-(** The tables the report path maintains instead of rescanning the
-    switch table — the transit map, the broadcast receivers and their
-    pods, the coordinated edges and cores, and each core's receiver-pod
-    coverage — equal a rebuild from the switch table, and no labelling
-    pass could grant a coordinate. Empty iff so; each entry names a
-    table that differs. Sends, counts and journals nothing. Holds after
-    every message the FM handles. *)
+(** Every module's oracle: the tables {!Fm_trees} maintains instead of
+    rescanning the switch table — the transit map, the broadcast
+    receivers and their pods, the coordinated edges and cores, each
+    core's receiver-pod coverage, the pods' tree shares — equal a rebuild
+    from the switch table; no {!Fm_labels} labelling pass could grant a
+    coordinate; and {!Fm_hosts}'s {!integrity} holds. Empty iff so; each
+    entry names its module, then what differs
+    (["trees: transit differs from a rebuild"]). Sends, counts and
+    journals nothing. Holds after every message the FM handles. *)

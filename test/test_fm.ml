@@ -1,7 +1,8 @@
 (* Fabric-manager soft-state suite: the binding store (serving index,
    failover, edge restores, bounded state under rewrites), the
    pending-ARP lifecycle (dedupe, drops on switch death, pod-scoped drops
-   on failover, FM restart) and the generation-stamped edge ARP caches. *)
+   on failover, FM restart), the generation-stamped edge ARP caches, the
+   broadcast-tree gate with every module's oracle, and fault translation. *)
 
 module F = Portland.Fabric
 module FM = Portland.Fabric_manager
@@ -607,6 +608,43 @@ let test_group_table_bounded () =
   Testutil.check_int "clears: one tree per leave" (1_001 * per_tree) !clears;
   Alcotest.(check bool) "stray leaves sent nothing" true (!programs + !clears - before = 2_000 * per_tree)
 
+(* ---------------- fault translation ---------------- *)
+
+(* [Fm_faults.translate] on coordinate pairs under each wiring, in both
+   argument orders: the fault a link between the two names, or [None]
+   where no fault key covers the pair. *)
+let test_translate () =
+  let module MR = Topology.Multirooted in
+  let module C = Portland.Coords in
+  let module Fault = Portland.Fault in
+  let fault = Alcotest.testable Fault.pp Fault.equal in
+  let edge pod position = Some (C.Edge { pod; position }) in
+  let agg pod stripe = Some (C.Agg { pod; stripe }) in
+  let core stripe member = Some (C.Core { stripe; member }) in
+  let edge_agg pod edge_pos stripe = Some (Fault.Edge_agg { pod; edge_pos; stripe }) in
+  let agg_core pod stripe member = Some (Fault.Agg_core { pod; stripe; member }) in
+  List.iter
+    (fun (wiring, name, a, b, want) ->
+      List.iter
+        (fun (x, y) ->
+          Alcotest.(check (option fault)) name want (Portland.Fm_faults.translate wiring x y))
+        [ (a, b); (b, a) ])
+    [ (MR.Stripes, "plain edge-agg", edge 1 0, agg 1 1, edge_agg 1 0 1);
+      (MR.Stripes, "plain agg-core", agg 2 1, core 1 0, agg_core 2 1 0);
+      (MR.Stripes, "plain cross-pod edge-agg", edge 0 1, agg 1 0, None);
+      (MR.Stripes, "plain edge-core", edge 0 1, core 0 0, None);
+      (MR.Stripes, "plain edge-edge", edge 0 0, edge 0 1, None);
+      (MR.Stripes, "plain uncoordinated end", agg 0 0, None, None);
+      (* a column agg's cores span every row: the core's own label keys it *)
+      (MR.Ab_stripes, "ab column agg-core", agg 3 2, core 0 1, agg_core 3 0 1);
+      (MR.Ab_stripes, "ab edge-agg", edge 3 1, agg 3 2, edge_agg 3 1 2);
+      (MR.Ab_stripes, "ab cross-pod edge-agg", edge 2 1, agg 3 2, None);
+      (MR.Ab_stripes, "ab edge-core", edge 3 1, core 0 1, None);
+      (* two-layer: leaf-spine links share the agg-core key space *)
+      (MR.Flat, "flat leaf-spine", edge 2 0, core 0 3, agg_core 2 0 3);
+      (MR.Flat, "flat spine-spine", core 0 1, core 0 2, None);
+      (MR.Flat, "flat uncoordinated spine", edge 2 0, None, None) ]
+
 let () =
   Alcotest.run "fm"
     [ ( "pending-arp",
@@ -639,6 +677,8 @@ let () =
             test_labelling_triggers;
           Alcotest.test_case "a reclaim rebuilds the tree at once" `Quick
             test_reclaim_rebuilds ] );
+      ( "fault matrix",
+        [ Alcotest.test_case "translate on every wiring" `Quick test_translate ] );
       ( "mcast-groups",
         [ Alcotest.test_case "table bounded under join/leave churn" `Quick
             test_group_table_bounded ] ) ]
