@@ -44,7 +44,7 @@ let send_to_fm t ~from msg =
     match t.fm_handler with
     | Some f ->
       t.to_fm <- t.to_fm + 1;
-      t.to_fm_bytes <- t.to_fm_bytes + Msg_codec.to_fm_wire_len msg;
+      t.to_fm_bytes <- t.to_fm_bytes + Msg.to_fm_wire_len msg;
       f ~from msg
     | None -> t.dropped <- t.dropped + 1
   in
@@ -57,7 +57,7 @@ let send_to_switch t id msg =
     match Hashtbl.find_opt t.switch_handlers id with
     | Some f ->
       t.to_switch <- t.to_switch + 1;
-      t.to_switch_bytes <- t.to_switch_bytes + Msg_codec.to_switch_wire_len msg;
+      t.to_switch_bytes <- t.to_switch_bytes + Msg.to_switch_wire_len msg;
       f msg
     | None -> t.dropped <- t.dropped + 1
   in

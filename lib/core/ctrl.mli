@@ -55,8 +55,8 @@ val to_fm_count : t -> int
 val to_switch_count : t -> int
 
 val to_fm_bytes : t -> int
-(** Wire bytes of delivered messages, per the {!Msg_codec} encoding —
-    what the control network actually carries. *)
+(** Wire bytes of delivered messages, each sized by
+    {!Msg.to_fm_wire_len} / {!Msg.to_switch_wire_len}. *)
 
 val to_switch_bytes : t -> int
 val dropped_count : t -> int

@@ -102,3 +102,11 @@ val describe_to_switch : to_switch -> string
     deliveries via {!Eventsim.Engine.schedule_tagged} so the model
     checker can identify, perturb and replay them. Only built while an
     engine interceptor is installed. *)
+
+val to_fm_wire_len : to_fm -> int
+val to_switch_wire_len : to_switch -> int
+(** A message's size in bytes on the control network, computed from its
+    shape: a one-byte tag, then fixed-width fields (u16/u32 integers,
+    4-byte IPs, 6-byte MACs and PMACs, one-byte levels, 5-byte
+    coordinates, 7-byte faults, 20-byte host bindings), each list behind
+    a u16 count. {!Ctrl} meters delivered bytes with these. *)

@@ -24,7 +24,7 @@ type measured_row = {
   switches : int;
   boot_msgs_to_fm : int;
   boot_msgs_to_switches : int;
-  boot_bytes : int;  (** wire bytes both directions, per the control codec *)
+  boot_bytes : int;  (** wire bytes both directions, as {!Portland.Ctrl} meters them *)
   steady_msgs_per_sec : float;
 }
 

@@ -1,5 +1,5 @@
-(** Byte-level big-endian writers and readers shared by the frame codec
-    ({!Codec}) and the control-protocol codec ([Portland.Msg_codec]). *)
+(** Byte-level big-endian writers and readers for the frame codec
+    ({!Codec}). *)
 
 module Writer : sig
   type t

@@ -328,6 +328,42 @@ let test_fail_switch_rejects_host () =
   Fabric.run_for fab (Time.ms 50);
   Testutil.check_int "host still reaches its neighbours" (List.length peers) !got
 
+(* A switch dead from the first event on, in a plain k=4 fabric: the
+   fabric labels around it. The dead switch's stripe stays uncoordinated
+   (its live members never learn a level or coordinates), yet every host
+   pair still routes and the verifier is clean. *)
+let test_dead_switch_at_boot () =
+  List.iter
+    (fun (name, pick) ->
+      let fab = Fabric.create @@ Fabric.Config.fattree ~seed:42 ~k:4 () in
+      let dead = pick (Fabric.tree fab) in
+      Fabric.fail_switch fab dead;
+      ignore (Fabric.await_convergence ~timeout:(Time.sec 2) fab);
+      let uncoordinated =
+        List.filter
+          (fun a -> Switch_agent.switch_id a <> dead && Switch_agent.coords a = None)
+          (Fabric.agents fab)
+      in
+      Testutil.check_int (name ^ ": live switches left uncoordinated") 5
+        (List.length uncoordinated);
+      let hosts = Fabric.hosts fab in
+      let routed =
+        List.fold_left
+          (fun acc src ->
+            List.fold_left
+              (fun acc dst ->
+                if Host_agent.device_id src = Host_agent.device_id dst then acc
+                else
+                  match Fabric.trace_route fab ~src ~dst_ip:(Host_agent.ip dst) (udp 0) with
+                  | Ok _ -> acc + 1
+                  | Error _ -> acc)
+              acc hosts)
+          0 hosts
+      in
+      Testutil.check_int (name ^ ": host pairs routed") (16 * 15) routed;
+      Testutil.assert_verified ~msg:(name ^ " dead at boot") fab)
+    [ ("agg (0,1)", fun mt -> mt.MR.aggs.(0).(1)); ("core 0", fun mt -> mt.MR.cores.(0)) ]
+
 let test_fault_update_idempotent () =
   let fab = Testutil.converged_fabric () in
   let mt = Fabric.tree fab in
@@ -1001,7 +1037,8 @@ let () =
           Alcotest.test_case "recovery restores paths" `Quick test_link_recovery_restores_paths;
           Alcotest.test_case "aggregation switch failure" `Quick test_agg_switch_failure;
           Alcotest.test_case "fault updates idempotent" `Quick test_fault_update_idempotent;
-          Alcotest.test_case "fail_switch rejects a host" `Quick test_fail_switch_rejects_host ] );
+          Alcotest.test_case "fail_switch rejects a host" `Quick test_fail_switch_rejects_host;
+          Alcotest.test_case "a switch dead at boot" `Quick test_dead_switch_at_boot ] );
       ( "migration",
         [ Alcotest.test_case "end to end" `Quick test_migration_end_to_end;
           Alcotest.test_case "trap counters" `Quick test_migration_trap_counters ] );

@@ -418,116 +418,78 @@ let test_fm_migration_invalidate () =
    | other -> Alcotest.failf "expected 1 invalidation, got %d" (List.length other));
   Testutil.check_bool "mapping updated" true (Fabric_manager.resolve fm ip = Some p2)
 
-(* ---------------- control-protocol codec ---------------- *)
+(* ---------------- control-message sizes ---------------- *)
 
-let gen_pmac =
-  QCheck2.Gen.map
-    (fun (pod, position, port, vmid) -> Pmac.make ~pod ~position ~port ~vmid)
-    QCheck2.Gen.(tup4 (int_bound 255) (int_bound 255) (int_bound 255) (int_range 1 65535))
-
-let gen_coords =
-  QCheck2.Gen.oneof
-    [ QCheck2.Gen.map
-        (fun (a, b) -> Coords.Edge { pod = a; position = b })
-        QCheck2.Gen.(pair (int_bound 1000) (int_bound 1000));
-      QCheck2.Gen.map
-        (fun (a, b) -> Coords.Agg { pod = a; stripe = b })
-        QCheck2.Gen.(pair (int_bound 1000) (int_bound 1000));
-      QCheck2.Gen.map
-        (fun (a, b) -> Coords.Core { stripe = a; member = b })
-        QCheck2.Gen.(pair (int_bound 1000) (int_bound 1000)) ]
-
-let gen_fault =
-  QCheck2.Gen.oneof
-    [ QCheck2.Gen.map
-        (fun (a, b, c) -> Fault.Edge_agg { pod = a; edge_pos = b; stripe = c })
-        QCheck2.Gen.(triple (int_bound 255) (int_bound 255) (int_bound 255));
-      QCheck2.Gen.map
-        (fun (a, b, c) -> Fault.Agg_core { pod = a; stripe = b; member = c })
-        QCheck2.Gen.(triple (int_bound 255) (int_bound 255) (int_bound 255)) ]
-
-let gen_ip = QCheck2.Gen.map (fun v -> Ipv4_addr.of_int v) QCheck2.Gen.(int_bound 0xFFFFFF)
-
-let gen_to_fm : Msg.to_fm QCheck2.Gen.t =
-  let open QCheck2.Gen in
-  oneof
-    [ (let* switch_id = int_bound 100_000 in
-       let* level = oneof [ return None; return (Some Ldp_msg.Edge) ] in
-       let* neighbors =
-         list_size (int_bound 8)
-           (triple (int_bound 64) (int_bound 100_000)
-              (oneof [ return None; return (Some Ldp_msg.Aggregation) ]))
-       in
-       let* host_ports = list_size (int_bound 8) (int_bound 64) in
-       return (Msg.Neighbor_report { switch_id; level; neighbors; host_ports }));
-      (let* switch_id = int_bound 100_000 in
-       let* position = int_bound 255 in
-       return (Msg.Propose_position { switch_id; position }));
-      (let* switch_id = int_bound 100_000 in
-       let* requester_ip = gen_ip in
-       let* requester_pmac = gen_pmac in
-       let* requester_port = int_bound 64 in
-       let* target_ip = gen_ip in
-       return
-         (Msg.Arp_query { switch_id; requester_ip; requester_pmac; requester_port; target_ip }));
-      (let* ip = gen_ip in
-       let* pmac = gen_pmac in
-       let* edge_switch = int_bound 100_000 in
-       return
-         (Msg.Host_announce
-            { Msg.ip; amac = Mac_addr.of_int 0x020000000042; pmac; edge_switch }));
-      (let* switch_id = int_bound 100_000 in
-       let* coords = gen_coords in
-       return (Msg.Reclaim_coords { switch_id; coords }));
-      (let* switch_id = int_bound 100_000 in
-       return (Msg.Coords_request { switch_id })) ]
-
-let gen_to_switch : Msg.to_switch QCheck2.Gen.t =
-  let open QCheck2.Gen in
-  oneof
-    [ map (fun c -> Msg.Assign_coords c) gen_coords;
-      map (fun position -> Msg.Position_denied { position }) (int_bound 255);
-      (let* target_ip = gen_ip in
-       let* target_pmac = oneof [ return None; map (fun p -> Some p) gen_pmac ] in
-       let* requester_ip = gen_ip in
-       let* requester_port = int_bound 64 in
-       let* gen = int_bound 100_000 in
-       return (Msg.Arp_answer { target_ip; target_pmac; requester_ip; requester_port; gen }));
-      map (fun faults -> Msg.Fault_update { faults }) (list_size (int_bound 10) gen_fault);
-      (let* group = gen_ip in
-       let* out_ports = list_size (int_bound 10) (int_bound 64) in
-       return (Msg.Mcast_program { group; out_ports }));
-      return Msg.Resync_request;
-      (let* bindings =
-         list_size (int_bound 6)
-           (let* ip = gen_ip in
-            let* pmac = gen_pmac in
-            let* edge_switch = int_bound 100_000 in
-            return { Msg.ip; amac = Mac_addr.of_int 0x020000000017; pmac; edge_switch })
-       in
-       return (Msg.Host_restore { bindings }));
-      map (fun gen -> Msg.Arp_gen { gen }) (int_bound 100_000) ]
-
-let prop_msg_to_fm_roundtrip =
-  Testutil.prop "control codec roundtrip (to fm)" ~count:300 gen_to_fm (fun m ->
-      match Msg_codec.decode_to_fm (Msg_codec.encode_to_fm m) with
-      | Ok m' -> m = m'
-      | Error _ -> false)
-
-let prop_msg_to_switch_roundtrip =
-  Testutil.prop "control codec roundtrip (to switch)" ~count:300 gen_to_switch (fun m ->
-      match Msg_codec.decode_to_switch (Msg_codec.encode_to_switch m) with
-      | Ok m' -> m = m'
-      | Error _ -> false)
-
-let test_msg_codec_errors () =
-  Testutil.check_bool "empty" true (Result.is_error (Msg_codec.decode_to_fm (Bytes.create 0)));
-  Testutil.check_bool "bad tag" true
-    (Result.is_error (Msg_codec.decode_to_fm (Bytes.make 8 '\xee')));
-  (* trailing junk rejected *)
-  let good = Msg_codec.encode_to_switch Msg.Resync_request in
-  let padded = Bytes.cat good (Bytes.make 1 '\x00') in
-  Testutil.check_bool "trailing bytes" true (Result.is_error (Msg_codec.decode_to_switch padded))
+(* Each row's expected size is written out field by field: a 1-byte
+   tag, u16 = 2, u32 = 4, IP = 4, MAC and PMAC = 6, level = 1,
+   coordinates = 1 + 2 + 2, fault = 1 + 2 + 2 + 2, host binding = 4 + 6
+   + 6 + 4, and a 2-byte count before each list. *)
+let test_msg_sizes () =
+  let ip = Ipv4_addr.of_int 0x0a000001 in
+  let pmac = Pmac.make ~pod:1 ~position:2 ~port:3 ~vmid:4 in
+  let amac = Mac_addr.of_int 0x020000000017 in
+  let coords = Coords.Agg { pod = 1; stripe = 2 } in
+  let binding = { Msg.ip; amac; pmac; edge_switch = 9 } in
+  let fault = Fault.Edge_agg { pod = 1; edge_pos = 0; stripe = 2 } in
+  let three x = [ x; x; x ] in
+  let fm name m want = (name, Msg.to_fm_wire_len m, want) in
+  let sw name m want = (name, Msg.to_switch_wire_len m, want) in
+  List.iter
+    (fun (name, got, want) -> Testutil.check_int name want got)
+    [ fm "Neighbor_report, empty"
+        (Msg.Neighbor_report { switch_id = 1; level = None; neighbors = []; host_ports = [] })
+        (1 + 4 + 1 + 2 + 2);
+      fm "Neighbor_report, 3 neighbours and 3 host ports"
+        (Msg.Neighbor_report
+           { switch_id = 1; level = Some Ldp_msg.Edge;
+             neighbors = three (0, 7, Some Ldp_msg.Aggregation); host_ports = [ 1; 2; 3 ] })
+        (1 + 4 + 1 + (2 + (3 * (2 + 4 + 1))) + (2 + (3 * 2)));
+      fm "Propose_position" (Msg.Propose_position { switch_id = 1; position = 0 }) (1 + 4 + 2);
+      fm "Arp_query"
+        (Msg.Arp_query
+           { switch_id = 1; requester_ip = ip; requester_pmac = pmac; requester_port = 3;
+             target_ip = ip })
+        (1 + 4 + 4 + 6 + 2 + 4);
+      fm "Host_announce" (Msg.Host_announce binding) (1 + (4 + 6 + 6 + 4));
+      fm "Fault_notice" (Msg.Fault_notice { switch_id = 1; port = 2; neighbor = 3 }) (1 + 4 + 2 + 4);
+      fm "Recovery_notice"
+        (Msg.Recovery_notice { switch_id = 1; port = 2; neighbor = 3 })
+        (1 + 4 + 2 + 4);
+      fm "Mcast_join" (Msg.Mcast_join { switch_id = 1; group = ip; port = 2 }) (1 + 4 + 4 + 2);
+      fm "Mcast_leave" (Msg.Mcast_leave { switch_id = 1; group = ip; port = 2 }) (1 + 4 + 4 + 2);
+      fm "Reclaim_coords" (Msg.Reclaim_coords { switch_id = 1; coords }) (1 + 4 + (1 + 2 + 2));
+      fm "Coords_request" (Msg.Coords_request { switch_id = 1 }) (1 + 4);
+      sw "Assign_coords" (Msg.Assign_coords coords) (1 + (1 + 2 + 2));
+      sw "Position_denied" (Msg.Position_denied { position = 1 }) (1 + 2);
+      sw "Arp_answer, hit"
+        (Msg.Arp_answer
+           { target_ip = ip; target_pmac = Some pmac; requester_ip = ip; requester_port = 3;
+             gen = 0 })
+        (1 + 4 + (1 + 6) + 4 + 2 + 4);
+      sw "Arp_answer, miss"
+        (Msg.Arp_answer
+           { target_ip = ip; target_pmac = None; requester_ip = ip; requester_port = 3; gen = 0 })
+        (1 + 4 + 1 + 4 + 2 + 4);
+      sw "Arp_flood"
+        (Msg.Arp_flood { requester_ip = ip; requester_pmac = pmac; target_ip = ip })
+        (1 + 4 + 6 + 4);
+      sw "Fault_update, empty" (Msg.Fault_update { faults = [] }) (1 + 2);
+      sw "Fault_update, 3 faults"
+        (Msg.Fault_update { faults = three fault })
+        (1 + 2 + (3 * (1 + 2 + 2 + 2)));
+      sw "Invalidate_pmac"
+        (Msg.Invalidate_pmac { ip; old_pmac = pmac; new_pmac = pmac })
+        (1 + 4 + 6 + 6);
+      sw "Mcast_program, empty" (Msg.Mcast_program { group = ip; out_ports = [] }) (1 + 4 + 2);
+      sw "Mcast_program, 3 ports"
+        (Msg.Mcast_program { group = ip; out_ports = [ 1; 2; 3 ] })
+        (1 + 4 + 2 + (3 * 2));
+      sw "Resync_request" Msg.Resync_request 1;
+      sw "Host_restore, empty" (Msg.Host_restore { bindings = [] }) (1 + 2);
+      sw "Host_restore, 3 bindings"
+        (Msg.Host_restore { bindings = three binding })
+        (1 + 2 + (3 * (4 + 6 + 6 + 4)));
+      sw "Arp_gen" (Msg.Arp_gen { gen = 5 }) (1 + 4) ]
 
 let test_ctrl_byte_metering () =
   let engine = Eventsim.Engine.create () in
@@ -536,7 +498,7 @@ let test_ctrl_byte_metering () =
   let msg = Msg.Propose_position { switch_id = 7; position = 0 } in
   Ctrl.send_to_fm ctrl ~from:7 msg;
   Eventsim.Engine.run engine;
-  Testutil.check_int "bytes metered" (Msg_codec.to_fm_wire_len msg) (Ctrl.to_fm_bytes ctrl)
+  Testutil.check_int "bytes metered" (Msg.to_fm_wire_len msg) (Ctrl.to_fm_bytes ctrl)
 
 (* ---------------- Config ---------------- *)
 
@@ -881,9 +843,7 @@ let () =
           Alcotest.test_case "arp hit & miss" `Quick test_fm_arp_hit_and_miss;
           Alcotest.test_case "migration invalidation" `Quick test_fm_migration_invalidate ] );
       ( "control codec",
-        [ prop_msg_to_fm_roundtrip;
-          prop_msg_to_switch_roundtrip;
-          Alcotest.test_case "malformed input" `Quick test_msg_codec_errors;
+        [ Alcotest.test_case "message sizes" `Quick test_msg_sizes;
           Alcotest.test_case "byte metering" `Quick test_ctrl_byte_metering ] );
       ("config", [ Alcotest.test_case "defaults" `Quick test_config_defaults ]);
       ( "fault updates",
